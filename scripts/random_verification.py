@@ -2,8 +2,10 @@
 
 Draws seeded random instances and checks, per draw: the triple-transform
 collapse, agreement of the chain-supremum antiderivative with its
-enumeration oracle, transform duality of the envelopes, the four-way
-Lipschitz characterization, and the lifted-space equivalences.
+enumeration oracle, agreement of the closure-first cyclic-monotonicity
+verdict and witness with the exact-length route alone, transform duality of
+the envelopes, the four-way Lipschitz characterization, and the lifted-space
+equivalences.
 
 Run:  python3 scripts/random_verification.py --seed 0 --trials 50
 """
@@ -18,9 +20,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from abconvex import (
     MultiMapping,
     alpha,
+    build_gain_graph,
     c_transform,
     c_transform_rev,
     gamma,
+    inject_positive_two_cycle,
+    is_cyclically_monotone,
     lipschitz_characterize,
     random_constraint_problem,
     random_coupling,
@@ -33,6 +38,7 @@ from abconvex import (
     sup_distance,
     verify_theorem6A,
 )
+from abconvex.monotone import _exact_cyclic_verdict
 
 EPS = 1e-9
 
@@ -52,6 +58,22 @@ def check_antiderivative(rng):
     fast = rockafellar(m, c, s)
     slow = rockafellar_oracle(m, c, s, max_len=len(m.dom) + 2)
     return sup_distance(fast, slow) <= EPS
+
+
+def check_closure_route(rng):
+    n = rng.randint(2, 12)
+    c = random_coupling(rng, n, n)
+    m = random_cyclically_monotone_mapping(rng, c)
+    kind = rng.randrange(3)
+    if kind == 1:
+        pairs = {(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(1, 2 * n))}
+        m = MultiMapping(c.domain, c.codomain, tuple(pairs))
+    elif kind == 2:
+        m, c = inject_positive_two_cycle(rng, m, c)
+    got = is_cyclically_monotone(m, c, EPS)
+    want = _exact_cyclic_verdict(build_gain_graph(m, c), EPS)
+    return (got.holds, got.witness) == (want.holds, want.witness)
 
 
 def check_duality(rng):
@@ -82,6 +104,7 @@ def check_lifted(rng):
 CHECKS = [
     ("triple transform", check_transform),
     ("chain supremum vs oracle", check_antiderivative),
+    ("closure vs exact-length route", check_closure_route),
     ("envelope duality", check_duality),
     ("lipschitz four-way", check_lipschitz),
     ("lifted equivalences", check_lifted),
@@ -99,7 +122,7 @@ def main():
     for name, check in CHECKS:
         ok = sum(check(rng) for _ in range(args.trials))
         status = "ok" if ok == args.trials else "FAIL"
-        print(f"{name:<28} {ok}/{args.trials} {status}")
+        print(f"{name:<30} {ok}/{args.trials} {status}")
         failures += args.trials - ok
     return 1 if failures else 0
 

@@ -24,7 +24,7 @@ from .core import (
     pointwise_max,
     restrict_sum,
 )
-from .rockafellar import rockafellar
+from .rockafellar import anchored_antiderivatives
 from .transforms import (
     c_convexify,
     c_transform,
@@ -86,11 +86,11 @@ class ConstraintProblem:
 def alpha(problem: ConstraintProblem) -> ExtFunction:
     """The minimal member: max over sites s of f(s) + R_s, where R_s is the
     chain-supremum antiderivative anchored at s."""
-    parts = []
-    for s in problem.sites:
-        r = rockafellar(problem.mapping, problem.coupling, s, problem.eps)
-        parts.append(r.shifted(problem.anchor(s)))
-    return pointwise_max(parts)
+    sites = problem.sites.members
+    parts = anchored_antiderivatives(problem.mapping, problem.coupling,
+                                     sites, problem.eps)
+    return pointwise_max([r.shifted(problem.anchor(s))
+                          for s, r in zip(sites, parts)])
 
 
 def alpha_closed_form(problem: ConstraintProblem) -> ExtFunction:

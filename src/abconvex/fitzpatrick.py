@@ -29,6 +29,7 @@ from .envelopes import ConstraintProblem, alpha, gamma
 from .lipschitz import MetricInstance, as_coupling, identity_mapping
 from .monotone import (
     is_cyclically_monotone,
+    is_maximal_cyclically_monotone,
     is_maximal_n_monotone,
     is_n_monotone,
 )
@@ -193,20 +194,20 @@ def verify_theorem6A(t_map: MultiMapping, c: Coupling,
 
     t_max = d_max = d_cyc_max = a_max = None
     if check_maximality:
-        diagonal = full_diagonal(pc)
-        delta_candidates = [p for p in diagonal if p not in set(delta.graph)]
+        delta_present = set(delta.graph)
+        delta_candidates = [p for p in full_diagonal(pc)
+                            if p not in delta_present]
         t_max = is_maximal_n_monotone(t_map, c, 2, eps)
         d_max = is_maximal_n_monotone(delta, pc.lifted, 2, eps,
                                       candidates=delta_candidates)
-        d_cyc_max = (bool(is_cyclically_monotone(delta, pc.lifted, eps))
-                     and all(not is_cyclically_monotone(
-                         delta.with_pair(u, v), pc.lifted, eps)
-                         for u, v in delta_candidates))
+        d_cyc_max = is_maximal_cyclically_monotone(
+            delta, pc.lifted, eps, candidates=delta_candidates)
         # 4': no single-point graph extension of T keeps the anchor property
+        t_present = set(t_map.graph)
         a_max = _anchor_is_antiderivative(t_map, pc, eps) and all(
             not _anchor_is_antiderivative(t_map.with_pair(x, y), pc, eps)
             for x in range(c.domain.size) for y in range(c.codomain.size)
-            if (x, y) not in set(t_map.graph))
+            if (x, y) not in t_present)
 
     return Theorem6AReport(
         t_monotone=bool(mono),

@@ -122,9 +122,7 @@ def lipschitz_characterize(f: ExtFunction, metric: MetricInstance,
         raise AbstractConvexError("function not indexed by the metric points")
     if not all(math.isfinite(v) for v in f.values):
         raise AbstractConvexError("characterization requires an everywhere finite f")
-    n = metric.points.size
-    lip = all(abs(f(i) - f(j)) <= metric(i, j) + eps
-              for i in range(n) for j in range(n))
+    lip = is_1_lipschitz(f, metric, eps)
     c = as_coupling(metric)
     convex = is_c_convex(f, c, eps)
     neg = ExtFunction(f.index, tuple(-v for v in f.values))

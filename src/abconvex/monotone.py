@@ -5,6 +5,16 @@ one-step chain gain max_{y in M(u)} [c(v, y) - c(u, y)].  Chain sums are
 bounded by walk gains, with equality achieved by the witness choices, so a
 mapping fails cyclic monotonicity exactly when the gain graph restricted to
 dom(M) carries a cycle of strictly positive total gain.
+
+With k = |dom(M)|, ``is_cyclically_monotone`` computes one max-plus
+Floyd-Warshall closure of the restricted gain matrix (O(k^3) time, O(k^2)
+memory).  Each diagonal entry bounds the best simple cycle through its
+node from above, and a closed walk of at most k steps splits into at most k
+simple cycles, so a diagonal no larger than eps/k proves that no such walk
+gains more than eps.  The closure stops at the first diagonal entry over
+eps/k and hands the verdict to the exact-length route (O(k^4) time, a k^3
+predecessor table), which decides and supplies the witness cycle.  ``rockafellar`` reads its chain suprema
+from the same closure.
 """
 
 from __future__ import annotations
@@ -173,6 +183,59 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
     return MonotonicityResult(True)
 
 
+def _max_plus_closure(a: list[list[float]],
+                      limit: float) -> Optional[list[list[float]]]:
+    """Max-plus Floyd-Warshall closure of a square gain matrix, or None as
+    soon as a diagonal entry exceeds ``limit``.
+
+    Returns D with D[u][v] the best gain of a walk of at least one step from
+    u to v when no cycle gains more than 0; in any case D[u][v] is the gain
+    of some such walk and is at least the best simple path (a simple cycle
+    when u == v) from u to v.  Entries only grow, so a diagonal entry over
+    ``limit`` stays over it.  Row and column w are left alone while w is the
+    pivot, so a positive cycle through w is never pumped.
+    """
+    d = [row[:] for row in a]
+    if any(row[u] > limit for u, row in enumerate(d)):
+        return None
+    for w, row_w in enumerate(d):
+        via = row_w[:]
+        via[w] = -INF
+        for u, row_u in enumerate(d):
+            if u != w:
+                base = row_u[w]
+                row_u[:] = map(max, row_u, [base + g for g in via])
+                if row_u[u] > limit:
+                    return None
+    return d
+
+
+def _exact_cyclic_verdict(gg: GainGraph, eps: float) -> MonotonicityResult:
+    """The exact-length route: no closed walk of 1..k steps gains over eps."""
+    diag_best, cycles = _best_closed_walks(gg.restricted(), len(gg.nodes))
+    for length, best in enumerate(diag_best):
+        if best > eps:
+            nodes = [gg.nodes[i] for i in cycles[length]]
+            return MonotonicityResult(False, _cycle_to_pairs(gg, nodes))
+    return MonotonicityResult(True)
+
+
+def _cyclic_verdict(gg: GainGraph, eps: float
+                    ) -> tuple[MonotonicityResult, Optional[list[list[float]]]]:
+    """(verdict, closure) for the gain graph's restricted matrix.
+
+    A closure diagonal no larger than eps/k passes outright and the closure
+    is returned with the verdict.  Otherwise the exact-length route decides,
+    so verdicts and witnesses are those of ``_exact_cyclic_verdict`` alone,
+    and the closure is None: a cycle gaining up to eps can be pumped through
+    it exponentially often.
+    """
+    closure = _max_plus_closure(gg.restricted(), eps / len(gg.nodes))
+    if closure is not None:
+        return MonotonicityResult(True), closure
+    return _exact_cyclic_verdict(gg, eps), None
+
+
 def is_cyclically_monotone(m: MultiMapping, c: Coupling,
                            eps: float = DEFAULT_EPS) -> MonotonicityResult:
     """Whether M is n-c-monotone for every n.
@@ -182,13 +245,7 @@ def is_cyclically_monotone(m: MultiMapping, c: Coupling,
     decompose into simple cycles (length <= |dom(M)|) plus a path.
     """
     m.require_proper()
-    gg = build_gain_graph(m, c)
-    diag_best, cycles = _best_closed_walks(gg.restricted(), len(gg.nodes))
-    for k, best in enumerate(diag_best):
-        if best > eps:
-            nodes = [gg.nodes[i] for i in cycles[k]]
-            return MonotonicityResult(False, _cycle_to_pairs(gg, nodes))
-    return MonotonicityResult(True)
+    return _cyclic_verdict(build_gain_graph(m, c), eps)[0]
 
 
 def is_monotone(m: MultiMapping, c: Coupling,

@@ -1,15 +1,21 @@
 """The chain-supremum antiderivative of a cyclically monotone mapping.
 
-R(x) is the best total gain of a chain that starts at the anchor s, walks
+R_s(x) is the best total gain of a chain that starts at the anchor s, walks
 through pairs of G(M), and takes a final hop to x.  With no positive cycles
-an optimal walk repeats no node, so |dom(M)| relaxation rounds plus one
-final-hop maximization compute the exact supremum.
+an optimal walk repeats no node, so row s of the max-plus closure D of the
+dom(M)-restricted gain graph (the one ``is_cyclically_monotone`` computes)
+holds every best walk out of s, and R_s(x) = max_i [D'[s][i] + gain[i][x]]
+with D'[s] = D[s] except D'[s][s] = max(D[s][s], 0), the empty walk.  With
+k = |dom(M)|, one gain graph and one closure serve any number of anchors:
+O(k^3 + |anchors| * k * |X|) after the gain graph is built.  When only the
+exact-length route passes M (a cycle gains between eps/k and eps), walks
+out of s come from k relaxation rounds instead, O(k^3) per anchor.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     DEFAULT_EPS,
@@ -20,7 +26,7 @@ from .core import (
     ExtFunction,
     MultiMapping,
 )
-from .monotone import ENUMERATION_BUDGET, build_gain_graph, is_cyclically_monotone
+from .monotone import ENUMERATION_BUDGET, _cyclic_verdict, build_gain_graph
 
 
 class NotCyclicallyMonotoneError(AbstractConvexError):
@@ -34,6 +40,63 @@ class NotCyclicallyMonotoneError(AbstractConvexError):
         self.witness = witness
 
 
+def anchored_antiderivatives(m: MultiMapping, c: Coupling,
+                             anchors: Sequence[int],
+                             eps: float = DEFAULT_EPS) -> list[ExtFunction]:
+    """Rockafellar's antiderivative for each anchor in dom(M), in order, from
+    one gain graph and one closure.
+
+    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
+    not c-cyclically monotone.
+    """
+    m.require_proper()
+    nodes = m.dom
+    for s in anchors:
+        if s not in nodes:
+            raise AbstractConvexError(f"anchor {s} is not in dom(M)")
+    gg = build_gain_graph(m, c)
+    verdict, closure = _cyclic_verdict(gg, eps)
+    if not verdict:
+        raise NotCyclicallyMonotoneError(verdict.witness)
+    out = []
+    for s in anchors:
+        spos = nodes.index(s)
+        # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
+        if closure is None:
+            best = _relaxed_walks(gg.restricted(), spos)
+        else:
+            best = closure[spos][:]
+            best[spos] = max(best[spos], 0.0)
+        values = tuple(max(b + row[x] for b, row in zip(best, gg.gain))
+                       for x in range(c.domain.size))
+        out.append(ExtFunction(c.domain, values))
+    return out
+
+
+def _relaxed_walks(a: list[list[float]], spos: int) -> list[float]:
+    """Best walk gains from node spos within len(a) relaxation rounds.
+
+    Used when cycles gaining at most eps make the closure unreliable: the
+    round cap bounds how often such a cycle is repeated.
+    """
+    k = len(a)
+    best = [-INF] * k
+    best[spos] = 0.0
+    for _ in range(k):
+        changed = False
+        for i in range(k):
+            if best[i] == -INF:
+                continue
+            for j in range(k):
+                g = best[i] + a[i][j]
+                if g > best[j]:
+                    best[j] = g
+                    changed = True
+        if not changed:
+            break
+    return best
+
+
 def rockafellar(m: MultiMapping, c: Coupling, s: int,
                 eps: float = DEFAULT_EPS) -> ExtFunction:
     """Rockafellar's antiderivative anchored at s in dom(M).
@@ -42,37 +105,7 @@ def rockafellar(m: MultiMapping, c: Coupling, s: int,
     positive cycle anywhere in the dom(M)-restricted gain graph raises
     ``NotCyclicallyMonotoneError`` with the witness cycle.
     """
-    m.require_proper()
-    if s not in set(m.dom):
-        raise AbstractConvexError(f"anchor {s} is not in dom(M)")
-    verdict = is_cyclically_monotone(m, c, eps)
-    if not verdict:
-        raise NotCyclicallyMonotoneError(verdict.witness)
-
-    gg = build_gain_graph(m, c)
-    nodes = gg.nodes
-    a = gg.restricted()
-    spos = nodes.index(s)
-    # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
-    best = [-INF] * len(nodes)
-    best[spos] = 0.0
-    for _ in range(len(nodes)):
-        changed = False
-        for i in range(len(nodes)):
-            if best[i] == -INF:
-                continue
-            for j in range(len(nodes)):
-                g = best[i] + a[i][j]
-                if g > best[j]:
-                    best[j] = g
-                    changed = True
-        if not changed:
-            break
-    values = []
-    for x in range(c.domain.size):
-        values.append(max(best[i] + gg.gain[i][x]
-                          for i in range(len(nodes)) if best[i] > -INF))
-    return ExtFunction(c.domain, tuple(values))
+    return anchored_antiderivatives(m, c, [s], eps)[0]
 
 
 def rockafellar_oracle(m: MultiMapping, c: Coupling, s: int,

@@ -11,6 +11,9 @@ from abconvex import (
     IndexSubset,
     MultiMapping,
     coupling_from_rows,
+    inject_positive_two_cycle,
+    random_coupling,
+    random_cyclically_monotone_mapping,
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,6 +54,32 @@ def grid_function(kind: str, *params) -> ExtFunction:
         r, s = params
         vals = [abs(v - r) - s for v in pts]
     return ExtFunction(grid_labels(), tuple(vals))
+
+
+def mixed_mappings(rng, count: int, max_pairs=None):
+    """Seeded (mapping, coupling) draws on n x n couplings, n = 2..9,
+    cycling through three kinds: a cyclically monotone mapping, a random
+    graph, and a monotone mapping with an injected positive 2-cycle."""
+    out = []
+    for i in range(count):
+        n = rng.randint(2, 9)
+        c = random_coupling(rng, n, n)
+        m = random_cyclically_monotone_mapping(rng, c, max_pairs)
+        if i % 3 == 1:
+            pairs = {(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(1, max_pairs or 2 * n))}
+            m = MultiMapping(c.domain, c.codomain, tuple(pairs))
+        elif i % 3 == 2:
+            m, c = inject_positive_two_cycle(rng, m, c)
+        out.append((m, c))
+    return out
+
+
+def two_cycle_instance(gain: float):
+    """M = identity on {0, 1}; its only 2-cycle gains exactly ``gain``."""
+    x = GroundSet(("0", "1"))
+    c = coupling_from_rows(x, x, [[0.0, gain], [0.0, 0.0]])
+    return MultiMapping(x, x, ((0, 0), (1, 1))), c
 
 
 @pytest.fixture

@@ -18,7 +18,9 @@ from abconvex import (
     is_c_convex,
     is_member,
     pointwise_le,
+    pointwise_max,
     random_constraint_problem,
+    rockafellar,
     sandwich_check,
     sup_distance,
 )
@@ -164,8 +166,19 @@ def test_sandwich_equals_membership(rng):
 
 
 def test_single_site_alpha_is_anchored_chain_supremum(two_point):
-    from abconvex import rockafellar
     p = ConstraintProblem(two_point.c, two_point.m, two_point.f_id,
                           IndexSubset(two_point.x, (3,)))
     r = rockafellar(two_point.m, two_point.c, 3)
     assert sup_distance(alpha(p), r.shifted(two_point.f_id(3))) <= EPS
+
+
+def test_alpha_is_max_of_per_site_chain_suprema(rng):
+    partial = 0
+    for _ in range(200):
+        p = random_constraint_problem(rng, rng.randint(2, 9), rng.randint(2, 9))
+        partial += not p.full_domain
+        per_site = pointwise_max([
+            rockafellar(p.mapping, p.coupling, s, p.eps).shifted(p.anchor(s))
+            for s in p.sites])
+        assert alpha(p).values == per_site.values
+    assert partial >= 50

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from abconvex import (
+    INF,
     BudgetExceededError,
     ImproperFunctionError,
     MultiMapping,
@@ -18,7 +19,15 @@ from abconvex import (
     random_coupling,
     random_cyclically_monotone_mapping,
 )
-from abconvex.monotone import _chain_gain
+from abconvex.monotone import (
+    _chain_gain,
+    _cyclic_verdict,
+    _exact_cyclic_verdict,
+    _max_plus_closure,
+)
+from conftest import mixed_mappings, two_cycle_instance
+
+EPS = 1e-9
 
 
 def test_gain_graph_on_fixture_mapping(two_point):
@@ -178,3 +187,72 @@ def test_oracle_budget_guard(rng):
 def test_n_monotone_rejects_nonpositive_order(two_point):
     with pytest.raises(ValueError):
         is_n_monotone(two_point.m, two_point.c, 0)
+
+
+def test_closure_verdict_matches_exact_length_route(rng):
+    failing = 0
+    for m, c in mixed_mappings(rng, 240):
+        got = is_cyclically_monotone(m, c, EPS)
+        want = _exact_cyclic_verdict(build_gain_graph(m, c), EPS)
+        assert (got.holds, got.witness) == (want.holds, want.witness)
+        if not got:
+            failing += 1
+            assert _chain_gain(got.witness, c) > EPS
+    assert 80 <= failing <= 200  # both verdicts are exercised
+
+
+def _best_walks(a, max_len):
+    """Best gain of a walk of 1..max_len steps, by repeated max-plus products."""
+    k = len(a)
+    walk, best = a, [row[:] for row in a]
+    for _ in range(max_len - 1):
+        walk = [[max(walk[u][w] + a[w][v] for w in range(k)) for v in range(k)]
+                for u in range(k)]
+        best = [[max(p, q) for p, q in zip(b, w)] for b, w in zip(best, walk)]
+    return best
+
+
+def test_closure_is_best_walk_gain_without_positive_cycles(rng):
+    for _ in range(100):
+        n = rng.randint(2, 9)
+        c = random_coupling(rng, n, n)
+        a = build_gain_graph(random_cyclically_monotone_mapping(rng, c), c).restricted()
+        got = _max_plus_closure(a, INF)
+        want = _best_walks(a, len(a))
+        assert max(abs(p - q) for g, w in zip(got, want)
+                   for p, q in zip(g, w)) <= 1e-12
+
+
+def test_closure_keeps_positive_cycles_finite():
+    # a 2-cycle of gain 1 traversed once, not pumped by the pivot order
+    a = [[0.0, 0.0], [1.0, 0.0]]
+    assert _max_plus_closure(a, INF) == [[1.0, 0.0], [1.0, 1.0]]
+    assert _max_plus_closure(a, 0.5) is None
+    assert _max_plus_closure([[0.0]], 0.0) == [[0.0]]
+    assert _max_plus_closure([[0.0]], -EPS) is None
+
+
+def test_negative_eps_fails_every_mapping(two_point):
+    # the one-step walk u -> u gains 0 > eps: the exact route's verdict and witness
+    for m in (two_point.m, MultiMapping(two_point.x, two_point.y, ((2, 0),))):
+        got = is_cyclically_monotone(m, two_point.c, -EPS)
+        want = _exact_cyclic_verdict(build_gain_graph(m, two_point.c), -EPS)
+        assert not got and got == want
+
+
+@pytest.mark.parametrize("gain, closure_passes, holds", [
+    (0.0, True, True),
+    (EPS / 2, True, True),          # <= eps/k with k = 2
+    (0.8 * EPS, False, True),       # in (eps/k, eps]: the exact route passes
+    (EPS, False, True),
+    (1.1 * EPS, False, False),
+])
+def test_two_cycle_threshold_routes(gain, closure_passes, holds):
+    m, c = two_cycle_instance(gain)
+    verdict, closure = _cyclic_verdict(build_gain_graph(m, c), EPS)
+    assert (closure is not None) == closure_passes
+    assert verdict.holds == holds
+    assert is_cyclically_monotone(m, c, EPS) == verdict
+    if not holds:
+        assert _chain_gain(verdict.witness, c) > EPS
+        assert set(verdict.witness) <= set(m.graph)

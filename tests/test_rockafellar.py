@@ -5,13 +5,16 @@ import pytest
 from abconvex import (
     AbstractConvexError,
     ExtFunction,
+    GroundSet,
     MultiMapping,
     NotCyclicallyMonotoneError,
     c_convexify,
     c_subdifferential,
+    coupling_from_rows,
     inject_positive_two_cycle,
     is_antiderivative,
     is_c_convex,
+    is_cyclically_monotone,
     pointwise_le,
     random_coupling,
     random_cyclically_monotone_mapping,
@@ -20,6 +23,8 @@ from abconvex import (
     sup_distance,
 )
 from abconvex.monotone import _chain_gain
+from abconvex.rockafellar import anchored_antiderivatives
+from conftest import mixed_mappings, two_cycle_instance
 
 EPS = 1e-9
 
@@ -115,3 +120,80 @@ def test_values_are_finite_everywhere(rng):
         m = random_cyclically_monotone_mapping(rng, c, max_pairs=3)
         r = rockafellar(m, c, m.dom[0])
         assert all(math.isfinite(r(x)) for x in range(4))
+
+
+def test_every_anchor_matches_oracle_or_raises_the_verdict_witness(rng):
+    anchors = raised = 0
+    for m, c in mixed_mappings(rng, 240, max_pairs=4):
+        verdict = is_cyclically_monotone(m, c, EPS)
+        if not verdict:
+            raised += 1
+            with pytest.raises(NotCyclicallyMonotoneError) as err:
+                rockafellar(m, c, m.dom[0], EPS)
+            assert err.value.witness == verdict.witness
+            continue
+        for s in m.dom:
+            anchors += 1
+            fast = rockafellar(m, c, s, EPS)
+            slow = rockafellar_oracle(m, c, s, max_len=len(m.dom) + 1)
+            assert sup_distance(fast, slow) <= EPS
+    assert anchors >= 200 and raised >= 60
+
+
+def test_multi_anchor_entry_matches_single_anchors(rng):
+    for m, c in mixed_mappings(rng, 60):
+        if not is_cyclically_monotone(m, c, EPS):
+            continue
+        many = anchored_antiderivatives(m, c, m.dom, EPS)
+        assert [r.values for r in many] == [
+            rockafellar(m, c, s, EPS).values for s in m.dom]
+
+
+def test_anchor_check_precedes_cycle_check():
+    # a positive 2-cycle on {0, 1} and an anchor 2 outside dom(M)
+    x = GroundSet(("0", "1", "2"))
+    c = coupling_from_rows(x, x, [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3])
+    m = MultiMapping(x, x, ((0, 0), (1, 1)))
+    with pytest.raises(NotCyclicallyMonotoneError):
+        anchored_antiderivatives(m, c, [0])
+    with pytest.raises(AbstractConvexError) as err:
+        anchored_antiderivatives(m, c, [0, 2])
+    assert not isinstance(err.value, NotCyclicallyMonotoneError)
+
+
+@pytest.mark.parametrize("gain", [EPS / 2, 0.8 * EPS, EPS])
+def test_cycles_within_eps_stay_within_eps_of_zero_gain(gain):
+    # both routes (closure below eps/k, relaxation rounds above) return
+    # finite values close to those of the same mapping with a 0-gain cycle
+    m, c = two_cycle_instance(gain)
+    m0, c0 = two_cycle_instance(0.0)
+    for s in (0, 1):
+        r = rockafellar(m, c, s, EPS)
+        assert sup_distance(r, rockafellar(m0, c0, s, EPS)) <= 2 * 2 * EPS
+
+
+def test_near_zero_cycles_are_not_pumped(rng):
+    # c(x, y) = a_x + b_y makes every cycle gain 0; noise of size `scale`
+    # turns them into cycles of gain up to 2*scale per step, many inside
+    # eps.  Walks found by at most k rounds stay within 2*scale per step of
+    # the noiseless telescoping value a_x - a_s.
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(8, 16)
+        scale = rng.choice([1e-11, 3e-11, 1e-10])
+        a = [rng.uniform(-10, 10) for _ in range(n)]
+        b = [rng.uniform(-10, 10) for _ in range(n)]
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        c = coupling_from_rows(x, x, [
+            [a[i] + b[j] + rng.uniform(-scale, scale) for j in range(n)]
+            for i in range(n)])
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+        m = MultiMapping(x, x, tuple(pairs))
+        if not is_cyclically_monotone(m, c, EPS):
+            continue
+        k = len(m.dom)
+        for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)):
+            checked += 1
+            worst = max(abs(r(i) - (a[i] - a[s])) for i in range(n))
+            assert worst <= (k * k + 1) * 2 * scale + 1e-12
+    assert checked >= 100
