@@ -3,14 +3,16 @@
 Draws seeded random instances and checks, per draw: the triple-transform
 collapse, agreement of the chain-supremum antiderivative with its
 enumeration oracle, agreement of the closure-first cyclic-monotonicity
-verdict and witness with the exact-length route alone, transform duality of
-the envelopes, the four-way Lipschitz characterization, and the lifted-space
-equivalences.
+verdict and witness with the exact-length route alone, bit-identity of the
+row kernels (transforms, subdifferential, n-monotone enumeration) with
+per-cell forms, transform duality of the envelopes, the four-way Lipschitz
+characterization, and the lifted-space equivalences.
 
 Run:  python3 scripts/random_verification.py --seed 0 --trials 50
 """
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -21,11 +23,13 @@ from abconvex import (
     MultiMapping,
     alpha,
     build_gain_graph,
+    c_subdifferential,
     c_transform,
     c_transform_rev,
     gamma,
     inject_positive_two_cycle,
     is_cyclically_monotone,
+    is_n_monotone,
     lipschitz_characterize,
     random_constraint_problem,
     random_coupling,
@@ -36,6 +40,7 @@ from abconvex import (
     rockafellar,
     rockafellar_oracle,
     sup_distance,
+    n_monotone_oracle,
     verify_theorem6A,
 )
 from abconvex.monotone import _exact_cyclic_verdict
@@ -76,6 +81,41 @@ def check_closure_route(rng):
     return (got.holds, got.witness) == (want.holds, want.witness)
 
 
+def _per_cell_transform(values, line):
+    best = -math.inf
+    for v, cv in zip(values, line):
+        if v == math.inf:
+            continue
+        if v == -math.inf:
+            return math.inf
+        best = max(best, cv - v)
+    return best
+
+
+def check_row_kernels(rng):
+    c = random_coupling(rng, rng.randint(1, 9), rng.randint(1, 9))
+    f = random_proper_function(rng, c.domain)
+    g = random_proper_function(rng, c.codomain)
+    fc = c_transform(f, c)
+    want_fc = [_per_cell_transform(f.values, [row[y] for row in c.values])
+               for y in range(c.codomain.size)]
+    want_gc = [_per_cell_transform(g.values, row) for row in c.values]
+    want_sub = tuple((x, y) for x in range(c.domain.size) if math.isfinite(f(x))
+                     for y in range(c.codomain.size)
+                     if abs(f(x) + fc(y) - c(x, y)) <= EPS)
+    transforms_ok = (
+        list(map(float.hex, fc.values)) == list(map(float.hex, want_fc))
+        and list(map(float.hex, c_transform_rev(g, c).values))
+        == list(map(float.hex, want_gc))
+        and c_subdifferential(f, c, EPS).graph == want_sub)
+    m = random_cyclically_monotone_mapping(rng, c, max_pairs=6)
+    if rng.random() < 0.5 and min(c.domain.size, c.codomain.size) >= 2:
+        m, c = inject_positive_two_cycle(rng, m, c)
+    n = rng.randint(1, 4)
+    got, want = is_n_monotone(m, c, n, EPS), n_monotone_oracle(m, c, n, EPS)
+    return transforms_ok and (got.holds, got.witness) == (want.holds, want.witness)
+
+
 def check_duality(rng):
     p = random_constraint_problem(rng, rng.randint(2, 5), rng.randint(2, 5))
     d = p.dual()
@@ -105,6 +145,7 @@ CHECKS = [
     ("triple transform", check_transform),
     ("chain supremum vs oracle", check_antiderivative),
     ("closure vs exact-length route", check_closure_route),
+    ("row kernels vs per-cell forms", check_row_kernels),
     ("envelope duality", check_duality),
     ("lipschitz four-way", check_lipschitz),
     ("lifted equivalences", check_lifted),

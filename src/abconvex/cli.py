@@ -8,6 +8,7 @@ usage).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 
@@ -37,7 +38,10 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process (parsing never
+    changes it)."""
     parser = argparse.ArgumentParser(
         prog="abconvex",
         description="Finite-instance computations of abstract convex analysis.")

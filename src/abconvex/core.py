@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 INF = math.inf
@@ -92,20 +93,20 @@ class Coupling:
         for row in self.values:
             if len(row) != self.codomain.size:
                 raise AbstractConvexError("coupling column count != |codomain|")
-            for v in row:
-                if not math.isfinite(v):
-                    raise AbstractConvexError("coupling entries must be finite")
+            if not all(map(math.isfinite, row)):
+                raise AbstractConvexError("coupling entries must be finite")
 
     def __call__(self, x: int, y: int) -> float:
         return self.values[x][y]
 
+    @cached_property
+    def columns(self) -> tuple[tuple[float, ...], ...]:
+        """The matrix by columns: ``columns[y][x] == values[x][y]``."""
+        return tuple(zip(*self.values))
+
     def transpose(self) -> "Coupling":
         """The reversed coupling c'(y, x) = c(x, y) on codomain x domain."""
-        cols = tuple(
-            tuple(self.values[x][y] for x in range(self.domain.size))
-            for y in range(self.codomain.size)
-        )
-        return Coupling(self.codomain, self.domain, cols)
+        return Coupling(self.codomain, self.domain, self.columns)
 
 
 def coupling_from_rows(domain: GroundSet, codomain: GroundSet,

@@ -60,24 +60,25 @@ class ProductCoupling:
         return t * self.base.domain.size + s
 
 
-def product_coupling(c: Coupling) -> ProductCoupling:
-    nx, ny = c.domain.size, c.codomain.size
-    side = nx * ny
+def _pairs_side(first: GroundSet, second: GroundSet):
+    """The lex first-major pairs of first x second and their ground set."""
+    side = first.size * second.size
     if side > MAX_LIFTED_SIDE:
         raise AbstractConvexError(
             f"lifted side {side} exceeds the {MAX_LIFTED_SIDE}-cell guard")
-    xy_pairs = tuple((x, y) for x in range(nx) for y in range(ny))
-    ts_pairs = tuple((t, s) for t in range(ny) for s in range(nx))
-    xy_labels = tuple(f"({c.domain.labels[x]},{c.codomain.labels[y]})"
-                      for x, y in xy_pairs)
-    ts_labels = tuple(f"({c.codomain.labels[t]},{c.domain.labels[s]})"
-                      for t, s in ts_pairs)
+    pairs = tuple((a, b) for a in range(first.size) for b in range(second.size))
+    labels = tuple(f"({first.labels[a]},{second.labels[b]})" for a, b in pairs)
+    return pairs, GroundSet(labels)
+
+
+def product_coupling(c: Coupling) -> ProductCoupling:
+    xy_pairs, xy_set = _pairs_side(c.domain, c.codomain)
+    ts_pairs, ts_set = _pairs_side(c.codomain, c.domain)
     rows = tuple(
         tuple(c(x, t) + c(s, y) for t, s in ts_pairs)
         for x, y in xy_pairs
     )
-    lifted = Coupling(GroundSet(xy_labels), GroundSet(ts_labels), rows)
-    return ProductCoupling(c, lifted, xy_pairs, ts_pairs)
+    return ProductCoupling(c, Coupling(xy_set, ts_set, rows), xy_pairs, ts_pairs)
 
 
 def delta_mapping(t_map: MultiMapping, pc: ProductCoupling) -> MultiMapping:
@@ -120,19 +121,23 @@ def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     """F(x,y) = max over (s,t) in G(T) of c(x,t) + c(s,y) - c(s,t),
     as a function on the lifted domain X x Y."""
     t_map.require_proper()
-    pc = product_coupling(c)
+    xy_pairs, xy_set = _pairs_side(c.domain, c.codomain)
     values = tuple(
         max(c(x, t) + c(s, y) - c(s, t) for s, t in t_map.graph)
-        for x, y in pc.xy_pairs
+        for x, y in xy_pairs
     )
-    return ExtFunction(pc.lifted.domain, values)
+    return ExtFunction(xy_set, values)
 
 
 def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
                               eps: float = DEFAULT_EPS) -> bool:
     """C-convex, majorizes c everywhere, equals c on G(T)."""
+    return _family_member(h, t_map, product_coupling(c), eps)
+
+
+def _family_member(h: ExtFunction, t_map: MultiMapping, pc: ProductCoupling,
+                   eps: float) -> bool:
     h.require_proper("family candidate")
-    pc = product_coupling(c)
     if h.index.labels != pc.lifted.domain.labels:
         raise AbstractConvexError("candidate is not indexed by the lifted domain")
     if not is_c_convex(h, pc.lifted, eps):
@@ -140,7 +145,7 @@ def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
     base = coupling_as_function(pc)
     if any(b > v + eps for b, v in zip(base.values, h.values)):
         return False
-    return all(abs(h(pc.xy_index(x, y)) - c(x, y)) <= eps
+    return all(abs(h(pc.xy_index(x, y)) - pc.base(x, y)) <= eps
                for x, y in t_map.graph)
 
 
@@ -235,7 +240,11 @@ def lifted_problem(t_map: MultiMapping, c: Coupling,
                    eps: float = DEFAULT_EPS) -> ConstraintProblem:
     """The lifted constrained family: mapping Delta_T, anchor c + i_{G(T)},
     sites = G(T) = dom(Delta_T)."""
-    pc = product_coupling(c)
+    return _lifted_problem(t_map, product_coupling(c), eps)
+
+
+def _lifted_problem(t_map: MultiMapping, pc: ProductCoupling,
+                    eps: float) -> ConstraintProblem:
     delta = delta_mapping(t_map, pc)
     sites = IndexSubset(pc.lifted.domain, delta.dom)
     return ConstraintProblem(pc.lifted, delta, graph_anchor(t_map, pc),
@@ -251,7 +260,8 @@ def verify_theorem6B(t_map: MultiMapping, c: Coupling,
     Fitzpatrick family.  Sampling can only falsify the inclusion."""
     if not is_n_monotone(t_map, c, 2, eps):
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
-    problem = lifted_problem(t_map, c, eps)
+    pc = product_coupling(c)
+    problem = _lifted_problem(t_map, pc, eps)
     a = alpha(problem)
     f = fitzpatrick(t_map, c)
     diff = sup_distance(a, f)
@@ -268,7 +278,7 @@ def verify_theorem6B(t_map: MultiMapping, c: Coupling,
                                     for lo, hi in zip(a.values, g.values)))
             member = c_convexify(mix, problem.coupling)
             sampled += 1
-            if not fitzpatrick_family_member(member, t_map, c, eps):
+            if not _family_member(member, t_map, pc, eps):
                 falsified = True
     return Theorem6BReport(max_abs_diff=diff, equal=diff <= eps,
                            maximality_checked=maximal,
@@ -309,14 +319,15 @@ def verify_inequality_chain(t_map: MultiMapping, metric: MetricInstance,
         raise AbstractConvexError(
             "hypothesis fails: T is neither finitely maximal nor a supplied "
             "subdifferential")
-    pc = product_coupling(c)
+    n = metric.points.size
     f = fitzpatrick(t_map, c)
     worst = 0.0
-    for x, y in pc.xy_pairs:
-        fxy = f(pc.xy_index(x, y))
-        fyx = f(pc.xy_index(y, x))
-        d = metric(x, y)
-        worst = max(worst, -d - fxy, fxy - (-fyx), -fyx - metric(y, x))
+    for x in range(n):
+        for y in range(n):
+            fxy = f(x * n + y)
+            fyx = f(y * n + x)
+            d = metric(x, y)
+            worst = max(worst, -d - fxy, fxy - (-fyx), -fyx - metric(y, x))
     return InequalityChainReport(holds=worst <= eps, max_violation=worst)
 
 

@@ -5,6 +5,12 @@ metric block with a negate flag for c = -d), functions (with the string
 "inf" standing in for +inf), mappings as label-pair lists and subsets as
 label lists.  Parsing either returns a validated document or raises
 ``InstanceError`` with a JSON-path diagnostic.
+
+Numeric rows go through ``_parse_row``: a row of plain JSON ints and floats
+that are all finite after ``float()`` is converted in one pass; any other row
+falls back to ``_parse_value`` per cell, which raises at the first bad cell,
+so every diagnostic names the same JSON path.  Both routes apply the same
+``float()`` to each cell, so the parsed values are bit-identical.
 """
 
 from __future__ import annotations
@@ -46,9 +52,30 @@ def _parse_value(v, path) -> float:
         return math.inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, "expected a number or \"inf\"")
-    if not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:
+        _fail(path, "integer literal too large for a float")
+    if not math.isfinite(x):
         _fail(path, "non-finite numeric literal; use the string \"inf\"")
-    return float(v)
+    return x
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _parse_row(row: list, path: str) -> tuple[float, ...]:
+    """``_parse_value`` over a row; ``path`` names the row, cells are
+    ``path[j]``."""
+    if _PLAIN_NUMBERS.issuperset(map(type, row)):
+        try:
+            values = tuple(map(float, row))
+        except OverflowError:
+            pass  # a huge int: the per-cell route names it
+        else:
+            if all(map(math.isfinite, values)):
+                return values
+    return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
 
 
 @dataclass
@@ -125,9 +152,7 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
             row = _expect(row, list, f"$.coupling.metric.distances[{i}]")
             if len(row) != points.size:
                 _fail(f"$.coupling.metric.distances[{i}]", "column count != |points|")
-            dist.append(tuple(
-                _parse_value(v, f"$.coupling.metric.distances[{i}][{j}]")
-                for j, v in enumerate(row)))
+            dist.append(_parse_row(row, f"$.coupling.metric.distances[{i}]"))
         pseudo = bool(mspec.get("pseudometric", False))
         try:
             metric = MetricInstance(points, tuple(dist), pseudometric=pseudo)
@@ -150,12 +175,10 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
             row = _expect(row, list, f"$.coupling.values[{i}]")
             if len(row) != codomain.size:
                 _fail(f"$.coupling.values[{i}]", "column count != |codomain|")
-            parsed = tuple(_parse_value(v, f"$.coupling.values[{i}][{j}]")
-                           for j, v in enumerate(row))
-            for j, v in enumerate(parsed):
-                if not math.isfinite(v):
-                    _fail(f"$.coupling.values[{i}][{j}]",
-                          "coupling entries must be finite")
+            parsed = _parse_row(row, f"$.coupling.values[{i}]")
+            if math.inf in parsed:
+                _fail(f"$.coupling.values[{i}][{parsed.index(math.inf)}]",
+                      "coupling entries must be finite")
             vals.append(parsed)
         coupling = Coupling(domain, codomain, tuple(vals))
         names = (cspec["domain"], cspec["codomain"])
@@ -170,9 +193,7 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
         vals = _expect(fspec.get("values"), list, f"{path}.values")
         if len(vals) != index.size:
             _fail(f"{path}.values", "value count != ground set size")
-        doc.functions[name] = ExtFunction(
-            index, tuple(_parse_value(v, f"{path}.values[{i}]")
-                         for i, v in enumerate(vals)))
+        doc.functions[name] = ExtFunction(index, _parse_row(vals, f"{path}.values"))
 
     for name, mspec in _expect(raw.get("mappings", {}), dict, "$.mappings").items():
         path = f"$.mappings.{name}"

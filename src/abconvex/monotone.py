@@ -13,14 +13,25 @@ node from above, and a closed walk of at most k steps splits into at most k
 simple cycles, so a diagonal no larger than eps/k proves that no such walk
 gains more than eps.  The closure stops at the first diagonal entry over
 eps/k and hands the verdict to the exact-length route (O(k^4) time, a k^3
-predecessor table), which decides and supplies the witness cycle.  ``rockafellar`` reads its chain suprema
-from the same closure.
+predecessor table), which decides and supplies the witness cycle.
+``rockafellar`` reads its chain suprema from the same closure.
+
+``is_n_monotone`` enumerates the |G(M)|^n selections while that stays within
+``ENUMERATION_BUDGET``, one prefix of n - 1 pairs at a time, and scans the
+last position per row: with two precomputed rows, one map over G(M) gives
+the chain gain of every completion of the prefix.  Each gain is the same
+left-to-right sum of the same differences as ``_chain_gain``, and the first
+completion over eps is the first selection over eps in
+``itertools.product`` order, so verdicts and witnesses equal those of
+``n_monotone_oracle``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from operator import add, lt, sub
 from typing import Optional
 
 from .core import (
@@ -98,6 +109,40 @@ def _chain_gain(pairs, c: Coupling) -> float:
     return total
 
 
+def _first_violation(pairs, c: Coupling, n: int, eps: float):
+    """The first selection in ``itertools.product(pairs, repeat=n)`` order
+    whose ``_chain_gain`` exceeds eps, or None.
+
+    For a prefix p_0 .. p_{n-2}, the completion by q = (x, y) gains
+    (s + (c(x, y_{n-2}) - c(x_{n-2}, y_{n-2}))) + (c(x_0, y) - c(x, y)),
+    where s = 0.0 + the n - 2 inner terms: ``_chain_gain``'s sum, in its
+    order.  The first factor is a column of c, the second a row per x_0.
+    """
+    if n == 1:
+        return next(((p,) for p in pairs if _chain_gain((p,), c) > eps), None)
+    rows = c.values
+    diag = [rows[x][y] for x, y in pairs]
+    into = {}    # y -> [c(x, y) for (x, _) in pairs]
+    close = {}   # x_0 -> [c(x_0, y) - c(x, y) for (x, y) in pairs]
+    over = partial(lt, eps)
+    for prefix in itertools.product(pairs, repeat=n - 1):
+        s = 0.0
+        for (x, y), (xn, _) in zip(prefix, prefix[1:]):
+            s += rows[xn][y] - rows[x][y]
+        x0 = prefix[0][0]
+        xl, yl = prefix[-1]
+        if yl not in into:
+            into[yl] = [rows[x][yl] for x, _ in pairs]
+        if x0 not in close:
+            close[x0] = list(map(sub, [rows[x0][y] for _, y in pairs], diag))
+        last = map(sub, into[yl], itertools.repeat(rows[xl][yl]))
+        gains = map(add, map(partial(add, s), last), close[x0])
+        hit = next(itertools.compress(itertools.count(), map(over, gains)), None)
+        if hit is not None:
+            return prefix + (pairs[hit],)
+    return None
+
+
 def _cycle_to_pairs(gg: GainGraph, cycle_nodes: list[int]) -> tuple[tuple[int, int], ...]:
     """Turn a node cycle into the witness pair selection achieving its gain."""
     n = len(cycle_nodes)
@@ -170,10 +215,8 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
         raise ValueError("n must be a positive integer")
     pairs = m.graph
     if len(pairs) ** n <= ENUMERATION_BUDGET:
-        for sel in itertools.product(pairs, repeat=n):
-            if _chain_gain(sel, c) > eps:
-                return MonotonicityResult(False, sel)
-        return MonotonicityResult(True)
+        sel = _first_violation(pairs, c, n, eps)
+        return MonotonicityResult(sel is None, sel)
     # gain-graph fallback: maximize closed walks of exactly n steps
     gg = build_gain_graph(m, c)
     diag_best, cycles = _best_closed_walks(gg.restricted(), n)

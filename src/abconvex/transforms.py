@@ -4,12 +4,23 @@ The forward transform maps functions on the coupling's domain to functions
 on its codomain; the reverse transform goes the other way.  The two are kept
 as distinct operations with explicit index typing, so a conjugation-direction
 mistake fails loudly instead of silently transposing.
+
+Both transforms run one row kernel, ``_transform``: it masks out the +inf
+entries of the input once, then takes ``max(map(sub, line, values))`` over
+the kept entries for each output point, where ``line`` is a column of the
+coupling (forward) or a row of it (reverse).  The subdifferential scans each
+coupling row against the finite entries of f^c.  The outputs are
+bit-identical to a per-cell loop: every cell is the same subtraction, and
+``max`` keeps the first of equal maxima, as a running
+``best = max(best, ...)`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 
 from .core import (
     INF,
@@ -23,36 +34,31 @@ from .core import (
 )
 
 
-def _transform(values: tuple[float, ...], column) -> float:
-    """max over i of column(i) - values[i], with the [-inf, inf] conventions."""
-    best = -INF
-    for i, v in enumerate(values):
-        if v == INF:
-            continue  # outside dom(f): contributes -inf
-        if v == -INF:
-            return INF  # c finite minus -inf
-        best = max(best, column(i) - v)
-    return best
+def _transform(values: tuple[float, ...], lines) -> tuple[float, ...]:
+    """max over i of line[i] - values[i] for each line, with the [-inf, inf]
+    conventions: +inf entries (outside dom) are skipped, a -inf entry makes
+    every output +inf, and an empty domain makes every output -inf."""
+    if -INF in values:
+        return (INF,) * len(lines)  # c finite minus -inf
+    dom = [v != INF for v in values]
+    if not any(dom):
+        return (-INF,) * len(lines)
+    vals = list(compress(values, dom))
+    return tuple(max(map(sub, compress(line, dom), vals)) for line in lines)
 
 
 def c_transform(f: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of f on X: f^c(y) = max_x [c(x, y) - f(x)] on Y."""
     if f.index.labels != c.domain.labels:
         raise IndexMismatchError("function is not indexed by the coupling domain")
-    return ExtFunction(
-        c.codomain,
-        tuple(_transform(f.values, lambda x: c(x, y)) for y in range(c.codomain.size)),
-    )
+    return ExtFunction(c.codomain, _transform(f.values, c.columns))
 
 
 def c_transform_rev(g: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of g on Y: g^c(x) = max_y [c(x, y) - g(y)] on X."""
     if g.index.labels != c.codomain.labels:
         raise IndexMismatchError("function is not indexed by the coupling codomain")
-    return ExtFunction(
-        c.domain,
-        tuple(_transform(g.values, lambda y: c(x, y)) for x in range(c.domain.size)),
-    )
+    return ExtFunction(c.domain, _transform(g.values, c.values))
 
 
 def c_convexify(f: ExtFunction, c: Coupling) -> ExtFunction:
@@ -96,13 +102,11 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
     if f.index.labels != c.domain.labels:
         raise IndexMismatchError("function is not indexed by the coupling domain")
     fc = c_transform(f, c)
+    finite = [(y, g) for y, g in enumerate(fc.values) if math.isfinite(g)]
     pairs = []
-    for x in range(c.domain.size):
-        if not math.isfinite(f(x)):
-            continue  # f is finite where it is c-subdifferentiable
-        for y in range(c.codomain.size):
-            if math.isfinite(fc(y)) and abs(f(x) + fc(y) - c(x, y)) <= eps:
-                pairs.append((x, y))
+    for x, (fx, row) in enumerate(zip(f.values, c.values)):
+        if math.isfinite(fx):  # f is finite where it is c-subdifferentiable
+            pairs.extend((x, y) for y, g in finite if abs(fx + g - row[y]) <= eps)
     return SubdiffGraph(MultiMapping(c.domain, c.codomain, tuple(pairs)))
 
 

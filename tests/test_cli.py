@@ -3,7 +3,7 @@ import json
 import pytest
 
 from abconvex import InstanceError, emit_document, parse_instance
-from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, main
+from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -238,3 +238,88 @@ def test_output_flag_and_seeded_determinism(tmp_path, line3_path):
     status = main(["verify", "--instance", line3_path, "--mapping", "I",
                    "--seed", "43", "--output", str(a)])
     assert status == EXIT_OK  # a different seed still succeeds
+
+
+def test_huge_integer_literal_exits_2(capsys, tmp_path, fixture_dir):
+    raw = json.loads((fixture_dir / "two_point.json").read_text())
+    raw["functions"]["f_id"]["values"][1] = int("1" + "0" * 400)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    status, out = run(capsys, "transform", "--instance", str(path),
+                      "--function", "f_id")
+    assert status == EXIT_INPUT
+    assert out["error"] == "input"
+    assert "$.functions.f_id.values[1]" in out["message"]
+
+
+BAD_LITERALS = ["true", '"Infinity"', "NaN", "1e999", "1" + "0" * 400]
+
+
+def _document_with_row(where: str, row: list) -> dict:
+    """A 5-point document whose coupling row, metric row or function is
+    ``row``; ``where`` picks which."""
+    labels = ["a", "b", "c", "d", "e"]
+    square = [[float(abs(i - j)) for j in range(5)] for i in range(5)]
+    doc = {"schema_version": "1", "ground_sets": {"P": labels}}
+    if where == "metric":
+        square[1] = row
+        doc["coupling"] = {"metric": {"points": "P", "distances": square},
+                           "negate": True}
+        return doc
+    doc["coupling"] = {"domain": "P", "codomain": "P", "values": square}
+    if where == "coupling":
+        square[1] = row
+    else:
+        doc["functions"] = {"f": {"index": "P", "values": row}}
+    return doc
+
+
+@pytest.mark.parametrize("literal", BAD_LITERALS,
+                         ids=["true", "string", "nan", "1e999", "huge-int"])
+@pytest.mark.parametrize("where,path", [
+    ("coupling", "$.coupling.values[1]"),
+    ("metric", "$.coupling.metric.distances[1]"),
+    ("function", "$.functions.f.values"),
+])
+def test_parse_diagnostic_names_first_bad_cell(literal, where, path):
+    # the same bad literal at indices 2 and 4 of one row: the diagnostic
+    # names index 2, whichever parsing route the row takes
+    doc = _document_with_row(where, [1.0, 0.0, "@BAD@", 2, "@BAD@"])
+    text = json.dumps(doc).replace('"@BAD@"', literal)
+    with pytest.raises(InstanceError) as err:
+        parse_instance(text)
+    assert str(err.value).startswith(f"{path}[2]: ")
+
+
+def test_reused_parser_gives_the_bytes_of_fresh_calls(tmp_path, fixture_dir):
+    two_point = str(fixture_dir / "two_point.json")
+    line3 = str(fixture_dir / "line3.json")
+    site = ["--mapping", "M", "--subset", "S", "--site-function", "f_id"]
+    lip = ["--mapping", "I_S", "--subset", "S", "--site-function", "f"]
+    calls = [
+        ["transform", "--instance", two_point, "--function", "f_id_on_S"],
+        ["lip-extend", "--instance", line3, *lip, "--min"],
+        ["check-monotone", "--instance", two_point, "--mapping", "M", "--order", "3"],
+        ["check-monotone", "--instance", two_point, "--mapping", "M"],
+        ["lip-extend", "--instance", line3, *lip, "--max"],
+        ["gamma", "--instance", two_point, *site, "--epsilon", "0.5"],
+        ["alpha", "--instance", two_point, *site],
+        ["verify", "--instance", line3, "--mapping", "I", "--seed", "3"],
+        ["lip-extend", "--instance", line3, *lip],
+        ["transform", "--instance", two_point, "--function", "nope"],
+    ]
+
+    def outputs(fresh: bool) -> list[tuple[int, bytes]]:
+        got = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                _build_parser.cache_clear()
+            target = tmp_path / f"{fresh}-{i}.json"
+            status = main(argv + ["--output", str(target)])
+            got.append((status, target.read_bytes()))
+        return got
+
+    reused = outputs(fresh=False)
+    assert _build_parser() is _build_parser()
+    assert reused == outputs(fresh=True)
+    assert [status for status, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2]

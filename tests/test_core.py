@@ -136,3 +136,13 @@ def test_mapping_rejects_out_of_range():
     y = GroundSet(("a",))
     with pytest.raises(AbstractConvexError):
         MultiMapping(x, y, ((0, 3),))
+
+
+def test_coupling_columns_transpose_values(rng):
+    from abconvex import random_coupling
+    c = random_coupling(rng, 3, 4)
+    assert len(c.columns) == 4
+    assert all(c.columns[y][x] == c(x, y) for x in range(3) for y in range(4))
+    assert c.columns is c.columns  # computed once
+    t = c.transpose()
+    assert t.values == c.columns and t.transpose() == c

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,10 +7,12 @@ import pytest
 from abconvex import (
     INF,
     BudgetExceededError,
+    GroundSet,
     ImproperFunctionError,
     MultiMapping,
     build_gain_graph,
     c_subdifferential,
+    coupling_from_rows,
     inject_positive_two_cycle,
     is_cyclically_monotone,
     is_maximal_cyclically_monotone,
@@ -256,3 +260,37 @@ def test_two_cycle_threshold_routes(gain, closure_passes, holds):
     if not holds:
         assert _chain_gain(verdict.witness, c) > EPS
         assert set(verdict.witness) <= set(m.graph)
+
+
+def test_enumeration_route_matches_oracle_witness(rng):
+    # verdict and witness tuple, n = 1..4, on monotone mappings, random
+    # graphs and injected 2-cycles, with ties from integer couplings and a
+    # negative eps that fails every selection
+    draws = mixed_mappings(rng, 90, max_pairs=6)
+    x = GroundSet(("0", "1", "2"))
+    for _ in range(30):
+        c = coupling_from_rows(x, x, [[rng.choice((-1.0, -0.0, 0.0, 1.0))
+                                       for _ in range(3)] for _ in range(3)])
+        pairs = {(rng.randrange(3), rng.randrange(3)) for _ in range(4)}
+        draws.append((MultiMapping(x, x, tuple(pairs)), c))
+    for i, (m, c) in enumerate(draws):
+        eps = -1.0 if i % 10 == 9 else EPS
+        for n in (1, 2, 3, 4):
+            got = is_n_monotone(m, c, n, eps)
+            want = n_monotone_oracle(m, c, n, eps)
+            assert (got.holds, got.witness) == (want.holds, want.witness)
+
+
+def test_enumeration_route_at_exact_gain_thresholds(rng):
+    # eps = a selection's exact chain gain, and the next float below it: a
+    # gain summed in another order than _chain_gain's is an ulp off often
+    # enough to flip a verdict or move a witness at one of them
+    for m, c in mixed_mappings(rng, 60, max_pairs=5):
+        for n in (2, 3, 4):
+            gains = sorted({_chain_gain(sel, c)
+                            for sel in itertools.product(m.graph, repeat=n)})
+            for best in rng.sample(gains, min(4, len(gains))) + [gains[-1]]:
+                for eps in (best, math.nextafter(best, -INF)):
+                    got = is_n_monotone(m, c, n, eps)
+                    want = n_monotone_oracle(m, c, n, eps)
+                    assert (got.holds, got.witness) == (want.holds, want.witness)

@@ -297,3 +297,102 @@ def test_convex_combination_stays_antiderivative_but_not_convex(two_point):
     mix = convex_combination(two_point.f_id, two_point.f_abs, 0.5)
     assert is_antiderivative(mix, two_point.m, two_point.c)
     assert not is_c_convex(mix, two_point.c)
+
+
+# ---------------------------------------------------------------- row kernels
+# Per-cell reference forms, one Python call per cell straight from the
+# definitions.  The row kernels must match them bit for bit: == and also
+# float.hex, which tells -0.0 from 0.0.
+
+def _transform_per_cell(values, column):
+    best = -INF
+    for i, v in enumerate(values):
+        if v == INF:
+            continue
+        if v == -INF:
+            return INF
+        best = max(best, column(i) - v)
+    return best
+
+
+def c_transform_per_cell(f, c):
+    return tuple(_transform_per_cell(f.values, lambda x: c(x, y))
+                 for y in range(c.codomain.size))
+
+
+def c_transform_rev_per_cell(g, c):
+    return tuple(_transform_per_cell(g.values, lambda y: c(x, y))
+                 for x in range(c.domain.size))
+
+
+def c_subdifferential_per_cell(f, c, eps):
+    fc = c_transform(f, c)
+    pairs = []
+    for x in range(c.domain.size):
+        if not math.isfinite(f(x)):
+            continue
+        for y in range(c.codomain.size):
+            if math.isfinite(fc(y)) and abs(f(x) + fc(y) - c(x, y)) <= eps:
+                pairs.append((x, y))
+    return tuple(pairs)
+
+
+def assert_same_floats(got, want):
+    assert got == want
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def _kernel_draw(rng, nx, ny, kind):
+    """A coupling and a function on each side.  ``kind`` picks the entries:
+    0 uniform reals, 1 small integers and signed zeros (ties everywhere),
+    2 a single -inf entry, 3 all +inf."""
+    def real():
+        if kind == 1:
+            return rng.choice((-2.0, -1.0, -0.0, 0.0, 1.0, 2.0))
+        return rng.uniform(-10.0, 10.0)
+
+    def function(size):
+        vals = [INF if rng.random() < 0.3 else real() for _ in range(size)]
+        if kind == 2:
+            vals[rng.randrange(size)] = -INF
+        elif kind == 3:
+            vals = [INF] * size
+        return vals
+
+    x = GroundSet(tuple(f"x{i}" for i in range(nx)))
+    y = GroundSet(tuple(f"y{j}" for j in range(ny)))
+    c = Coupling(x, y, tuple(tuple(real() for _ in range(ny)) for _ in range(nx)))
+    return c, ExtFunction(x, tuple(function(nx))), ExtFunction(y, tuple(function(ny)))
+
+
+def test_transform_kernels_match_per_cell_form(rng):
+    for trial in range(400):
+        nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+        c, f, g = _kernel_draw(rng, nx, ny, trial % 4)
+        assert_same_floats(c_transform(f, c).values, c_transform_per_cell(f, c))
+        assert_same_floats(c_transform_rev(g, c).values,
+                           c_transform_rev_per_cell(g, c))
+
+
+def test_transform_kernels_on_one_point_sets():
+    one = GroundSet(("p",))
+    many = GroundSet(("a", "b", "c"))
+    c = Coupling(one, many, ((1.5, -0.0, 2.0),))
+    for vals in ((0.5,), (INF,), (-INF,), (0.0,)):
+        f = ExtFunction(one, vals)
+        assert_same_floats(c_transform(f, c).values, c_transform_per_cell(f, c))
+    for vals in ((INF, 1.0, INF), (INF,) * 3, (0.0, -INF, 1.0)):
+        g = ExtFunction(many, vals)
+        assert_same_floats(c_transform_rev(g, c).values,
+                           c_transform_rev_per_cell(g, c))
+
+
+def test_subdifferential_matches_per_cell_form(rng):
+    for trial in range(300):
+        nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+        c, f, _ = _kernel_draw(rng, nx, ny, trial % 2)
+        if not f.proper:
+            continue
+        for eps in (0.0, EPS, 0.5):
+            assert c_subdifferential(f, c, eps).graph == \
+                c_subdifferential_per_cell(f, c, eps)
