@@ -125,7 +125,11 @@ def _run(args) -> dict:
         anchor = doc.subset(_require(args.subset, "--subset"))
         if len(anchor.members) != 1:
             raise InstanceError("--subset must name a single anchor point")
-        r = rockafellar(m, c, anchor.members[0], eps)
+        try:
+            r = rockafellar(m, c, anchor.members[0], eps)
+        except NotCyclicallyMonotoneError as exc:
+            raise NotCyclicallyMonotoneError(
+                _witness_pairs(m, exc.witness)) from None
         return {"command": cmd, "result": function_to_jsonable(r)}
 
     if cmd == "alpha":

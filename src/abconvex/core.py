@@ -63,10 +63,14 @@ class GroundSet:
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise AbstractConvexError(f"unknown label {label!r}") from None
 
     def __iter__(self):
@@ -179,8 +183,12 @@ class IndexSubset:
                 raise AbstractConvexError(f"subset member {i} out of range")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
     def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
+        return i in self._member_set
 
     def __iter__(self):
         return iter(self.members)
@@ -236,8 +244,12 @@ class MultiMapping:
     def with_pair(self, x: int, y: int) -> "MultiMapping":
         return MultiMapping(self.source, self.target, self.graph + ((x, y),))
 
+    @cached_property
+    def _pair_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.graph)
+
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in set(self.graph)
+        return pair in self._pair_set
 
     def __len__(self) -> int:
         return len(self.graph)

@@ -28,6 +28,7 @@ from .core import (
 from .envelopes import ConstraintProblem, alpha, gamma
 from .lipschitz import MetricInstance, as_coupling, identity_mapping
 from .monotone import (
+    _is_maximal,
     is_cyclically_monotone,
     is_maximal_cyclically_monotone,
     is_maximal_n_monotone,
@@ -102,10 +103,9 @@ def coupling_as_function(pc: ProductCoupling) -> ExtFunction:
 
 def graph_anchor(t_map: MultiMapping, pc: ProductCoupling) -> ExtFunction:
     """c + indicator(G(T)) on the lifted domain."""
-    present = set(t_map.graph)
     return ExtFunction(
         pc.lifted.domain,
-        tuple(pc.base(x, y) if (x, y) in present else INF
+        tuple(pc.base(x, y) if (x, y) in t_map else INF
               for x, y in pc.xy_pairs))
 
 
@@ -199,20 +199,15 @@ def verify_theorem6A(t_map: MultiMapping, c: Coupling,
 
     t_max = d_max = d_cyc_max = a_max = None
     if check_maximality:
-        delta_present = set(delta.graph)
-        delta_candidates = [p for p in full_diagonal(pc)
-                            if p not in delta_present]
+        diagonal = full_diagonal(pc)
         t_max = is_maximal_n_monotone(t_map, c, 2, eps)
         d_max = is_maximal_n_monotone(delta, pc.lifted, 2, eps,
-                                      candidates=delta_candidates)
+                                      candidates=diagonal)
         d_cyc_max = is_maximal_cyclically_monotone(
-            delta, pc.lifted, eps, candidates=delta_candidates)
+            delta, pc.lifted, eps, candidates=diagonal)
         # 4': no single-point graph extension of T keeps the anchor property
-        t_present = set(t_map.graph)
-        a_max = _anchor_is_antiderivative(t_map, pc, eps) and all(
-            not _anchor_is_antiderivative(t_map.with_pair(x, y), pc, eps)
-            for x in range(c.domain.size) for y in range(c.codomain.size)
-            if (x, y) not in t_present)
+        a_max = _is_maximal(lambda t: _anchor_is_antiderivative(t, pc, eps),
+                            t_map)
 
     return Theorem6AReport(
         t_monotone=bool(mono),

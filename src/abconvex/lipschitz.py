@@ -135,10 +135,11 @@ def lipschitz_characterize(f: ExtFunction, metric: MetricInstance,
 class ExtensionProblem:
     """Constrained Lipschitz extension data.
 
-    ``values`` gives f on dom(mapping) (entries elsewhere are ignored); the
-    constructor checks the distance-compatibility hypothesis
-    f(x) - f(x') <= d(x', y) - d(x, y) over G(M) x dom(M), which is the same
-    as f (extended by +inf) being a -d-antiderivative of the mapping.
+    ``values`` gives f on dom(mapping) (entries elsewhere are ignored).  The
+    distance-compatibility hypothesis f(x) - f(x') <= d(x', y) - d(x, y)
+    over G(M) x dom(M) says that f, extended by +inf off dom(M), is a
+    -d-antiderivative of the mapping; the constructor checks it by building
+    the matching ``ConstraintProblem``, which the extensions then use.
     """
 
     metric: MetricInstance
@@ -146,23 +147,15 @@ class ExtensionProblem:
     values: ExtFunction
     sites: IndexSubset
     eps: float = field(default=DEFAULT_EPS)
+    _problem: ConstraintProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mapping.require_proper()
+        self.mapping.require_proper()  # anchor() needs a nonempty dom(M)
         if self.values.index.labels != self.metric.points.labels:
             raise AbstractConvexError("values not indexed by the metric points")
-        dom = self.mapping.dom
-        if any(not math.isfinite(self.values(x)) for x in dom):
-            raise AbstractConvexError("values must be finite on dom(M)")
-        stray = [s for s in self.sites if s not in set(dom)]
-        if stray:
-            raise AbstractConvexError(f"sites {stray} are outside dom(M)")
-        d, f = self.metric, self.values
-        for x, y in self.mapping.graph:
-            for xp in dom:
-                if f(x) - f(xp) > d(xp, y) - d(x, y) + self.eps:
-                    raise AbstractConvexError(
-                        f"extension hypothesis fails at pair ({x},{y}), point {xp}")
+        object.__setattr__(self, "_problem", ConstraintProblem(
+            as_coupling(self.metric), self.mapping, self.anchor(), self.sites,
+            self.eps))
 
     def anchor(self) -> ExtFunction:
         """f extended by +inf off dom(M); a -d-antiderivative of the mapping."""
@@ -170,8 +163,7 @@ class ExtensionProblem:
                             IndexSubset(self.metric.points, self.mapping.dom))
 
     def constraint_problem(self) -> ConstraintProblem:
-        return ConstraintProblem(as_coupling(self.metric), self.mapping,
-                                 self.anchor(), self.sites, self.eps)
+        return self._problem
 
     @property
     def full_domain(self) -> bool:

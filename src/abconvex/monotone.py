@@ -12,9 +12,18 @@ memory).  Each diagonal entry bounds the best simple cycle through its
 node from above, and a closed walk of at most k steps splits into at most k
 simple cycles, so a diagonal no larger than eps/k proves that no such walk
 gains more than eps.  The closure stops at the first diagonal entry over
-eps/k and hands the verdict to the exact-length route (O(k^4) time, a k^3
-predecessor table), which decides and supplies the witness cycle.
-``rockafellar`` reads its chain suprema from the same closure.
+eps/k and hands the verdict to the exact-length route, which decides and
+supplies the witness cycle.  ``rockafellar`` reads its chain suprema from
+the same closure.
+
+The exact-length route is one generator of walk rounds: round L holds the
+best walk of exactly L steps between every two nodes (O(k^3) per round,
+O(L * k^2) predecessors) and the best closed walk with its cycle.  The
+cyclic verdict stops at the first length L whose best closed walk gains
+over eps, so a rejected mapping costs O(L * k^3) and a passed one O(k^4);
+``is_n_monotone`` past its budget reads round n; ``rockafellar`` reads
+the walks of at most k steps when a cycle gains between eps/k and eps.
+Maximality is one loop over single-pair extensions for any property.
 
 ``is_n_monotone`` enumerates the |G(M)|^n selections while that stays within
 ``ENUMERATION_BUDGET``, one prefix of n - 1 pairs at a time, and scans the
@@ -58,9 +67,6 @@ class GainGraph:
     nodes: tuple[int, ...]          # dom(M), sorted
     gain: tuple[tuple[float, ...], ...]      # |dom(M)| x |X|
     witness: tuple[tuple[int, ...], ...]
-
-    def node_pos(self, u: int) -> int:
-        return self.nodes.index(u)
 
     def restricted(self) -> list[list[float]]:
         """Gain matrix restricted to dom(M) columns (|dom| x |dom|)."""
@@ -143,67 +149,42 @@ def _first_violation(pairs, c: Coupling, n: int, eps: float):
     return None
 
 
-def _cycle_to_pairs(gg: GainGraph, cycle_nodes: list[int]) -> tuple[tuple[int, int], ...]:
-    """Turn a node cycle into the witness pair selection achieving its gain."""
-    n = len(cycle_nodes)
-    pairs = []
-    for i in range(n):
-        u = cycle_nodes[i]
-        v = cycle_nodes[(i + 1) % n]
-        pairs.append((u, gg.witness[gg.node_pos(u)][v]))
-    return tuple(pairs)
+def _cycle_to_pairs(gg: GainGraph, cycle: list[int]) -> tuple[tuple[int, int], ...]:
+    """Turn a cycle of node positions into the witness pair selection
+    achieving its gain."""
+    return tuple((gg.nodes[i], gg.witness[i][gg.nodes[j]])
+                 for i, j in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def _best_closed_walks(a: list[list[float]], max_len: int):
-    """Best closed-walk gains by exact length, with path reconstruction.
+def _walk_rounds(a: list[list[float]]):
+    """Exact-length walk rounds over a square gain matrix, without end.
 
-    Returns (diag_best, cycles) where diag_best[k] is the best gain of a
-    closed walk of exactly k+1 steps and cycles[k] a node cycle achieving it.
-    Plain relaxation rounds over the restricted gain matrix.
+    Round L = 1, 2, ... yields (best, cycle, walk): ``walk[u][v]`` is the
+    best gain of a walk of exactly L steps from u to v, ``best`` the largest
+    diagonal entry of ``walk`` (the first on ties) and ``cycle`` the node
+    positions of a closed walk achieving it, starting at its node.  A round
+    costs O(k^3) and depends only on the rounds before it.
     """
-    k_nodes = len(a)
-    # walk[u][v]: best gain of a walk of the current length from u to v
-    walk = [row[:] for row in a]
-    # mid[k][u][v]: predecessor node index of v on the best (k+1)-step walk
-    preds = [[[u for _ in range(k_nodes)] for u in range(k_nodes)]]
-    diag_best, cycles = [], []
-
-    def record():
-        best, where = -INF, 0
-        for u in range(k_nodes):
-            if walk[u][u] > best:
-                best, where = walk[u][u], u
-        diag_best.append(best)
-        # backtrack the closed walk at `where`
-        length = len(preds)
-        path = [where]
-        v = where
-        for k in range(length - 1, 0, -1):
-            v = preds[k][where][v]
-            path.append(v)
-        path.append(where)
-        path.reverse()
-        cycles.append(path[:-1])
-
-    record()
-    for _ in range(1, max_len):
-        nxt = [[-INF] * k_nodes for _ in range(k_nodes)]
-        pred = [[0] * k_nodes for _ in range(k_nodes)]
-        for u in range(k_nodes):
-            for w in range(k_nodes):
-                base = walk[u][w]
-                if base == -INF:
-                    continue
-                row = a[w]
-                for v in range(k_nodes):
-                    g = base + row[v]
-                    if g > nxt[u][v]:
-                        nxt[u][v] = g
-                        pred[u][v] = w
+    walk = a
+    # preds[L - 2][u][v]: the node before v on the best L-step walk from u
+    preds = []
+    while True:
+        diag = [row[u] for u, row in enumerate(walk)]
+        best = max(diag)
+        where = diag.index(best)
+        back = [where]
+        for pred in reversed(preds):
+            back.append(pred[where][back[-1]])
+        yield best, [where] + back[:0:-1], walk
+        nxt, pred = [], []
+        for row in walk:
+            # cols[v][w]: the best walk from u to w, then the step w -> v
+            cols = list(zip(*[[b + g for g in a_w] for b, a_w in zip(row, a)]))
+            top = list(map(max, cols))
+            nxt.append(top)
+            pred.append(list(map(tuple.index, cols, top)))
         walk = nxt
         preds.append(pred)
-        record()
-    return diag_best, cycles
 
 
 def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
@@ -219,10 +200,10 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
         return MonotonicityResult(sel is None, sel)
     # gain-graph fallback: maximize closed walks of exactly n steps
     gg = build_gain_graph(m, c)
-    diag_best, cycles = _best_closed_walks(gg.restricted(), n)
-    if diag_best[n - 1] > eps:
-        nodes = [gg.nodes[i] for i in cycles[n - 1]]
-        return MonotonicityResult(False, _cycle_to_pairs(gg, nodes))
+    rounds = _walk_rounds(gg.restricted())
+    best, cycle, _ = next(itertools.islice(rounds, n - 1, None))
+    if best > eps:
+        return MonotonicityResult(False, _cycle_to_pairs(gg, cycle))
     return MonotonicityResult(True)
 
 
@@ -254,12 +235,15 @@ def _max_plus_closure(a: list[list[float]],
 
 
 def _exact_cyclic_verdict(gg: GainGraph, eps: float) -> MonotonicityResult:
-    """The exact-length route: no closed walk of 1..k steps gains over eps."""
-    diag_best, cycles = _best_closed_walks(gg.restricted(), len(gg.nodes))
-    for length, best in enumerate(diag_best):
+    """The exact-length route: no closed walk of 1..k steps gains over eps.
+
+    It stops at the first length L whose best closed walk gains over eps, so
+    a rejection costs O(L * k^3); the witness is that walk.
+    """
+    rounds = _walk_rounds(gg.restricted())
+    for best, cycle, _ in itertools.islice(rounds, len(gg.nodes)):
         if best > eps:
-            nodes = [gg.nodes[i] for i in cycles[length]]
-            return MonotonicityResult(False, _cycle_to_pairs(gg, nodes))
+            return MonotonicityResult(False, _cycle_to_pairs(gg, cycle))
     return MonotonicityResult(True)
 
 
@@ -297,12 +281,14 @@ def is_monotone(m: MultiMapping, c: Coupling,
     return is_n_monotone(m, c, 2, eps)
 
 
-def _grid_candidates(m: MultiMapping):
-    present = set(m.graph)
-    for x in range(m.source.size):
-        for y in range(m.target.size):
-            if (x, y) not in present:
-                yield (x, y)
+def _is_maximal(holds, m: MultiMapping, candidates=None) -> bool:
+    """Whether ``holds(m)``, and ``holds`` fails once any one pair of
+    ``candidates`` (default: X x Y) outside G(M) is added to m."""
+    if not holds(m):
+        return False
+    if candidates is None:
+        candidates = itertools.product(range(m.source.size), range(m.target.size))
+    return all(p in m or not holds(m.with_pair(*p)) for p in candidates)
 
 
 def is_maximal_n_monotone(m: MultiMapping, c: Coupling, n: int,
@@ -311,24 +297,13 @@ def is_maximal_n_monotone(m: MultiMapping, c: Coupling, n: int,
     """Finite rendering of maximality: no single-point extension keeps the
     property.  ``candidates`` restricts the extension pool (e.g. to the
     diagonal set of the product construction)."""
-    if not is_n_monotone(m, c, n, eps):
-        return False
-    pool = candidates if candidates is not None else _grid_candidates(m)
-    present = set(m.graph)
-    return all((x, y) in present or not is_n_monotone(m.with_pair(x, y), c, n, eps)
-               for x, y in pool)
+    return _is_maximal(lambda t: is_n_monotone(t, c, n, eps), m, candidates)
 
 
 def is_maximal_cyclically_monotone(m: MultiMapping, c: Coupling,
                                    eps: float = DEFAULT_EPS,
                                    candidates=None) -> bool:
-    if not is_cyclically_monotone(m, c, eps):
-        return False
-    pool = candidates if candidates is not None else _grid_candidates(m)
-    present = set(m.graph)
-    return all((x, y) in present
-               or not is_cyclically_monotone(m.with_pair(x, y), c, eps)
-               for x, y in pool)
+    return _is_maximal(lambda t: is_cyclically_monotone(t, c, eps), m, candidates)
 
 
 def n_monotone_oracle(m: MultiMapping, c: Coupling, n: int,

@@ -8,8 +8,11 @@ holds every best walk out of s, and R_s(x) = max_i [D'[s][i] + gain[i][x]]
 with D'[s] = D[s] except D'[s][s] = max(D[s][s], 0), the empty walk.  With
 k = |dom(M)|, one gain graph and one closure serve any number of anchors:
 O(k^3 + |anchors| * k * |X|) after the gain graph is built.  When only the
-exact-length route passes M (a cycle gains between eps/k and eps), walks
-out of s come from k relaxation rounds instead, O(k^3) per anchor.
+exact-length route passes M (a cycle gains between eps/k and eps), the
+closure could pump that cycle, so D is replaced by the entrywise best of the
+exact-length walk rounds 1..k: one O(k^4) table of best walks of at most k
+steps, shared by all anchors, which is what ``rockafellar_oracle`` with
+max_len = k + 1 enumerates.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from .core import (
     ExtFunction,
     MultiMapping,
 )
-from .monotone import ENUMERATION_BUDGET, _cyclic_verdict, build_gain_graph
+from .monotone import (
+    ENUMERATION_BUDGET,
+    _cyclic_verdict,
+    _walk_rounds,
+    build_gain_graph,
+)
 
 
 class NotCyclicallyMonotoneError(AbstractConvexError):
@@ -58,43 +66,21 @@ def anchored_antiderivatives(m: MultiMapping, c: Coupling,
     verdict, closure = _cyclic_verdict(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness)
+    if closure is None:
+        # a cycle gains between eps/k and eps: best walks of 1..k steps
+        closure = a = gg.restricted()
+        for _, _, walk in itertools.islice(_walk_rounds(a), 1, len(nodes)):
+            closure = [list(map(max, b, w)) for b, w in zip(closure, walk)]
     out = []
     for s in anchors:
         spos = nodes.index(s)
         # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
-        if closure is None:
-            best = _relaxed_walks(gg.restricted(), spos)
-        else:
-            best = closure[spos][:]
-            best[spos] = max(best[spos], 0.0)
+        best = closure[spos][:]
+        best[spos] = max(best[spos], 0.0)
         values = tuple(max(b + row[x] for b, row in zip(best, gg.gain))
                        for x in range(c.domain.size))
         out.append(ExtFunction(c.domain, values))
     return out
-
-
-def _relaxed_walks(a: list[list[float]], spos: int) -> list[float]:
-    """Best walk gains from node spos within len(a) relaxation rounds.
-
-    Used when cycles gaining at most eps make the closure unreliable: the
-    round cap bounds how often such a cycle is repeated.
-    """
-    k = len(a)
-    best = [-INF] * k
-    best[spos] = 0.0
-    for _ in range(k):
-        changed = False
-        for i in range(k):
-            if best[i] == -INF:
-                continue
-            for j in range(k):
-                g = best[i] + a[i][j]
-                if g > best[j]:
-                    best[j] = g
-                    changed = True
-        if not changed:
-            break
-    return best
 
 
 def rockafellar(m: MultiMapping, c: Coupling, s: int,
@@ -110,9 +96,10 @@ def rockafellar(m: MultiMapping, c: Coupling, s: int,
 
 def rockafellar_oracle(m: MultiMapping, c: Coupling, s: int,
                        max_len: int) -> ExtFunction:
-    """Exhaustive maximum over all chains of length <= max_len.  Test oracle;
-    equals ``rockafellar`` once max_len >= |dom(M)| and M is cyclically
-    monotone."""
+    """Exhaustive maximum over all chains of at most max_len pairs.  Test
+    oracle; equals ``rockafellar`` for max_len = |dom(M)| + 1 (walks of at
+    most |dom(M)| steps inside dom(M), then the final hop) when M is
+    cyclically monotone."""
     m.require_proper()
     if len(m.graph) ** max_len > ENUMERATION_BUDGET:
         raise BudgetExceededError(

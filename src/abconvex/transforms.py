@@ -137,5 +137,4 @@ def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
     f.require_proper("antiderivative candidate")
     m.require_proper()
     sub = c_subdifferential(f, c, eps)
-    present = set(sub.graph)
-    return all(pair in present for pair in m.graph)
+    return all(pair in sub for pair in m.graph)

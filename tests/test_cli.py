@@ -149,6 +149,22 @@ def test_rockafellar_non_monotone_exits_1(capsys, tmp_path, fixture_dir):
     assert out["witness"]
 
 
+def test_rockafellar_witness_matches_check_monotone(capsys, tmp_path,
+                                                   fixture_dir):
+    # both come from the exact-length route, and both print label pairs
+    path = non_monotone_instance(tmp_path, fixture_dir)
+    raw = json.loads(open(path).read())
+    raw["subsets"]["p"] = {"parent": "X", "members": ["-2"]}
+    open(path, "w").write(json.dumps(raw))
+    status, check = run(capsys, "check-monotone", "--instance", path,
+                        "--mapping", "bad")
+    assert status == EXIT_OK and check["monotone"] is False
+    status, out = run(capsys, "rockafellar", "--instance", path,
+                      "--mapping", "bad", "--subset", "p")
+    assert status == EXIT_DOMAIN
+    assert out["witness"] == check["witness"] == [["-2", "a"], ["2", "b"]]
+
+
 def test_alpha_gamma_commands(capsys, two_point_path):
     status, out = run(capsys, "alpha", "--instance", two_point_path,
                       "--mapping", "M", "--subset", "S",

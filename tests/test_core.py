@@ -146,3 +146,21 @@ def test_coupling_columns_transpose_values(rng):
     assert c.columns is c.columns  # computed once
     t = c.transpose()
     assert t.values == c.columns and t.transpose() == c
+
+
+def test_ground_set_index_and_unknown_labels():
+    x = GroundSet(("b", "a", "c"))
+    assert [x.index(lab) for lab in ("a", "b", "c")] == [1, 0, 2]
+    for bad in ("d", 1, ["a"]):  # a list label from JSON is unhashable
+        with pytest.raises(AbstractConvexError, match=r"unknown label"):
+            x.index(bad)
+    assert x == GroundSet(("b", "a", "c")) and hash(x) == hash(GroundSet(x.labels))
+
+
+def test_membership_of_subsets_and_mappings():
+    x = GroundSet(("0", "1", "2"))
+    s = IndexSubset(x, (2, 0))
+    assert [i in s for i in range(3)] == [True, False, True]
+    m = MultiMapping(x, x, ((1, 2), (0, 0), (1, 2)))
+    assert (1, 2) in m and (0, 0) in m and (2, 1) not in m
+    assert (2, 1) in m.with_pair(2, 1) and (2, 1) not in m

@@ -294,3 +294,84 @@ def test_enumeration_route_at_exact_gain_thresholds(rng):
                     got = is_n_monotone(m, c, n, eps)
                     want = n_monotone_oracle(m, c, n, eps)
                     assert (got.holds, got.witness) == (want.holds, want.witness)
+
+
+def _reference_closed_walks(a, max_len):
+    """Best closed-walk gains by exact length 1..max_len and a node cycle
+    achieving each, from plain relaxation rounds with a predecessor table:
+    the reference for the witnesses of the exact-length route."""
+    k_nodes = len(a)
+    walk = [row[:] for row in a]
+    preds = [[[u for _ in range(k_nodes)] for u in range(k_nodes)]]
+    diag_best, cycles = [], []
+
+    def record():
+        best, where = -INF, 0
+        for u in range(k_nodes):
+            if walk[u][u] > best:
+                best, where = walk[u][u], u
+        diag_best.append(best)
+        path = [where]
+        v = where
+        for k in range(len(preds) - 1, 0, -1):
+            v = preds[k][where][v]
+            path.append(v)
+        path.append(where)
+        path.reverse()
+        cycles.append(path[:-1])
+
+    record()
+    for _ in range(1, max_len):
+        nxt = [[-INF] * k_nodes for _ in range(k_nodes)]
+        pred = [[0] * k_nodes for _ in range(k_nodes)]
+        for u in range(k_nodes):
+            for w in range(k_nodes):
+                base = walk[u][w]
+                if base == -INF:
+                    continue
+                for v in range(k_nodes):
+                    g = base + a[w][v]
+                    if g > nxt[u][v]:
+                        nxt[u][v] = g
+                        pred[u][v] = w
+        walk = nxt
+        preds.append(pred)
+        record()
+    return diag_best, cycles
+
+
+def _reference_verdict(gg, best, cycle, eps):
+    if best <= eps:
+        return True, None
+    n = len(cycle)
+    return False, tuple((gg.nodes[cycle[i]],
+                         gg.witness[cycle[i]][gg.nodes[cycle[(i + 1) % n]]])
+                        for i in range(n))
+
+
+def test_walk_rounds_pin_reference_witnesses(rng, monkeypatch):
+    # the cyclic verdict (first length over eps after all k rounds), the
+    # n-monotone fallback (round n) and the witness rockafellar raises
+    import abconvex.monotone as mono
+    from abconvex import NotCyclicallyMonotoneError, rockafellar
+    failing = 0
+    for m, c in mixed_mappings(rng, 240):
+        gg = build_gain_graph(m, c)
+        k = len(gg.nodes)
+        diag_best, cycles = _reference_closed_walks(gg.restricted(), max(k, 3))
+        want = next((_reference_verdict(gg, diag_best[i], cycles[i], EPS)
+                     for i in range(k) if diag_best[i] > EPS), (True, None))
+        got = is_cyclically_monotone(m, c, EPS)
+        assert (got.holds, got.witness) == want
+        if not got:
+            failing += 1
+            with pytest.raises(NotCyclicallyMonotoneError) as err:
+                rockafellar(m, c, m.dom[0], EPS)
+            assert err.value.witness == want[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(mono, "ENUMERATION_BUDGET", 0)
+            for n in (2, 3):
+                got = is_n_monotone(m, c, n, EPS)
+                assert (got.holds, got.witness) == _reference_verdict(
+                    gg, diag_best[n - 1], cycles[n - 1], EPS)
+    assert 80 <= failing <= 200

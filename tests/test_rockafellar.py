@@ -22,7 +22,7 @@ from abconvex import (
     rockafellar_oracle,
     sup_distance,
 )
-from abconvex.monotone import _chain_gain
+from abconvex.monotone import _chain_gain, _cyclic_verdict, build_gain_graph
 from abconvex.rockafellar import anchored_antiderivatives
 from conftest import mixed_mappings, two_cycle_instance
 
@@ -197,3 +197,34 @@ def test_near_zero_cycles_are_not_pumped(rng):
             worst = max(abs(r(i) - (a[i] - a[s])) for i in range(n))
             assert worst <= (k * k + 1) * 2 * scale + 1e-12
     assert checked >= 100
+
+
+def band_instances(rng, count):
+    """Mappings on couplings c(x, y) = a_x + b_y + noise whose best cycle
+    gains between eps/k and eps: the exact-length route passes them and the
+    closure does not."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 5)
+        scale = rng.choice([2e-10, 4e-10, 8e-10])
+        a = [rng.uniform(-10, 10) for _ in range(n)]
+        b = [rng.uniform(-10, 10) for _ in range(n)]
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        c = coupling_from_rows(x, x, [
+            [a[i] + b[j] + rng.uniform(-scale, scale) for j in range(n)]
+            for i in range(n)])
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)}
+        m = MultiMapping(x, x, tuple(pairs))
+        verdict, closure = _cyclic_verdict(build_gain_graph(m, c), EPS)
+        if verdict and closure is None:
+            out.append((m, c))
+    return out
+
+
+def test_band_antiderivatives_match_chain_oracle(rng):
+    # walks of at most k steps, as the oracle enumerates with max_len = k + 1
+    for m, c in band_instances(rng, 100):
+        k = len(m.dom)
+        for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)):
+            slow = rockafellar_oracle(m, c, s, max_len=k + 1)
+            assert sup_distance(r, slow) <= EPS
