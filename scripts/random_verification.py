@@ -3,7 +3,8 @@
 Draws seeded random instances and checks, per draw: the triple-transform
 collapse, agreement of the chain-supremum antiderivative with its
 enumeration oracle, agreement of the closure-first cyclic-monotonicity
-verdict and witness with the exact-length route alone, agreement of the
+verdict and witness with the exact-length route alone (``is_n_monotone``
+past its budget, n = 1..k), agreement of the
 antiderivative with its oracle when a cycle gains between eps/k and eps
 (the exact-length route passes, the closure does not), bit-identity of the
 row kernels (transforms, subdifferential, n-monotone enumeration) with
@@ -47,7 +48,8 @@ from abconvex import (
     n_monotone_oracle,
     verify_theorem6A,
 )
-from abconvex.monotone import _cyclic_verdict, _exact_cyclic_verdict
+from abconvex import monotone
+from abconvex.monotone import _cyclic_walks, _max_plus_closure
 from abconvex.rockafellar import anchored_antiderivatives
 
 EPS = 1e-9
@@ -82,8 +84,23 @@ def check_closure_route(rng):
     elif kind == 2:
         m, c = inject_positive_two_cycle(rng, m, c)
     got = is_cyclically_monotone(m, c, EPS)
-    want = _exact_cyclic_verdict(build_gain_graph(m, c), EPS)
+    want = _exact_length_verdict(m, c)
     return (got.holds, got.witness) == (want.holds, want.witness)
+
+
+def _exact_length_verdict(m, c):
+    """The exact-length route alone: ``is_n_monotone`` past its enumeration
+    budget for n = 1..|dom(M)|, stopping at the first failure."""
+    budget = monotone.ENUMERATION_BUDGET
+    monotone.ENUMERATION_BUDGET = 0
+    try:
+        for n in range(1, len(m.dom) + 1):
+            verdict = is_n_monotone(m, c, n, EPS)
+            if not verdict:
+                break
+        return verdict
+    finally:
+        monotone.ENUMERATION_BUDGET = budget
 
 
 def check_band_antiderivative(rng):
@@ -100,8 +117,9 @@ def check_band_antiderivative(rng):
             for i in range(n)])
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)}
         m = MultiMapping(x, x, tuple(pairs))
-        verdict, closure = _cyclic_verdict(build_gain_graph(m, c), EPS)
-        if verdict and closure is None:
+        gg = build_gain_graph(m, c)
+        if (_max_plus_closure(gg.restricted(), EPS / len(gg.nodes)) is None
+                and _cyclic_walks(gg, EPS)[0]):
             break
     k = len(m.dom)
     return all(sup_distance(r, rockafellar_oracle(m, c, s, max_len=k + 1)) <= EPS

@@ -23,13 +23,10 @@ from .core import (
     convex_combination,
     coupling_from_rows,
     ext_add,
-    ext_function,
     indicator,
     pointwise_le,
     pointwise_max,
-    pointwise_min,
     restrict_sum,
-    subset_from_labels,
     sup_distance,
 )
 from .transforms import (

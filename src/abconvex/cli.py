@@ -26,6 +26,7 @@ from .instance_io import (
     dumps,
     function_to_jsonable,
     graph_to_jsonable,
+    label_pairs,
     parse_instance,
 )
 from .lipschitz import ExtensionProblem, extend_max, extend_min
@@ -71,10 +72,6 @@ def _require(value, flag: str):
     return value
 
 
-def _witness_pairs(m, witness):
-    return [[m.source.labels[x], m.target.labels[y]] for x, y in witness]
-
-
 def _site_problem(doc: InstanceDocument, args, eps: float) -> ConstraintProblem:
     m = doc.mapping(_require(args.mapping, "--mapping"))
     s = doc.subset(_require(args.subset, "--subset"))
@@ -117,7 +114,7 @@ def _run(args) -> dict:
             verdict = is_cyclically_monotone(m, c, eps)
         out = {"command": cmd, "monotone": bool(verdict)}
         if not verdict:
-            out["witness"] = _witness_pairs(m, verdict.witness)
+            out["witness"] = label_pairs(m, verdict.witness)
         return out
 
     if cmd == "rockafellar":
@@ -125,11 +122,7 @@ def _run(args) -> dict:
         anchor = doc.subset(_require(args.subset, "--subset"))
         if len(anchor.members) != 1:
             raise InstanceError("--subset must name a single anchor point")
-        try:
-            r = rockafellar(m, c, anchor.members[0], eps)
-        except NotCyclicallyMonotoneError as exc:
-            raise NotCyclicallyMonotoneError(
-                _witness_pairs(m, exc.witness)) from None
+        r = rockafellar(m, c, anchor.members[0], eps)
         return {"command": cmd, "result": function_to_jsonable(r)}
 
     if cmd == "alpha":
@@ -193,7 +186,7 @@ def main(argv=None) -> int:
     except NotCyclicallyMonotoneError as exc:
         text = dumps({"error": "not-cyclically-monotone",
                       "message": str(exc),
-                      "witness": [list(p) for p in exc.witness]})
+                      "witness": label_pairs(exc.mapping, exc.witness)})
         status = EXIT_DOMAIN
     except InstanceError as exc:
         text = dumps({"error": "input", "message": str(exc)})

@@ -162,10 +162,6 @@ class ExtFunction:
         return ExtFunction(self.index, tuple(ext_add(v, constant) for v in self.values))
 
 
-def ext_function(index: GroundSet, values: Iterable[float]) -> ExtFunction:
-    return ExtFunction(index, tuple(float(v) for v in values))
-
-
 @dataclass(frozen=True)
 class IndexSubset:
     """A nonempty subset of a ground set, stored as sorted indices."""
@@ -192,10 +188,6 @@ class IndexSubset:
 
     def __iter__(self):
         return iter(self.members)
-
-
-def subset_from_labels(parent: GroundSet, labels: Iterable[str]) -> IndexSubset:
-    return IndexSubset(parent, tuple(parent.index(lab) for lab in labels))
 
 
 @dataclass(frozen=True)
@@ -314,15 +306,4 @@ def pointwise_max(fs: Sequence[ExtFunction]) -> ExtFunction:
         base.same_index(f)
     return ExtFunction(base.index,
                        tuple(max(f.values[i] for f in fs)
-                             for i in range(base.index.size)))
-
-
-def pointwise_min(fs: Sequence[ExtFunction]) -> ExtFunction:
-    if not fs:
-        raise AbstractConvexError("pointwise min of an empty family")
-    base = fs[0]
-    for f in fs[1:]:
-        base.same_index(f)
-    return ExtFunction(base.index,
-                       tuple(min(f.values[i] for f in fs)
                              for i in range(base.index.size)))

@@ -255,32 +255,25 @@ def document_to_jsonable(doc: InstanceDocument) -> dict:
             "codomain": doc.coupling_names[1],
             "values": [[_num(v) for v in row] for row in doc.coupling.values],
         }
+    names: dict[tuple[str, ...], str] = {}
+    for name, gs in doc.ground_sets.items():
+        names.setdefault(gs.labels, name)  # shared labels: the first name
     if doc.functions:
-        out["functions"] = {}
-        for name, f in doc.functions.items():
-            gsname = next(n for n, gs in doc.ground_sets.items()
-                          if gs.labels == f.index.labels)
-            out["functions"][name] = {"index": gsname,
-                                      "values": [_num(v) for v in f.values]}
+        out["functions"] = {
+            name: {"index": names[f.index.labels],
+                   "values": [_num(v) for v in f.values]}
+            for name, f in doc.functions.items()}
     if doc.mappings:
-        out["mappings"] = {}
-        for name, m in doc.mappings.items():
-            src = next(n for n, gs in doc.ground_sets.items()
-                       if gs.labels == m.source.labels)
-            tgt = next(n for n, gs in doc.ground_sets.items()
-                       if gs.labels == m.target.labels)
-            out["mappings"][name] = {
-                "source": src, "target": tgt,
-                "pairs": [[m.source.labels[x], m.target.labels[y]]
-                          for x, y in m.graph]}
+        out["mappings"] = {
+            name: {"source": names[m.source.labels],
+                   "target": names[m.target.labels],
+                   "pairs": graph_to_jsonable(m)}
+            for name, m in doc.mappings.items()}
     if doc.subsets:
-        out["subsets"] = {}
-        for name, s in doc.subsets.items():
-            par = next(n for n, gs in doc.ground_sets.items()
-                       if gs.labels == s.parent.labels)
-            out["subsets"][name] = {"parent": par,
-                                    "members": [s.parent.labels[i]
-                                                for i in s.members]}
+        out["subsets"] = {
+            name: {"parent": names[s.parent.labels],
+                   "members": [s.parent.labels[i] for i in s.members]}
+            for name, s in doc.subsets.items()}
     return out
 
 
@@ -308,5 +301,10 @@ def function_to_jsonable(f: ExtFunction) -> dict:
             "values": [_num(v) for v in f.values]}
 
 
+def label_pairs(m: MultiMapping, pairs) -> list:
+    """Index pairs of ``m``'s source and target as label pairs."""
+    return [[m.source.labels[x], m.target.labels[y]] for x, y in pairs]
+
+
 def graph_to_jsonable(m: MultiMapping) -> list:
-    return [[m.source.labels[x], m.target.labels[y]] for x, y in m.graph]
+    return label_pairs(m, m.graph)

@@ -167,7 +167,7 @@ class ExtensionProblem:
 
     @property
     def full_domain(self) -> bool:
-        return tuple(self.sites.members) == self.mapping.dom
+        return self._problem.full_domain
 
 
 def extend_min(problem: ExtensionProblem) -> ExtFunction:
@@ -197,12 +197,7 @@ def extend_max_closed_form(problem: ExtensionProblem) -> ExtFunction:
     """Full-domain formula min_{s in dom(M)} [f(s) + d(x, s)]."""
     if not problem.full_domain:
         raise AbstractConvexError("closed form requires sites = dom(M)")
-    d, f = problem.metric, problem.values
-    values = tuple(
-        min(f(s) + d(x, s) for s in problem.mapping.dom)
-        for x in range(d.points.size)
-    )
-    return ExtFunction(d.points, values)
+    return mcshane_whitney_max(problem.metric, problem.sites, problem.values)
 
 
 def mcshane_whitney_min(metric: MetricInstance, sites: IndexSubset,

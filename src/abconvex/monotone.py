@@ -6,23 +6,24 @@ bounded by walk gains, with equality achieved by the witness choices, so a
 mapping fails cyclic monotonicity exactly when the gain graph restricted to
 dom(M) carries a cycle of strictly positive total gain.
 
-With k = |dom(M)|, ``is_cyclically_monotone`` computes one max-plus
-Floyd-Warshall closure of the restricted gain matrix (O(k^3) time, O(k^2)
-memory).  Each diagonal entry bounds the best simple cycle through its
-node from above, and a closed walk of at most k steps splits into at most k
-simple cycles, so a diagonal no larger than eps/k proves that no such walk
-gains more than eps.  The closure stops at the first diagonal entry over
-eps/k and hands the verdict to the exact-length route, which decides and
-supplies the witness cycle.  ``rockafellar`` reads its chain suprema from
-the same closure.
+With k = |dom(M)|, one routine, ``_cyclic_walks``, gives the cyclic
+verdict, its witness and a table of best walks inside dom(M); both
+``is_cyclically_monotone`` and ``rockafellar`` call it.  It first computes
+one max-plus Floyd-Warshall closure of the restricted gain matrix (O(k^3)
+time, O(k^2) memory).  Each diagonal entry bounds the best simple cycle
+through its node from above, and a closed walk of at most k steps splits
+into at most k simple cycles, so a diagonal no larger than eps/k proves
+that no such walk gains more than eps, and the closure is the table.  The
+closure stops at the first diagonal entry over eps/k and the exact-length
+route decides instead, supplying the witness cycle on a failure and, on a
+pass, the best of the walk rounds it ran as the table.
 
 The exact-length route is one generator of walk rounds: round L holds the
 best walk of exactly L steps between every two nodes (O(k^3) per round,
 O(L * k^2) predecessors) and the best closed walk with its cycle.  The
 cyclic verdict stops at the first length L whose best closed walk gains
 over eps, so a rejected mapping costs O(L * k^3) and a passed one O(k^4);
-``is_n_monotone`` past its budget reads round n; ``rockafellar`` reads
-the walks of at most k steps when a cycle gains between eps/k and eps.
+``is_n_monotone`` past its budget reads round n.
 Maximality is one loop over single-pair extensions for any property.
 
 ``is_n_monotone`` enumerates the |G(M)|^n selections while that stays within
@@ -234,33 +235,28 @@ def _max_plus_closure(a: list[list[float]],
     return d
 
 
-def _exact_cyclic_verdict(gg: GainGraph, eps: float) -> MonotonicityResult:
-    """The exact-length route: no closed walk of 1..k steps gains over eps.
+def _cyclic_walks(gg: GainGraph, eps: float
+                  ) -> tuple[MonotonicityResult, Optional[list[list[float]]]]:
+    """(verdict, walks) for the gain graph's restricted matrix.
 
-    It stops at the first length L whose best closed walk gains over eps, so
-    a rejection costs O(L * k^3); the witness is that walk.
+    A closure diagonal no larger than eps/k passes outright, and ``walks``
+    is the closure.  Otherwise the exact-length rounds 1..k decide: the
+    first length whose best closed walk gains over eps fails with that walk
+    as witness (``walks`` is None), and a pass returns the entrywise best of
+    the k rounds run, the best walks of at most k steps.  The closure could
+    pump a cycle gaining up to eps exponentially often, so it is not used.
     """
-    rounds = _walk_rounds(gg.restricted())
-    for best, cycle, _ in itertools.islice(rounds, len(gg.nodes)):
-        if best > eps:
-            return MonotonicityResult(False, _cycle_to_pairs(gg, cycle))
-    return MonotonicityResult(True)
-
-
-def _cyclic_verdict(gg: GainGraph, eps: float
-                    ) -> tuple[MonotonicityResult, Optional[list[list[float]]]]:
-    """(verdict, closure) for the gain graph's restricted matrix.
-
-    A closure diagonal no larger than eps/k passes outright and the closure
-    is returned with the verdict.  Otherwise the exact-length route decides,
-    so verdicts and witnesses are those of ``_exact_cyclic_verdict`` alone,
-    and the closure is None: a cycle gaining up to eps can be pumped through
-    it exponentially often.
-    """
-    closure = _max_plus_closure(gg.restricted(), eps / len(gg.nodes))
+    a = gg.restricted()
+    k = len(gg.nodes)
+    closure = _max_plus_closure(a, eps / k)
     if closure is not None:
         return MonotonicityResult(True), closure
-    return _exact_cyclic_verdict(gg, eps), None
+    walks = a
+    for best, cycle, walk in itertools.islice(_walk_rounds(a), k):
+        if best > eps:
+            return MonotonicityResult(False, _cycle_to_pairs(gg, cycle)), None
+        walks = [list(map(max, b, w)) for b, w in zip(walks, walk)]
+    return MonotonicityResult(True), walks
 
 
 def is_cyclically_monotone(m: MultiMapping, c: Coupling,
@@ -272,7 +268,7 @@ def is_cyclically_monotone(m: MultiMapping, c: Coupling,
     decompose into simple cycles (length <= |dom(M)|) plus a path.
     """
     m.require_proper()
-    return _cyclic_verdict(build_gain_graph(m, c), eps)[0]
+    return _cyclic_walks(build_gain_graph(m, c), eps)[0]
 
 
 def is_monotone(m: MultiMapping, c: Coupling,

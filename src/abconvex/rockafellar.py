@@ -9,10 +9,11 @@ with D'[s] = D[s] except D'[s][s] = max(D[s][s], 0), the empty walk.  With
 k = |dom(M)|, one gain graph and one closure serve any number of anchors:
 O(k^3 + |anchors| * k * |X|) after the gain graph is built.  When only the
 exact-length route passes M (a cycle gains between eps/k and eps), the
-closure could pump that cycle, so D is replaced by the entrywise best of the
-exact-length walk rounds 1..k: one O(k^4) table of best walks of at most k
-steps, shared by all anchors, which is what ``rockafellar_oracle`` with
-max_len = k + 1 enumerates.
+closure could pump that cycle, so D is the entrywise best of the k walk
+rounds that the verdict itself ran: one O(k^4) table of best walks of at
+most k steps, shared by all anchors, which is what ``rockafellar_oracle``
+with max_len = k + 1 enumerates.  ``monotone._cyclic_walks`` returns the
+verdict and D together.
 """
 
 from __future__ import annotations
@@ -29,30 +30,26 @@ from .core import (
     ExtFunction,
     MultiMapping,
 )
-from .monotone import (
-    ENUMERATION_BUDGET,
-    _cyclic_verdict,
-    _walk_rounds,
-    build_gain_graph,
-)
+from .monotone import ENUMERATION_BUDGET, _cyclic_walks, build_gain_graph
 
 
 class NotCyclicallyMonotoneError(AbstractConvexError):
     """Raised when the antiderivative would be improper.
 
-    Carries the violating cycle as a pair selection.
+    Carries the violating cycle as a pair selection of ``mapping``.
     """
 
-    def __init__(self, witness):
+    def __init__(self, witness, mapping: MultiMapping):
         super().__init__("improper: not c-cyclically monotone")
         self.witness = witness
+        self.mapping = mapping
 
 
 def anchored_antiderivatives(m: MultiMapping, c: Coupling,
                              anchors: Sequence[int],
                              eps: float = DEFAULT_EPS) -> list[ExtFunction]:
     """Rockafellar's antiderivative for each anchor in dom(M), in order, from
-    one gain graph and one closure.
+    one gain graph and the verdict's table of best walks.
 
     Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
     not c-cyclically monotone.
@@ -63,19 +60,14 @@ def anchored_antiderivatives(m: MultiMapping, c: Coupling,
         if s not in nodes:
             raise AbstractConvexError(f"anchor {s} is not in dom(M)")
     gg = build_gain_graph(m, c)
-    verdict, closure = _cyclic_verdict(gg, eps)
+    verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
-        raise NotCyclicallyMonotoneError(verdict.witness)
-    if closure is None:
-        # a cycle gains between eps/k and eps: best walks of 1..k steps
-        closure = a = gg.restricted()
-        for _, _, walk in itertools.islice(_walk_rounds(a), 1, len(nodes)):
-            closure = [list(map(max, b, w)) for b, w in zip(closure, walk)]
+        raise NotCyclicallyMonotoneError(verdict.witness, m)
     out = []
     for s in anchors:
         spos = nodes.index(s)
         # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
-        best = closure[spos][:]
+        best = walks[spos][:]
         best[spos] = max(best[spos], 0.0)
         values = tuple(max(b + row[x] for b, row in zip(best, gg.gain))
                        for x in range(c.domain.size))

@@ -86,9 +86,6 @@ class SubdiffGraph:
     def __contains__(self, pair) -> bool:
         return pair in self.mapping
 
-    def inverse(self) -> "SubdiffGraph":
-        return SubdiffGraph(self.mapping.inverse())
-
 
 def c_subdifferential(f: ExtFunction, c: Coupling,
                       eps: float = DEFAULT_EPS) -> SubdiffGraph:

@@ -165,6 +165,39 @@ def test_rockafellar_witness_matches_check_monotone(capsys, tmp_path,
     assert out["witness"] == check["witness"] == [["-2", "a"], ["2", "b"]]
 
 
+def test_envelope_domain_errors_print_label_pairs(capsys, tmp_path):
+    # the anchor check allows eps per pair, so this 3-cycle of gain 2.7e-9
+    # passes it; alpha raises on M and gamma's dual route on M^-1
+    labels = ["a", "b", "c"]
+    values = [[0.0] * 3 for _ in labels]
+    for i in range(3):
+        values[(i + 1) % 3][i] = 0.9e-9
+    doc = {"schema_version": "1",
+           "ground_sets": {"X": labels},
+           "coupling": {"domain": "X", "codomain": "X", "values": values},
+           "functions": {"f": {"index": "X", "values": [0, 0, 0]}},
+           "mappings": {"M": {"source": "X", "target": "X",
+                              "pairs": [[v, v] for v in labels]}},
+           "subsets": {"S": {"parent": "X", "members": ["a"]}}}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(doc))
+    common = ["--instance", str(path), "--mapping", "M", "--subset", "S",
+              "--site-function", "f"]
+    status, check = run(capsys, "check-monotone", "--instance", str(path),
+                        "--mapping", "M")
+    assert status == EXIT_OK and check["monotone"] is False
+    status, out = run(capsys, "alpha", *common)
+    assert status == EXIT_DOMAIN
+    assert out["error"] == "not-cyclically-monotone"
+    assert out["witness"] == check["witness"]
+    status, out = run(capsys, "gamma", *common)
+    assert status == EXIT_DOMAIN
+    assert out["error"] == "not-cyclically-monotone"
+    assert len(out["witness"]) == 3
+    graph = doc["mappings"]["M"]["pairs"]
+    assert all([x, y] in graph for y, x in out["witness"])
+
+
 def test_alpha_gamma_commands(capsys, two_point_path):
     status, out = run(capsys, "alpha", "--instance", two_point_path,
                       "--mapping", "M", "--subset", "S",

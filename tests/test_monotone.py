@@ -23,12 +23,7 @@ from abconvex import (
     random_coupling,
     random_cyclically_monotone_mapping,
 )
-from abconvex.monotone import (
-    _chain_gain,
-    _cyclic_verdict,
-    _exact_cyclic_verdict,
-    _max_plus_closure,
-)
+from abconvex.monotone import _chain_gain, _cyclic_walks, _max_plus_closure
 from conftest import mixed_mappings, two_cycle_instance
 
 EPS = 1e-9
@@ -197,8 +192,8 @@ def test_closure_verdict_matches_exact_length_route(rng):
     failing = 0
     for m, c in mixed_mappings(rng, 240):
         got = is_cyclically_monotone(m, c, EPS)
-        want = _exact_cyclic_verdict(build_gain_graph(m, c), EPS)
-        assert (got.holds, got.witness) == (want.holds, want.witness)
+        want = _reference_cyclic_verdict(build_gain_graph(m, c), EPS)
+        assert (got.holds, got.witness) == want
         if not got:
             failing += 1
             assert _chain_gain(got.witness, c) > EPS
@@ -240,8 +235,8 @@ def test_negative_eps_fails_every_mapping(two_point):
     # the one-step walk u -> u gains 0 > eps: the exact route's verdict and witness
     for m in (two_point.m, MultiMapping(two_point.x, two_point.y, ((2, 0),))):
         got = is_cyclically_monotone(m, two_point.c, -EPS)
-        want = _exact_cyclic_verdict(build_gain_graph(m, two_point.c), -EPS)
-        assert not got and got == want
+        want = _reference_cyclic_verdict(build_gain_graph(m, two_point.c), -EPS)
+        assert not got and (got.holds, got.witness) == want
 
 
 @pytest.mark.parametrize("gain, closure_passes, holds", [
@@ -253,9 +248,14 @@ def test_negative_eps_fails_every_mapping(two_point):
 ])
 def test_two_cycle_threshold_routes(gain, closure_passes, holds):
     m, c = two_cycle_instance(gain)
-    verdict, closure = _cyclic_verdict(build_gain_graph(m, c), EPS)
+    gg = build_gain_graph(m, c)
+    closure = _max_plus_closure(gg.restricted(), EPS / 2)
+    verdict, walks = _cyclic_walks(gg, EPS)
     assert (closure is not None) == closure_passes
     assert verdict.holds == holds
+    assert (walks is None) == (not holds)
+    if closure_passes:
+        assert walks == closure
     assert is_cyclically_monotone(m, c, EPS) == verdict
     if not holds:
         assert _chain_gain(verdict.witness, c) > EPS
@@ -347,6 +347,15 @@ def _reference_verdict(gg, best, cycle, eps):
     return False, tuple((gg.nodes[cycle[i]],
                          gg.witness[cycle[i]][gg.nodes[cycle[(i + 1) % n]]])
                         for i in range(n))
+
+
+def _reference_cyclic_verdict(gg, eps):
+    """(holds, witness) at the first of the lengths 1..k whose best closed
+    walk gains over eps."""
+    k = len(gg.nodes)
+    diag_best, cycles = _reference_closed_walks(gg.restricted(), k)
+    return next((_reference_verdict(gg, diag_best[i], cycles[i], eps)
+                 for i in range(k) if diag_best[i] > eps), (True, None))
 
 
 def test_walk_rounds_pin_reference_witnesses(rng, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -22,7 +23,7 @@ from abconvex import (
     rockafellar_oracle,
     sup_distance,
 )
-from abconvex.monotone import _chain_gain, _cyclic_verdict, build_gain_graph
+from abconvex.monotone import _chain_gain, _max_plus_closure, build_gain_graph
 from abconvex.rockafellar import anchored_antiderivatives
 from conftest import mixed_mappings, two_cycle_instance
 
@@ -215,8 +216,9 @@ def band_instances(rng, count):
             for i in range(n)])
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)}
         m = MultiMapping(x, x, tuple(pairs))
-        verdict, closure = _cyclic_verdict(build_gain_graph(m, c), EPS)
-        if verdict and closure is None:
+        closure = _max_plus_closure(build_gain_graph(m, c).restricted(),
+                                    EPS / len(m.dom))
+        if closure is None and is_cyclically_monotone(m, c, EPS):
             out.append((m, c))
     return out
 
@@ -228,3 +230,24 @@ def test_band_antiderivatives_match_chain_oracle(rng):
         for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)):
             slow = rockafellar_oracle(m, c, s, max_len=k + 1)
             assert sup_distance(r, slow) <= EPS
+
+
+def test_band_call_runs_the_verdict_rounds_once(rng, monkeypatch):
+    # the table of best walks is the verdict's own k rounds, not a rerun
+    # the package's ``rockafellar`` attribute is the function, not the module
+    mono = importlib.import_module("abconvex.monotone")
+    rock = importlib.import_module("abconvex.rockafellar")
+    instances = band_instances(rng, 20)
+    real, drawn = mono._walk_rounds, []
+
+    def counting(a):
+        for one in real(a):
+            drawn.append(1)
+            yield one
+
+    monkeypatch.setattr(mono, "_walk_rounds", counting)
+    monkeypatch.setattr(rock, "_walk_rounds", counting, raising=False)
+    for m, c in instances:
+        drawn.clear()
+        anchored_antiderivatives(m, c, m.dom, EPS)
+        assert len(drawn) == len(m.dom)
