@@ -7,9 +7,11 @@ verdict and witness with the exact-length route alone (``is_n_monotone``
 past its budget, n = 1..k), agreement of the
 antiderivative with its oracle when a cycle gains between eps/k and eps
 (the exact-length route passes, the closure does not), bit-identity of the
-row kernels (transforms, subdifferential, n-monotone enumeration) with
-per-cell forms, transform duality of the envelopes, the four-way Lipschitz
-characterization, and the lifted-space equivalences.
+row kernels (transforms, subdifferential, n-monotone enumeration, gain
+graph with witnesses, closure, R_s, lifted product, Fitzpatrick function)
+with per-cell forms, the triangle check's first failing triple, transform
+duality of the envelopes, the four-way Lipschitz characterization, and the
+lifted-space equivalences.
 
 Run:  python3 scripts/random_verification.py --seed 0 --trials 50
 """
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from abconvex import (
     GroundSet,
+    MetricError,
     MultiMapping,
     alpha,
     build_gain_graph,
@@ -31,11 +34,14 @@ from abconvex import (
     coupling_from_rows,
     c_transform,
     c_transform_rev,
+    fitzpatrick,
     gamma,
     inject_positive_two_cycle,
     is_cyclically_monotone,
     is_n_monotone,
     lipschitz_characterize,
+    metric_from_rows,
+    product_coupling,
     random_constraint_problem,
     random_coupling,
     random_cyclically_monotone_mapping,
@@ -137,6 +143,58 @@ def _per_cell_transform(values, line):
     return best
 
 
+def _per_cell_gain_graph(m, c):
+    gain, witness = [], []
+    for u in m.dom:
+        images = [y for x, y in m.graph if x == u]
+        grow, wrow = [], []
+        for v in range(c.domain.size):
+            best, besty = -math.inf, images[0]
+            for y in images:
+                g = c(v, y) - c(u, y)
+                if g > best:
+                    best, besty = g, y
+            grow.append(best)
+            wrow.append(besty)
+        gain.append(grow)
+        witness.append(tuple(wrow))
+    return gain, tuple(witness)
+
+
+def _per_cell_closure(a, limit):
+    k = len(a)
+    d = [row[:] for row in a]
+    if any(d[u][u] > limit for u in range(k)):
+        return None
+    for w in range(k):
+        for u in range(k):
+            if u != w:
+                for v in range(k):
+                    if v != w:
+                        d[u][v] = max(d[u][v], d[u][w] + d[w][v])
+                if d[u][u] > limit:
+                    return None
+    return d
+
+
+def _per_cell_anchored(gg, walks, s, nx):
+    spos = gg.nodes.index(s)
+    best = walks[spos][:]
+    best[spos] = max(best[spos], 0.0)
+    return [max(b + row[x] for b, row in zip(best, gg.gain)) for x in range(nx)]
+
+
+def _first_triangle_failure(d, eps):
+    n = len(d)
+    return next(((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                 if d[i][k] > d[i][j] + d[j][k] + eps), None)
+
+
+def _bits(rows):
+    """Nested float rows as float.hex strings, which tell -0.0 from 0.0."""
+    return None if rows is None else [list(map(float.hex, row)) for row in rows]
+
+
 def check_row_kernels(rng):
     c = random_coupling(rng, rng.randint(1, 9), rng.randint(1, 9))
     f = random_proper_function(rng, c.domain)
@@ -158,7 +216,39 @@ def check_row_kernels(rng):
         m, c = inject_positive_two_cycle(rng, m, c)
     n = rng.randint(1, 4)
     got, want = is_n_monotone(m, c, n, EPS), n_monotone_oracle(m, c, n, EPS)
-    return transforms_ok and (got.holds, got.witness) == (want.holds, want.witness)
+    # gain graph, closure, R_s and the lifted product against per-cell loops
+    gg = build_gain_graph(m, c)
+    gain, witness = _per_cell_gain_graph(m, c)
+    a = gg.restricted()
+    gain_ok = _bits(gg.gain) == _bits(gain) and gg.witness == witness and all(
+        _bits(_max_plus_closure(a, limit)) == _bits(_per_cell_closure(a, limit))
+        for limit in (math.inf, EPS / len(a), -EPS))
+    verdict, walks = _cyclic_walks(gg, EPS)
+    if verdict:
+        gain_ok = gain_ok and _bits(
+            r.values for r in anchored_antiderivatives(m, c, m.dom, EPS)) == _bits(
+            _per_cell_anchored(gg, walks, s, c.domain.size) for s in m.dom)
+    pc = product_coupling(c)
+    lifted_ok = (
+        _bits(pc.lifted.values) == _bits(
+            [c(x, t) + c(s, y) for t, s in pc.ts_pairs] for x, y in pc.xy_pairs)
+        and _bits([fitzpatrick(m, c).values]) == _bits([[
+            max(c(x, t) + c(s, y) - c(s, t) for s, t in m.graph)
+            for x in range(c.domain.size) for y in range(c.codomain.size)]]))
+    # a metric with one edge stretched to exactly eps past a triangle, or
+    # one float further: the error names the per-triple loop's first triple
+    d = [list(row) for row in random_metric(rng, rng.randint(2, 8)).dist]
+    i, j, k = rng.sample(range(len(d)), 2) + [rng.randrange(len(d))]
+    edge = d[i][k] + d[k][j] + EPS
+    d[i][j] = d[j][i] = edge if rng.random() < 0.5 else math.nextafter(edge, math.inf)
+    first = _first_triangle_failure(d, EPS)
+    try:
+        metric_from_rows(GroundSet(tuple(map(str, range(len(d))))), d)
+        metric_ok = first is None
+    except MetricError as exc:
+        metric_ok = str(exc) == "triangle inequality fails at ({},{},{})".format(*first)
+    return (transforms_ok and gain_ok and lifted_ok and metric_ok
+            and (got.holds, got.witness) == (want.holds, want.witness))
 
 
 def check_duality(rng):

@@ -13,10 +13,11 @@ import sys
 from dataclasses import asdict
 
 from .fitzpatrick import (
+    _theorem6A,
+    _theorem6B,
     fitzpatrick,
+    product_coupling,
     verify_inequality_chain,
-    verify_theorem6A,
-    verify_theorem6B,
 )
 from .core import AbstractConvexError, DEFAULT_EPS, IndexSubset
 from .envelopes import ConstraintProblem, alpha, gamma, is_member
@@ -158,12 +159,13 @@ def _run(args) -> dict:
                 "result": function_to_jsonable(fitzpatrick(m, c))}
 
     if cmd == "verify":
-        m = doc.mapping(_require(args.mapping, "--mapping"))
-        report_a = verify_theorem6A(m, c, eps)
+        m = doc.mapping(_require(args.mapping, "--mapping")).require_proper()
+        pc = product_coupling(c)  # one lifted product for both theorems
+        report_a = _theorem6A(m, pc, eps)
         out = {"command": cmd,
                "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
         if report_a.t_monotone:
-            report_b = verify_theorem6B(m, c, eps, seed=args.seed)
+            report_b = _theorem6B(m, pc, eps, seed=args.seed)
             out["theorem_b"] = asdict(report_b)
         if doc.metric is not None and doc.negate:
             try:

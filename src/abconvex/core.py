@@ -216,14 +216,14 @@ class MultiMapping:
 
     @property
     def dom(self) -> tuple[int, ...]:
-        return tuple(sorted({x for x, _ in self.graph}))
+        return tuple(self._images)
 
     @property
     def image(self) -> tuple[int, ...]:
         return tuple(sorted({y for _, y in self.graph}))
 
     def __call__(self, x: int) -> tuple[int, ...]:
-        return tuple(y for u, y in self.graph if u == x)
+        return self._images.get(x, ())
 
     def of_set(self, xs: Iterable[int]) -> tuple[int, ...]:
         xs = set(xs)
@@ -239,6 +239,14 @@ class MultiMapping:
     @cached_property
     def _pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.graph)
+
+    @cached_property
+    def _images(self) -> dict[int, tuple[int, ...]]:
+        """x -> M(x) for x in dom(M), both sorted (the graph is)."""
+        images: dict[int, list[int]] = {}
+        for x, y in self.graph:
+            images.setdefault(x, []).append(y)
+        return {x: tuple(ys) for x, ys in images.items()}
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self._pair_set

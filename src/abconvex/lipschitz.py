@@ -5,12 +5,19 @@ c-convex functions, distance-preserving pairs into subdifferential pairs,
 and the constrained extension problem into an antiderivative-envelope
 problem.  The closed-form chain formulas are the -d reading of the general
 machinery and are cross-checked against it.
+
+The O(n^3) triangle check is a row kernel: for each i and k it compares
+d(i, k) with min_j [d(i, j) + d(j, k)] + eps.  Rounding is monotone, so
+fl(a + eps) never decreases as a grows, and some j fails iff the least sum
+does.  Only a failing row reruns the per-triple loop, so the error still
+names the first failing (i, j, k) in loop order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable
 
 from .core import (
@@ -56,11 +63,16 @@ class MetricInstance:
                     raise MetricError(f"asymmetry at ({i},{j})")
                 if i != j and not self.pseudometric and d[i][j] <= self.eps:
                     raise MetricError(f"zero distance between distinct points ({i},{j})")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k] + self.eps:
-                        raise MetricError(f"triangle inequality fails at ({i},{j},{k})")
+        # some j fails the triangle iff the least sum does (module docstring)
+        columns = list(zip(*d))
+        for i, row in enumerate(d):
+            least = [min(map(add, row, col)) for col in columns]
+            if any(dik > m + self.eps for dik, m in zip(row, least)):
+                for j in range(n):
+                    for k in range(n):
+                        if row[k] > row[j] + d[j][k] + self.eps:
+                            raise MetricError(
+                                f"triangle inequality fails at ({i},{j},{k})")
 
     def __call__(self, i: int, j: int) -> float:
         return self.dist[i][j]

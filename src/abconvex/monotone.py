@@ -34,6 +34,16 @@ left-to-right sum of the same differences as ``_chain_gain``, and the first
 completion over eps is the first selection over eps in
 ``itertools.product`` order, so verdicts and witnesses equal those of
 ``n_monotone_oracle``.
+
+The gain graph and the closure are row kernels in pure Python (numpy's
+import alone would cost more than an envelope request).  The gain graph
+takes one row c(., y) - c(u, y) per image y, and folds the rows with a
+strict >, so the witness is the smallest y of equal gains.  The closure
+updates row u for pivot w with one comprehension, ``t if t > x else x``
+with t = D[u][w] + D[w][v], which is ``max(x, t)``.  Each cell sees the
+same float operations in the same order as a per-cell loop, and ties
+resolve the same way, so gains, witnesses and verdicts are bit-identical
+to it; the tests keep the per-cell loops as references.
 """
 
 from __future__ import annotations
@@ -71,27 +81,29 @@ class GainGraph:
 
     def restricted(self) -> list[list[float]]:
         """Gain matrix restricted to dom(M) columns (|dom| x |dom|)."""
-        return [[self.gain[i][v] for v in self.nodes] for i in range(len(self.nodes))]
+        return [[row[v] for v in self.nodes] for row in self.gain]
 
 
 def build_gain_graph(m: MultiMapping, c: Coupling) -> GainGraph:
     m.require_proper()
     nodes = m.dom
+    cols, n = c.columns, c.domain.size
     gain_rows = []
     wit_rows = []
     for u in nodes:
         images = m(u)
-        grow, wrow = [], []
-        for v in range(c.domain.size):
-            best, besty = -INF, images[0]
-            for y in images:
-                g = c(v, y) - c(u, y)
-                if g > best:
-                    best, besty = g, y
-            grow.append(best)
-            wrow.append(besty)
-        gain_rows.append(tuple(grow))
-        wit_rows.append(tuple(wrow))
+        row_u = c.values[u]
+        # one row per image y: c(v, y) - c(u, y) for every v; the strict >
+        # fold keeps the first (smallest) y of equal gains
+        y = images[0]
+        best = list(map(sub, cols[y], itertools.repeat(row_u[y])))
+        wit = [y] * n
+        for y in images[1:]:
+            gains = list(map(sub, cols[y], itertools.repeat(row_u[y])))
+            wit = [y if g > b else w for g, b, w in zip(gains, best, wit)]
+            best = [g if g > b else b for g, b in zip(gains, best)]
+        gain_rows.append(tuple(best))
+        wit_rows.append(tuple(wit))
     return GainGraph(nodes, tuple(gain_rows), tuple(wit_rows))
 
 
@@ -229,7 +241,8 @@ def _max_plus_closure(a: list[list[float]],
         for u, row_u in enumerate(d):
             if u != w:
                 base = row_u[w]
-                row_u[:] = map(max, row_u, [base + g for g in via])
+                row_u[:] = [t if (t := base + g) > x else x
+                            for x, g in zip(row_u, via)]
                 if row_u[u] > limit:
                     return None
     return d

@@ -14,11 +14,17 @@ rounds that the verdict itself ran: one O(k^4) table of best walks of at
 most k steps, shared by all anchors, which is what ``rockafellar_oracle``
 with max_len = k + 1 enumerates.  ``monotone._cyclic_walks`` returns the
 verdict and D together.
+
+R_s is a column kernel: for each x, one ``max(map(add, best, column_x))``
+over the gain graph's column x.  It makes the same adds as a per-cell loop
+over i, and ``max`` keeps the first of equal maxima, so R_s is
+bit-identical to that loop.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -63,14 +69,14 @@ def anchored_antiderivatives(m: MultiMapping, c: Coupling,
     verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
+    gain_columns = list(zip(*gg.gain))
     out = []
     for s in anchors:
         spos = nodes.index(s)
         # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
         best = walks[spos][:]
         best[spos] = max(best[spos], 0.0)
-        values = tuple(max(b + row[x] for b, row in zip(best, gg.gain))
-                       for x in range(c.domain.size))
+        values = tuple(max(map(add, best, col)) for col in gain_columns)
         out.append(ExtFunction(c.domain, values))
     return out
 

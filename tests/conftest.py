@@ -66,13 +66,53 @@ def mixed_mappings(rng, count: int, max_pairs=None):
         c = random_coupling(rng, n, n)
         m = random_cyclically_monotone_mapping(rng, c, max_pairs)
         if i % 3 == 1:
-            pairs = {(rng.randrange(n), rng.randrange(n))
-                     for _ in range(rng.randint(1, max_pairs or 2 * n))}
-            m = MultiMapping(c.domain, c.codomain, tuple(pairs))
+            m = random_graph(rng, c, max_pairs or 2 * n)
         elif i % 3 == 2:
             m, c = inject_positive_two_cycle(rng, m, c)
         out.append((m, c))
     return out
+
+
+#: Entry pools for ``kernel_coupling``: uniform reals, then small integers
+#: and signed zeros, then signed zeros alone, where equal gains and -0.0
+#: abound.
+TIE_KINDS = ((), (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0), (-0.0, 0.0))
+
+
+def kernel_coupling(rng, nx: int, ny: int, ties=()) -> Coupling:
+    """An nx x ny coupling of uniform reals or, given ``ties``, of entries
+    drawn from them."""
+    def real():
+        return rng.choice(ties) if ties else rng.uniform(-10.0, 10.0)
+
+    x = GroundSet(tuple(f"x{i}" for i in range(nx)))
+    y = GroundSet(tuple(f"y{j}" for j in range(ny)))
+    return Coupling(x, y, tuple(tuple(real() for _ in range(ny)) for _ in range(nx)))
+
+
+def one_point_couplings() -> tuple[Coupling, ...]:
+    """Couplings with a 1-point side or two, with ties and a signed zero."""
+    one = GroundSet(("p",))
+    many = GroundSet(("a", "b", "c"))
+    return (coupling_from_rows(one, many, [[1.5, -0.0, 1.5]]),
+            coupling_from_rows(many, one, [[0.0], [-0.0], [2.0]]),
+            coupling_from_rows(one, one, [[-0.0]]))
+
+
+def random_graph(rng, c: Coupling, max_pairs: int) -> MultiMapping:
+    """A mapping with 1..max_pairs uniformly drawn graph pairs."""
+    nx, ny = c.domain.size, c.codomain.size
+    pairs = {(rng.randrange(nx), rng.randrange(ny))
+             for _ in range(rng.randint(1, max_pairs))}
+    return MultiMapping(c.domain, c.codomain, tuple(pairs))
+
+
+def assert_same_floats(got, want):
+    """Bit-identical float sequences: == and also float.hex, which tells
+    -0.0 from 0.0."""
+    got, want = list(got), list(want)
+    assert got == want
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def two_cycle_instance(gain: float):

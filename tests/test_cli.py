@@ -1,9 +1,12 @@
+import importlib
 import json
+from dataclasses import asdict
 
 import pytest
 
-from abconvex import InstanceError, emit_document, parse_instance
+from abconvex import InstanceError, cli, emit_document, parse_instance
 from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
+from abconvex.instance_io import dumps
 
 
 def run(capsys, *argv):
@@ -256,6 +259,41 @@ def test_verify_command(capsys, line3_path):
     assert out["theorem_a"]["t_monotone"] is True
     assert out["theorem_b"]["equal"] is True
     assert "inequality_chain" in out
+
+
+def test_verify_builds_one_lifted_product(capsys, line3_path, monkeypatch):
+    # both theorems share it, and report what the public entry points do
+    fitz = importlib.import_module("abconvex.fitzpatrick")
+    real, builds = fitz.product_coupling, []
+
+    def counting(c):
+        builds.append(c)
+        return real(c)
+
+    monkeypatch.setattr(cli, "product_coupling", counting)
+    monkeypatch.setattr(fitz, "product_coupling", counting)
+    status, out = run(capsys, "verify", "--instance", line3_path,
+                      "--mapping", "I", "--seed", "7")
+    assert status == EXIT_OK and len(builds) == 1
+    monkeypatch.undo()
+    with open(line3_path) as fh:
+        doc = parse_instance(fh.read())
+    m, c = doc.mapping("I"), doc.coupling
+    report_a = fitz.verify_theorem6A(m, c)
+    assert out["theorem_a"] == json.loads(dumps(
+        {**asdict(report_a), "agree": report_a.agree}))
+    assert out["theorem_b"] == json.loads(dumps(
+        asdict(fitz.verify_theorem6B(m, c, seed=7))))
+
+
+def test_verify_of_an_empty_mapping_exits_1(capsys, tmp_path, fixture_dir):
+    raw = json.loads((fixture_dir / "line3.json").read_text())
+    raw["mappings"]["I"]["pairs"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(raw))
+    status, out = run(capsys, "verify", "--instance", str(path), "--mapping", "I")
+    assert status == EXIT_DOMAIN
+    assert out == {"error": "domain", "message": "mapping must be proper (nonempty graph)"}
 
 
 def test_missing_instance_exits_2(capsys):

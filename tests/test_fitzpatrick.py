@@ -34,6 +34,13 @@ from abconvex.fitzpatrick import (
     graph_anchor,
     swap_to_domain,
 )
+from conftest import (
+    TIE_KINDS,
+    assert_same_floats,
+    kernel_coupling,
+    one_point_couplings,
+    random_graph,
+)
 
 EPS = 1e-9
 
@@ -43,10 +50,7 @@ def random_monotone_mapping(rng, c):
 
 
 def random_arbitrary_mapping(rng, c):
-    nx, ny = c.domain.size, c.codomain.size
-    pairs = {(rng.randrange(nx), rng.randrange(ny))
-             for _ in range(rng.randint(1, 4))}
-    return MultiMapping(c.domain, c.codomain, tuple(pairs))
+    return random_graph(rng, c, 4)
 
 
 def test_product_coupling_structure(two_point):
@@ -209,3 +213,42 @@ def test_anchor_restricts_coupling_to_graph(two_point):
             assert v == two_point.c(x, y)
         else:
             assert v == float("inf")
+
+
+# ---------------------------------------------------------------- row kernels
+# Per-cell references for the lifted product and the Fitzpatrick function,
+# one Python step per cell.  The row kernels must match them bit for bit.
+
+def product_rows_per_cell(c, pc):
+    return tuple(tuple(c(x, t) + c(s, y) for t, s in pc.ts_pairs)
+                 for x, y in pc.xy_pairs)
+
+
+def fitzpatrick_per_cell(t_map, c):
+    return tuple(max(c(x, t) + c(s, y) - c(s, t) for s, t in t_map.graph)
+                 for x in range(c.domain.size) for y in range(c.codomain.size))
+
+
+def test_lifted_kernels_match_per_cell_form(rng):
+    for trial in range(200):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        c = kernel_coupling(rng, nx, ny, ties=TIE_KINDS[trial % 3])
+        pc = product_coupling(c)
+        want = product_rows_per_cell(c, pc)
+        assert len(pc.lifted.values) == len(want)
+        for got_row, want_row in zip(pc.lifted.values, want):
+            assert_same_floats(got_row, want_row)
+        t = random_graph(rng, c, 8)
+        assert_same_floats(fitzpatrick(t, c).values, fitzpatrick_per_cell(t, c))
+
+
+def test_lifted_kernels_on_one_point_sets():
+    for c in one_point_couplings():
+        pc = product_coupling(c)
+        for got_row, want_row in zip(pc.lifted.values, product_rows_per_cell(c, pc)):
+            assert_same_floats(got_row, want_row)
+        for t in (MultiMapping(c.domain, c.codomain, ((0, 0),)),
+                  MultiMapping(c.domain, c.codomain, tuple(
+                      (x, y) for x in range(c.domain.size)
+                      for y in range(c.codomain.size)))):
+            assert_same_floats(fitzpatrick(t, c).values, fitzpatrick_per_cell(t, c))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from abconvex import (
     ExtensionProblem,
     GroundSet,
     IndexSubset,
+    InstanceError,
     MetricError,
     MetricInstance,
     MultiMapping,
@@ -23,6 +25,7 @@ from abconvex import (
     mcshane_whitney_max,
     mcshane_whitney_min,
     metric_from_rows,
+    parse_instance,
     pointwise_le,
     random_lipschitz_function,
     random_metric,
@@ -184,3 +187,67 @@ def test_characterize_rejects_infinite_values():
     f = ExtFunction(d.points, (0.0, math.inf, 1.0))
     with pytest.raises(AbstractConvexError):
         lipschitz_characterize(f, d)
+
+
+# ---------------------------------------------------------------- triangle check
+# Per-triple reference of the triangle check: the loop the row kernel
+# replaced.  The kernel must accept the same matrices and name the same
+# first failing (i, j, k) in loop order.
+
+def first_triangle_failure(d, eps):
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k] + eps:
+                    return i, j, k
+    return None
+
+
+def _triangle_verdict(points, d, eps):
+    try:
+        MetricInstance(points, tuple(map(tuple, d)), eps=eps)
+    except MetricError as exc:
+        return str(exc)
+    return None
+
+
+def test_triangle_check_matches_per_triple_form(rng):
+    fails = passes = 0
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        metric = random_metric(rng, n)
+        d = [list(row) for row in metric.dist]
+        eps = (EPS, 0.0, 0.25)[trial % 3]
+        # stretch edges to exactly the eps margin or one float past it
+        for _ in range(rng.randint(0, 3)):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if i != k:
+                edge = d[i][j] + d[j][k] + eps
+                if rng.random() < 0.5:
+                    edge = math.nextafter(edge, math.inf)
+                d[i][k] = d[k][i] = edge
+        want = first_triangle_failure(d, eps)
+        got = _triangle_verdict(metric.points, d, eps)
+        if want is None:
+            passes += 1
+            assert got is None
+        else:
+            fails += 1
+            assert got == "triangle inequality fails at ({},{},{})".format(*want)
+    assert fails >= 80 and passes >= 80
+
+
+def test_triangle_check_at_exactly_eps_in_a_document(fixture_dir):
+    raw = json.loads((fixture_dir / "line3.json").read_text())
+    rows = raw["coupling"]["metric"]["distances"]
+    at_eps = 1.0 + 2.0 + EPS  # d(0,1) + d(1,3) + eps: holds with equality
+    for d02, error in ((at_eps, None),
+                       (math.nextafter(at_eps, math.inf), "(0,1,2)")):
+        rows[0][2] = rows[2][0] = d02
+        if error is None:
+            parse_instance(json.dumps(raw))
+            continue
+        with pytest.raises(InstanceError) as err:
+            parse_instance(json.dumps(raw))
+        assert str(err.value).endswith(f"triangle inequality fails at {error}")

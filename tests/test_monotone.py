@@ -24,7 +24,15 @@ from abconvex import (
     random_cyclically_monotone_mapping,
 )
 from abconvex.monotone import _chain_gain, _cyclic_walks, _max_plus_closure
-from conftest import mixed_mappings, two_cycle_instance
+from conftest import (
+    TIE_KINDS,
+    assert_same_floats,
+    kernel_coupling,
+    mixed_mappings,
+    one_point_couplings,
+    random_graph,
+    two_cycle_instance,
+)
 
 EPS = 1e-9
 
@@ -384,3 +392,120 @@ def test_walk_rounds_pin_reference_witnesses(rng, monkeypatch):
                 assert (got.holds, got.witness) == _reference_verdict(
                     gg, diag_best[n - 1], cycles[n - 1], EPS)
     assert 80 <= failing <= 200
+
+
+# ---------------------------------------------------------------- row kernels
+# Per-cell reference forms of the gain graph and the closure: one Python
+# step per cell, straight from the definitions.  The row kernels must match
+# them bit for bit, witnesses included.
+
+def gain_graph_per_cell(m, c):
+    nodes = tuple(sorted({x for x, _ in m.graph}))
+    gain, witness = [], []
+    for u in nodes:
+        images = [y for x, y in m.graph if x == u]
+        grow, wrow = [], []
+        for v in range(c.domain.size):
+            best, besty = -INF, images[0]
+            for y in images:
+                g = c(v, y) - c(u, y)
+                if g > best:
+                    best, besty = g, y
+            grow.append(best)
+            wrow.append(besty)
+        gain.append(tuple(grow))
+        witness.append(tuple(wrow))
+    return nodes, tuple(gain), tuple(witness)
+
+
+def closure_per_cell(a, limit):
+    k = len(a)
+    d = [row[:] for row in a]
+    if any(d[u][u] > limit for u in range(k)):
+        return None
+    for w in range(k):
+        for u in range(k):
+            if u == w:
+                continue
+            for v in range(k):
+                if v != w:
+                    d[u][v] = max(d[u][v], d[u][w] + d[w][v])
+            if d[u][u] > limit:
+                return None
+    return d
+
+
+def assert_same_matrix(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_floats(g, w)
+
+
+def test_gain_graph_matches_per_cell_form(rng):
+    multi = 0
+    for trial in range(300):
+        nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+        c = kernel_coupling(rng, nx, ny, ties=TIE_KINDS[trial % 3])
+        m = random_graph(rng, c, 2 * nx)
+        gg = build_gain_graph(m, c)
+        nodes, gain, witness = gain_graph_per_cell(m, c)
+        assert gg.nodes == nodes == m.dom
+        assert gg.witness == witness
+        assert_same_matrix(gg.gain, gain)
+        multi += any(len(m(u)) > 1 for u in nodes)
+    assert multi >= 100  # the fold over several images is exercised
+
+
+def test_gain_graph_on_one_point_sets():
+    for c in one_point_couplings():
+        cells = tuple(itertools.product(range(c.domain.size),
+                                        range(c.codomain.size)))
+        for graph in [(p,) for p in cells] + [cells]:
+            m = MultiMapping(c.domain, c.codomain, graph)
+            gg = build_gain_graph(m, c)
+            nodes, gain, witness = gain_graph_per_cell(m, c)
+            assert (gg.nodes, gg.witness) == (nodes, witness)
+            assert_same_matrix(gg.gain, gain)
+
+
+def _closure_input(rng, k, kind):
+    """A k x k gain matrix: 0 uniform reals, 1 small integers and signed
+    zeros, 2 reals with -inf entries and a node no walk reaches."""
+    if kind == 1:
+        return [[rng.choice(TIE_KINDS[1]) for _ in range(k)] for _ in range(k)]
+    a = [[rng.uniform(-5.0, 1.0) for _ in range(k)] for _ in range(k)]
+    if kind == 2:
+        for row in a:
+            for v in range(k):
+                if rng.random() < 0.3:
+                    row[v] = -INF
+        lost = rng.randrange(k)
+        for row in a:
+            row[lost] = -INF
+    return a
+
+
+def test_closure_matches_per_cell_form(rng):
+    stopped = passed = 0
+    for trial in range(300):
+        k = rng.randint(1, 7)
+        a = _closure_input(rng, k, trial % 3)
+        for limit in (INF, 1.0, 0.0, EPS, -0.5):
+            got = _max_plus_closure(a, limit)
+            want = closure_per_cell(a, limit)
+            assert (got is None) == (want is None)
+            if got is None:
+                stopped += 1
+            else:
+                passed += 1
+                assert_same_matrix(got, want)
+    assert stopped >= 300 and passed >= 300  # the early None is exercised
+
+
+def test_closure_keeps_unreachable_entries_at_minus_infinity():
+    # node 1 has no arcs in; row 1 reaches 0 only through its own arc
+    a = [[0.0, -INF, -INF], [-1.0, -INF, 2.0], [-0.0, -INF, -3.0]]
+    got = _max_plus_closure(a, INF)
+    assert_same_matrix(got, closure_per_cell(a, INF))
+    assert [row[1] for row in got] == [-INF] * 3
+    assert got[2][0] == 0.0 and math.copysign(1.0, got[2][0]) == -1.0

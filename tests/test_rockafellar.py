@@ -23,9 +23,21 @@ from abconvex import (
     rockafellar_oracle,
     sup_distance,
 )
-from abconvex.monotone import _chain_gain, _max_plus_closure, build_gain_graph
+from abconvex.monotone import (
+    _chain_gain,
+    _cyclic_walks,
+    _max_plus_closure,
+    build_gain_graph,
+)
 from abconvex.rockafellar import anchored_antiderivatives
-from conftest import mixed_mappings, two_cycle_instance
+from conftest import (
+    TIE_KINDS,
+    assert_same_floats,
+    kernel_coupling,
+    mixed_mappings,
+    one_point_couplings,
+    two_cycle_instance,
+)
 
 EPS = 1e-9
 
@@ -251,3 +263,46 @@ def test_band_call_runs_the_verdict_rounds_once(rng, monkeypatch):
         drawn.clear()
         anchored_antiderivatives(m, c, m.dom, EPS)
         assert len(drawn) == len(m.dom)
+
+
+# ---------------------------------------------------------------- row kernel
+# Per-cell reference of R_s on the verdict's table of best walks: one
+# Python step per (x, node) cell.  The column kernel must match it bit for
+# bit: the same adds, and the first of equal maxima.
+
+def anchored_per_cell(m, c, anchors, eps):
+    gg = build_gain_graph(m, c)
+    walks = _cyclic_walks(gg, eps)[1]
+    out = []
+    for s in anchors:
+        spos = gg.nodes.index(s)
+        best = walks[spos][:]
+        best[spos] = max(best[spos], 0.0)
+        out.append(tuple(max(b + row[x] for b, row in zip(best, gg.gain))
+                         for x in range(c.domain.size)))
+    return out
+
+
+def test_anchored_antiderivatives_match_per_cell_form(rng):
+    draws = mixed_mappings(rng, 150, max_pairs=6)
+    for trial in range(150):
+        nx = rng.randint(1, 6)
+        c = kernel_coupling(rng, nx, rng.randint(1, 6), ties=TIE_KINDS[trial % 3])
+        draws.append((random_cyclically_monotone_mapping(rng, c, 6), c))
+    draws += band_instances(rng, 20)
+    checked = 0
+    for m, c in draws:
+        if not is_cyclically_monotone(m, c, EPS):
+            continue
+        got = anchored_antiderivatives(m, c, m.dom, EPS)
+        for r, want in zip(got, anchored_per_cell(m, c, m.dom, EPS)):
+            assert_same_floats(r.values, want)
+        checked += 1
+    assert checked >= 200
+
+
+def test_anchored_antiderivatives_on_one_point_sets():
+    for c in one_point_couplings():
+        m = MultiMapping(c.domain, c.codomain, ((0, 0),))
+        (r,) = anchored_antiderivatives(m, c, [0], EPS)
+        assert_same_floats(r.values, anchored_per_cell(m, c, [0], EPS)[0])

@@ -27,7 +27,7 @@ from abconvex import (
     sup_distance,
 )
 
-from conftest import grid_function
+from conftest import TIE_KINDS, assert_same_floats, grid_function, kernel_coupling
 
 EPS = 1e-9
 
@@ -337,32 +337,25 @@ def c_subdifferential_per_cell(f, c, eps):
     return tuple(pairs)
 
 
-def assert_same_floats(got, want):
-    assert got == want
-    assert list(map(float.hex, got)) == list(map(float.hex, want))
-
-
 def _kernel_draw(rng, nx, ny, kind):
     """A coupling and a function on each side.  ``kind`` picks the entries:
     0 uniform reals, 1 small integers and signed zeros (ties everywhere),
     2 a single -inf entry, 3 all +inf."""
-    def real():
-        if kind == 1:
-            return rng.choice((-2.0, -1.0, -0.0, 0.0, 1.0, 2.0))
-        return rng.uniform(-10.0, 10.0)
+    ties = TIE_KINDS[1] if kind == 1 else ()
 
     def function(size):
-        vals = [INF if rng.random() < 0.3 else real() for _ in range(size)]
+        vals = [INF if rng.random() < 0.3 else
+                rng.choice(ties) if ties else rng.uniform(-10.0, 10.0)
+                for _ in range(size)]
         if kind == 2:
             vals[rng.randrange(size)] = -INF
         elif kind == 3:
             vals = [INF] * size
         return vals
 
-    x = GroundSet(tuple(f"x{i}" for i in range(nx)))
-    y = GroundSet(tuple(f"y{j}" for j in range(ny)))
-    c = Coupling(x, y, tuple(tuple(real() for _ in range(ny)) for _ in range(nx)))
-    return c, ExtFunction(x, tuple(function(nx))), ExtFunction(y, tuple(function(ny)))
+    c = kernel_coupling(rng, nx, ny, ties)
+    return (c, ExtFunction(c.domain, tuple(function(nx))),
+            ExtFunction(c.codomain, tuple(function(ny))))
 
 
 def test_transform_kernels_match_per_cell_form(rng):
