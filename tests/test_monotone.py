@@ -503,9 +503,10 @@ def test_closure_matches_per_cell_form(rng):
 
 
 def test_closure_keeps_unreachable_entries_at_minus_infinity():
-    # node 1 has no arcs in; row 1 reaches 0 only through its own arc
-    a = [[0.0, -INF, -INF], [-1.0, -INF, 2.0], [-0.0, -INF, -3.0]]
+    # node 1 has no arcs in and node 2 none out; -0.0 on the diagonal stays
+    a = [[-0.0, -INF, 1.0], [-1.0, -INF, 2.0], [-INF, -INF, -INF]]
     got = _max_plus_closure(a, INF)
     assert_same_matrix(got, closure_per_cell(a, INF))
     assert [row[1] for row in got] == [-INF] * 3
-    assert got[2][0] == 0.0 and math.copysign(1.0, got[2][0]) == -1.0
+    assert got[2] == [-INF] * 3
+    assert got[0][0] == 0.0 and math.copysign(1.0, got[0][0]) == -1.0
