@@ -10,34 +10,47 @@ antiderivative with its oracle when a cycle gains between eps/k and eps
 row kernels (transforms, subdifferential, n-monotone enumeration, gain
 graph with witnesses, closure, R_s, lifted product, Fitzpatrick function)
 with per-cell forms, the triangle check's first failing triple, transform
-duality of the envelopes, the four-way Lipschitz characterization, and the
-lifted-space equivalences.
+duality of the envelopes, the four-way Lipschitz characterization, the
+lifted-space equivalences, the order-2 maximality kernel against a full
+recheck of every extension, and ``abconvex verify``'s output against the
+reports of the public wrappers.
 
 Run:  python3 scripts/random_verification.py --seed 0 --trials 50
 """
 
 import argparse
+import io
 import math
 import random
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from abconvex import (
+    DEFAULT_EPS,
+    AbstractConvexError,
     GroundSet,
+    InstanceDocument,
     MetricError,
     MultiMapping,
     alpha,
     build_gain_graph,
     c_subdifferential,
+    as_coupling,
     coupling_from_rows,
     c_transform,
+    emit_document,
     c_transform_rev,
     fitzpatrick,
     gamma,
+    identity_mapping,
     inject_positive_two_cycle,
     is_cyclically_monotone,
+    is_maximal_n_monotone,
     is_n_monotone,
     lipschitz_characterize,
     metric_from_rows,
@@ -52,10 +65,16 @@ from abconvex import (
     rockafellar_oracle,
     sup_distance,
     n_monotone_oracle,
+    parse_instance,
+    verify_inequality_chain,
     verify_theorem6A,
+    verify_theorem6B,
 )
 from abconvex import monotone
-from abconvex.monotone import _cyclic_walks, _max_plus_closure
+from abconvex.cli import main as cli_main
+from abconvex.fitzpatrick import delta_mapping, full_diagonal
+from abconvex.instance_io import dumps
+from abconvex.monotone import _cyclic_walks, _is_maximal, _max_plus_closure
 from abconvex.rockafellar import anchored_antiderivatives
 
 EPS = 1e-9
@@ -276,6 +295,79 @@ def check_lifted(rng):
     return verify_theorem6A(t, c).agree
 
 
+def _grown(rng, m, c):
+    """m extended by a random number of the absent pairs that keep it
+    2-monotone, tried in random order: maximal or short of it."""
+    pool = [(x, y) for x in range(c.domain.size) for y in range(c.codomain.size)]
+    rng.shuffle(pool)
+    for p in pool[:rng.randint(0, len(pool))]:
+        if p not in m and is_n_monotone(m.with_pair(*p), c, 2, EPS):
+            m = m.with_pair(*p)
+    return m
+
+
+def check_order_two_maximality(rng):
+    c = random_coupling(rng, rng.randint(1, 5), rng.randint(1, 5))
+    t = _grown(rng, random_cyclically_monotone_mapping(rng, c), c)
+    if rng.random() < 0.25 and min(c.domain.size, c.codomain.size) >= 2:
+        t, c = inject_positive_two_cycle(rng, t, c)
+    ok = is_maximal_n_monotone(t, c, 2, EPS) == _is_maximal(
+        lambda m: is_n_monotone(m, c, 2, EPS), t)
+    if c.domain.size * c.codomain.size <= 9:
+        # the lifted diagonal pool of Theorem 6A's primed readings
+        pc = product_coupling(c)
+        delta, pool = delta_mapping(t, pc), full_diagonal(pc)
+        ok = ok and is_maximal_n_monotone(delta, pc.lifted, 2, EPS, pool) == \
+            _is_maximal(lambda m: is_n_monotone(m, pc.lifted, 2, EPS), delta, pool)
+    return ok
+
+
+def _public_verify_text(doc_text, seed):
+    """What ``verify`` prints, assembled from the public wrappers."""
+    doc = parse_instance(doc_text)
+    m, c = doc.mapping("T"), doc.coupling
+    rep = verify_theorem6A(m, c, DEFAULT_EPS)
+    out = {"command": "verify", "theorem_a": {**asdict(rep), "agree": rep.agree}}
+    if rep.t_monotone:
+        out["theorem_b"] = asdict(verify_theorem6B(m, c, DEFAULT_EPS, seed=seed))
+    if doc.metric is not None and doc.negate:
+        try:
+            out["inequality_chain"] = asdict(
+                verify_inequality_chain(m, doc.metric, eps=DEFAULT_EPS))
+        except AbstractConvexError as exc:
+            out["inequality_chain"] = {"skipped": str(exc)}
+    return dumps(out)
+
+
+def check_verify_context(rng):
+    n = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        c = random_coupling(rng, n, n)
+        t = _grown(rng, random_cyclically_monotone_mapping(rng, c), c)
+        if rng.random() < 0.3:
+            t, c = inject_positive_two_cycle(rng, t, c)
+        doc = InstanceDocument("1", {"X": c.domain, "Y": c.codomain}, c,
+                               coupling_names=("X", "Y"), mappings={"T": t})
+    else:
+        metric = random_metric(rng, n)
+        c = as_coupling(metric)
+        t = _grown(rng, identity_mapping(metric), c)
+        if rng.random() < 0.3:
+            t = MultiMapping(c.domain, c.codomain, ((0, 1), (1, 0)))
+        doc = InstanceDocument("1", {"P": metric.points}, c, metric=metric,
+                               negate=True, coupling_names=("P", "P"),
+                               mappings={"T": t})
+    text, seed = emit_document(doc), rng.randrange(100)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            status = cli_main(["verify", "--instance", str(path), "--mapping", "T",
+                               "--seed", str(seed)])
+    return status == 0 and printed.getvalue() == _public_verify_text(text, seed)
+
+
 CHECKS = [
     ("triple transform", check_transform),
     ("chain supremum vs oracle", check_antiderivative),
@@ -285,6 +377,8 @@ CHECKS = [
     ("envelope duality", check_duality),
     ("lipschitz four-way", check_lipschitz),
     ("lifted equivalences", check_lifted),
+    ("order-2 maximality vs full recheck", check_order_two_maximality),
+    ("verify output vs public wrappers", check_verify_context),
 ]
 
 

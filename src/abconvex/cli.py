@@ -13,11 +13,11 @@ import sys
 from dataclasses import asdict
 
 from .fitzpatrick import (
+    _inequality_chain,
+    _Lifted,
     _theorem6A,
     _theorem6B,
     fitzpatrick,
-    product_coupling,
-    verify_inequality_chain,
 )
 from .core import AbstractConvexError, DEFAULT_EPS, IndexSubset
 from .envelopes import ConstraintProblem, alpha, gamma, is_member
@@ -160,16 +160,18 @@ def _run(args) -> dict:
 
     if cmd == "verify":
         m = doc.mapping(_require(args.mapping, "--mapping")).require_proper()
-        pc = product_coupling(c)  # one lifted product for both theorems
-        report_a = _theorem6A(m, pc, eps)
+        # one context: each lifted quantity is computed once per request
+        lifted = _Lifted(m, c, eps)
+        report_a = _theorem6A(lifted)
         out = {"command": cmd,
                "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
         if report_a.t_monotone:
-            report_b = _theorem6B(m, pc, eps, seed=args.seed)
+            report_b = _theorem6B(lifted, seed=args.seed)
             out["theorem_b"] = asdict(report_b)
         if doc.metric is not None and doc.negate:
             try:
-                chain = verify_inequality_chain(m, doc.metric, eps=eps)
+                # c is -d here, the coupling the chain is stated for
+                chain = _inequality_chain(lifted, doc.metric)
                 out["inequality_chain"] = asdict(chain)
             except AbstractConvexError as exc:
                 out["inequality_chain"] = {"skipped": str(exc)}

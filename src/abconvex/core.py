@@ -133,17 +133,15 @@ class ExtFunction:
     def __post_init__(self):
         if len(self.values) != self.index.size:
             raise IndexMismatchError("value count != ground set size")
-        for v in self.values:
-            if math.isnan(v):
-                raise AbstractConvexError("NaN is not an extended real")
+        if any(map(math.isnan, self.values)):
+            raise AbstractConvexError("NaN is not an extended real")
 
     def __call__(self, i: int) -> float:
         return self.values[i]
 
     @property
     def proper(self) -> bool:
-        return all(v > -INF for v in self.values) and any(
-            math.isfinite(v) for v in self.values)
+        return -INF not in self.values and any(map(math.isfinite, self.values))
 
     @property
     def dom(self) -> tuple[int, ...]:

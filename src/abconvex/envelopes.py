@@ -86,11 +86,14 @@ class ConstraintProblem:
 def alpha(problem: ConstraintProblem) -> ExtFunction:
     """The minimal member: max over sites s of f(s) + R_s, where R_s is the
     chain-supremum antiderivative anchored at s."""
-    sites = problem.sites.members
-    parts = anchored_antiderivatives(problem.mapping, problem.coupling,
-                                     sites, problem.eps)
+    return _shifted_max(problem, anchored_antiderivatives(
+        problem.mapping, problem.coupling, problem.sites.members, problem.eps))
+
+
+def _shifted_max(problem: ConstraintProblem, parts) -> ExtFunction:
+    """max over sites s of f(s) + R_s, given R_s for each site in order."""
     return pointwise_max([r.shifted(problem.anchor(s))
-                          for s, r in zip(sites, parts)])
+                          for s, r in zip(problem.sites.members, parts)])
 
 
 def alpha_closed_form(problem: ConstraintProblem) -> ExtFunction:

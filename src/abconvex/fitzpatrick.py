@@ -11,8 +11,15 @@ Both lifted tables are row kernels.  Row (x, y) of C adds, over the t-major
 c tiled |Y| times.  For each x the Fitzpatrick function folds, in G(T)
 order, the rows (c(x, t) + c(s, .)) - c(s, t) with a strict >.  Every cell
 is the same sum as in the per-cell formulas, and the first of equal maxima
-wins as with ``max``, so both are bit-identical to them.  ``verify`` builds
-C once and passes it to both theorems.
+wins as with ``max``, so both are bit-identical to them.
+
+A ``verify`` request reads one private context, ``_Lifted`` on (T, c, eps),
+which computes each lifted quantity at most once, on first use: C, Delta_T,
+the anchor c + i_{G(T)}, Delta_T's gain graph with its cyclic verdict and
+walk table (Theorem 6A's cyclic reading and 6B's alpha both read it), T's
+order-2 verdict and maximality, and F (6B and the -d chain both read it).
+The public wrappers build their own context, so they report what the
+command prints.  The chain never builds C, so C's guard does not bind it.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 from typing import Optional
 
@@ -35,15 +43,18 @@ from .core import (
     MultiMapping,
     sup_distance,
 )
-from .envelopes import ConstraintProblem, alpha, gamma
+from .envelopes import ConstraintProblem, _shifted_max, gamma
 from .lipschitz import MetricInstance, as_coupling, identity_mapping
 from .monotone import (
+    _cyclic_walks,
     _is_maximal,
-    is_cyclically_monotone,
+    _maximal_2_monotone,
+    build_gain_graph,
     is_maximal_cyclically_monotone,
     is_maximal_n_monotone,
     is_n_monotone,
 )
+from .rockafellar import _anchored_rows
 from .transforms import (
     c_convexify,
     c_subdifferential,
@@ -51,8 +62,12 @@ from .transforms import (
     is_c_convex,
 )
 
-#: Reject lifted sides larger than this many cells.
+#: Reject lifted sides larger than this many cells (F has one side).
 MAX_LIFTED_SIDE = 10 ** 4
+#: Reject lifted couplings C with more entries than this (side squared).
+#: Each entry is a float object (24 bytes) in a tuple slot (8 bytes), so
+#: the bound holds C's table to about 128 MB.
+MAX_LIFTED_ENTRIES = 4 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -83,6 +98,11 @@ def _pairs_side(first: GroundSet, second: GroundSet):
 
 
 def product_coupling(c: Coupling) -> ProductCoupling:
+    entries = (c.domain.size * c.codomain.size) ** 2
+    if entries > MAX_LIFTED_ENTRIES:
+        raise AbstractConvexError(
+            f"lifted coupling of {entries} entries exceeds the "
+            f"{MAX_LIFTED_ENTRIES}-entry guard")
     xy_pairs, xy_set = _pairs_side(c.domain, c.codomain)
     ts_pairs, ts_set = _pairs_side(c.codomain, c.domain)
     nx, ny = c.domain.size, c.codomain.size
@@ -145,24 +165,76 @@ def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     return ExtFunction(xy_set, tuple(values))
 
 
+class _Lifted:
+    """The lifted quantities of one request on (T, c, eps), each computed
+    at most once, on first use."""
+
+    def __init__(self, t_map: MultiMapping, c: Coupling, eps: float):
+        self.t_map, self.c, self.eps = t_map, c, eps
+
+    @cached_property
+    def pc(self) -> ProductCoupling:
+        return product_coupling(self.c)
+
+    @cached_property
+    def delta(self) -> MultiMapping:
+        return delta_mapping(self.t_map, self.pc)
+
+    @cached_property
+    def anchor(self) -> ExtFunction:
+        return graph_anchor(self.t_map, self.pc)
+
+    @cached_property
+    def gain_graph(self):
+        return build_gain_graph(self.delta, self.pc.lifted)
+
+    @cached_property
+    def cyclic(self):
+        """Delta_T's cyclic verdict and its table of best walks."""
+        return _cyclic_walks(self.gain_graph, self.eps)
+
+    @cached_property
+    def t_monotone(self):
+        return is_n_monotone(self.t_map, self.c, 2, self.eps)
+
+    @cached_property
+    def t_maximal(self) -> bool:
+        return bool(self.t_monotone) and _maximal_2_monotone(
+            self.t_map, self.c, self.eps)
+
+    @cached_property
+    def fitzpatrick(self) -> ExtFunction:
+        return fitzpatrick(self.t_map, self.c)
+
+    @cached_property
+    def coupling_values(self) -> tuple[float, ...]:
+        return coupling_as_function(self.pc).values
+
+    @cached_property
+    def problem(self) -> ConstraintProblem:
+        """The lifted family: Delta_T, its anchor, sites G(T) = dom(Delta_T)."""
+        sites = IndexSubset(self.pc.lifted.domain, self.delta.dom)
+        return ConstraintProblem(self.pc.lifted, self.delta, self.anchor,
+                                 sites, self.eps)
+
+
 def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
                               eps: float = DEFAULT_EPS) -> bool:
     """C-convex, majorizes c everywhere, equals c on G(T)."""
-    return _family_member(h, t_map, product_coupling(c), eps)
+    return _family_member(h, _Lifted(t_map, c, eps))
 
 
-def _family_member(h: ExtFunction, t_map: MultiMapping, pc: ProductCoupling,
-                   eps: float) -> bool:
+def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
+    pc, eps = lifted.pc, lifted.eps
     h.require_proper("family candidate")
     if h.index.labels != pc.lifted.domain.labels:
         raise AbstractConvexError("candidate is not indexed by the lifted domain")
     if not is_c_convex(h, pc.lifted, eps):
         return False
-    base = coupling_as_function(pc)
-    if any(b > v + eps for b, v in zip(base.values, h.values)):
+    if any(b > v + eps for b, v in zip(lifted.coupling_values, h.values)):
         return False
     return all(abs(h(pc.xy_index(x, y)) - pc.base(x, y)) <= eps
-               for x, y in t_map.graph)
+               for x, y in lifted.t_map.graph)
 
 
 @dataclass(frozen=True)
@@ -193,26 +265,19 @@ class Theorem6AReport:
         return all(votes) or not any(votes)
 
 
-def _anchor_is_antiderivative(t_map: MultiMapping, pc: ProductCoupling,
-                              eps: float) -> bool:
-    return is_antiderivative(graph_anchor(t_map, pc),
-                             delta_mapping(t_map, pc), pc.lifted, eps)
-
-
 def verify_theorem6A(t_map: MultiMapping, c: Coupling,
                      eps: float = DEFAULT_EPS,
                      check_maximality: bool = False) -> Theorem6AReport:
     """Independently evaluate the four equivalent monotonicity readings."""
     t_map.require_proper()
-    return _theorem6A(t_map, product_coupling(c), eps, check_maximality)
+    return _theorem6A(_Lifted(t_map, c, eps), check_maximality)
 
 
-def _theorem6A(t_map: MultiMapping, pc: ProductCoupling, eps: float,
-               check_maximality: bool = False) -> Theorem6AReport:
-    c = pc.base
-    delta = delta_mapping(t_map, pc)
+def _theorem6A(lifted: _Lifted, check_maximality: bool = False) -> Theorem6AReport:
+    t_map, c, eps = lifted.t_map, lifted.c, lifted.eps
+    pc, delta = lifted.pc, lifted.delta
 
-    mono = is_n_monotone(t_map, c, 2, eps)
+    mono = lifted.t_monotone
     identity_value = None
     if not mono:
         (x1, y1), (x2, y2) = mono.witness[0], mono.witness[1]
@@ -221,20 +286,21 @@ def _theorem6A(t_map: MultiMapping, pc: ProductCoupling, eps: float,
     t_max = d_max = d_cyc_max = a_max = None
     if check_maximality:
         diagonal = full_diagonal(pc)
-        t_max = is_maximal_n_monotone(t_map, c, 2, eps)
+        t_max = lifted.t_maximal
         d_max = is_maximal_n_monotone(delta, pc.lifted, 2, eps,
                                       candidates=diagonal)
         d_cyc_max = is_maximal_cyclically_monotone(
             delta, pc.lifted, eps, candidates=diagonal)
         # 4': no single-point graph extension of T keeps the anchor property
-        a_max = _is_maximal(lambda t: _anchor_is_antiderivative(t, pc, eps),
-                            t_map)
+        a_max = _is_maximal(lambda t: is_antiderivative(
+            graph_anchor(t, pc), delta_mapping(t, pc), pc.lifted, eps), t_map)
 
     return Theorem6AReport(
         t_monotone=bool(mono),
         delta_monotone=bool(is_n_monotone(delta, pc.lifted, 2, eps)),
-        delta_cyclically_monotone=bool(is_cyclically_monotone(delta, pc.lifted, eps)),
-        anchor_is_antiderivative=_anchor_is_antiderivative(t_map, pc, eps),
+        delta_cyclically_monotone=bool(lifted.cyclic[0]),
+        anchor_is_antiderivative=is_antiderivative(lifted.anchor, delta,
+                                                   pc.lifted, eps),
         violation_identity_value=identity_value,
         t_maximal=t_max,
         delta_maximal_in_diagonal=d_max,
@@ -256,15 +322,7 @@ def lifted_problem(t_map: MultiMapping, c: Coupling,
                    eps: float = DEFAULT_EPS) -> ConstraintProblem:
     """The lifted constrained family: mapping Delta_T, anchor c + i_{G(T)},
     sites = G(T) = dom(Delta_T)."""
-    return _lifted_problem(t_map, product_coupling(c), eps)
-
-
-def _lifted_problem(t_map: MultiMapping, pc: ProductCoupling,
-                    eps: float) -> ConstraintProblem:
-    delta = delta_mapping(t_map, pc)
-    sites = IndexSubset(pc.lifted.domain, delta.dom)
-    return ConstraintProblem(pc.lifted, delta, graph_anchor(t_map, pc),
-                             sites, eps)
+    return _Lifted(t_map, c, eps).problem
 
 
 def verify_theorem6B(t_map: MultiMapping, c: Coupling,
@@ -274,21 +332,21 @@ def verify_theorem6B(t_map: MultiMapping, c: Coupling,
     """Check that the lifted family's minimal member equals the Fitzpatrick
     function, and (for finitely maximal T) sample members against the
     Fitzpatrick family.  Sampling can only falsify the inclusion."""
-    if not is_n_monotone(t_map, c, 2, eps):
+    return _theorem6B(_Lifted(t_map, c, eps), seed, samples)
+
+
+def _theorem6B(lifted: _Lifted, seed: Optional[int] = None,
+               samples: int = 10) -> Theorem6BReport:
+    if not lifted.t_monotone:
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
-    return _theorem6B(t_map, product_coupling(c), eps, seed, samples)
+    problem = lifted.problem
+    # alpha(problem), from the gain graph and walks Theorem 6A read
+    a = _shifted_max(problem, _anchored_rows(
+        lifted.delta, lifted.pc.lifted, lifted.gain_graph, lifted.cyclic,
+        problem.sites.members))
+    diff = sup_distance(a, lifted.fitzpatrick)
 
-
-def _theorem6B(t_map: MultiMapping, pc: ProductCoupling, eps: float,
-               seed: Optional[int] = None, samples: int = 10) -> Theorem6BReport:
-    """``verify_theorem6B`` for a T already known to be c-monotone."""
-    c = pc.base
-    problem = _lifted_problem(t_map, pc, eps)
-    a = alpha(problem)
-    f = fitzpatrick(t_map, c)
-    diff = sup_distance(a, f)
-
-    maximal = is_maximal_n_monotone(t_map, c, 2, eps)
+    maximal = lifted.t_maximal
     sampled = 0
     falsified = False
     if maximal and samples > 0:
@@ -300,9 +358,9 @@ def _theorem6B(t_map: MultiMapping, pc: ProductCoupling, eps: float,
                                     for lo, hi in zip(a.values, g.values)))
             member = c_convexify(mix, problem.coupling)
             sampled += 1
-            if not _family_member(member, t_map, pc, eps):
+            if not _family_member(member, lifted):
                 falsified = True
-    return Theorem6BReport(max_abs_diff=diff, equal=diff <= eps,
+    return Theorem6BReport(max_abs_diff=diff, equal=diff <= lifted.eps,
                            maximality_checked=maximal,
                            sampled_members=sampled,
                            family_inclusion_falsified=falsified)
@@ -327,8 +385,16 @@ def verify_inequality_chain(t_map: MultiMapping, metric: MetricInstance,
     """-d(x,y) <= F(x,y) <= -F(y,x) <= d(y,x) for the Fitzpatrick function of
     a -d-monotone T that is either finitely maximal or the subdifferential of
     a supplied -d-convex function."""
-    c = as_coupling(metric)
-    if not is_n_monotone(t_map, c, 2, eps):
+    return _inequality_chain(_Lifted(t_map, as_coupling(metric), eps), metric,
+                             lipschitz_witness)
+
+
+def _inequality_chain(lifted: _Lifted, metric: MetricInstance,
+                      lipschitz_witness: Optional[ExtFunction] = None
+                      ) -> InequalityChainReport:
+    """``verify_inequality_chain`` on a context whose coupling is -d."""
+    t_map, c, eps = lifted.t_map, lifted.c, lifted.eps
+    if not lifted.t_monotone:
         raise AbstractConvexError("hypothesis fails: T is not -d-monotone")
     if lipschitz_witness is not None:
         if not is_c_convex(lipschitz_witness, c, eps):
@@ -337,12 +403,12 @@ def verify_inequality_chain(t_map: MultiMapping, metric: MetricInstance,
         if set(sub.graph) != set(t_map.graph):
             raise AbstractConvexError(
                 "hypothesis fails: T is not the subdifferential of the witness")
-    elif not is_maximal_n_monotone(t_map, c, 2, eps):
+    elif not lifted.t_maximal:
         raise AbstractConvexError(
             "hypothesis fails: T is neither finitely maximal nor a supplied "
             "subdifferential")
     n = metric.points.size
-    f = fitzpatrick(t_map, c)
+    f = lifted.fitzpatrick
     worst = 0.0
     for x in range(n):
         for y in range(n):

@@ -24,7 +24,15 @@ O(L * k^2) predecessors) and the best closed walk with its cycle.  The
 cyclic verdict stops at the first length L whose best closed walk gains
 over eps, so a rejected mapping costs O(L * k^3) and a passed one O(k^4);
 ``is_n_monotone`` past its budget reads round n.
-Maximality is one loop over single-pair extensions for any property.
+
+Maximality reruns the full check per single-pair extension, except at
+order 2: a 2-monotone M extended by (x, y) fails iff some (u, v) in G(M)
+gains (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)) > eps, one row kernel over
+G(M).  The enumeration computes that float for ((x, y), (u, v)) and for
+((u, v), (x, y)), as 0.0 + a == a up to a zero's sign and addition
+commutes; (x, y) twice gains exactly 0.  Past the budget, walk round 2 takes
+the largest of the same sums, and rounding is monotone.  So the verdicts
+are the full recheck's, which the tests keep as the oracle.
 
 ``is_n_monotone`` enumerates the |G(M)|^n selections while that stays within
 ``ENUMERATION_BUDGET``, one prefix of n - 1 pairs at a time, and scans the
@@ -57,6 +65,7 @@ from typing import Optional
 from .core import (
     DEFAULT_EPS,
     INF,
+    AbstractConvexError,
     BudgetExceededError,
     Coupling,
     MultiMapping,
@@ -300,12 +309,43 @@ def _is_maximal(holds, m: MultiMapping, candidates=None) -> bool:
     return all(p in m or not holds(m.with_pair(*p)) for p in candidates)
 
 
+def _maximal_2_monotone(m: MultiMapping, c: Coupling, eps: float,
+                        candidates=None) -> bool:
+    """``is_maximal_n_monotone`` at n = 2 for an m already known to be
+    2-monotone: each candidate (x, y) outside G(m) is one row kernel over
+    G(m), rejected iff some (u, v) gains
+    (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)) > eps."""
+    if candidates is None:
+        candidates = itertools.product(range(m.source.size), range(m.target.size))
+    rows, over = c.values, partial(lt, eps)
+    diag = [rows[u][v] for u, v in m.graph]
+    into = {}   # y -> [c(u, y) for (u, _) in G(m)]
+    out = {}    # x -> [c(x, v) - c(u, v) for (u, v) in G(m)]
+    for p in candidates:
+        if p in m:
+            continue
+        x, y = p
+        if not (0 <= x < m.source.size and 0 <= y < m.target.size):
+            raise AbstractConvexError(f"graph pair ({x}, {y}) out of range")
+        if y not in into:
+            into[y] = [rows[u][y] for u, _ in m.graph]
+        if x not in out:
+            out[x] = list(map(sub, [rows[x][v] for _, v in m.graph], diag))
+        gains = map(add, map(sub, into[y], itertools.repeat(rows[x][y])), out[x])
+        if not any(map(over, gains)):
+            return False
+    return True
+
+
 def is_maximal_n_monotone(m: MultiMapping, c: Coupling, n: int,
                           eps: float = DEFAULT_EPS,
                           candidates=None) -> bool:
     """Finite rendering of maximality: no single-point extension keeps the
     property.  ``candidates`` restricts the extension pool (e.g. to the
     diagonal set of the product construction)."""
+    if n == 2:
+        return bool(is_n_monotone(m, c, 2, eps)) and _maximal_2_monotone(
+            m, c, eps, candidates)
     return _is_maximal(lambda t: is_n_monotone(t, c, n, eps), m, candidates)
 
 

@@ -5,21 +5,21 @@ on its codomain; the reverse transform goes the other way.  The two are kept
 as distinct operations with explicit index typing, so a conjugation-direction
 mistake fails loudly instead of silently transposing.
 
-Both transforms run one row kernel, ``_transform``: it masks out the +inf
-entries of the input once, then takes ``max(map(sub, line, values))`` over
-the kept entries for each output point, where ``line`` is a column of the
-coupling (forward) or a row of it (reverse).  The subdifferential scans each
-coupling row against the finite entries of f^c.  The outputs are
-bit-identical to a per-cell loop: every cell is the same subtraction, and
-``max`` keeps the first of equal maxima, as a running
-``best = max(best, ...)`` does.
+Both transforms run one row kernel, ``_transform``: it takes
+``max(map(sub, line, values))`` for each output point, where ``line`` is a
+column of the coupling (forward) or a row of it (reverse).  A +inf entry
+(outside dom f) gives line[i] - inf = -inf, which loses to every finite
+difference, so it needs no mask.  The subdifferential scans each coupling
+row against the finite entries of f^c; ``is_antiderivative`` makes the same
+test on the pairs of G(M) only.  The outputs are bit-identical to a
+per-cell loop: every cell is the same subtraction, and ``max`` keeps the
+first of equal maxima, as a running ``best = max(best, ...)`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from operator import sub
 
 from .core import (
@@ -36,15 +36,11 @@ from .core import (
 
 def _transform(values: tuple[float, ...], lines) -> tuple[float, ...]:
     """max over i of line[i] - values[i] for each line, with the [-inf, inf]
-    conventions: +inf entries (outside dom) are skipped, a -inf entry makes
-    every output +inf, and an empty domain makes every output -inf."""
+    conventions: a -inf entry makes every output +inf, and +inf entries
+    (outside dom) give -inf terms, so an empty domain gives -inf."""
     if -INF in values:
         return (INF,) * len(lines)  # c finite minus -inf
-    dom = [v != INF for v in values]
-    if not any(dom):
-        return (-INF,) * len(lines)
-    vals = list(compress(values, dom))
-    return tuple(max(map(sub, compress(line, dom), vals)) for line in lines)
+    return tuple(max(map(sub, line, values)) for line in lines)
 
 
 def c_transform(f: ExtFunction, c: Coupling) -> ExtFunction:
@@ -130,8 +126,16 @@ def c_subdifferential_quantified(f: ExtFunction, c: Coupling,
 
 def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
                       eps: float = DEFAULT_EPS) -> bool:
-    """Whether G(M) is contained in G(subdifferential of f)."""
+    """Whether G(M) is contained in G(subdifferential of f): after one
+    transform, the subdifferential's test on the pairs of G(M) alone."""
     f.require_proper("antiderivative candidate")
     m.require_proper()
-    sub = c_subdifferential(f, c, eps)
-    return all(pair in sub for pair in m.graph)
+    if f.index.labels != c.domain.labels:
+        raise IndexMismatchError("function is not indexed by the coupling domain")
+    fv, fc = f.values, c_transform(f, c).values
+    # a pair past the coupling's index range (M on other ground sets) is
+    # in no subdifferential of f
+    return all(x < len(fv) and y < len(fc)
+               and math.isfinite(fv[x]) and math.isfinite(fc[y])
+               and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
+               for x, y in m.graph)

@@ -12,6 +12,7 @@ from abconvex import (
     MultiMapping,
     coupling_from_rows,
     inject_positive_two_cycle,
+    is_n_monotone,
     random_coupling,
     random_cyclically_monotone_mapping,
 )
@@ -105,6 +106,19 @@ def random_graph(rng, c: Coupling, max_pairs: int) -> MultiMapping:
     pairs = {(rng.randrange(nx), rng.randrange(ny))
              for _ in range(rng.randint(1, max_pairs))}
     return MultiMapping(c.domain, c.codomain, tuple(pairs))
+
+
+def grown_mapping(rng, m: MultiMapping, c: Coupling, eps: float,
+                  tries=None) -> MultiMapping:
+    """m extended by each absent pair that keeps it 2-monotone, the pairs
+    tried in random order: all of them, which leaves m finitely maximal, or
+    only the first ``tries``."""
+    pool = [(x, y) for x in range(c.domain.size) for y in range(c.codomain.size)]
+    rng.shuffle(pool)
+    for p in pool[:tries]:
+        if p not in m and is_n_monotone(m.with_pair(*p), c, 2, eps):
+            m = m.with_pair(*p)
+    return m
 
 
 def assert_same_floats(got, want):

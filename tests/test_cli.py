@@ -1,12 +1,31 @@
 import importlib
 import json
+import random
 from dataclasses import asdict
 
 import pytest
 
-from abconvex import InstanceError, cli, emit_document, parse_instance
+from abconvex import (
+    DEFAULT_EPS,
+    AbstractConvexError,
+    InstanceDocument,
+    InstanceError,
+    MultiMapping,
+    as_coupling,
+    emit_document,
+    identity_mapping,
+    inject_positive_two_cycle,
+    parse_instance,
+    random_coupling,
+    random_cyclically_monotone_mapping,
+    random_metric,
+    verify_inequality_chain,
+    verify_theorem6A,
+    verify_theorem6B,
+)
 from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
 from abconvex.instance_io import dumps
+from conftest import grown_mapping
 
 
 def run(capsys, *argv):
@@ -270,7 +289,6 @@ def test_verify_builds_one_lifted_product(capsys, line3_path, monkeypatch):
         builds.append(c)
         return real(c)
 
-    monkeypatch.setattr(cli, "product_coupling", counting)
     monkeypatch.setattr(fitz, "product_coupling", counting)
     status, out = run(capsys, "verify", "--instance", line3_path,
                       "--mapping", "I", "--seed", "7")
@@ -410,3 +428,133 @@ def test_reused_parser_gives_the_bytes_of_fresh_calls(tmp_path, fixture_dir):
     assert _build_parser() is _build_parser()
     assert reused == outputs(fresh=True)
     assert [status for status, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2]
+
+
+# ------------------------------------------------ verify: one lifted context
+
+def lifted_documents(rng, tmp_path):
+    """verify documents: a finitely maximal T, a non-maximal T, a T with a
+    positive 2-cycle, and -d documents with a maximal, a non-maximal and a
+    non-monotone T (the last two skip the inequality chain)."""
+    c = random_coupling(rng, 4, 4)
+    small = random_cyclically_monotone_mapping(rng, c, max_pairs=2)
+    maximal = grown_mapping(rng, small, c, DEFAULT_EPS)
+    bad, cbad = inject_positive_two_cycle(rng, maximal, c)
+    metric = random_metric(rng, 4)
+    d = as_coupling(metric)
+    docs = {"maximal": (c, maximal), "non_maximal": (c, small),
+            "non_monotone": (cbad, bad)}
+    metric_maps = {
+        "metric_maximal": grown_mapping(rng, identity_mapping(metric), d,
+                                        DEFAULT_EPS),
+        "metric_non_maximal": MultiMapping(d.domain, d.codomain, ((0, 0),)),
+        "metric_non_monotone": MultiMapping(d.domain, d.codomain,
+                                            ((0, 1), (1, 0))),
+    }
+    paths = {}
+    for name, (coupling, t) in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(InstanceDocument(
+            "1", {"X": coupling.domain, "Y": coupling.codomain}, coupling,
+            coupling_names=("X", "Y"), mappings={"T": t})))
+    for name, t in metric_maps.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(emit_document(InstanceDocument(
+            "1", {"P": metric.points}, d, metric=metric, negate=True,
+            coupling_names=("P", "P"), mappings={"T": t})))
+    return paths
+
+
+def public_verify_text(path, seed):
+    """What ``verify`` prints, assembled from the public wrappers alone."""
+    doc = parse_instance(path.read_text())
+    m, c = doc.mapping("T"), doc.coupling
+    report_a = verify_theorem6A(m, c, DEFAULT_EPS)
+    out = {"command": "verify",
+           "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
+    if report_a.t_monotone:
+        out["theorem_b"] = asdict(verify_theorem6B(m, c, DEFAULT_EPS, seed=seed))
+    if doc.metric is not None and doc.negate:
+        try:
+            out["inequality_chain"] = asdict(
+                verify_inequality_chain(m, doc.metric, eps=DEFAULT_EPS))
+        except AbstractConvexError as exc:
+            out["inequality_chain"] = {"skipped": str(exc)}
+    return dumps(out)
+
+
+def test_verify_prints_what_the_public_wrappers_report(capsys, tmp_path):
+    rng = random.Random(7)
+    outcomes = {}
+    for name, path in lifted_documents(rng, tmp_path).items():
+        status = main(["verify", "--instance", str(path), "--mapping", "T",
+                       "--seed", "11"])
+        text = capsys.readouterr().out
+        assert status == EXIT_OK
+        assert text == public_verify_text(path, 11)
+        out = json.loads(text)
+        outcomes[name] = (out["theorem_a"]["t_monotone"],
+                          out.get("theorem_b", {}).get("maximality_checked"),
+                          out.get("inequality_chain", {}).get("skipped"))
+    assert outcomes == {
+        "maximal": (True, True, None),
+        "non_maximal": (True, False, None),
+        "non_monotone": (False, None, None),
+        "metric_maximal": (True, True, None),
+        "metric_non_maximal": (True, False, "hypothesis fails: T is neither "
+                               "finitely maximal nor a supplied subdifferential"),
+        "metric_non_monotone": (False, None,
+                                "hypothesis fails: T is not -d-monotone"),
+    }
+
+
+def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch):
+    # on a maximal -d-monotone T, Theorems 6A and 6B and the inequality
+    # chain all run; they share one gain graph of Delta_T, one order-2
+    # verdict and maximality of T, and one Fitzpatrick function
+    fitz = importlib.import_module("abconvex.fitzpatrick")
+    path = lifted_documents(random.Random(7), tmp_path)["metric_maximal"]
+    calls = {}
+
+    def counting(name):
+        real = getattr(fitz, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(fitz, name, counted)
+
+    for name in ("product_coupling", "build_gain_graph", "_maximal_2_monotone",
+                 "fitzpatrick", "is_n_monotone"):
+        counting(name)
+    status = main(["verify", "--instance", str(path), "--mapping", "T",
+                   "--seed", "11"])
+    out = json.loads(capsys.readouterr().out)
+    assert status == EXIT_OK
+    assert out["theorem_b"]["sampled_members"] == 10
+    assert out["inequality_chain"]["holds"] is True
+    # is_n_monotone: T's verdict once, Delta_T's once
+    assert calls == {"product_coupling": 1, "build_gain_graph": 1,
+                     "_maximal_2_monotone": 1, "fitzpatrick": 1,
+                     "is_n_monotone": 2}
+
+
+def test_verify_guards_the_lifted_table_before_building_it(capsys, tmp_path,
+                                                           monkeypatch):
+    # 60 x 60 gives a 3600-point lifted side and 3600^2 ~ 1.3e7 entries
+    fitz = importlib.import_module("abconvex.fitzpatrick")
+
+    def built(*args):
+        raise AbstractConvexError("a lifted side was built")
+
+    monkeypatch.setattr(fitz, "_pairs_side", built)
+    c = random_coupling(random.Random(0), 60, 60)
+    path = tmp_path / "wide.json"
+    path.write_text(emit_document(InstanceDocument(
+        "1", {"X": c.domain, "Y": c.codomain}, c, coupling_names=("X", "Y"),
+        mappings={"T": MultiMapping(c.domain, c.codomain, ((0, 0),))})))
+    status, out = run(capsys, "verify", "--instance", str(path), "--mapping", "T")
+    assert status == EXIT_DOMAIN
+    assert out == {"error": "domain", "message":
+                   f"lifted coupling of {3600 ** 2} entries exceeds the "
+                   f"{fitz.MAX_LIFTED_ENTRIES}-entry guard"}

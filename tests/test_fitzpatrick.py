@@ -28,6 +28,7 @@ from abconvex import (
     verify_theorem6B,
 )
 from abconvex.fitzpatrick import (
+    MAX_LIFTED_ENTRIES,
     MAX_LIFTED_SIDE,
     coupling_as_function,
     full_diagonal,
@@ -201,6 +202,17 @@ def test_lifted_side_guard():
     t = MultiMapping(c.domain, c.codomain, ((0, 0),))
     with pytest.raises(AbstractConvexError):
         fitzpatrick(t, c)
+
+
+def test_lifted_entry_guard_bounds_the_table_not_f():
+    # 60 x 60: C would hold 3600^2 entries, F only 3600 values
+    c = random_coupling(random.Random(0), 60, 60)
+    with pytest.raises(AbstractConvexError, match="entry guard"):
+        product_coupling(c)
+    t = MultiMapping(c.domain, c.codomain, ((0, 0), (5, 7)))
+    assert fitzpatrick(t, c).values == fitzpatrick_per_cell(t, c)
+    side = int(MAX_LIFTED_ENTRIES ** 0.5)
+    assert 3600 ** 2 > MAX_LIFTED_ENTRIES and side < MAX_LIFTED_SIDE
 
 
 def test_anchor_restricts_coupling_to_graph(two_point):

@@ -6,6 +6,7 @@ import pytest
 
 from abconvex import (
     INF,
+    AbstractConvexError,
     BudgetExceededError,
     GroundSet,
     ImproperFunctionError,
@@ -23,10 +24,18 @@ from abconvex import (
     random_coupling,
     random_cyclically_monotone_mapping,
 )
-from abconvex.monotone import _chain_gain, _cyclic_walks, _max_plus_closure
+from abconvex import monotone
+from abconvex.fitzpatrick import delta_mapping, full_diagonal, product_coupling
+from abconvex.monotone import (
+    _chain_gain,
+    _cyclic_walks,
+    _is_maximal,
+    _max_plus_closure,
+)
 from conftest import (
     TIE_KINDS,
     assert_same_floats,
+    grown_mapping,
     kernel_coupling,
     mixed_mappings,
     one_point_couplings,
@@ -510,3 +519,119 @@ def test_closure_keeps_unreachable_entries_at_minus_infinity():
     assert [row[1] for row in got] == [-INF] * 3
     assert got[2] == [-INF] * 3
     assert got[0][0] == 0.0 and math.copysign(1.0, got[0][0]) == -1.0
+
+
+# ------------------------------------------------- order-2 maximality kernel
+# The full recheck of every extension is the oracle for the row kernel.
+
+def maximal_by_recheck(m, c, eps, candidates=None):
+    return _is_maximal(lambda t: is_n_monotone(t, c, 2, eps), m, candidates)
+
+
+def partly_grown(rng, c, eps):
+    """A 2-monotone mapping grown by a random number of tries, so some draws
+    are maximal and some are a pair or more short."""
+    m = random_cyclically_monotone_mapping(rng, c)
+    tries = rng.randint(0, c.domain.size * c.codomain.size)
+    return grown_mapping(rng, m, c, eps, tries)
+
+
+def best_extension_gains(m, c, x, y):
+    """Both orders of every two-pair selection with the candidate (x, y)."""
+    return [_chain_gain(sel, c) for q in m.graph
+            for sel in (((x, y), q), (q, (x, y)))]
+
+
+def test_order_two_maximality_kernel_matches_recheck(rng):
+    seen = set()
+    for trial in range(240):
+        nx, ny = rng.randint(1, 5), rng.randint(1, 5)
+        c = kernel_coupling(rng, nx, ny, ties=TIE_KINDS[trial % 3])
+        eps = (EPS, 0.0, 1.0)[trial % 7 % 3]
+        m = (partly_grown(rng, c, eps) if trial % 4
+             else random_graph(rng, c, 2 * max(nx, ny)))
+        want = maximal_by_recheck(m, c, eps)
+        assert is_maximal_n_monotone(m, c, 2, eps) is want
+        seen.add((bool(is_n_monotone(m, c, 2, eps)), want))
+    # monotone and maximal, monotone and extendable, and not monotone
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_order_two_kernel_at_exact_gain_thresholds(rng):
+    # eps = a candidate's best extension gain passes the candidate, so the
+    # mapping is not maximal; one float below it rejects the candidate
+    checked = 0
+    for trial in range(120):
+        c = kernel_coupling(rng, 3, 3, ties=TIE_KINDS[trial % 3])
+        m = partly_grown(rng, c, EPS)
+        outside = [(x, y) for x in range(3) for y in range(3) if (x, y) not in m]
+        if not outside:
+            continue
+        x, y = rng.choice(outside)
+        best = max(best_extension_gains(m, c, x, y))
+        own = max(_chain_gain(sel, c)
+                  for sel in itertools.product(m.graph, repeat=2))
+        for eps in (best, math.nextafter(best, -INF)):
+            if own > eps:
+                continue  # m itself fails at this eps
+            want = maximal_by_recheck(m, c, eps, [(x, y)])
+            assert is_maximal_n_monotone(m, c, 2, eps, [(x, y)]) is want
+            assert want is (eps < best)
+            checked += 1
+    assert checked >= 100
+
+
+def test_order_two_kernel_on_a_two_cycle_gaining_exactly_eps():
+    # M = {(0, 0)}; the candidate (1, 1) closes a 2-cycle gaining c(0, 1)
+    for gain, rejected in ((EPS, False), (math.nextafter(EPS, INF), True),
+                           (-0.0, False)):
+        identity, c = two_cycle_instance(gain)
+        m = MultiMapping(identity.source, identity.target, ((0, 0),))
+        assert is_maximal_n_monotone(m, c, 2, EPS, [(1, 1)]) is rejected
+        assert maximal_by_recheck(m, c, EPS, [(1, 1)]) is rejected
+
+
+def test_order_two_kernel_on_the_lifted_diagonal(rng):
+    for trial in range(40):
+        c = kernel_coupling(rng, rng.randint(1, 3), rng.randint(1, 3),
+                            ties=TIE_KINDS[trial % 3])
+        pc = product_coupling(c)
+        t = partly_grown(rng, c, EPS) if trial % 2 else random_graph(rng, c, 4)
+        delta, diagonal = delta_mapping(t, pc), full_diagonal(pc)
+        want = maximal_by_recheck(delta, pc.lifted, EPS, diagonal)
+        assert is_maximal_n_monotone(delta, pc.lifted, 2, EPS,
+                                     candidates=diagonal) is want
+
+
+def test_order_two_kernel_keeps_the_candidate_range_error(two_point):
+    sub = c_subdifferential(two_point.f_abs, two_point.c).mapping
+    c = two_point.c
+    inside = [(x, y) for x in range(5) for y in range(2)]
+    # a pool with pairs of G(M), duplicates and, last, a pair out of range
+    for pool, bad in ((inside + inside + [(5, 0)], "(5, 0)"),
+                      ([(0, -1)], "(0, -1)")):
+        message = f"graph pair {bad} out of range"
+        with pytest.raises(AbstractConvexError) as want:
+            maximal_by_recheck(sub, c, EPS, pool)
+        with pytest.raises(AbstractConvexError) as got:
+            is_maximal_n_monotone(sub, c, 2, EPS, candidates=pool)
+        assert str(got.value) == str(want.value) == message
+    # a candidate that keeps the property ends the scan before the bad pair
+    small = MultiMapping(two_point.x, two_point.y, sub.graph[:1])
+    pool = [(x, y) for x in range(5) for y in range(2)] + [(9, 9)]
+    assert maximal_by_recheck(small, c, EPS, pool) is False
+    assert is_maximal_n_monotone(small, c, 2, EPS, candidates=pool) is False
+
+
+def test_order_two_kernel_past_the_enumeration_budget(rng, monkeypatch):
+    # with a budget of 8 selections every recheck takes walk round 2
+    monkeypatch.setattr(monotone, "ENUMERATION_BUDGET", 8)
+    seen, routed = set(), 0
+    for trial in range(60):
+        c = kernel_coupling(rng, 4, 4, ties=TIE_KINDS[trial % 3])
+        m = partly_grown(rng, c, EPS)
+        routed += len(m.graph) >= 2  # every extension has 3^2 > 8 selections
+        want = maximal_by_recheck(m, c, EPS)
+        assert is_maximal_n_monotone(m, c, 2, EPS) is want
+        seen.add(want)
+    assert seen == {True, False} and routed >= 50

@@ -10,6 +10,7 @@ from abconvex import (
     ExtFunction,
     GroundSet,
     ImproperFunctionError,
+    IndexMismatchError,
     IndexSubset,
     MultiMapping,
     c_convexify,
@@ -389,3 +390,71 @@ def test_subdifferential_matches_per_cell_form(rng):
         for eps in (0.0, EPS, 0.5):
             assert c_subdifferential(f, c, eps).graph == \
                 c_subdifferential_per_cell(f, c, eps)
+
+
+def test_transform_kernels_on_functions_without_plus_infinity(rng):
+    # no entry to mask: the kernel subtracts the whole line at once
+    for trial in range(200):
+        nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+        ties = TIE_KINDS[trial % 3]
+        c = kernel_coupling(rng, nx, ny, ties)
+        def real():
+            return rng.choice(ties) if ties else rng.uniform(-10.0, 10.0)
+
+        f = ExtFunction(c.domain, tuple(real() for _ in range(nx)))
+        g = ExtFunction(c.codomain, tuple(real() for _ in range(ny)))
+        assert_same_floats(c_transform(f, c).values, c_transform_per_cell(f, c))
+        assert_same_floats(c_transform_rev(g, c).values,
+                           c_transform_rev_per_cell(g, c))
+
+
+def is_antiderivative_via_subdifferential(f, m, c, eps):
+    """The whole subdifferential graph, then G(M) inside it: the reference
+    for ``is_antiderivative``'s test on the pairs of G(M) alone."""
+    f.require_proper("antiderivative candidate")
+    m.require_proper()
+    sub = c_subdifferential(f, c, eps)
+    return all(pair in sub for pair in m.graph)
+
+
+def test_antiderivative_pair_test_matches_subdifferential_form(rng):
+    verdicts = set()
+    for trial in range(400):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        c, f, _ = _kernel_draw(rng, nx, ny, trial % 2)
+        if not f.proper:
+            continue
+        fc = c_transform(f, c)
+        sub = c_subdifferential(f, c, EPS).graph
+        # G(M) from the subdifferential, with a stray pair half of the time
+        pairs = set(rng.sample(sub, rng.randint(0, len(sub))))
+        if rng.random() < 0.5 or not pairs:
+            pairs.add((rng.randrange(nx), rng.randrange(ny)))
+        m = MultiMapping(c.domain, c.codomain, tuple(pairs))
+        # eps 0.0, EPS, and each pair's own margin and the float below it
+        margins = [abs(f(x) + fc(y) - c(x, y)) for x, y in m.graph
+                   if math.isfinite(f(x)) and math.isfinite(fc(y))]
+        for eps in [0.0, EPS] + [e for g in margins[:2]
+                                 for e in (g, math.nextafter(g, -INF))]:
+            got = is_antiderivative(f, m, c, eps)
+            assert got == is_antiderivative_via_subdifferential(f, m, c, eps)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_antiderivative_of_a_mapping_past_the_coupling_range():
+    # M runs from the 3-point codomain to the 2-point domain; (0, 0) lies in
+    # the subdifferential of f, (2, 1) past the coupling's rows
+    x, y = GroundSet(("a", "b")), GroundSet(("p", "q", "r"))
+    c = Coupling(x, y, ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0)))
+    f = ExtFunction(x, (0.0, 1.0))
+    for pairs, want in ((((0, 0),), True), (((0, 0), (2, 1)), False)):
+        m = MultiMapping(y, x, pairs)
+        assert is_antiderivative(f, m, c) is want
+        assert is_antiderivative_via_subdifferential(f, m, c, EPS) is want
+
+
+def test_antiderivative_keeps_index_mismatch_error(two_point):
+    f = ExtFunction(two_point.y, (0.0, 1.0))
+    with pytest.raises(IndexMismatchError):
+        is_antiderivative(f, two_point.m, two_point.c)
