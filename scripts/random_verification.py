@@ -3,23 +3,24 @@
 Draws seeded random instances and checks, per draw: the triple-transform
 collapse, agreement of the chain-supremum antiderivative with its
 enumeration oracle, agreement of the closure-first cyclic-monotonicity
-verdict and witness with the exact-length route alone (``is_n_monotone``
-past its budget, n = 1..k), agreement of the
-antiderivative with its oracle when a cycle gains between eps/k and eps
-(the exact-length route passes, the closure does not), bit-identity of the
-row kernels (transforms, subdifferential, n-monotone enumeration, gain
-graph with witnesses, closure, R_s, lifted product, Fitzpatrick function)
-with per-cell forms, the triangle check's first failing triple, transform
-duality of the envelopes, the four-way Lipschitz characterization, the
-lifted-space equivalences, the order-2 maximality kernel against a full
-recheck of every extension, and ``abconvex verify``'s output against the
-reports of the public wrappers.
+verdict and witness with the exact-length walk rounds 1..k alone, agreement
+of the antiderivative with its oracle when a cycle gains between eps/k and
+eps (the exact-length route passes, the closure does not), bit-identity of
+the row kernels (transforms, subdifferential, gain graph with witnesses,
+closure, R_s, lifted product, Fitzpatrick function) with per-cell forms,
+``is_n_monotone`` against its oracle (the verdict, the witness at order 2
+and a violating witness at other orders), the triangle check's first
+failing triple, transform duality of the envelopes, the four-way Lipschitz
+characterization, the lifted-space equivalences, the order-2 maximality
+kernel against a full recheck of every extension, and ``abconvex verify``'s
+output against the reports of the public wrappers.
 
 Run:  python3 scripts/random_verification.py --seed 0 --trials 50
 """
 
 import argparse
 import io
+import itertools
 import math
 import random
 import sys
@@ -70,11 +71,17 @@ from abconvex import (
     verify_theorem6A,
     verify_theorem6B,
 )
-from abconvex import monotone
 from abconvex.cli import main as cli_main
 from abconvex.fitzpatrick import delta_mapping, full_diagonal
 from abconvex.instance_io import dumps
-from abconvex.monotone import _cyclic_walks, _is_maximal, _max_plus_closure
+from abconvex.monotone import (
+    _chain_gain,
+    _cycle_to_pairs,
+    _cyclic_walks,
+    _is_maximal,
+    _max_plus_closure,
+    _walk_rounds,
+)
 from abconvex.rockafellar import anchored_antiderivatives
 
 EPS = 1e-9
@@ -109,23 +116,16 @@ def check_closure_route(rng):
     elif kind == 2:
         m, c = inject_positive_two_cycle(rng, m, c)
     got = is_cyclically_monotone(m, c, EPS)
-    want = _exact_length_verdict(m, c)
-    return (got.holds, got.witness) == (want.holds, want.witness)
+    return (got.holds, got.witness) == _exact_length_verdict(m, c)
 
 
 def _exact_length_verdict(m, c):
-    """The exact-length route alone: ``is_n_monotone`` past its enumeration
-    budget for n = 1..|dom(M)|, stopping at the first failure."""
-    budget = monotone.ENUMERATION_BUDGET
-    monotone.ENUMERATION_BUDGET = 0
-    try:
-        for n in range(1, len(m.dom) + 1):
-            verdict = is_n_monotone(m, c, n, EPS)
-            if not verdict:
-                break
-        return verdict
-    finally:
-        monotone.ENUMERATION_BUDGET = budget
+    """(holds, witness) from the walk rounds 1..|dom(M)| alone, failing at
+    the first round whose best closed walk gains over eps."""
+    gg = build_gain_graph(m, c)
+    rounds = itertools.islice(_walk_rounds(gg.restricted()), len(gg.nodes))
+    return next(((False, _cycle_to_pairs(gg, cycle))
+                 for best, cycle, _ in rounds if best > EPS), (True, None))
 
 
 def check_band_antiderivative(rng):
@@ -266,8 +266,15 @@ def check_row_kernels(rng):
         metric_ok = first is None
     except MetricError as exc:
         metric_ok = str(exc) == "triangle inequality fails at ({},{},{})".format(*first)
-    return (transforms_ok and gain_ok and lifted_ok and metric_ok
-            and (got.holds, got.witness) == (want.holds, want.witness))
+    # the oracle's witness at order 2; elsewhere walk round n's, which
+    # must be a violating selection of n pairs from G(M)
+    if got.holds or n == 2:
+        order_ok = (got.holds, got.witness) == (want.holds, want.witness)
+    else:
+        order_ok = (not want.holds and len(got.witness) == n
+                    and set(got.witness) <= set(m.graph)
+                    and _chain_gain(got.witness, c) > EPS)
+    return transforms_ok and gain_ok and lifted_ok and metric_ok and order_ok
 
 
 def check_duality(rng):
@@ -312,13 +319,13 @@ def check_order_two_maximality(rng):
     if rng.random() < 0.25 and min(c.domain.size, c.codomain.size) >= 2:
         t, c = inject_positive_two_cycle(rng, t, c)
     ok = is_maximal_n_monotone(t, c, 2, EPS) == _is_maximal(
-        lambda m: is_n_monotone(m, c, 2, EPS), t)
+        lambda m: n_monotone_oracle(m, c, 2, EPS), t)
     if c.domain.size * c.codomain.size <= 9:
         # the lifted diagonal pool of Theorem 6A's primed readings
         pc = product_coupling(c)
         delta, pool = delta_mapping(t, pc), full_diagonal(pc)
         ok = ok and is_maximal_n_monotone(delta, pc.lifted, 2, EPS, pool) == \
-            _is_maximal(lambda m: is_n_monotone(m, pc.lifted, 2, EPS), delta, pool)
+            _is_maximal(lambda m: n_monotone_oracle(m, pc.lifted, 2, EPS), delta, pool)
     return ok
 
 

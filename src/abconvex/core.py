@@ -37,7 +37,7 @@ class UndefinedSumError(AbstractConvexError):
 
 
 class BudgetExceededError(AbstractConvexError):
-    """An exhaustive enumeration would exceed its tuple budget."""
+    """An enumeration or a table would exceed its size budget."""
 
 
 def ext_add(a: float, b: float) -> float:

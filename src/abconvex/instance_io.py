@@ -7,9 +7,10 @@ label lists.  Parsing either returns a validated document or raises
 ``InstanceError`` with a JSON-path diagnostic.
 
 Numeric rows go through ``_parse_row``: a row of plain JSON ints and floats
-that are all finite after ``float()`` is converted in one pass; any other row
-falls back to ``_parse_value`` per cell, which raises at the first bad cell,
-so every diagnostic names the same JSON path.  Both routes apply the same
+whose ``math.hypot`` after ``float()`` is within ``MAX_MAGNITUDE`` is
+converted in one pass; any other row falls back to ``_parse_value`` per
+cell, which raises at the first bad cell, so every diagnostic names the
+same JSON path.  Both routes apply the same
 ``float()`` to each cell, so the parsed values are bit-identical.
 """
 
@@ -47,6 +48,15 @@ def _expect(obj, kind, path):
     return obj
 
 
+#: Largest magnitude of a finite document number.  A gain is the difference
+#: of two coupling entries, a lifted entry the sum of two and a lifted gain
+#: the difference of two lifted entries, at most 2**902; a walk of at most
+#: (n - 1) <= 10**6 < 2**20 steps (the walk-round budget) sums at most
+#: 2**922.  So no sum overflows to inf, where inf - inf would give a nan
+#: that ``max()`` orders by position instead of by value.
+MAX_MAGNITUDE = 2.0 ** 900
+
+
 def _parse_value(v, path) -> float:
     if v == "inf":
         return math.inf
@@ -58,6 +68,8 @@ def _parse_value(v, path) -> float:
         _fail(path, "integer literal too large for a float")
     if not math.isfinite(x):
         _fail(path, "non-finite numeric literal; use the string \"inf\"")
+    if abs(x) > MAX_MAGNITUDE:
+        _fail(path, "finite numbers must have magnitude at most 2**900")
     return x
 
 
@@ -73,7 +85,9 @@ def _parse_row(row: list, path: str) -> tuple[float, ...]:
         except OverflowError:
             pass  # a huge int: the per-cell route names it
         else:
-            if all(map(math.isfinite, values)):
+            # hypot is at least every |v|, and inf or nan on a non-finite
+            # cell; a row it does not clear takes the exact per-cell check
+            if math.hypot(*values) <= MAX_MAGNITUDE:
                 return values
     return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
 

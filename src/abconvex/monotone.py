@@ -22,26 +22,21 @@ The exact-length route is one generator of walk rounds: round L holds the
 best walk of exactly L steps between every two nodes (O(k^3) per round,
 O(L * k^2) predecessors) and the best closed walk with its cycle.  The
 cyclic verdict stops at the first length L whose best closed walk gains
-over eps, so a rejected mapping costs O(L * k^3) and a passed one O(k^4);
-``is_n_monotone`` past its budget reads round n.
+over eps, so a rejected mapping costs O(L * k^3) and a passed one O(k^4).
 
-Maximality reruns the full check per single-pair extension, except at
-order 2: a 2-monotone M extended by (x, y) fails iff some (u, v) in G(M)
-gains (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)) > eps, one row kernel over
-G(M).  The enumeration computes that float for ((x, y), (u, v)) and for
-((u, v), (x, y)), as 0.0 + a == a up to a zero's sign and addition
-commutes; (x, y) twice gains exactly 0.  Past the budget, walk round 2 takes
-the largest of the same sums, and rounding is monotone.  So the verdicts
-are the full recheck's, which the tests keep as the oracle.
-
-``is_n_monotone`` enumerates the |G(M)|^n selections while that stays within
-``ENUMERATION_BUDGET``, one prefix of n - 1 pairs at a time, and scans the
-last position per row: with two precomputed rows, one map over G(M) gives
-the chain gain of every completion of the prefix.  Each gain is the same
-left-to-right sum of the same differences as ``_chain_gain``, and the first
-completion over eps is the first selection over eps in
-``itertools.product`` order, so verdicts and witnesses equal those of
-``n_monotone_oracle``.
+``is_n_monotone`` has one route per order.  Order n != 2 reads walk round
+n, whose witness starts at the first node of largest closed-walk gain; its
+(n - 1) * k^2 predecessors are checked against ``ENUMERATION_BUDGET``
+before any round runs.  Order 2 is one row kernel over G(M): p = (x, y)
+and q = (u, v) gain a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)),
+which is ``_chain_gain((p, q))`` up to the sign of a zero (that sums
+0.0 + a + b).  Scanning each p in graph order for its first q over eps
+finds the first selection in ``itertools.product`` order, so verdicts and
+witnesses are those of ``n_monotone_oracle``.  The same kernel decides
+order-2 maximality: the recheck of m extended by p adds the selections
+(p, q), (q, p) and (p, p), where (q, p) sums b + a == a + b and (p, p)
+gains 0.  Maximality at every other order, and cyclic maximality, rerun
+the full check per single-pair extension.
 
 The gain graph and the closure are row kernels in pure Python (numpy's
 import alone would cost more than an envelope request).  The gain graph
@@ -71,7 +66,8 @@ from .core import (
     MultiMapping,
 )
 
-#: Cap on |G(M)|^n for exhaustive n-monotonicity enumeration.
+#: Cap on the (n - 1) * k^2 predecessor entries that ``is_n_monotone`` keeps
+#: to read walk round n, and on the tuples the enumeration oracles try.
 ENUMERATION_BUDGET = 10 ** 6
 
 
@@ -137,40 +133,6 @@ def _chain_gain(pairs, c: Coupling) -> float:
     return total
 
 
-def _first_violation(pairs, c: Coupling, n: int, eps: float):
-    """The first selection in ``itertools.product(pairs, repeat=n)`` order
-    whose ``_chain_gain`` exceeds eps, or None.
-
-    For a prefix p_0 .. p_{n-2}, the completion by q = (x, y) gains
-    (s + (c(x, y_{n-2}) - c(x_{n-2}, y_{n-2}))) + (c(x_0, y) - c(x, y)),
-    where s = 0.0 + the n - 2 inner terms: ``_chain_gain``'s sum, in its
-    order.  The first factor is a column of c, the second a row per x_0.
-    """
-    if n == 1:
-        return next(((p,) for p in pairs if _chain_gain((p,), c) > eps), None)
-    rows = c.values
-    diag = [rows[x][y] for x, y in pairs]
-    into = {}    # y -> [c(x, y) for (x, _) in pairs]
-    close = {}   # x_0 -> [c(x_0, y) - c(x, y) for (x, y) in pairs]
-    over = partial(lt, eps)
-    for prefix in itertools.product(pairs, repeat=n - 1):
-        s = 0.0
-        for (x, y), (xn, _) in zip(prefix, prefix[1:]):
-            s += rows[xn][y] - rows[x][y]
-        x0 = prefix[0][0]
-        xl, yl = prefix[-1]
-        if yl not in into:
-            into[yl] = [rows[x][yl] for x, _ in pairs]
-        if x0 not in close:
-            close[x0] = list(map(sub, [rows[x0][y] for _, y in pairs], diag))
-        last = map(sub, into[yl], itertools.repeat(rows[xl][yl]))
-        gains = map(add, map(partial(add, s), last), close[x0])
-        hit = next(itertools.compress(itertools.count(), map(over, gains)), None)
-        if hit is not None:
-            return prefix + (pairs[hit],)
-    return None
-
-
 def _cycle_to_pairs(gg: GainGraph, cycle: list[int]) -> tuple[tuple[int, int], ...]:
     """Turn a cycle of node positions into the witness pair selection
     achieving its gain."""
@@ -209,6 +171,25 @@ def _walk_rounds(a: list[list[float]]):
         preds.append(pred)
 
 
+def _pair_gains(m: MultiMapping, c: Coupling):
+    """The order-2 row kernel: ``gains(x, y)`` yields, for each q = (u, v)
+    of G(m) in graph order, (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)).
+    The two rows are cached per y and per x."""
+    rows, graph = c.values, m.graph
+    diag = [rows[u][v] for u, v in graph]
+    into = {}   # y -> [c(u, y) for (u, _) in G(m)]
+    out = {}    # x -> [c(x, v) - c(u, v) for (u, v) in G(m)]
+
+    def gains(x: int, y: int):
+        if y not in into:
+            into[y] = [rows[u][y] for u, _ in graph]
+        if x not in out:
+            out[x] = list(map(sub, [rows[x][v] for _, v in graph], diag))
+        return map(add, map(sub, into[y], itertools.repeat(rows[x][y])), out[x])
+
+    return gains
+
+
 def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
                   eps: float = DEFAULT_EPS) -> MonotonicityResult:
     """Whether every cyclic selection of n pairs from G(M) has nonnegative
@@ -216,11 +197,18 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
     m.require_proper()
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pairs = m.graph
-    if len(pairs) ** n <= ENUMERATION_BUDGET:
-        sel = _first_violation(pairs, c, n, eps)
-        return MonotonicityResult(sel is None, sel)
-    # gain-graph fallback: maximize closed walks of exactly n steps
+    if n == 2:
+        pairs, gains, over = m.graph, _pair_gains(m, c), partial(lt, eps)
+        for p in pairs:
+            q = next(itertools.compress(pairs, map(over, gains(*p))), None)
+            if q is not None:
+                return MonotonicityResult(False, (p, q))
+        return MonotonicityResult(True)
+    k = len(m.dom)
+    if (n - 1) * k * k > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"order {n} on {k} points needs {n - 1} x {k}^2 walk predecessors, "
+            f"over the budget of {ENUMERATION_BUDGET}")
     gg = build_gain_graph(m, c)
     rounds = _walk_rounds(gg.restricted())
     best, cycle, _ = next(itertools.islice(rounds, n - 1, None))
@@ -312,27 +300,19 @@ def _is_maximal(holds, m: MultiMapping, candidates=None) -> bool:
 def _maximal_2_monotone(m: MultiMapping, c: Coupling, eps: float,
                         candidates=None) -> bool:
     """``is_maximal_n_monotone`` at n = 2 for an m already known to be
-    2-monotone: each candidate (x, y) outside G(m) is one row kernel over
-    G(m), rejected iff some (u, v) gains
-    (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)) > eps."""
+    2-monotone: a candidate (x, y) outside G(m) is rejected iff the order-2
+    kernel ``_pair_gains`` has some (u, v) of G(m) gain over eps, the
+    verdict of rechecking m extended by (x, y)."""
     if candidates is None:
         candidates = itertools.product(range(m.source.size), range(m.target.size))
-    rows, over = c.values, partial(lt, eps)
-    diag = [rows[u][v] for u, v in m.graph]
-    into = {}   # y -> [c(u, y) for (u, _) in G(m)]
-    out = {}    # x -> [c(x, v) - c(u, v) for (u, v) in G(m)]
+    gains, over = _pair_gains(m, c), partial(lt, eps)
     for p in candidates:
         if p in m:
             continue
         x, y = p
         if not (0 <= x < m.source.size and 0 <= y < m.target.size):
             raise AbstractConvexError(f"graph pair ({x}, {y}) out of range")
-        if y not in into:
-            into[y] = [rows[u][y] for u, _ in m.graph]
-        if x not in out:
-            out[x] = list(map(sub, [rows[x][v] for _, v in m.graph], diag))
-        gains = map(add, map(sub, into[y], itertools.repeat(rows[x][y])), out[x])
-        if not any(map(over, gains)):
+        if not any(map(over, gains(x, y))):
             return False
     return True
 
@@ -357,7 +337,8 @@ def is_maximal_cyclically_monotone(m: MultiMapping, c: Coupling,
 
 def n_monotone_oracle(m: MultiMapping, c: Coupling, n: int,
                       eps: float = DEFAULT_EPS) -> MonotonicityResult:
-    """Pure exhaustive enumeration, no gain-graph fallback.  Test oracle."""
+    """Pure exhaustive enumeration of the |G(M)|^n selections.  Test
+    oracle."""
     m.require_proper()
     if len(m.graph) ** n > ENUMERATION_BUDGET:
         raise BudgetExceededError(

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import time
 from dataclasses import asdict
 
 import pytest
@@ -132,6 +133,16 @@ def test_check_monotone_command(capsys, two_point_path):
     status, out = run(capsys, "check-monotone", "--instance", two_point_path,
                       "--mapping", "M", "--order", "3")
     assert status == EXIT_OK and out["monotone"] is True
+
+
+def test_check_monotone_huge_order_is_a_budget_error(capsys, two_point_path):
+    # 10^9 - 1 walk rounds would keep 9 predecessor entries each
+    start = time.perf_counter()
+    status, out = run(capsys, "check-monotone", "--instance", two_point_path,
+                      "--mapping", "M", "--order", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert status == EXIT_DOMAIN and out["error"] == "domain"
+    assert "budget" in out["message"]
 
 
 def non_monotone_instance(tmp_path, fixture_dir):
@@ -357,7 +368,8 @@ def test_huge_integer_literal_exits_2(capsys, tmp_path, fixture_dir):
     assert "$.functions.f_id.values[1]" in out["message"]
 
 
-BAD_LITERALS = ["true", '"Infinity"', "NaN", "1e999", "1" + "0" * 400]
+BAD_LITERALS = ["true", '"Infinity"', "NaN", "1e999", "1" + "0" * 400,
+                "2e300", "-2e300", str(2 ** 900 + 2 ** 848)]
 
 
 def _document_with_row(where: str, row: list) -> dict:
@@ -380,7 +392,8 @@ def _document_with_row(where: str, row: list) -> dict:
 
 
 @pytest.mark.parametrize("literal", BAD_LITERALS,
-                         ids=["true", "string", "nan", "1e999", "huge-int"])
+                         ids=["true", "string", "nan", "1e999", "huge-int",
+                              "2e300", "-2e300", "int-over-2**900"])
 @pytest.mark.parametrize("where,path", [
     ("coupling", "$.coupling.values[1]"),
     ("metric", "$.coupling.metric.distances[1]"),

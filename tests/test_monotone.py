@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -21,6 +22,7 @@ from abconvex import (
     is_monotone,
     is_n_monotone,
     n_monotone_oracle,
+    parse_instance,
     random_coupling,
     random_cyclically_monotone_mapping,
 )
@@ -108,28 +110,6 @@ def test_n_monotone_matches_oracle(rng):
                 assert _chain_gain(got.witness, c) > 1e-9
 
 
-def test_gain_graph_fallback_matches_enumeration(rng):
-    # force the fallback by dropping the budget, then compare to the oracle
-    import abconvex.monotone as mono
-    for _ in range(50):
-        c = random_coupling(rng, 4, 4)
-        m = MultiMapping(
-            c.domain, c.codomain,
-            tuple({(rng.randrange(4), rng.randrange(4))
-                   for _ in range(rng.randint(2, 8))}))
-        for n in (2, 3):
-            want = n_monotone_oracle(m, c, n)
-            saved = mono.ENUMERATION_BUDGET
-            mono.ENUMERATION_BUDGET = 0
-            try:
-                got = is_n_monotone(m, c, n)
-            finally:
-                mono.ENUMERATION_BUDGET = saved
-            assert bool(got) == bool(want)
-            if not got:
-                assert _chain_gain(got.witness, c) > 1e-9
-
-
 def test_cyclic_equals_all_orders_up_to_domain_size(rng):
     for _ in range(100):
         c = random_coupling(rng, 4, 3)
@@ -198,6 +178,54 @@ def test_oracle_budget_guard(rng):
     m = MultiMapping(c.domain, c.codomain, pairs)
     with pytest.raises(BudgetExceededError):
         n_monotone_oracle(m, c, 5)  # 25^5 > 10^6
+
+
+def test_order_two_past_a_thousand_pairs():
+    # 1024 pairs, so 1024^2 selections: past the oracle's budget
+    x = GroundSet(tuple(map(str, range(32))))
+    rows = [[0.0] * 32 for _ in range(32)]
+    full = tuple(itertools.product(range(32), repeat=2))
+    m = MultiMapping(x, x, full)
+    assert is_n_monotone(m, coupling_from_rows(x, x, rows), 2, EPS)
+    rows[5][7] = 1.0
+    c = coupling_from_rows(x, x, rows)
+    with pytest.raises(BudgetExceededError):
+        n_monotone_oracle(m, c, 2, EPS)
+    # the oracle's loop without its guard, which stops at the first hit
+    first = next(sel for sel in itertools.product(full, repeat=2)
+                 if _chain_gain(sel, c) > EPS)
+    assert first == ((0, 7), (5, 0))
+    got = is_n_monotone(m, c, 2, EPS)
+    assert (got.holds, got.witness) == (False, first)
+
+
+def test_orders_two_and_three_at_the_largest_document_magnitude(rng):
+    # +-2**900 is the largest magnitude a document accepts: no gain or walk
+    # overflows there, so the verdicts are the oracle's (at +-1.7e308 an
+    # inf - inf nan moved a few round-3 verdicts)
+    big, labels = 2.0 ** 900, ["a", "b", "c"]
+    for _ in range(3000):
+        rows = [[rng.choice((-big, -1.0, 0.0, 1.0, big)) for _ in range(3)]
+                for _ in range(3)]
+        pairs = {(rng.choice(labels), rng.choice(labels))
+                 for _ in range(rng.randint(1, 6))}
+        doc = parse_instance(json.dumps({
+            "schema_version": "1", "ground_sets": {"P": labels},
+            "coupling": {"domain": "P", "codomain": "P", "values": rows},
+            "mappings": {"M": {"source": "P", "target": "P",
+                               "pairs": sorted(pairs)}}}))
+        m, c = doc.mapping("M"), doc.coupling
+        for n in (2, 3):
+            assert bool(is_n_monotone(m, c, n, EPS)) == bool(
+                n_monotone_oracle(m, c, n, EPS))
+
+
+def test_walk_round_predecessors_are_budgeted(two_point, monkeypatch):
+    # k = 3 nodes: order n keeps (n - 1) * 9 predecessor entries
+    monkeypatch.setattr(monotone, "ENUMERATION_BUDGET", 18)
+    assert is_n_monotone(two_point.m, two_point.c, 3)
+    with pytest.raises(BudgetExceededError):
+        is_n_monotone(two_point.m, two_point.c, 4)
 
 
 def test_n_monotone_rejects_nonpositive_order(two_point):
@@ -279,10 +307,29 @@ def test_two_cycle_threshold_routes(gain, closure_passes, holds):
         assert set(verdict.witness) <= set(m.graph)
 
 
+def assert_order_route(m, c, n, eps):
+    """The oracle's verdict at every order and its witness at order 2; at
+    any other order the witness of walk round n, a violating selection of
+    n pairs from G(M)."""
+    got = is_n_monotone(m, c, n, eps)
+    want = n_monotone_oracle(m, c, n, eps)
+    assert got.holds == want.holds
+    if n == 2:
+        assert got.witness == want.witness
+        return
+    gg = build_gain_graph(m, c)
+    diag_best, cycles = _reference_closed_walks(gg.restricted(), n)
+    assert (got.holds, got.witness) == _reference_verdict(
+        gg, diag_best[-1], cycles[-1], eps)
+    if not got:
+        assert len(got.witness) == n and set(got.witness) <= set(m.graph)
+        assert _chain_gain(got.witness, c) > eps
+
+
 def test_enumeration_route_matches_oracle_witness(rng):
-    # verdict and witness tuple, n = 1..4, on monotone mappings, random
-    # graphs and injected 2-cycles, with ties from integer couplings and a
-    # negative eps that fails every selection
+    # n = 1..4 on monotone mappings, random graphs and injected 2-cycles,
+    # with ties from integer couplings and a negative eps that fails every
+    # selection
     draws = mixed_mappings(rng, 90, max_pairs=6)
     x = GroundSet(("0", "1", "2"))
     for _ in range(30):
@@ -293,9 +340,7 @@ def test_enumeration_route_matches_oracle_witness(rng):
     for i, (m, c) in enumerate(draws):
         eps = -1.0 if i % 10 == 9 else EPS
         for n in (1, 2, 3, 4):
-            got = is_n_monotone(m, c, n, eps)
-            want = n_monotone_oracle(m, c, n, eps)
-            assert (got.holds, got.witness) == (want.holds, want.witness)
+            assert_order_route(m, c, n, eps)
 
 
 def test_enumeration_route_at_exact_gain_thresholds(rng):
@@ -308,9 +353,7 @@ def test_enumeration_route_at_exact_gain_thresholds(rng):
                             for sel in itertools.product(m.graph, repeat=n)})
             for best in rng.sample(gains, min(4, len(gains))) + [gains[-1]]:
                 for eps in (best, math.nextafter(best, -INF)):
-                    got = is_n_monotone(m, c, n, eps)
-                    want = n_monotone_oracle(m, c, n, eps)
-                    assert (got.holds, got.witness) == (want.holds, want.witness)
+                    assert_order_route(m, c, n, eps)
 
 
 def _reference_closed_walks(a, max_len):
@@ -375,10 +418,10 @@ def _reference_cyclic_verdict(gg, eps):
                  for i in range(k) if diag_best[i] > eps), (True, None))
 
 
-def test_walk_rounds_pin_reference_witnesses(rng, monkeypatch):
+def test_walk_rounds_pin_reference_witnesses(rng):
     # the cyclic verdict (first length over eps after all k rounds), the
-    # n-monotone fallback (round n) and the witness rockafellar raises
-    import abconvex.monotone as mono
+    # n-monotone route at orders other than 2 (round n) and the witness
+    # rockafellar raises
     from abconvex import NotCyclicallyMonotoneError, rockafellar
     failing = 0
     for m, c in mixed_mappings(rng, 240):
@@ -394,12 +437,10 @@ def test_walk_rounds_pin_reference_witnesses(rng, monkeypatch):
             with pytest.raises(NotCyclicallyMonotoneError) as err:
                 rockafellar(m, c, m.dom[0], EPS)
             assert err.value.witness == want[1]
-        with monkeypatch.context() as patch:
-            patch.setattr(mono, "ENUMERATION_BUDGET", 0)
-            for n in (2, 3):
-                got = is_n_monotone(m, c, n, EPS)
-                assert (got.holds, got.witness) == _reference_verdict(
-                    gg, diag_best[n - 1], cycles[n - 1], EPS)
+        for n in (1, 3):
+            got = is_n_monotone(m, c, n, EPS)
+            assert (got.holds, got.witness) == _reference_verdict(
+                gg, diag_best[n - 1], cycles[n - 1], EPS)
     assert 80 <= failing <= 200
 
 
@@ -522,10 +563,11 @@ def test_closure_keeps_unreachable_entries_at_minus_infinity():
 
 
 # ------------------------------------------------- order-2 maximality kernel
-# The full recheck of every extension is the oracle for the row kernel.
+# The enumeration oracle's recheck of every extension is the reference for
+# the row kernel, which ``is_n_monotone`` at order 2 also runs.
 
 def maximal_by_recheck(m, c, eps, candidates=None):
-    return _is_maximal(lambda t: is_n_monotone(t, c, 2, eps), m, candidates)
+    return _is_maximal(lambda t: n_monotone_oracle(t, c, 2, eps), m, candidates)
 
 
 def partly_grown(rng, c, eps):
@@ -621,17 +663,3 @@ def test_order_two_kernel_keeps_the_candidate_range_error(two_point):
     pool = [(x, y) for x in range(5) for y in range(2)] + [(9, 9)]
     assert maximal_by_recheck(small, c, EPS, pool) is False
     assert is_maximal_n_monotone(small, c, 2, EPS, candidates=pool) is False
-
-
-def test_order_two_kernel_past_the_enumeration_budget(rng, monkeypatch):
-    # with a budget of 8 selections every recheck takes walk round 2
-    monkeypatch.setattr(monotone, "ENUMERATION_BUDGET", 8)
-    seen, routed = set(), 0
-    for trial in range(60):
-        c = kernel_coupling(rng, 4, 4, ties=TIE_KINDS[trial % 3])
-        m = partly_grown(rng, c, EPS)
-        routed += len(m.graph) >= 2  # every extension has 3^2 > 8 selections
-        want = maximal_by_recheck(m, c, EPS)
-        assert is_maximal_n_monotone(m, c, 2, EPS) is want
-        seen.add(want)
-    assert seen == {True, False} and routed >= 50
