@@ -10,7 +10,10 @@ the row kernels (transforms, subdifferential, gain graph with witnesses,
 closure, R_s, lifted product, Fitzpatrick function) with per-cell forms,
 ``is_n_monotone`` against its oracle (the verdict, the witness at order 2
 and a violating witness at other orders), the triangle check's first
-failing triple, transform duality of the envelopes, the four-way Lipschitz
+failing triple (on exactly symmetric matrices, which scan half the
+columns, and on matrices symmetric only within eps), the order-2 half scan
+against the oracle on ties, signed zeros, one-pair graphs and eps < 0,
+transform duality of the envelopes, the four-way Lipschitz
 characterization, the lifted-space equivalences, the order-2 maximality
 kernel against a full recheck of every extension, and ``abconvex verify``'s
 output against the reports of the public wrappers.
@@ -277,6 +280,57 @@ def check_row_kernels(rng):
     return transforms_ok and gain_ok and lifted_ok and metric_ok and order_ok
 
 
+def _metric_message(d, eps):
+    try:
+        metric_from_rows(GroundSet(tuple(map(str, range(len(d))))), d, eps=eps)
+    except MetricError as exc:
+        return str(exc)
+    return None
+
+
+def check_triangle_half_scan(rng):
+    """An exactly symmetric metric with a stretched edge (the half scan), or
+    d(i, k) at the eps margin of its least detour (or one float past it)
+    with d(k, i) up to eps/2 below (the full scan): the error names the
+    per-triple loop's first failing triple."""
+    n = rng.randint(3, 9)
+    d = [list(row) for row in random_metric(rng, n).dist]
+    eps = rng.choice((EPS, 0.25, 2.0 ** -10))
+    i, j, k = rng.sample(range(n), 3)
+    if rng.random() < 0.5:
+        edge = d[i][j] + d[j][k] + eps
+        d[i][k] = d[k][i] = (edge if rng.random() < 0.5
+                             else math.nextafter(edge, math.inf))
+    else:
+        least = min(d[i][m] + d[m][k] for m in range(n) if m not in (i, k))
+        d[i][k] = least + eps
+        if rng.random() < 0.5:
+            d[i][k] = math.nextafter(d[i][k], math.inf)
+        d[k][i] = d[i][k] - rng.choice((eps / 2, math.ulp(d[i][k])))
+    first = _first_triangle_failure(d, eps)
+    return _metric_message(d, eps) == (
+        None if first is None
+        else "triangle inequality fails at ({},{},{})".format(*first))
+
+
+def check_order_two_half_scan(rng):
+    """The order-2 scan, which meets each unordered pair of G(M) once,
+    against the oracle's verdict and witness: ties, signed zeros, one-pair
+    graphs and eps below zero."""
+    nx, ny = rng.randint(1, 5), rng.randint(1, 5)
+    pool = rng.choice(((), (-1.0, -0.0, 0.0, 1.0), (-0.0, 0.0)))
+    rows = [[rng.choice(pool) if pool else rng.uniform(-10.0, 10.0)
+             for _ in range(ny)] for _ in range(nx)]
+    c = coupling_from_rows(GroundSet(tuple(f"x{i}" for i in range(nx))),
+                           GroundSet(tuple(f"y{i}" for i in range(ny))), rows)
+    pairs = {(rng.randrange(nx), rng.randrange(ny))
+             for _ in range(rng.choice((1, rng.randint(1, 2 * nx * ny))))}
+    m = MultiMapping(c.domain, c.codomain, tuple(pairs))
+    eps = rng.choice((EPS, 0.0, -0.0, -EPS, 1.0))
+    got, want = is_n_monotone(m, c, 2, eps), n_monotone_oracle(m, c, 2, eps)
+    return (got.holds, got.witness) == (want.holds, want.witness)
+
+
 def check_duality(rng):
     p = random_constraint_problem(rng, rng.randint(2, 5), rng.randint(2, 5))
     d = p.dual()
@@ -381,6 +435,8 @@ CHECKS = [
     ("closure vs exact-length route", check_closure_route),
     ("band antiderivative vs chain oracle", check_band_antiderivative),
     ("row kernels vs per-cell forms", check_row_kernels),
+    ("triangle half scan vs per-triple", check_triangle_half_scan),
+    ("order-2 half scan vs oracle", check_order_two_half_scan),
     ("envelope duality", check_duality),
     ("lipschitz four-way", check_lipschitz),
     ("lifted equivalences", check_lifted),

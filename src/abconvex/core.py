@@ -97,7 +97,8 @@ class Coupling:
         for row in self.values:
             if len(row) != self.codomain.size:
                 raise AbstractConvexError("coupling column count != |codomain|")
-            if not all(map(math.isfinite, row)):
+            # inf or nan poisons the sum; an overflowing one rechecks
+            if not (math.isfinite(sum(row)) or all(map(math.isfinite, row))):
                 raise AbstractConvexError("coupling entries must be finite")
 
     def __call__(self, x: int, y: int) -> float:

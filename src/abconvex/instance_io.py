@@ -242,10 +242,9 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
 
 
 def _num(v: float):
-    if v == math.inf:
-        return "inf"
-    # normalize to 17 significant digits (lossless for doubles)
-    return float(format(v, ".17g"))
+    # 17 significant digits round-trip every double, so float(v) is already
+    # the normal form (and turns an int entry into the float it stands for)
+    return "inf" if v == math.inf else float(v)
 
 
 def document_to_jsonable(doc: InstanceDocument) -> dict:
@@ -292,11 +291,12 @@ def document_to_jsonable(doc: InstanceDocument) -> dict:
 
 
 def emit_document(doc: InstanceDocument) -> str:
-    return dumps(document_to_jsonable(doc))
+    # document_to_jsonable already normalised every number
+    return json.dumps(document_to_jsonable(doc), indent=2) + "\n"
 
 
 def jsonable(obj):
-    """Recursively normalize floats (17 significant digits, "inf" sentinel)."""
+    """Recursively normalize floats ("inf" sentinel) and tuples to lists."""
     if isinstance(obj, float):
         return _num(obj)
     if isinstance(obj, dict):

@@ -11,13 +11,27 @@ d(i, k) with min_j [d(i, j) + d(j, k)] + eps.  Rounding is monotone, so
 fl(a + eps) never decreases as a grows, and some j fails iff the least sum
 does.  Only a failing row reruns the per-triple loop, so the error still
 names the first failing (i, j, k) in loop order.
+
+When d equals its transpose exactly (by ==, so -0.0 matches 0.0), row i
+tests only the columns k >= i, n^2 (n + 1) / 2 sums in place of n^3.  Then
+d(i, j) + d(j, k) and d(k, j) + d(j, i) add equal operands in the other
+order, which gives equal floats, so (i, k) fails iff (k, i) does.  A
+failure at (i, k) with k < i is a failure of the earlier row k, so the
+first row with any failure has one at some k >= i, no earlier row fires,
+and its per-triple rerun names the same first (i, j, k).  A matrix that is
+only symmetric within eps scans every column.
+
+The O(n^2) axioms (zero diagonal, finite, nonnegative, symmetric within
+eps, positive off the diagonal) are row kernels too; a row that does not
+clear them makes the per-cell loop run, which raises the message for the
+first failing cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, sub
 from typing import Iterable
 
 from .core import (
@@ -53,6 +67,38 @@ class MetricInstance:
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
             raise MetricError("distance matrix shape != (|X|, |X|)")
+        columns = tuple(zip(*d))
+        if not self._axioms_hold(columns):
+            self._check_axioms_per_cell()
+        # some j fails the triangle iff the least sum does, and on an
+        # exactly symmetric d the columns k >= i suffice (module docstring)
+        symmetric = columns == tuple(map(tuple, d))
+        for i, row in enumerate(d):
+            start = i if symmetric else 0
+            least = [min(map(add, row, col)) for col in columns[start:]]
+            if any(dik > m + self.eps for dik, m in zip(row[start:], least)):
+                for j in range(n):
+                    for k in range(n):
+                        if row[k] > row[j] + d[j][k] + self.eps:
+                            raise MetricError(
+                                f"triangle inequality fails at ({i},{j},{k})")
+
+    def _axioms_hold(self, columns) -> bool:
+        """Whether every cell clears ``_check_axioms_per_cell``, one row at a
+        time.  A non-finite cell makes its row sum inf or nan; an all-finite
+        row whose sum overflows fails here too and is left to the loop."""
+        eps = self.eps
+        for i, (row, col) in enumerate(zip(self.dist, columns)):
+            off = row[:i] + row[i + 1:]
+            if not (abs(row[i]) <= eps and math.isfinite(sum(row))
+                    and min(row) >= -eps
+                    and max(map(abs, map(sub, row, col))) <= eps
+                    and (self.pseudometric or not off or min(off) > eps)):
+                return False
+        return True
+
+    def _check_axioms_per_cell(self):
+        d, n = self.dist, self.points.size
         for i in range(n):
             if abs(d[i][i]) > self.eps:
                 raise MetricError(f"d({i},{i}) != 0")
@@ -63,16 +109,6 @@ class MetricInstance:
                     raise MetricError(f"asymmetry at ({i},{j})")
                 if i != j and not self.pseudometric and d[i][j] <= self.eps:
                     raise MetricError(f"zero distance between distinct points ({i},{j})")
-        # some j fails the triangle iff the least sum does (module docstring)
-        columns = list(zip(*d))
-        for i, row in enumerate(d):
-            least = [min(map(add, row, col)) for col in columns]
-            if any(dik > m + self.eps for dik, m in zip(row, least)):
-                for j in range(n):
-                    for k in range(n):
-                        if row[k] > row[j] + d[j][k] + self.eps:
-                            raise MetricError(
-                                f"triangle inequality fails at ({i},{j},{k})")
 
     def __call__(self, i: int, j: int) -> float:
         return self.dist[i][j]

@@ -32,7 +32,18 @@ and q = (u, v) gain a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)),
 which is ``_chain_gain((p, q))`` up to the sign of a zero (that sums
 0.0 + a + b).  Scanning each p in graph order for its first q over eps
 finds the first selection in ``itertools.product`` order, so verdicts and
-witnesses are those of ``n_monotone_oracle``.  The same kernel decides
+witnesses are those of ``n_monotone_oracle``.  The scan tests each
+unordered pair once: p at graph position i meets only the q at positions
+>= i.  The gain of (q, p) sums b + a, equal to a + b bit for bit (nan
+included), so a partner of p before position i would be a partner of that
+earlier q, and the first p with any partner has none before itself; its
+first partner is the oracle's.  With eps < 0, (p, p) gains 0 and is the
+witness.  A row's verdict is ``max(row) > eps``: ``max()`` returns a
+leading nan gain (inf - inf at entries near the float range) and so hides
+any gain over eps after it, but a nan later in the row is never taken, and
+the row leads with (p, p), whose gain is 0.0 + 0.0 on a finite coupling.
+Only a failing row is scanned again, gain by gain with ``eps < g``, for
+its first partner.  The same kernel decides
 order-2 maximality: the recheck of m extended by p adds the selections
 (p, q), (q, p) and (p, p), where (q, p) sums b + a == a + b and (p, p)
 gains 0.  Maximality at every other order, and cyclic maximality, rerun
@@ -54,7 +65,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from operator import add, lt, sub
+from operator import add, itemgetter, lt, sub
 from typing import Optional
 
 from .core import (
@@ -171,21 +182,34 @@ def _walk_rounds(a: list[list[float]]):
         preds.append(pred)
 
 
+def _gather(indices):
+    """A callable taking a row to (row[i] for i in indices) as a tuple, in
+    one C call (``itemgetter`` of a single index returns a bare entry)."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
+
+
 def _pair_gains(m: MultiMapping, c: Coupling):
-    """The order-2 row kernel: ``gains(x, y)`` yields, for each q = (u, v)
-    of G(m) in graph order, (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)).
-    The two rows are cached per y and per x."""
+    """The order-2 row kernel: ``gains(x, y, start)`` yields, for each
+    q = (u, v) of G(m) from graph position ``start`` on, in graph order,
+    (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)).  The two rows are cached
+    per y and per x."""
     rows, graph = c.values, m.graph
+    us, vs = zip(*graph)
+    into_of, out_of = _gather(us), _gather(vs)
     diag = [rows[u][v] for u, v in graph]
-    into = {}   # y -> [c(u, y) for (u, _) in G(m)]
+    into = {}   # y -> (c(u, y) for (u, _) in G(m))
     out = {}    # x -> [c(x, v) - c(u, v) for (u, v) in G(m)]
 
-    def gains(x: int, y: int):
+    def gains(x: int, y: int, start: int = 0):
         if y not in into:
-            into[y] = [rows[u][y] for u, _ in graph]
+            into[y] = into_of(c.columns[y])
         if x not in out:
-            out[x] = list(map(sub, [rows[x][v] for _, v in graph], diag))
-        return map(add, map(sub, into[y], itertools.repeat(rows[x][y])), out[x])
+            out[x] = list(map(sub, out_of(rows[x]), diag))
+        return map(add, map(sub, into[y][start:], itertools.repeat(rows[x][y])),
+                   out[x][start:])
 
     return gains
 
@@ -198,10 +222,12 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 2:
+        # p at position i meets the q at positions >= i; the row starts with
+        # (p, p)'s gain 0.0, so max() sees no leading nan (module docstring)
         pairs, gains, over = m.graph, _pair_gains(m, c), partial(lt, eps)
-        for p in pairs:
-            q = next(itertools.compress(pairs, map(over, gains(*p))), None)
-            if q is not None:
+        for i, p in enumerate(pairs):
+            if max(gains(*p, i)) > eps:
+                q = next(itertools.compress(pairs[i:], map(over, gains(*p, i))))
                 return MonotonicityResult(False, (p, q))
         return MonotonicityResult(True)
     k = len(m.dom)

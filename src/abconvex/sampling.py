@@ -124,12 +124,15 @@ def random_metric(rng: random.Random, n: int,
                 w = rng.uniform(0.5, 3.0)
                 if w < weights[i][j]:
                     weights[i][j] = weights[j][i] = w
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                through = weights[i][k] + weights[k][j]
-                if through < weights[i][j]:
-                    weights[i][j] = through
+    # min-plus Floyd-Warshall, one scan of row k per row i: row k and
+    # column k stay put during pivot k (d(k, k) = 0), so each cell sees the
+    # sums of the per-cell loop
+    for k, row_k in enumerate(weights):
+        for row_i in weights:
+            base = row_i[k]
+            for j, g in enumerate(row_k):
+                if (t := base + g) < row_i[j]:
+                    row_i[j] = t
     return MetricInstance(_labels("p", n),
                           tuple(tuple(row) for row in weights))
 

@@ -1,6 +1,8 @@
 import importlib
 import json
+import math
 import random
+import struct
 import time
 from dataclasses import asdict
 
@@ -9,10 +11,13 @@ import pytest
 from abconvex import (
     DEFAULT_EPS,
     AbstractConvexError,
+    ExtFunction,
+    GroundSet,
     InstanceDocument,
     InstanceError,
     MultiMapping,
     as_coupling,
+    coupling_from_rows,
     emit_document,
     identity_mapping,
     inject_positive_two_cycle,
@@ -25,7 +30,7 @@ from abconvex import (
     verify_theorem6B,
 )
 from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
-from abconvex.instance_io import dumps
+from abconvex.instance_io import _num, document_to_jsonable, dumps
 from conftest import grown_mapping
 
 
@@ -89,6 +94,55 @@ def test_emit_parse_roundtrip_is_stable(fixture_dir):
         once = emit_document(parse_instance(text))
         twice = emit_document(parse_instance(once))
         assert once == twice
+
+
+def num_reference(v):
+    """The number normaliser ``_num`` replaced: a round trip through 17
+    significant digits."""
+    return "inf" if v == math.inf else float(format(v, ".17g"))
+
+
+def test_num_is_the_seventeen_digit_round_trip():
+    # seeded 64-bit patterns cover subnormals, both zeros, nan and +-inf
+    rng = random.Random(17)
+    patterns = [rng.getrandbits(64) for _ in range(50_000)]
+    patterns += [0, 1, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48,
+                 0x7FEF_FFFF_FFFF_FFFF, 0x000F_FFFF_FFFF_FFFF]
+    for bits in patterns:
+        v = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+        got, want = _num(v), num_reference(v)
+        assert json.dumps(got) == json.dumps(want)
+        if v == v and v != math.inf:
+            assert got.hex() == want.hex()
+    for v in (0, 3, -7, True, 2 ** 60 + 1):
+        assert repr(_num(v)) == repr(num_reference(v))
+
+
+def reference_dumps(obj) -> str:
+    """``dumps`` with every float through ``num_reference``."""
+    def normal(obj):
+        if isinstance(obj, float):
+            return num_reference(obj)
+        if isinstance(obj, dict):
+            return {k: normal(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [normal(v) for v in obj]
+        return obj
+    return json.dumps(normal(obj), indent=2) + "\n"
+
+
+def test_emit_document_matches_normalising_twice(fixture_dir):
+    rows = [[0.1, -0.0, 1e-310], [2.0 ** 900, -1.5, 0.0]]
+    x, y = GroundSet(("a", "b")), GroundSet(("p", "q", "r"))
+    c = coupling_from_rows(x, y, rows)
+    f = ExtFunction(x, (math.inf, -0.0))
+    docs = [parse_instance((fixture_dir / name).read_text())
+            for name in ("two_point.json", "line3.json")]
+    docs.append(InstanceDocument("1", {"X": x, "Y": y}, c,
+                                 coupling_names=("X", "Y"),
+                                 functions={"f": f}))
+    for doc in docs:
+        assert emit_document(doc) == reference_dumps(document_to_jsonable(doc))
 
 
 def test_transform_command(capsys, two_point_path):

@@ -34,6 +34,24 @@ def test_coupling_rejects_infinite_entries():
         coupling_from_rows(x, x, [[INF]])
 
 
+def test_coupling_finiteness_matches_per_entry_scan():
+    # the row sum screens each row; inf, -inf and nan poison it, and an
+    # all-finite row whose sum overflows falls back to the per-entry scan
+    big, nan = 1.7e308, float("nan")
+    x, y = GroundSet(("u",)), GroundSet(("a", "b", "c"))
+    rows = ([1.0, INF, 2.0], [-INF, 0.0, 0.0], [nan, 1.0, 1.0],
+            [INF, -INF, 0.0], [big, big, 0.0], [-big, -big, -big],
+            [big, -big, big], [0.0, -0.0, 5e-324])
+    for row in rows:
+        finite = all(math.isfinite(v) for v in row)
+        if finite:
+            assert coupling_from_rows(x, y, [row]).values == (tuple(row),)
+        else:
+            with pytest.raises(AbstractConvexError):
+                coupling_from_rows(x, y, [row])
+    assert [all(map(math.isfinite, row)) for row in rows] == [False] * 4 + [True] * 4
+
+
 def test_ext_add_rejects_opposite_infinities():
     with pytest.raises(UndefinedSumError):
         ext_add(INF, -INF)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -251,3 +252,173 @@ def test_triangle_check_at_exactly_eps_in_a_document(fixture_dir):
         with pytest.raises(InstanceError) as err:
             parse_instance(json.dumps(raw))
         assert str(err.value).endswith(f"triangle inequality fails at {error}")
+
+
+# ------------------------------------------- symmetric half scan and axioms
+# An exactly symmetric matrix tests each unordered (i, k) once; one that is
+# symmetric only within eps keeps the full scan.  The axiom loop below is
+# the per-cell form the row kernels replaced; together with
+# ``first_triangle_failure`` it gives the reference message of any matrix.
+
+def axiom_failure(d, eps, pseudometric):
+    n = len(d)
+    for i in range(n):
+        if abs(d[i][i]) > eps:
+            return f"d({i},{i}) != 0"
+        for j in range(n):
+            if not math.isfinite(d[i][j]) or d[i][j] < -eps:
+                return f"d({i},{j}) must be finite and nonnegative"
+            if abs(d[i][j] - d[j][i]) > eps:
+                return f"asymmetry at ({i},{j})"
+            if i != j and not pseudometric and d[i][j] <= eps:
+                return f"zero distance between distinct points ({i},{j})"
+    return None
+
+
+def reference_metric_error(d, eps, pseudometric=False):
+    error = axiom_failure(d, eps, pseudometric)
+    if error is None and (first := first_triangle_failure(d, eps)):
+        error = "triangle inequality fails at ({},{},{})".format(*first)
+    return error
+
+
+def metric_error(d, eps, pseudometric=False):
+    points = GroundSet(tuple(map(str, range(len(d)))))
+    try:
+        MetricInstance(points, tuple(map(tuple, d)), pseudometric, eps)
+    except MetricError as exc:
+        return str(exc)
+    return None
+
+
+def test_triangle_check_on_matrices_asymmetric_within_eps(rng):
+    # d(i, k) at the eps margin of its least detour or one float past it,
+    # d(k, i) up to eps below: (i, k) fails while (k, i) holds, and when
+    # k < i only the full scan of row i finds the failure
+    lower = 0
+    for trial in range(300):
+        n = rng.randint(3, 8)
+        d = [list(row) for row in random_metric(rng, n).dist]
+        eps = (0.25, EPS, 2.0 ** -10)[trial % 3]
+        i, k = rng.sample(range(n), 2)
+        least = min(d[i][j] + d[j][k] for j in range(n) if j not in (i, k))
+        d[i][k] = least + eps
+        if trial % 4:
+            d[i][k] = math.nextafter(d[i][k], math.inf)
+        d[k][i] = d[i][k] - rng.choice((eps / 2, math.ulp(d[i][k])))
+        want = reference_metric_error(d, eps)
+        assert metric_error(d, eps) == want
+        if want is not None:
+            assert want.startswith("triangle") and want.endswith(f",{k})")
+            assert all(d[k][i] <= d[k][j] + d[j][i] + eps for j in range(n))
+            lower += k < i
+    assert lower >= 60
+
+
+def test_triangle_check_with_failures_only_below_the_diagonal():
+    # d(2, 0) exceeds d(2, 1) + d(1, 0) + eps; d(0, 2) does not, and every
+    # failing cell lies below the diagonal
+    eps = 0.5
+    d = [[0.0, 1.0, 2.0 + eps],
+         [1.0, 0.0, 1.0],
+         [2.0 + 2 * eps, 1.0, 0.0]]
+    assert first_triangle_failure(d, eps) == (2, 1, 0)
+    assert metric_error(d, eps) == "triangle inequality fails at (2,1,0)"
+    d[2][0] = 2.0 + eps  # now exactly symmetric and at the margin
+    assert metric_error(d, eps) is None
+
+
+def test_pseudometric_with_signed_zeros_across_the_diagonal():
+    # d(0, 1) = -0.0 and d(1, 0) = 0.0 compare equal, so the half scan runs;
+    # 0.0 + x and -0.0 + x are equal, so the verdicts stay the reference's
+    eps = EPS
+    d = [[0.0, -0.0, 1.0],
+         [0.0, -0.0, 1.0],
+         [1.0, 1.0, 0.0]]
+    assert metric_error(d, eps, True) is None
+    assert metric_error(d, eps) == "zero distance between distinct points (0,1)"
+    d[1][2], d[2][1] = 0.5, 0.5  # d(0, 2) > d(0, 1) + d(1, 2) + eps
+    want = "triangle inequality fails at (0,1,2)"
+    assert reference_metric_error(d, eps, True) == want
+    assert metric_error(d, eps, True) == want
+    flipped = [[-v if v == 0 else v for v in row] for row in d]
+    assert metric_error(flipped, eps, True) == want
+
+
+def test_one_point_metrics():
+    for value, eps, want in ((0.0, EPS, None), (-0.0, EPS, None),
+                             (EPS, EPS, None), (-EPS, EPS, None),
+                             (2 * EPS, EPS, "d(0,0) != 0"),
+                             (0.0, -EPS, "d(0,0) != 0"),
+                             (math.inf, EPS, "d(0,0) != 0"),
+                             (math.nan, EPS, "d(0,0) must be finite and nonnegative")):
+        assert reference_metric_error([[value]], eps) == want
+        assert metric_error([[value]], eps) == want
+        assert metric_error([[value]], eps, True) == want
+
+
+def test_axiom_kernels_match_per_cell_form(rng):
+    # one bad cell (or a mirrored pair) of each kind in a valid metric: the
+    # row kernels must send every failing matrix to the per-cell loop
+    seen = set()
+    bad = (math.inf, -math.inf, math.nan, -1.0, -0.0, 0.0, EPS, 2 * EPS,
+           1.7e308, -1.7e308)
+    kinds = ("!= 0", "finite", "asymmetry", "zero", "triangle")
+    for trial in range(600):
+        n = rng.randint(1, 7)
+        d = [list(row) for row in random_metric(rng, n).dist]
+        eps = (EPS, 0.0, 0.25)[trial % 3]
+        pseudo = trial % 4 == 0
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            d[i][j] = rng.choice(bad)
+            if rng.random() < 0.5:
+                d[j][i] = d[i][j]
+        want = reference_metric_error(d, eps, pseudo)
+        assert metric_error(d, eps, pseudo) == want
+        seen.add(next((kind for kind in kinds if kind in (want or "")), want))
+    assert seen == set(kinds) | {None}
+
+
+def test_all_finite_rows_whose_sums_overflow_are_accepted():
+    # 1.7e308 + 1.7e308 overflows, so the row kernel defers to the loop
+    big = 1.7e308
+    d = [[0.0, big, big], [big, 0.0, big], [big, big, 0.0]]
+    assert reference_metric_error(d, EPS) is None
+    assert metric_error(d, EPS) is None
+
+
+# ------------------------------------------------------------ random metrics
+def random_metric_per_cell(rng, n, edge_prob=0.5):
+    """``random_metric`` with the per-cell Floyd-Warshall loop it replaced."""
+    weights = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        weights[i][i] = 0.0
+    order = list(range(n))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:]):
+        w = rng.uniform(0.5, 3.0)
+        weights[a][b] = weights[b][a] = w
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                w = rng.uniform(0.5, 3.0)
+                if w < weights[i][j]:
+                    weights[i][j] = weights[j][i] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                through = weights[i][k] + weights[k][j]
+                if through < weights[i][j]:
+                    weights[i][j] = through
+    return weights
+
+
+def test_random_metric_matches_per_cell_floyd_warshall():
+    for seed in range(60):
+        n = 1 + seed % 23
+        edge_prob = (0.5, 0.0, 0.1, 1.0)[seed % 4]
+        got = random_metric(random.Random(seed), n, edge_prob).dist
+        want = random_metric_per_cell(random.Random(seed), n, edge_prob)
+        assert [list(map(float.hex, row)) for row in got] == [
+            list(map(float.hex, row)) for row in want]

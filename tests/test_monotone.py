@@ -663,3 +663,78 @@ def test_order_two_kernel_keeps_the_candidate_range_error(two_point):
     pool = [(x, y) for x in range(5) for y in range(2)] + [(9, 9)]
     assert maximal_by_recheck(small, c, EPS, pool) is False
     assert is_maximal_n_monotone(small, c, 2, EPS, candidates=pool) is False
+
+
+# ------------------------------------------------------- order-2 half scan
+# ``is_n_monotone(m, c, 2)`` meets each unordered pair of G(M) once; the
+# enumeration oracle tries both orders, and its verdict and witness are the
+# reference.  ``pair_gains_per_cell`` is the gather the kernel replaced.
+
+def pair_gains_per_cell(m, c, x, y):
+    return [(c(u, y) - c(x, y)) + (c(x, v) - c(u, v)) for u, v in m.graph]
+
+
+def assert_oracle_order_two(m, c, eps):
+    got, want = is_n_monotone(m, c, 2, eps), n_monotone_oracle(m, c, 2, eps)
+    assert (got.holds, got.witness) == (want.holds, want.witness)
+    return want
+
+
+def test_pair_gains_match_per_cell_form(rng):
+    for trial in range(120):
+        nx, ny = rng.randint(1, 4), rng.randint(1, 4)
+        c = kernel_coupling(rng, nx, ny, ties=TIE_KINDS[trial % 3])
+        m = random_graph(rng, c, 1 if trial % 4 == 0 else 8)
+        gains = monotone._pair_gains(m, c)
+        for x in range(nx):
+            for y in range(ny):
+                want = pair_gains_per_cell(m, c, x, y)
+                for start in range(len(m.graph) + 1):
+                    assert_same_floats(gains(x, y, start), want[start:])
+
+
+def test_order_two_half_scan_matches_oracle(rng):
+    seen = set()
+    for trial in range(600):
+        nx, ny = rng.randint(1, 5), rng.randint(1, 5)
+        c = kernel_coupling(rng, nx, ny, ties=TIE_KINDS[trial % 3])
+        m = (random_graph(rng, c, 1) if trial % 5 == 0
+             else partly_grown(rng, c, EPS) if trial % 5 == 1
+             else random_graph(rng, c, 2 * max(nx, ny)))
+        eps = (EPS, 0.0, -0.0, 1.0, -EPS)[trial % 7 % 5]
+        want = assert_oracle_order_two(m, c, eps)
+        if eps < 0:
+            # (p, p) gains 0 > eps for the first pair p
+            assert want.witness == (m.graph[0],) * 2
+        seen.add((len(m.graph) == 1, want.holds))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_order_two_on_one_pair_graphs():
+    for c in one_point_couplings():
+        for p in itertools.product(range(c.domain.size), range(c.codomain.size)):
+            m = MultiMapping(c.domain, c.codomain, (p,))
+            assert assert_oracle_order_two(m, c, EPS).holds
+            assert assert_oracle_order_two(m, c, -EPS).witness == (p, p)
+            candidates = list(itertools.product(range(c.domain.size),
+                                                range(c.codomain.size)))
+            assert is_maximal_n_monotone(m, c, 2, EPS) is maximal_by_recheck(
+                m, c, EPS, candidates)
+
+
+def test_order_two_gains_past_the_float_range(rng):
+    # entries near +-1.7e308 make gains of inf and, as inf + -inf, nan,
+    # which is never over eps; the witnesses stay the oracle's
+    big, x = 1.7e308, GroundSet(("a", "b", "c"))
+    nan_gains = 0
+    for trial in range(2000):
+        c = coupling_from_rows(x, x, [
+            [rng.choice((-big, -1.0, -0.0, 0.0, 1.0, big)) for _ in range(3)]
+            for _ in range(3)])
+        m = random_graph(rng, c, 6)
+        eps = EPS if trial % 4 else -EPS
+        assert_oracle_order_two(m, c, eps)
+        gains = monotone._pair_gains(m, c)
+        for i, p in enumerate(m.graph):
+            nan_gains += any(map(math.isnan, gains(*p, i)))
+    assert nan_gains >= 50
