@@ -19,7 +19,7 @@ from .fitzpatrick import (
     _theorem6B,
     fitzpatrick,
 )
-from .core import AbstractConvexError, DEFAULT_EPS, IndexSubset
+from .core import AbstractConvexError, DEFAULT_EPS, MultiMapping
 from .envelopes import ConstraintProblem, alpha, gamma, is_member
 from .instance_io import (
     InstanceDocument,
@@ -73,11 +73,21 @@ def _require(value, flag: str):
     return value
 
 
-def _site_problem(doc: InstanceDocument, args, eps: float) -> ConstraintProblem:
-    m = doc.mapping(_require(args.mapping, "--mapping"))
+def _mapping(doc: InstanceDocument, args) -> MultiMapping:
+    """``--mapping``, which must run from the coupling's domain to codomain."""
+    name = _require(args.mapping, "--mapping")
+    m, c = doc.mapping(name), doc.coupling
+    if (m.source, m.target) != (c.domain, c.codomain):  # by their labels
+        raise InstanceError(f"mapping {name!r} does not run from the "
+                            "coupling's domain to its codomain")
+    return m
+
+
+def _site_args(doc: InstanceDocument, args):
+    """(mapping, site function, sites), the order the problem types take."""
+    m = _mapping(doc, args)
     s = doc.subset(_require(args.subset, "--subset"))
-    f = doc.function(_require(args.site_function, "--site-function"))
-    return ConstraintProblem(doc.coupling, m, f, s, eps)
+    return m, doc.function(_require(args.site_function, "--site-function")), s
 
 
 def _run(args) -> dict:
@@ -108,7 +118,7 @@ def _run(args) -> dict:
         return {"command": cmd, "result": graph_to_jsonable(sub.mapping)}
 
     if cmd == "check-monotone":
-        m = doc.mapping(_require(args.mapping, "--mapping"))
+        m = _mapping(doc, args)
         if args.order is not None:
             verdict = is_n_monotone(m, c, args.order, eps)
         else:
@@ -119,23 +129,23 @@ def _run(args) -> dict:
         return out
 
     if cmd == "rockafellar":
-        m = doc.mapping(_require(args.mapping, "--mapping"))
+        m = _mapping(doc, args)
         anchor = doc.subset(_require(args.subset, "--subset"))
         if len(anchor.members) != 1:
             raise InstanceError("--subset must name a single anchor point")
+        if anchor.parent.labels != c.domain.labels:
+            raise InstanceError("--subset must lie in the coupling's domain")
         r = rockafellar(m, c, anchor.members[0], eps)
         return {"command": cmd, "result": function_to_jsonable(r)}
 
-    if cmd == "alpha":
-        problem = _site_problem(doc, args, eps)
-        return {"command": cmd, "result": function_to_jsonable(alpha(problem))}
-
-    if cmd == "gamma":
-        problem = _site_problem(doc, args, eps)
-        return {"command": cmd, "result": function_to_jsonable(gamma(problem))}
+    if cmd in ("alpha", "gamma"):
+        problem = ConstraintProblem(c, *_site_args(doc, args), eps)
+        envelope = alpha if cmd == "alpha" else gamma
+        return {"command": cmd,
+                "result": function_to_jsonable(envelope(problem))}
 
     if cmd == "member":
-        problem = _site_problem(doc, args, eps)
+        problem = ConstraintProblem(c, *_site_args(doc, args), eps)
         h = doc.function(_require(args.function, "--function"))
         return {"command": cmd, "member": is_member(h, problem)}
 
@@ -144,30 +154,26 @@ def _run(args) -> dict:
             raise InstanceError("lip-extend requires a metric coupling block")
         if args.min == args.max:
             raise InstanceError("choose exactly one of --min / --max")
-        m = doc.mapping(_require(args.mapping, "--mapping"))
-        s = doc.subset(_require(args.subset, "--subset"))
-        f = doc.function(_require(args.site_function, "--site-function"))
-        problem = ExtensionProblem(doc.metric, m, f, s, eps)
+        problem = ExtensionProblem(doc.metric, *_site_args(doc, args), eps)
         out = extend_min(problem) if args.min else extend_max(problem)
         return {"command": cmd,
                 "which": "min" if args.min else "max",
                 "result": function_to_jsonable(out)}
 
     if cmd == "fitzpatrick":
-        m = doc.mapping(_require(args.mapping, "--mapping"))
+        m = _mapping(doc, args)
         return {"command": cmd,
                 "result": function_to_jsonable(fitzpatrick(m, c))}
 
     if cmd == "verify":
-        m = doc.mapping(_require(args.mapping, "--mapping")).require_proper()
+        m = _mapping(doc, args).require_proper()
         # one context: each lifted quantity is computed once per request
         lifted = _Lifted(m, c, eps)
         report_a = _theorem6A(lifted)
         out = {"command": cmd,
                "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
         if report_a.t_monotone:
-            report_b = _theorem6B(lifted, seed=args.seed)
-            out["theorem_b"] = asdict(report_b)
+            out["theorem_b"] = asdict(_theorem6B(lifted, seed=args.seed))
         if doc.metric is not None and doc.negate:
             try:
                 # c is -d here, the coupling the chain is stated for

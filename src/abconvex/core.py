@@ -9,10 +9,11 @@ strings; any numeric structure lives purely in the coupling matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
 
@@ -199,10 +200,15 @@ class MultiMapping:
 
     def __post_init__(self):
         pairs = sorted(set(self.graph))
-        for x, y in pairs:
-            if not (0 <= x < self.source.size and 0 <= y < self.target.size):
-                raise AbstractConvexError(f"graph pair ({x}, {y}) out of range")
+        for pair in pairs:
+            self._in_range(pair)
         object.__setattr__(self, "graph", tuple(pairs))
+
+    def _in_range(self, pair: tuple[int, int]) -> tuple[int, int]:
+        x, y = pair
+        if not (0 <= x < self.source.size and 0 <= y < self.target.size):
+            raise AbstractConvexError(f"graph pair ({x}, {y}) out of range")
+        return pair
 
     @property
     def proper(self) -> bool:
@@ -234,6 +240,14 @@ class MultiMapping:
 
     def with_pair(self, x: int, y: int) -> "MultiMapping":
         return MultiMapping(self.source, self.target, self.graph + ((x, y),))
+
+    def extensions(self, candidates=None) -> Iterator[tuple[int, int]]:
+        """The pairs of ``candidates`` (default: X x Y, row by row) outside
+        G(M), in order, each checked to lie in X x Y as it is reached."""
+        if candidates is None:
+            candidates = itertools.product(range(self.source.size),
+                                           range(self.target.size))
+        return (self._in_range(p) for p in candidates if p not in self)
 
     @cached_property
     def _pair_set(self) -> frozenset[tuple[int, int]]:

@@ -120,8 +120,7 @@ def gamma(problem: ConstraintProblem) -> ExtFunction:
     if problem.full_domain:
         return c_convexify(restrict_sum(problem.anchor, problem.sites),
                            problem.coupling)
-    dual_alpha = alpha(problem.dual())
-    return c_transform_rev(dual_alpha, problem.coupling)
+    return gamma_dual_route(problem)
 
 
 def gamma_dual_route(problem: ConstraintProblem) -> ExtFunction:

@@ -15,8 +15,8 @@ wins as with ``max``, so both are bit-identical to them.
 
 A ``verify`` request reads one private context, ``_Lifted`` on (T, c, eps),
 which computes each lifted quantity at most once, on first use: C, Delta_T,
-the anchor c + i_{G(T)}, Delta_T's gain graph with its cyclic verdict and
-walk table (Theorem 6A's cyclic reading and 6B's alpha both read it), T's
+the anchor c + i_{G(T)}, Delta_T's R_s from one ``anchored_antiderivatives``
+call or the error it raised (6A's cyclic reading and 6B's alpha), T's
 order-2 verdict and maximality, and F (6B and the -d chain both read it).
 The public wrappers build their own context, so they report what the
 command prints.  The chain never builds C, so C's guard does not bind it.
@@ -46,15 +46,13 @@ from .core import (
 from .envelopes import ConstraintProblem, _shifted_max, gamma
 from .lipschitz import MetricInstance, as_coupling, identity_mapping
 from .monotone import (
-    _cyclic_walks,
     _is_maximal,
     _maximal_2_monotone,
-    build_gain_graph,
     is_maximal_cyclically_monotone,
     is_maximal_n_monotone,
     is_n_monotone,
 )
-from .rockafellar import _anchored_rows
+from .rockafellar import NotCyclicallyMonotoneError, anchored_antiderivatives
 from .transforms import (
     c_convexify,
     c_subdifferential,
@@ -68,6 +66,8 @@ MAX_LIFTED_SIDE = 10 ** 4
 #: Each entry is a float object (24 bytes) in a tuple slot (8 bytes), so
 #: the bound holds C's table to about 128 MB.
 MAX_LIFTED_ENTRIES = 4 * 10 ** 6
+#: Lifted family members that Theorem 6B samples when T is finitely maximal.
+THEOREM_6B_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -185,13 +185,14 @@ class _Lifted:
         return graph_anchor(self.t_map, self.pc)
 
     @cached_property
-    def gain_graph(self):
-        return build_gain_graph(self.delta, self.pc.lifted)
-
-    @cached_property
-    def cyclic(self):
-        """Delta_T's cyclic verdict and its table of best walks."""
-        return _cyclic_walks(self.gain_graph, self.eps)
+    def delta_rows(self) -> list[ExtFunction] | NotCyclicallyMonotoneError:
+        """R_s of Delta_T for each s in dom(Delta_T), in order, or the error
+        raised when Delta_T is not cyclically monotone."""
+        try:
+            return anchored_antiderivatives(self.delta, self.pc.lifted,
+                                            self.delta.dom, self.eps)
+        except NotCyclicallyMonotoneError as exc:
+            return exc.with_traceback(None)  # its frames would hold self
 
     @cached_property
     def t_monotone(self):
@@ -298,7 +299,7 @@ def _theorem6A(lifted: _Lifted, check_maximality: bool = False) -> Theorem6ARepo
     return Theorem6AReport(
         t_monotone=bool(mono),
         delta_monotone=bool(is_n_monotone(delta, pc.lifted, 2, eps)),
-        delta_cyclically_monotone=bool(lifted.cyclic[0]),
+        delta_cyclically_monotone=isinstance(lifted.delta_rows, list),
         anchor_is_antiderivative=is_antiderivative(lifted.anchor, delta,
                                                    pc.lifted, eps),
         violation_identity_value=identity_value,
@@ -327,37 +328,34 @@ def lifted_problem(t_map: MultiMapping, c: Coupling,
 
 def verify_theorem6B(t_map: MultiMapping, c: Coupling,
                      eps: float = DEFAULT_EPS,
-                     seed: Optional[int] = None,
-                     samples: int = 10) -> Theorem6BReport:
+                     seed: Optional[int] = None) -> Theorem6BReport:
     """Check that the lifted family's minimal member equals the Fitzpatrick
     function, and (for finitely maximal T) sample members against the
     Fitzpatrick family.  Sampling can only falsify the inclusion."""
-    return _theorem6B(_Lifted(t_map, c, eps), seed, samples)
+    return _theorem6B(_Lifted(t_map, c, eps), seed)
 
 
-def _theorem6B(lifted: _Lifted, seed: Optional[int] = None,
-               samples: int = 10) -> Theorem6BReport:
+def _theorem6B(lifted: _Lifted, seed: Optional[int] = None) -> Theorem6BReport:
     if not lifted.t_monotone:
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
     problem = lifted.problem
-    # alpha(problem), from the gain graph and walks Theorem 6A read
-    a = _shifted_max(problem, _anchored_rows(
-        lifted.delta, lifted.pc.lifted, lifted.gain_graph, lifted.cyclic,
-        problem.sites.members))
+    rows = lifted.delta_rows  # alpha(problem) is max_s [c(s) + R_s]
+    if isinstance(rows, NotCyclicallyMonotoneError):  # raise a copy, no cycle
+        raise NotCyclicallyMonotoneError(rows.witness, rows.mapping)
+    a = _shifted_max(problem, rows)
     diff = sup_distance(a, lifted.fitzpatrick)
 
     maximal = lifted.t_maximal
-    sampled = 0
+    sampled = THEOREM_6B_SAMPLES if maximal else 0
     falsified = False
-    if maximal and samples > 0:
+    if maximal:
         rng = random.Random(seed)
         g = gamma(problem)
-        for _ in range(samples):
+        for _ in range(sampled):
             mix = ExtFunction(a.index,
                               tuple(_mix(rng, lo, hi)
                                     for lo, hi in zip(a.values, g.values)))
             member = c_convexify(mix, problem.coupling)
-            sampled += 1
             if not _family_member(member, lifted):
                 falsified = True
     return Theorem6BReport(max_abs_diff=diff, equal=diff <= lifted.eps,

@@ -105,19 +105,19 @@ class InstanceDocument:
     subsets: dict[str, IndexSubset] = field(default_factory=dict)
 
     def function(self, name: str) -> ExtFunction:
-        if name not in self.functions:
-            raise InstanceError(f"unknown function {name!r}")
-        return self.functions[name]
+        return _named(self.functions, "function", name)
 
     def mapping(self, name: str) -> MultiMapping:
-        if name not in self.mappings:
-            raise InstanceError(f"unknown mapping {name!r}")
-        return self.mappings[name]
+        return _named(self.mappings, "mapping", name)
 
     def subset(self, name: str) -> IndexSubset:
-        if name not in self.subsets:
-            raise InstanceError(f"unknown subset {name!r}")
-        return self.subsets[name]
+        return _named(self.subsets, "subset", name)
+
+
+def _named(table: dict, kind: str, name: str):
+    if name not in table:
+        raise InstanceError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def parse_instance(text: str | bytes) -> InstanceDocument:
@@ -236,6 +236,9 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
             idx = tuple(parent.index(lab) for lab in members)
         except AbstractConvexError as exc:
             _fail(f"{path}.members", str(exc))
+        if len(set(idx)) != len(idx):
+            i = next(i for i, j in enumerate(idx) if j in idx[:i])
+            _fail(f"{path}.members[{i}]", f"duplicate label {members[i]!r}")
         doc.subsets[name] = IndexSubset(parent, idx)
 
     return doc

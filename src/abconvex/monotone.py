@@ -71,7 +71,6 @@ from typing import Optional
 from .core import (
     DEFAULT_EPS,
     INF,
-    AbstractConvexError,
     BudgetExceededError,
     Coupling,
     MultiMapping,
@@ -316,11 +315,8 @@ def is_monotone(m: MultiMapping, c: Coupling,
 def _is_maximal(holds, m: MultiMapping, candidates=None) -> bool:
     """Whether ``holds(m)``, and ``holds`` fails once any one pair of
     ``candidates`` (default: X x Y) outside G(M) is added to m."""
-    if not holds(m):
-        return False
-    if candidates is None:
-        candidates = itertools.product(range(m.source.size), range(m.target.size))
-    return all(p in m or not holds(m.with_pair(*p)) for p in candidates)
+    return bool(holds(m)) and not any(
+        holds(m.with_pair(*p)) for p in m.extensions(candidates))
 
 
 def _maximal_2_monotone(m: MultiMapping, c: Coupling, eps: float,
@@ -329,18 +325,8 @@ def _maximal_2_monotone(m: MultiMapping, c: Coupling, eps: float,
     2-monotone: a candidate (x, y) outside G(m) is rejected iff the order-2
     kernel ``_pair_gains`` has some (u, v) of G(m) gain over eps, the
     verdict of rechecking m extended by (x, y)."""
-    if candidates is None:
-        candidates = itertools.product(range(m.source.size), range(m.target.size))
     gains, over = _pair_gains(m, c), partial(lt, eps)
-    for p in candidates:
-        if p in m:
-            continue
-        x, y = p
-        if not (0 <= x < m.source.size and 0 <= y < m.target.size):
-            raise AbstractConvexError(f"graph pair ({x}, {y}) out of range")
-        if not any(map(over, gains(x, y))):
-            return False
-    return True
+    return all(any(map(over, gains(*p))) for p in m.extensions(candidates))
 
 
 def is_maximal_n_monotone(m: MultiMapping, c: Coupling, n: int,

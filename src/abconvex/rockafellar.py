@@ -13,8 +13,8 @@ closure could pump that cycle, so D is the entrywise best of the k walk
 rounds that the verdict itself ran: one O(k^4) table of best walks of at
 most k steps, shared by all anchors, which is what ``rockafellar_oracle``
 with max_len = k + 1 enumerates.  ``monotone._cyclic_walks`` returns the
-verdict and D together; ``_anchored_rows`` reads R_s from them, also for
-``fitzpatrick``'s lifted context, which already holds both.
+verdict and D together; ``anchored_antiderivatives`` reads R_s from them,
+for ``alpha`` and for ``fitzpatrick``'s lifted Delta_T alike.
 
 R_s is a column kernel: for each x, one ``max(map(add, best, column_x))``
 over the gain graph's column x.  It makes the same adds as a per-cell loop
@@ -67,14 +67,7 @@ def anchored_antiderivatives(m: MultiMapping, c: Coupling,
         if s not in nodes:
             raise AbstractConvexError(f"anchor {s} is not in dom(M)")
     gg = build_gain_graph(m, c)
-    return _anchored_rows(m, c, gg, _cyclic_walks(gg, eps), anchors)
-
-
-def _anchored_rows(m: MultiMapping, c: Coupling, gg, cyclic,
-                   anchors: Sequence[int]) -> list[ExtFunction]:
-    """R_s for each anchor s in dom(M), read from M's gain graph and the
-    (verdict, walks) pair that ``_cyclic_walks`` returned for it."""
-    verdict, walks = cyclic
+    verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
     gain_columns = list(zip(*gg.gain))

@@ -16,6 +16,7 @@ from abconvex import (
     InstanceDocument,
     InstanceError,
     MultiMapping,
+    NotCyclicallyMonotoneError,
     as_coupling,
     coupling_from_rows,
     emit_document,
@@ -577,23 +578,26 @@ def test_verify_prints_what_the_public_wrappers_report(capsys, tmp_path):
 
 def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch):
     # on a maximal -d-monotone T, Theorems 6A and 6B and the inequality
-    # chain all run; they share one gain graph of Delta_T, one order-2
-    # verdict and maximality of T, and one Fitzpatrick function
+    # chain all run; they share one anchored_antiderivatives call on
+    # Delta_T (one gain graph of it), one order-2 verdict and maximality of
+    # T, and one Fitzpatrick function
     fitz = importlib.import_module("abconvex.fitzpatrick")
+    rock = importlib.import_module("abconvex.rockafellar")
     path = lifted_documents(random.Random(7), tmp_path)["metric_maximal"]
     calls = {}
 
-    def counting(name):
-        real = getattr(fitz, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(fitz, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    for name in ("product_coupling", "build_gain_graph", "_maximal_2_monotone",
-                 "fitzpatrick", "is_n_monotone"):
-        counting(name)
+    for name in ("product_coupling", "anchored_antiderivatives",
+                 "_maximal_2_monotone", "fitzpatrick", "is_n_monotone"):
+        counting(fitz, name)
+    counting(rock, "build_gain_graph")
     status = main(["verify", "--instance", str(path), "--mapping", "T",
                    "--seed", "11"])
     out = json.loads(capsys.readouterr().out)
@@ -601,9 +605,9 @@ def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch
     assert out["theorem_b"]["sampled_members"] == 10
     assert out["inequality_chain"]["holds"] is True
     # is_n_monotone: T's verdict once, Delta_T's once
-    assert calls == {"product_coupling": 1, "build_gain_graph": 1,
-                     "_maximal_2_monotone": 1, "fitzpatrick": 1,
-                     "is_n_monotone": 2}
+    assert calls == {"product_coupling": 1, "anchored_antiderivatives": 1,
+                     "build_gain_graph": 1, "_maximal_2_monotone": 1,
+                     "fitzpatrick": 1, "is_n_monotone": 2}
 
 
 def test_verify_guards_the_lifted_table_before_building_it(capsys, tmp_path,
@@ -625,3 +629,141 @@ def test_verify_guards_the_lifted_table_before_building_it(capsys, tmp_path,
     assert out == {"error": "domain", "message":
                    f"lifted coupling of {3600 ** 2} entries exceeds the "
                    f"{fitz.MAX_LIFTED_ENTRIES}-entry guard"}
+
+
+# -------------------------------------------- adversarial documents, pinned
+B900 = 2 ** 900
+
+#: T is 2-monotone here but Delta_T is not cyclically monotone, so Theorem
+#: 6B's alpha raises the error that 6A's cyclic reading stored.
+BIG_VERIFY_DOCUMENT = {
+    "schema_version": "1",
+    "ground_sets": {"X": ["x0", "x1", "x2"], "Y": ["y0", "y1", "y2"]},
+    "coupling": {"domain": "X", "codomain": "Y",
+                 "values": [[-B900, 3, -B900], [0, 3, 1], [1e-9, -1, 1e-9]]},
+    "mappings": {"M": {"source": "X", "target": "Y",
+                       "pairs": [["x0", "y0"], ["x1", "y2"], ["x2", "y0"],
+                                 ["x2", "y2"]]}},
+}
+BIG_VERIFY_OUTPUT = """{
+  "error": "not-cyclically-monotone",
+  "message": "improper: not c-cyclically monotone",
+  "witness": [
+    [
+      "(x1,y2)",
+      "(y2,x1)"
+    ],
+    [
+      "(x0,y0)",
+      "(y0,x0)"
+    ],
+    [
+      "(x2,y2)",
+      "(y2,x2)"
+    ]
+  ]
+}
+"""
+
+
+def test_verify_at_the_magnitude_bound_prints_the_lifted_witness(capsys,
+                                                                 tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_VERIFY_DOCUMENT))
+    status = main(["verify", "--instance", str(path), "--mapping", "M"])
+    assert status == EXIT_DOMAIN
+    assert capsys.readouterr().out == BIG_VERIFY_OUTPUT
+    doc = parse_instance(path.read_text())
+    t, c = doc.mapping("M"), doc.coupling
+    report = verify_theorem6A(t, c)
+    assert report.t_monotone and not report.delta_cyclically_monotone
+    with pytest.raises(NotCyclicallyMonotoneError):
+        verify_theorem6B(t, c)
+
+
+def _two_sided_document() -> dict:
+    """A 2 x 3 coupling with one mapping on each pair of sides and a metric
+    twin of it (on X) for lip-extend."""
+    sides = {"X": ["p", "q"], "Y": ["a", "b", "c"]}
+    mappings = {a + b: {"source": a, "target": b,
+                        "pairs": [[sides[a][0], sides[b][-1]]]}
+                for a in sides for b in sides}
+    return {"schema_version": "1", "ground_sets": sides,
+            "coupling": {"domain": "X", "codomain": "Y",
+                         "values": [[0.0, 1.0, 2.0], [1.0, 0.0, 5.0]]},
+            "functions": {"f": {"index": "X", "values": [0.0, 1.0]}},
+            "mappings": mappings,
+            "subsets": {"S": {"parent": "X", "members": ["p"]}}}
+
+
+@pytest.mark.parametrize("mapping", ["YX", "XX", "YY"])
+@pytest.mark.parametrize("command,flags", [
+    ("check-monotone", ()),
+    ("check-monotone", ("--order", "1")),
+    ("check-monotone", ("--order", "2")),
+    ("check-monotone", ("--order", "3")),
+    ("rockafellar", ("--subset", "S")),
+    ("alpha", ("--subset", "S", "--site-function", "f")),
+    ("gamma", ("--subset", "S", "--site-function", "f")),
+    ("member", ("--subset", "S", "--site-function", "f", "--function", "f")),
+    ("fitzpatrick", ()),
+    ("verify", ()),
+])
+def test_mapping_off_the_coupling_sides_is_an_input_error(capsys, tmp_path,
+                                                          mapping, command,
+                                                          flags):
+    # each of these used to end in an IndexError traceback, or verify in
+    # a domain error about a graph pair out of range
+    path = tmp_path / "sides.json"
+    path.write_text(json.dumps(_two_sided_document()))
+    status, out = run(capsys, command, "--instance", str(path),
+                      "--mapping", mapping, *flags)
+    assert status == EXIT_INPUT
+    assert out == {"error": "input",
+                   "message": f"mapping {mapping!r} does not run from the "
+                              "coupling's domain to its codomain"}
+
+
+def test_lip_extend_rejects_a_mapping_off_the_metric_points(capsys, tmp_path,
+                                                            fixture_dir):
+    raw = json.loads((fixture_dir / "line3.json").read_text())
+    raw["ground_sets"]["Z"] = ["z"]
+    raw["mappings"]["J"] = {"source": "Z", "target": raw["mappings"]["I_S"]
+                            ["target"], "pairs": []}
+    path = tmp_path / "line3z.json"
+    path.write_text(json.dumps(raw))
+    status, out = run(capsys, "lip-extend", "--instance", str(path),
+                      "--mapping", "J", "--subset", "S", "--site-function",
+                      "f", "--min")
+    assert status == EXIT_INPUT
+    assert "mapping 'J' does not run" in out["message"]
+
+
+def test_rockafellar_anchor_must_lie_in_the_coupling_domain(capsys, tmp_path):
+    raw = _two_sided_document()
+    raw["subsets"]["T"] = {"parent": "Y", "members": ["a"]}
+    path = tmp_path / "sides.json"
+    path.write_text(json.dumps(raw))
+    status, out = run(capsys, "rockafellar", "--instance", str(path),
+                      "--mapping", "XY", "--subset", "T")
+    assert status == EXIT_INPUT
+    assert out["message"] == "--subset must lie in the coupling's domain"
+
+
+def test_subset_with_a_repeated_label_is_an_input_error(capsys, tmp_path,
+                                                        fixture_dir):
+    # it used to pass parsing's checks and fail IndexSubset's, a domain
+    # error (exit 1) with no JSON path
+    raw = json.loads((fixture_dir / "two_point.json").read_text())
+    raw["subsets"]["S"]["members"] = ["0", "1", "0", "1"]
+    text = json.dumps(raw)
+    with pytest.raises(InstanceError) as err:
+        parse_instance(text)
+    assert str(err.value) == "$.subsets.S.members[2]: duplicate label '0'"
+    path = tmp_path / "repeat.json"
+    path.write_text(text)
+    status, out = run(capsys, "alpha", "--instance", str(path), "--mapping",
+                      "M", "--subset", "S", "--site-function", "f_id")
+    assert status == EXIT_INPUT
+    assert out == {"error": "input",
+                   "message": "$.subsets.S.members[2]: duplicate label '0'"}

@@ -665,6 +665,23 @@ def test_order_two_kernel_keeps_the_candidate_range_error(two_point):
     assert is_maximal_n_monotone(small, c, 2, EPS, candidates=pool) is False
 
 
+def test_every_maximality_route_shares_the_candidate_range_error(two_point):
+    # the order-2 kernel and the full rechecks (order 3, cyclic) read one
+    # candidate iterator, which skips G(M) and checks each pair as reached
+    sub = c_subdifferential(two_point.f_abs, two_point.c).mapping
+    c = two_point.c
+    outside = [p for p in itertools.product(range(5), range(2)) if p not in sub]
+    assert outside and list(sub.extensions()) == outside
+    assert list(sub.extensions(sub.graph + tuple(outside[:1]))) == outside[:1]
+    pool = list(sub.graph) + [(5, 0)]
+    for check in (lambda: is_maximal_n_monotone(sub, c, 2, EPS, candidates=pool),
+                  lambda: is_maximal_n_monotone(sub, c, 3, EPS, candidates=pool),
+                  lambda: is_maximal_cyclically_monotone(sub, c, EPS,
+                                                         candidates=pool)):
+        with pytest.raises(AbstractConvexError, match=r"graph pair \(5, 0\) out of range"):
+            check()
+
+
 # ------------------------------------------------------- order-2 half scan
 # ``is_n_monotone(m, c, 2)`` meets each unordered pair of G(M) once; the
 # enumeration oracle tries both orders, and its verdict and witness are the
