@@ -80,14 +80,21 @@ from abconvex.instance_io import dumps
 from abconvex.monotone import (
     _chain_gain,
     _cycle_to_pairs,
+    _cyclic_verdict,
     _cyclic_walks,
     _is_maximal,
     _max_plus_closure,
     _walk_rounds,
 )
-from abconvex.rockafellar import anchored_antiderivatives
+from abconvex.rockafellar import (
+    NotCyclicallyMonotoneError,
+    anchored_antiderivatives,
+    chain_suprema,
+)
 
 EPS = 1e-9
+#: Which route decided the passing verdicts of the potential check.
+ROUTES = {"potential": 0, "closure": 0}
 
 
 def check_transform(rng):
@@ -133,7 +140,16 @@ def _exact_length_verdict(m, c):
 
 def check_band_antiderivative(rng):
     # c(x, y) = a_x + b_y + noise: every cycle gains at most a few noise
-    # terms; draw until the best one lies between eps/k and eps
+    # terms; drawn until the best one lies between eps/k and eps
+    m, c = _band_instance(rng)
+    k = len(m.dom)
+    return all(sup_distance(r, rockafellar_oracle(m, c, s, max_len=k + 1)) <= EPS
+               for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)))
+
+
+def _band_instance(rng):
+    """A coupling c(x, y) = a_x + b_y + noise and a mapping whose best cycle
+    gains between eps/k and eps: the walk rounds pass it, the closure not."""
     while True:
         n = rng.randint(3, 5)
         scale = rng.choice([2e-10, 4e-10, 8e-10])
@@ -148,10 +164,105 @@ def check_band_antiderivative(rng):
         gg = build_gain_graph(m, c)
         if (_max_plus_closure(gg.restricted(), EPS / len(gg.nodes)) is None
                 and _cyclic_walks(gg, EPS)[0]):
-            break
-    k = len(m.dom)
-    return all(sup_distance(r, rockafellar_oracle(m, c, s, max_len=k + 1)) <= EPS
-               for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)))
+            return m, c
+
+
+def _route_bound(gg, shifts):
+    """The stated bound between the two routes' max_s [shift(s) + R_s]:
+    2**-52 * (k + 2)**2 * (max |shift| + (k + 1) * max |gain|)."""
+    k = len(gg.nodes)
+    g = max(max(map(abs, row)) for row in gg.gain)
+    return 2.0 ** -52 * (k + 2) ** 2 * (max(map(abs, shifts)) + (k + 1) * g)
+
+
+def _potential_draw(rng):
+    """(mapping, coupling): cyclically monotone, random graph or injected
+    2-cycle on ties and signed zeros; the eps/k-eps band; +-2**900 entries,
+    where a cycle's small gains can be lost in sums with 2**900 (also
+    lifted to Delta_T); or c(x, y) = a_x + b_y, whose cycles gain 0 up to
+    rounding."""
+    kind = rng.randrange(6)
+    n = rng.randint(1, 7)
+    big = 2.0 ** 900
+    if kind == 2:
+        return _band_instance(rng)
+    if kind == 3:
+        # M the identity, gain(i, j) = c(j, i) = big * (phi_i - phi_j) plus a
+        # small gain inside a level of phi: cycles that cross levels gain
+        # those small gains exactly, but sums through +-2**900 lose them
+        n = rng.randint(3, 5)
+        phi = [rng.randrange(2) for _ in range(n)]
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        c = coupling_from_rows(x, x, [
+            [0.0 if i == j else big * (phi[i] - phi[j]) + (
+                rng.choice((1.0, -2.0, -3.0, 1e-9)) if phi[i] == phi[j] else 0.0)
+             for j in range(n)] for i in range(n)])
+        return MultiMapping(x, x, tuple((i, i) for i in range(n))), c
+    if kind == 4:
+        pool = (big, -big, 0.0, 1.0, -1.0, 1e-9, 3.0)
+        n = rng.randint(2, 3)
+        c = coupling_from_rows(*(GroundSet(tuple(f"{s}{i}" for i in range(n)))
+                                 for s in "xy"),
+                               [[rng.choice(pool) for _ in range(n)]
+                                for _ in range(n)])
+        m = MultiMapping(c.domain, c.codomain, tuple(
+            {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}))
+        pc = product_coupling(c)
+        return delta_mapping(m, pc), pc.lifted
+    if kind == 5:
+        n = rng.randint(3, 8)
+        a = [rng.uniform(-10, 10) for _ in range(n)]
+        b = [rng.uniform(-10, 10) for _ in range(n)]
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        c = coupling_from_rows(x, x, [[a[i] + b[j] for j in range(n)]
+                                      for i in range(n)])
+    else:
+        pool = rng.choice(((), (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0), (-0.0, 0.0)))
+        c = coupling_from_rows(
+            *(GroundSet(tuple(f"{s}{i}" for i in range(n))) for s in "xy"),
+            [[rng.choice(pool) if pool else rng.uniform(-10.0, 10.0)
+              for _ in range(n)] for _ in range(n)])
+    draw = rng.randrange(3)
+    if draw == 0:
+        return random_cyclically_monotone_mapping(rng, c), c
+    m = MultiMapping(c.domain, c.codomain, tuple(
+        {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}))
+    if draw == 2 and n >= 2:
+        return inject_positive_two_cycle(rng, random_cyclically_monotone_mapping(
+            rng, c), c)
+    return m, c
+
+
+def check_potential_route(rng):
+    """The potential-first verdict and witness against ``_cyclic_walks``
+    (eps < 0 too); on a pass, alpha's max_s [f(s) + R_s] and one R_s within
+    the stated bound of the closure route."""
+    m, c = _potential_draw(rng)
+    eps = rng.choice((EPS, EPS, EPS, 0.0, -EPS))
+    gg = build_gain_graph(m, c)
+    verdict, walks = _cyclic_verdict(gg, eps)
+    want, _ = _cyclic_walks(gg, eps)
+    if ((verdict.holds, verdict.witness) != (want.holds, want.witness)
+            or is_cyclically_monotone(m, c, eps) != want):
+        return False
+    sites = [s for s in m.dom if rng.random() < 0.5] or [m.dom[0]]
+    shifts = [rng.uniform(-10.0, 10.0) for _ in sites]
+    if not verdict:
+        try:
+            chain_suprema(m, c, sites, shifts, eps)
+        except NotCyclicallyMonotoneError as exc:
+            return exc.witness == want.witness
+        return False
+    ROUTES["potential" if walks is None else "closure"] += 1
+    rows = anchored_antiderivatives(m, c, sites, eps)
+    closure = [max(r(x) + f for r, f in zip(rows, shifts))
+               for x in range(c.domain.size)]
+    got = chain_suprema(m, c, sites, shifts, eps).values
+    one = rockafellar(m, c, sites[0], eps).values
+    return (max(abs(a - b) for a, b in zip(got, closure))
+            <= _route_bound(gg, shifts)
+            and max(abs(a - b) for a, b in zip(one, rows[0].values))
+            <= _route_bound(gg, [0.0]))
 
 
 def _per_cell_transform(values, line):
@@ -434,6 +545,7 @@ CHECKS = [
     ("chain supremum vs oracle", check_antiderivative),
     ("closure vs exact-length route", check_closure_route),
     ("band antiderivative vs chain oracle", check_band_antiderivative),
+    ("potential route vs closure route", check_potential_route),
     ("row kernels vs per-cell forms", check_row_kernels),
     ("triangle half scan vs per-triple", check_triangle_half_scan),
     ("order-2 half scan vs oracle", check_order_two_half_scan),
@@ -458,6 +570,8 @@ def main():
         status = "ok" if ok == args.trials else "FAIL"
         print(f"{name:<36} {ok}/{args.trials} {status}")
         failures += args.trials - ok
+    print("passing potential-route draws decided by the potential: "
+          f"{ROUTES['potential']}, by the closure fallback: {ROUTES['closure']}")
     return 1 if failures else 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import asdict
 
@@ -84,16 +85,29 @@ def _mapping(doc: InstanceDocument, args) -> MultiMapping:
 
 
 def _site_args(doc: InstanceDocument, args):
-    """(mapping, site function, sites), the order the problem types take."""
+    """(mapping, site function, sites), the order the problem types take;
+    all three live on the coupling's domain."""
     m = _mapping(doc, args)
-    s = doc.subset(_require(args.subset, "--subset"))
-    return m, doc.function(_require(args.site_function, "--site-function")), s
+    domain = doc.coupling.domain.labels
+    name = _require(args.subset, "--subset")
+    s = doc.subset(name)
+    if s.parent.labels != domain:
+        raise InstanceError(f"subset {name!r} does not lie in the coupling's "
+                            "domain")
+    name = _require(args.site_function, "--site-function")
+    f = doc.function(name)
+    if f.index.labels != domain:
+        raise InstanceError(f"site function {name!r} is not indexed by the "
+                            "coupling's domain")
+    return m, f, s
 
 
 def _run(args) -> dict:
+    eps = args.epsilon
+    if not math.isfinite(eps):
+        raise InstanceError(f"--epsilon must be a finite number, not {eps!r}")
     with open(args.instance, "rb") as fh:
         doc = parse_instance(fh.read())
-    eps = args.epsilon
     c = doc.coupling
     cmd = args.command
 

@@ -6,6 +6,14 @@ anchor antiderivative f and a nonempty site set S inside dom(M).  The family
 consists of every c-convex antiderivative of M that agrees with f on S; it
 always contains its lower envelope (``alpha``) and upper envelope
 (``gamma``).
+
+``alpha`` is max_s [f(s) + R_s], one ``rockafellar.chain_suprema`` call:
+label-correcting passes seeded with f at the sites when the potential
+decides the cyclic verdict (O(k^2) per pass for k = |dom(M)|), the
+closure route's table of best walks otherwise.  The passes add in another
+order than the table, so alpha (and ``gamma``'s dual route and the minimal
+Lipschitz extension, which read it) may move in the last bits, within the
+bound that module states.
 """
 
 from __future__ import annotations
@@ -21,10 +29,9 @@ from .core import (
     IndexSubset,
     MultiMapping,
     pointwise_le,
-    pointwise_max,
     restrict_sum,
 )
-from .rockafellar import anchored_antiderivatives
+from .rockafellar import chain_suprema
 from .transforms import (
     c_convexify,
     c_transform,
@@ -86,14 +93,9 @@ class ConstraintProblem:
 def alpha(problem: ConstraintProblem) -> ExtFunction:
     """The minimal member: max over sites s of f(s) + R_s, where R_s is the
     chain-supremum antiderivative anchored at s."""
-    return _shifted_max(problem, anchored_antiderivatives(
-        problem.mapping, problem.coupling, problem.sites.members, problem.eps))
-
-
-def _shifted_max(problem: ConstraintProblem, parts) -> ExtFunction:
-    """max over sites s of f(s) + R_s, given R_s for each site in order."""
-    return pointwise_max([r.shifted(problem.anchor(s))
-                          for s, r in zip(problem.sites.members, parts)])
+    sites = problem.sites.members
+    return chain_suprema(problem.mapping, problem.coupling, sites,
+                         [problem.anchor(s) for s in sites], problem.eps)
 
 
 def alpha_closed_form(problem: ConstraintProblem) -> ExtFunction:

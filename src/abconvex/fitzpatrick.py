@@ -15,9 +15,14 @@ wins as with ``max``, so both are bit-identical to them.
 
 A ``verify`` request reads one private context, ``_Lifted`` on (T, c, eps),
 which computes each lifted quantity at most once, on first use: C, Delta_T,
-the anchor c + i_{G(T)}, Delta_T's R_s from one ``anchored_antiderivatives``
-call or the error it raised (6A's cyclic reading and 6B's alpha), T's
-order-2 verdict and maximality, and F (6B and the -d chain both read it).
+the anchor c + i_{G(T)}, the lifted family's alpha max_s [c(s) + R_s] from
+one ``chain_suprema`` call on Delta_T, or the error it raised (6A's cyclic
+reading is which of the two it holds, 6B's alpha the value), T's order-2
+verdict and maximality, and F (6B and the -d chain both read it).  The
+cyclic verdict is potential first; on c = -d, Delta_T can carry
+zero-gain cycles that round positive, and there the passes do not settle
+and the closure decides, after k + 1 wasted passes.  6B's ``max_abs_diff`` may move in
+its last bits with alpha.
 The public wrappers build their own context, so they report what the
 command prints.  The chain never builds C, so C's guard does not bind it.
 """
@@ -43,7 +48,7 @@ from .core import (
     MultiMapping,
     sup_distance,
 )
-from .envelopes import ConstraintProblem, _shifted_max, gamma
+from .envelopes import ConstraintProblem, gamma
 from .lipschitz import MetricInstance, as_coupling, identity_mapping
 from .monotone import (
     _is_maximal,
@@ -52,7 +57,7 @@ from .monotone import (
     is_maximal_n_monotone,
     is_n_monotone,
 )
-from .rockafellar import NotCyclicallyMonotoneError, anchored_antiderivatives
+from .rockafellar import NotCyclicallyMonotoneError, chain_suprema
 from .transforms import (
     c_convexify,
     c_subdifferential,
@@ -185,12 +190,14 @@ class _Lifted:
         return graph_anchor(self.t_map, self.pc)
 
     @cached_property
-    def delta_rows(self) -> list[ExtFunction] | NotCyclicallyMonotoneError:
-        """R_s of Delta_T for each s in dom(Delta_T), in order, or the error
-        raised when Delta_T is not cyclically monotone."""
+    def delta_alpha(self) -> ExtFunction | NotCyclicallyMonotoneError:
+        """max over s in dom(Delta_T) of c(s) + R_s on Delta_T (the lifted
+        family's alpha), or the error raised when Delta_T is not cyclically
+        monotone."""
+        sites = self.delta.dom
         try:
-            return anchored_antiderivatives(self.delta, self.pc.lifted,
-                                            self.delta.dom, self.eps)
+            return chain_suprema(self.delta, self.pc.lifted, sites,
+                                 [self.anchor(s) for s in sites], self.eps)
         except NotCyclicallyMonotoneError as exc:
             return exc.with_traceback(None)  # its frames would hold self
 
@@ -299,7 +306,7 @@ def _theorem6A(lifted: _Lifted, check_maximality: bool = False) -> Theorem6ARepo
     return Theorem6AReport(
         t_monotone=bool(mono),
         delta_monotone=bool(is_n_monotone(delta, pc.lifted, 2, eps)),
-        delta_cyclically_monotone=isinstance(lifted.delta_rows, list),
+        delta_cyclically_monotone=isinstance(lifted.delta_alpha, ExtFunction),
         anchor_is_antiderivative=is_antiderivative(lifted.anchor, delta,
                                                    pc.lifted, eps),
         violation_identity_value=identity_value,
@@ -339,10 +346,9 @@ def _theorem6B(lifted: _Lifted, seed: Optional[int] = None) -> Theorem6BReport:
     if not lifted.t_monotone:
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
     problem = lifted.problem
-    rows = lifted.delta_rows  # alpha(problem) is max_s [c(s) + R_s]
-    if isinstance(rows, NotCyclicallyMonotoneError):  # raise a copy, no cycle
-        raise NotCyclicallyMonotoneError(rows.witness, rows.mapping)
-    a = _shifted_max(problem, rows)
+    a = lifted.delta_alpha  # alpha(problem)
+    if isinstance(a, NotCyclicallyMonotoneError):  # raise a copy, no cycle
+        raise NotCyclicallyMonotoneError(a.witness, a.mapping)
     diff = sup_distance(a, lifted.fitzpatrick)
 
     maximal = lifted.t_maximal

@@ -6,9 +6,38 @@ bounded by walk gains, with equality achieved by the witness choices, so a
 mapping fails cyclic monotonicity exactly when the gain graph restricted to
 dom(M) carries a cycle of strictly positive total gain.
 
-With k = |dom(M)|, one routine, ``_cyclic_walks``, gives the cyclic
-verdict, its witness and a table of best walks inside dom(M); both
-``is_cyclically_monotone`` and ``rockafellar`` call it.  It first computes
+With k = |dom(M)|, the cyclic verdict is potential first
+(``_cyclic_verdict``; both ``is_cyclically_monotone`` and ``rockafellar``
+call it).  By Rockafellar's theorem a cyclically monotone M has a
+potential: labels p with p_u + a[u][v] <= p_v on every arc.
+Label-correcting passes (Bellman 1958, Ford 1956; ``_passes``, O(k^2)
+each) from all-zero labels look for one, and stop at the first pass that
+changes nothing, or give up after k + 1 passes.  A fixed point p is a pass
+only when eps >= 0 and the rounding guard
+
+    2**-53 * (k + 1) * (P + (k + 1) * G) <= eps,   P = max p, G = max |a|,
+
+holds (its left side is never negative, so eps < 0 never passes).  Its
+derivation, with u = 2**-53 the unit roundoff: at the fixed
+point fl(p_u + a[u][v]) <= p_v on every arc, and that sum, of magnitude at
+most P + G, rounds by at most u * (P + G), so a closed walk of L arcs gains
+at most L * u * (P + G) exactly (the labels telescope).  The walk rounds
+sum the same L gains left to right, within (L - 1) * u * L * G (1 + O(L u))
+of the exact sum.  With L <= k the float sum of every closed walk the
+rounds see is at most u * k * (P + k * G (1 + O(k u))), and the guard's
+k + 1 in place of k covers both the O(k u) term and the guard's own
+rounding, so no round can sum over eps and ``_cyclic_walks`` would pass M
+too.  Without the guard, a fixed point among entries of 2**900 (where
+small gains are lost in the labels' sums) would pass a mapping whose walk
+rounds fail.  The guard is first read at P = 0, its least value, so a
+refusal that G and k alone force (entries near 2**900, k past about 650
+for gains of 20 at eps = 1e-9, or eps < 0) runs no pass.
+
+Every other case (eps < 0, passes that do not settle, which a positive
+cycle or a zero-gain cycle that rounds positive causes, or a refused
+guard) goes to ``_cyclic_walks``, which gives the verdict, its witness and
+a table of best walks inside dom(M), so every verdict and witness is the
+closure route's.  It first computes
 one max-plus Floyd-Warshall closure of the restricted gain matrix (O(k^3)
 time, O(k^2) memory).  Each diagonal entry bounds the best simple cycle
 through its node from above, and a closed walk of at most k steps splits
@@ -64,7 +93,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import add, itemgetter, lt, sub
 from typing import Optional
 
@@ -97,6 +126,11 @@ class GainGraph:
     def restricted(self) -> list[list[float]]:
         """Gain matrix restricted to dom(M) columns (|dom| x |dom|)."""
         return [[row[v] for v in self.nodes] for row in self.gain]
+
+    @cached_property
+    def columns(self) -> list[tuple[float, ...]]:
+        """The gain matrix by columns: ``columns[v][i]`` is ``gain[i][v]``."""
+        return list(zip(*self.gain))
 
 
 def build_gain_graph(m: MultiMapping, c: Coupling) -> GainGraph:
@@ -294,6 +328,52 @@ def _cyclic_walks(gg: GainGraph, eps: float
     return MonotonicityResult(True), walks
 
 
+def _passes(cols, labels: list[float]) -> Optional[list[float]]:
+    """Strict label-correcting passes over a square gain matrix, given by
+    its columns, from seed labels (-inf: no walk yet).
+
+    A pass sets, for v in order, labels[v] to max_u [labels[u] + a[u][v]]
+    when that is strictly larger; later v read the labels the pass already
+    raised.  Returns the labels at the first pass that changes nothing, or
+    None after k + 1 passes.
+    """
+    labels = list(labels)
+    for _ in range(len(cols) + 1):
+        changed = False
+        for v, col in enumerate(cols):
+            t = max(map(add, labels, col))
+            if t > labels[v]:
+                labels[v] = t
+                changed = True
+        if not changed:
+            return labels
+    return None
+
+
+def _cyclic_verdict(gg: GainGraph, eps: float
+                    ) -> tuple[MonotonicityResult, Optional[list[list[float]]]]:
+    """(verdict, walks), potential first: the passes from all-zero labels
+    (a virtual source), and a fixed point p that the rounding guard accepts
+    is a pass with ``walks`` None.  Every other case is ``_cyclic_walks``'
+    (module docstring).  The guard: with k nodes, G = max |a[u][v]| and
+    P = max p >= 0, 2**-53 * (k + 1) * (P + (k + 1) * G) <= eps.  Its left
+    side is at least 0 and grows with P, so it refuses every eps < 0, and
+    its value at P = 0 decides, before any pass, whether one is worth
+    running.
+    """
+    cols = [gg.columns[v] for v in gg.nodes]
+    k, g = len(cols), max(max(map(abs, col)) for col in cols)
+
+    def guard(top: float) -> bool:
+        return 2.0 ** -53 * (k + 1) * (top + (k + 1) * g) <= eps
+
+    if guard(0.0):
+        p = _passes(cols, [0.0] * k)
+        if p is not None and guard(max(p)):
+            return MonotonicityResult(True), None
+    return _cyclic_walks(gg, eps)
+
+
 def is_cyclically_monotone(m: MultiMapping, c: Coupling,
                            eps: float = DEFAULT_EPS) -> MonotonicityResult:
     """Whether M is n-c-monotone for every n.
@@ -303,7 +383,7 @@ def is_cyclically_monotone(m: MultiMapping, c: Coupling,
     decompose into simple cycles (length <= |dom(M)|) plus a path.
     """
     m.require_proper()
-    return _cyclic_walks(build_gain_graph(m, c), eps)[0]
+    return _cyclic_verdict(build_gain_graph(m, c), eps)[0]
 
 
 def is_monotone(m: MultiMapping, c: Coupling,

@@ -2,24 +2,38 @@
 
 R_s(x) is the best total gain of a chain that starts at the anchor s, walks
 through pairs of G(M), and takes a final hop to x.  With no positive cycles
-an optimal walk repeats no node, so row s of the max-plus closure D of the
-dom(M)-restricted gain graph (the one ``is_cyclically_monotone`` computes)
-holds every best walk out of s, and R_s(x) = max_i [D'[s][i] + gain[i][x]]
-with D'[s] = D[s] except D'[s][s] = max(D[s][s], 0), the empty walk.  With
-k = |dom(M)|, one gain graph and one closure serve any number of anchors:
-O(k^3 + |anchors| * k * |X|) after the gain graph is built.  When only the
-exact-length route passes M (a cycle gains between eps/k and eps), the
-closure could pump that cycle, so D is the entrywise best of the k walk
-rounds that the verdict itself ran: one O(k^4) table of best walks of at
-most k steps, shared by all anchors, which is what ``rockafellar_oracle``
-with max_len = k + 1 enumerates.  ``monotone._cyclic_walks`` returns the
-verdict and D together; ``anchored_antiderivatives`` reads R_s from them,
-for ``alpha`` and for ``fitzpatrick``'s lifted Delta_T alike.
+an optimal walk repeats no node, so R_s(x) = max_i [B_s(i) + gain[i][x]],
+where B_s(i) is the best walk gain from s to nodes[i] inside dom(M), the
+empty walk included at s.  One producer, ``chain_suprema``, gives
+max_s [shift(s) + R_s] over a set of sites: ``rockafellar`` (one site,
+shift -0.0, the exact additive identity of floats), ``alpha`` (shift f(s))
+and Theorem 6B's lifted alpha all call it.  With k = |dom(M)|:
 
-R_s is a column kernel: for each x, one ``max(map(add, best, column_x))``
-over the gain graph's column x.  It makes the same adds as a per-cell loop
-over i, and ``max`` keeps the first of equal maxima, so R_s is
-bit-identical to that loop.
+* When the potential decided the cyclic verdict
+  (``monotone._cyclic_verdict``), one run of label-correcting passes seeded
+  with shift(s) at the sites and -inf elsewhere settles on
+  L_i = max_s [shift(s) + B_s(i)], and the value at x is
+  max_i [L_i + gain[i][x]]: O(k^2) per pass plus O(k * |X|).
+* Otherwise, or when those passes do not settle within k + 1 (rounding can
+  keep raising labels around a zero-gain cycle), the verdict's table of
+  best walks from ``monotone._cyclic_walks`` gives B_s: row s of the max-plus
+  closure D with D[s][s] raised to 0, or, when only the exact-length route
+  passes M (a cycle gains between eps/k and eps), the entrywise best of the
+  k walk rounds the verdict ran, which is what ``rockafellar_oracle`` with
+  max_len = k + 1 enumerates.  R_s is then a column kernel, one
+  ``max(map(add, best, column_x))`` per x, and the sites fold in order with
+  the first of equal maxima winning, bit-identical to per-cell loops.
+
+The two routes add the same gains along walks in different orders, so a
+value may move in its last bits from the closure route's.  The stated
+bound: with G the largest |gain| and M = max |shift| + (k + 1) * G, which
+bounds every partial sum of a walk of at most k + 1 hops from a site,
+the routes differ by at most 2**-52 * (k + 2)**2 * M at every x.  Each
+route's sum of at most k + 2 terms lies within (k + 1) * 2**-53 * M of
+the exact sum of its walk; the rest allows for the two routes settling on
+different walks whose exact gains differ by cycles the potential bounds.
+``anchored_antiderivatives`` is the closure route for many anchors at
+once, the cross-check of the producer.
 """
 
 from __future__ import annotations
@@ -37,7 +51,14 @@ from .core import (
     ExtFunction,
     MultiMapping,
 )
-from .monotone import ENUMERATION_BUDGET, _cyclic_walks, build_gain_graph
+from .monotone import (
+    ENUMERATION_BUDGET,
+    GainGraph,
+    _cyclic_verdict,
+    _cyclic_walks,
+    _passes,
+    build_gain_graph,
+)
 
 
 class NotCyclicallyMonotoneError(AbstractConvexError):
@@ -52,34 +73,81 @@ class NotCyclicallyMonotoneError(AbstractConvexError):
         self.mapping = mapping
 
 
-def anchored_antiderivatives(m: MultiMapping, c: Coupling,
-                             anchors: Sequence[int],
-                             eps: float = DEFAULT_EPS) -> list[ExtFunction]:
-    """Rockafellar's antiderivative for each anchor in dom(M), in order, from
-    one gain graph and the verdict's table of best walks.
+def _closure_rows(gg: GainGraph, walks, sites: Sequence[int]) -> list[list[float]]:
+    """R_s for each site, in order, read from a table of best walks: the
+    column kernel over ``gg.columns``."""
+    out = []
+    for s in sites:
+        spos = gg.nodes.index(s)
+        # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
+        best = walks[spos][:]
+        best[spos] = max(best[spos], 0.0)
+        out.append([max(map(add, best, col)) for col in gg.columns])
+    return out
 
-    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
-    not c-cyclically monotone.
-    """
+
+def _require_anchors(m: MultiMapping, anchors: Sequence[int]) -> None:
     m.require_proper()
     nodes = m.dom
     for s in anchors:
         if s not in nodes:
             raise AbstractConvexError(f"anchor {s} is not in dom(M)")
+
+
+def chain_suprema(m: MultiMapping, c: Coupling, sites: Sequence[int],
+                  shifts: Sequence[float],
+                  eps: float = DEFAULT_EPS) -> ExtFunction:
+    """max over the sites s of shift(s) + R_s, from one gain graph: the
+    producer of ``rockafellar`` (one site, shift -0.0, which adds exactly
+    nothing), ``alpha`` and Theorem 6B's lifted alpha.
+
+    When the potential decides the verdict, one run of label-correcting
+    passes seeded with shift(s) at the sites gives labels L_i, the best
+    shift(s) plus walk gain from a site to nodes[i], and the value at x is
+    max_i [L_i + gain(i, x)].  Otherwise, or when those passes do not
+    settle, it is read from ``_cyclic_walks``' table (module docstring).
+
+    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
+    not c-cyclically monotone.
+    """
+    _require_anchors(m, sites)
+    gg = build_gain_graph(m, c)
+    verdict, walks = _cyclic_verdict(gg, eps)
+    if verdict and walks is None:
+        seed = [-INF] * len(gg.nodes)
+        for s, shift in zip(sites, shifts):
+            seed[gg.nodes.index(s)] = shift
+        labels = _passes([gg.columns[v] for v in gg.nodes], seed)
+        if labels is not None:
+            return ExtFunction(c.domain, tuple(
+                max(map(add, labels, col)) for col in gg.columns))
+        verdict, walks = _cyclic_walks(gg, eps)
+    if not verdict:
+        raise NotCyclicallyMonotoneError(verdict.witness, m)
+    rows = _closure_rows(gg, walks, sites)
+    # max over the sites, in order, of R_s(x) + shift(s); the first of
+    # equal maxima wins
+    return ExtFunction(c.domain, tuple(map(max, zip(*(
+        [v + shift for v in row] for row, shift in zip(rows, shifts))))))
+
+
+def anchored_antiderivatives(m: MultiMapping, c: Coupling,
+                             anchors: Sequence[int],
+                             eps: float = DEFAULT_EPS) -> list[ExtFunction]:
+    """The closure route: Rockafellar's antiderivative for each anchor in
+    dom(M), in order, from one gain graph and ``_cyclic_walks``' table of
+    best walks.  The cross-check of ``chain_suprema``'s potential route.
+
+    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
+    not c-cyclically monotone.
+    """
+    _require_anchors(m, anchors)
     gg = build_gain_graph(m, c)
     verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
-    gain_columns = list(zip(*gg.gain))
-    out = []
-    for s in anchors:
-        spos = gg.nodes.index(s)
-        # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
-        best = walks[spos][:]
-        best[spos] = max(best[spos], 0.0)
-        values = tuple(max(map(add, best, col)) for col in gain_columns)
-        out.append(ExtFunction(c.domain, values))
-    return out
+    return [ExtFunction(c.domain, tuple(row))
+            for row in _closure_rows(gg, walks, anchors)]
 
 
 def rockafellar(m: MultiMapping, c: Coupling, s: int,
@@ -90,7 +158,7 @@ def rockafellar(m: MultiMapping, c: Coupling, s: int,
     positive cycle anywhere in the dom(M)-restricted gain graph raises
     ``NotCyclicallyMonotoneError`` with the witness cycle.
     """
-    return anchored_antiderivatives(m, c, [s], eps)[0]
+    return chain_suprema(m, c, [s], [-0.0], eps)
 
 
 def rockafellar_oracle(m: MultiMapping, c: Coupling, s: int,

@@ -129,6 +129,16 @@ def assert_same_floats(got, want):
     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
+def route_bound(gg, shifts) -> float:
+    """The stated bound between a potential-route value of max_s [shift(s)
+    + R_s] and the closure route's: 2**-52 * (k + 2)**2 * M, where
+    M = max |shift| + (k + 1) * max |gain| bounds every partial sum of a
+    walk of at most k + 1 hops from a site."""
+    k = len(gg.nodes)
+    g = max(max(map(abs, row)) for row in gg.gain)
+    return 2.0 ** -52 * (k + 2) ** 2 * (max(map(abs, shifts)) + (k + 1) * g)
+
+
 def two_cycle_instance(gain: float):
     """M = identity on {0, 1}; its only 2-cycle gains exactly ``gain``."""
     x = GroundSet(("0", "1"))

@@ -578,9 +578,9 @@ def test_verify_prints_what_the_public_wrappers_report(capsys, tmp_path):
 
 def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch):
     # on a maximal -d-monotone T, Theorems 6A and 6B and the inequality
-    # chain all run; they share one anchored_antiderivatives call on
-    # Delta_T (one gain graph of it), one order-2 verdict and maximality of
-    # T, and one Fitzpatrick function
+    # chain all run; they share one chain_suprema call on Delta_T (one gain
+    # graph of it), one order-2 verdict and maximality of T, and one
+    # Fitzpatrick function
     fitz = importlib.import_module("abconvex.fitzpatrick")
     rock = importlib.import_module("abconvex.rockafellar")
     path = lifted_documents(random.Random(7), tmp_path)["metric_maximal"]
@@ -594,7 +594,7 @@ def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("product_coupling", "anchored_antiderivatives",
+    for name in ("product_coupling", "chain_suprema",
                  "_maximal_2_monotone", "fitzpatrick", "is_n_monotone"):
         counting(fitz, name)
     counting(rock, "build_gain_graph")
@@ -605,7 +605,7 @@ def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch
     assert out["theorem_b"]["sampled_members"] == 10
     assert out["inequality_chain"]["holds"] is True
     # is_n_monotone: T's verdict once, Delta_T's once
-    assert calls == {"product_coupling": 1, "anchored_antiderivatives": 1,
+    assert calls == {"product_coupling": 1, "chain_suprema": 1,
                      "build_gain_graph": 1, "_maximal_2_monotone": 1,
                      "fitzpatrick": 1, "is_n_monotone": 2}
 
@@ -767,3 +767,71 @@ def test_subset_with_a_repeated_label_is_an_input_error(capsys, tmp_path,
     assert status == EXIT_INPUT
     assert out == {"error": "input",
                    "message": "$.subsets.S.members[2]: duplicate label '0'"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("command,flags", [
+    ("check-monotone", ("--mapping", "M")),
+    ("rockafellar", ("--mapping", "M", "--subset", "origin")),
+    ("alpha", ("--mapping", "M", "--subset", "S", "--site-function", "f_id")),
+    ("subdiff", ("--function", "f_abs")),
+])
+def test_non_finite_epsilon_is_an_input_error(capsys, two_point_path, value,
+                                              command, flags):
+    # check-monotone --epsilon nan used to print "monotone": true
+    status, out = run(capsys, command, "--instance", two_point_path, *flags,
+                      f"--epsilon={value}")
+    assert status == EXIT_INPUT
+    assert out == {"error": "input", "message":
+                   f"--epsilon must be a finite number, not {float(value)!r}"}
+
+
+def test_negative_epsilon_keeps_its_library_meaning(capsys, two_point_path):
+    # every 1-step loop gains 0 > eps: a domain verdict, not an input error
+    status, out = run(capsys, "check-monotone", "--instance", two_point_path,
+                      "--mapping", "M", "--epsilon=-1e-9")
+    assert status == EXIT_OK
+    assert out["monotone"] is False
+    status, out = run(capsys, "rockafellar", "--instance", two_point_path,
+                      "--mapping", "M", "--subset", "origin", "--epsilon=-1e-9")
+    assert status == EXIT_DOMAIN
+    assert out["error"] == "not-cyclically-monotone"
+
+
+@pytest.mark.parametrize("command", ["alpha", "gamma", "member"])
+def test_sites_and_site_function_off_the_domain_are_input_errors(
+        capsys, tmp_path, command):
+    # both used to be domain errors (exit 1) raised by ConstraintProblem
+    raw = _two_sided_document()
+    raw["subsets"]["T"] = {"parent": "Y", "members": ["a"]}
+    raw["functions"]["g"] = {"index": "Y", "values": [0.0, 1.0, 2.0]}
+    path = tmp_path / "sides.json"
+    path.write_text(json.dumps(raw))
+    extra = ("--function", "f") if command == "member" else ()
+    status, out = run(capsys, command, "--instance", str(path), "--mapping",
+                      "XY", "--subset", "T", "--site-function", "f", *extra)
+    assert status == EXIT_INPUT
+    assert out == {"error": "input", "message":
+                   "subset 'T' does not lie in the coupling's domain"}
+    status, out = run(capsys, command, "--instance", str(path), "--mapping",
+                      "XY", "--subset", "S", "--site-function", "g", *extra)
+    assert status == EXIT_INPUT
+    assert out == {"error": "input", "message":
+                   "site function 'g' is not indexed by the coupling's domain"}
+
+
+def test_lip_extend_sites_off_the_metric_points_are_input_errors(
+        capsys, tmp_path, fixture_dir):
+    raw = json.loads((fixture_dir / "line3.json").read_text())
+    raw["ground_sets"]["Z"] = ["z"]
+    raw["subsets"]["Z1"] = {"parent": "Z", "members": ["z"]}
+    raw["functions"]["fz"] = {"index": "Z", "values": [0.0]}
+    path = tmp_path / "line3z.json"
+    path.write_text(json.dumps(raw))
+    lip = ["lip-extend", "--instance", str(path), "--mapping", "I_S", "--min"]
+    status, out = run(capsys, *lip, "--subset", "Z1", "--site-function", "f")
+    assert (status, out["message"]) == (
+        EXIT_INPUT, "subset 'Z1' does not lie in the coupling's domain")
+    status, out = run(capsys, *lip, "--subset", "S", "--site-function", "fz")
+    assert (status, out["message"]) == (
+        EXIT_INPUT, "site function 'fz' is not indexed by the coupling's domain")

@@ -5,12 +5,16 @@ with one JSON object on stdout, never a traceback.  The documents mix
 ties, signed tiny values near the default eps, magnitudes of 2**900 (the
 parser's bound), "inf" function values, metric blocks with
 ``pseudometric`` and ``negate`` toggled, mappings on every pair of sides
-(empty ones too) and subsets that repeat a label.  The search is
-derandomized, so the suite stays deterministic.
+(empty ones too) and subsets that repeat a label.  Requests also carry
+``--epsilon`` values that are negative, zero or not finite (an input error
+naming ``--epsilon``), and sites or site functions on the side that is not
+the coupling's domain (an input error).  The search is derandomized, so
+the suite stays deterministic.
 """
 
 import io
 import json
+import math
 from contextlib import redirect_stdout
 
 import pytest
@@ -23,6 +27,8 @@ B = 2 ** 900
 ENTRIES = (0, 1, -1, 1e-9, -1e-9, 5e-10, -5e-10, B, -B)
 SIDES = ("X", "Y")
 MAPPINGS = tuple(a + b for a in SIDES for b in SIDES)
+EPSILONS = ("1e-09", "0", "-1e-09", "0.5", "nan", "inf", "-inf")
+SITE_COMMANDS = ("alpha", "gamma", "member", "lip-extend")
 
 
 @st.composite
@@ -100,19 +106,32 @@ def document_path(tmp_path_factory):
           suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=documents(), mapping=st.sampled_from(MAPPINGS),
        subset=st.sampled_from(("SX", "SY")),
-       function=st.sampled_from(("fX", "fY")))
+       function=st.sampled_from(("fX", "fY")),
+       epsilon=st.sampled_from(EPSILONS))
 def test_every_command_ends_in_an_exit_code_and_one_json_object(
-        document_path, drawn, mapping, subset, function):
+        document_path, drawn, mapping, subset, function, epsilon):
     doc, own = drawn
     document_path.write_text(json.dumps(doc))
-    for request in [*requests(own, "SX", "fX"),
-                    *requests(mapping, subset, function)]:
+    finite = math.isfinite(float(epsilon))
+    for request, eps in [*((r, None) for r in requests(own, "SX", "fX")),
+                         *((r, epsilon) for r in requests(mapping, subset,
+                                                          function)),
+                         *((r, None) for r in requests(own, subset, function))]:
         argv = [request[0], "--instance", str(document_path), *request[1:]]
+        if eps is not None:
+            argv.append(f"--epsilon={eps}")
         buf = io.StringIO()
         with redirect_stdout(buf):
             status = main(argv)
         out = json.loads(buf.getvalue())
         assert isinstance(out, dict), argv
+        if eps is not None and not finite:
+            assert status == EXIT_INPUT, argv
+            assert "--epsilon" in out["message"], argv
+        elif request[0] in SITE_COMMANDS and request[2] == own and (
+                request[4] == "SY" or request[6] == "fY"):
+            # the coupling's domain is X: sites or values on Y are off it
+            assert status == EXIT_INPUT, argv
         if status == EXIT_OK:
             assert out["command"] == request[0], argv
         else:

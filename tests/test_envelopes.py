@@ -11,6 +11,7 @@ from abconvex import (
     MultiMapping,
     alpha,
     alpha_closed_form,
+    build_gain_graph,
     c_convexify,
     gamma,
     gamma_dual_route,
@@ -24,6 +25,7 @@ from abconvex import (
     sandwich_check,
     sup_distance,
 )
+from conftest import route_bound
 
 EPS = 1e-9
 
@@ -180,5 +182,8 @@ def test_alpha_is_max_of_per_site_chain_suprema(rng):
         per_site = pointwise_max([
             rockafellar(p.mapping, p.coupling, s, p.eps).shifted(p.anchor(s))
             for s in p.sites])
-        assert alpha(p).values == per_site.values
+        # the potential route adds in another order than per-site R_s
+        bound = route_bound(build_gain_graph(p.mapping, p.coupling),
+                            [p.anchor(s) for s in p.sites])
+        assert sup_distance(alpha(p), per_site) <= bound
     assert partial >= 50

@@ -755,3 +755,111 @@ def test_order_two_gains_past_the_float_range(rng):
         for i, p in enumerate(m.graph):
             nan_gains += any(map(math.isnan, gains(*p, i)))
     assert nan_gains >= 50
+
+
+# ------------------------------------------------ potential-first verdict
+# Label-correcting passes from zero labels find a potential p; a fixed
+# point that the rounding guard accepts passes M, and every other case is
+# _cyclic_walks' verdict.
+
+def _node_columns(gg):
+    return [gg.columns[v] for v in gg.nodes]
+
+
+def _zero_passes(gg):
+    return monotone._passes(_node_columns(gg), [0.0] * len(gg.nodes))
+
+
+def _guard(gg, p):
+    """The guard's left side, 2**-53 * (k + 1) * (P + (k + 1) * G)."""
+    cols = _node_columns(gg)
+    k, g = len(cols), max(max(map(abs, col)) for col in cols)
+    return 2.0 ** -53 * (k + 1) * (max(p) + (k + 1) * g)
+
+
+def _potential_draws(rng):
+    draws = mixed_mappings(rng, 120)
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        c = kernel_coupling(rng, n, n, ties=TIE_KINDS[trial % 3])
+        m = (random_cyclically_monotone_mapping(rng, c) if trial % 2
+             else random_graph(rng, c, 2 * n))
+        draws.append((m, c))
+    return draws
+
+
+def test_passes_settle_on_the_best_walk_into_each_node(two_point):
+    # gain(u, v) = v - u on the nodes 0, 1, 2: the best walk into v starts
+    # at node 0; a positive 2-cycle never settles
+    assert _zero_passes(build_gain_graph(two_point.m, two_point.c)) == [
+        0.0, 1.0, 2.0]
+    m, c = two_cycle_instance(1.0)
+    assert _zero_passes(build_gain_graph(m, c)) is None
+
+
+def test_potential_verdict_is_the_walk_rounds_verdict(rng):
+    decided = 0
+    for m, c in _potential_draws(rng):
+        gg = build_gain_graph(m, c)
+        verdict, walks = monotone._cyclic_verdict(gg, EPS)
+        want, table = _cyclic_walks(gg, EPS)
+        assert (verdict.holds, verdict.witness) == (want.holds, want.witness)
+        if verdict and walks is None:
+            decided += 1
+        else:
+            assert walks == table
+        assert is_cyclically_monotone(m, c, EPS) == verdict
+    assert decided >= 60
+
+
+def test_guard_accepts_at_its_bound_and_falls_back_one_float_below(rng):
+    checked = 0
+    for m, c in _potential_draws(rng):
+        gg = build_gain_graph(m, c)
+        p = _zero_passes(gg)
+        if p is None:
+            continue
+        bound = _guard(gg, p)
+        verdict, walks = monotone._cyclic_verdict(gg, bound)
+        assert verdict and walks is None
+        assert _cyclic_walks(gg, bound)[0]  # what the guard promises
+        below = math.nextafter(bound, -INF)
+        verdict, walks = monotone._cyclic_verdict(gg, below)
+        want, table = _cyclic_walks(gg, below)
+        assert (verdict.holds, verdict.witness, walks) == (
+            want.holds, want.witness, table)
+        checked += 1
+    assert checked >= 60
+
+
+@pytest.mark.parametrize("eps", [-EPS, -5e-324, -1.0])
+def test_negative_eps_is_decided_by_the_walk_rounds_alone(rng, monkeypatch,
+                                                          eps):
+    real, calls = monotone._passes, []
+    monkeypatch.setattr(monotone, "_passes",
+                        lambda *args: calls.append(1) or real(*args))
+    for m, c in mixed_mappings(rng, 30):
+        gg = build_gain_graph(m, c)
+        verdict, walks = monotone._cyclic_verdict(gg, eps)
+        want, table = _cyclic_walks(gg, eps)
+        assert (verdict.holds, verdict.witness, walks) == (
+            want.holds, want.witness, table)
+        # the 1-step walk u -> u gains 0 > eps; at -5e-324, eps/k rounds to
+        # -0.0 once k >= 2 and the closure passes M, as before
+        assert not verdict or eps == -5e-324
+    assert calls == []
+
+
+def test_guard_refuses_the_fixed_point_of_a_magnitude_bound_coupling():
+    # entries of +-2**900 absorb the small gains: the passes settle, yet a
+    # cycle of Delta_T gains over eps in the walk rounds' sums
+    x, y = GroundSet(("x0", "x1", "x2")), GroundSet(("y0", "y1", "y2"))
+    big = 2.0 ** 900
+    c = coupling_from_rows(x, y, [[-big, 3, -big], [0, 3, 1],
+                                  [1e-9, -1, 1e-9]])
+    t = MultiMapping(x, y, ((0, 0), (1, 2), (2, 0), (2, 2)))
+    pc = product_coupling(c)
+    gg = build_gain_graph(delta_mapping(t, pc), pc.lifted)
+    assert _zero_passes(gg) is not None
+    verdict = is_cyclically_monotone(delta_mapping(t, pc), pc.lifted, EPS)
+    assert not verdict and verdict.witness == _cyclic_walks(gg, EPS)[0].witness

@@ -25,17 +25,20 @@ from abconvex import (
 )
 from abconvex.monotone import (
     _chain_gain,
+    _cyclic_verdict,
     _cyclic_walks,
     _max_plus_closure,
+    _passes,
     build_gain_graph,
 )
-from abconvex.rockafellar import anchored_antiderivatives
+from abconvex.rockafellar import anchored_antiderivatives, chain_suprema
 from conftest import (
     TIE_KINDS,
     assert_same_floats,
     kernel_coupling,
     mixed_mappings,
     one_point_couplings,
+    route_bound,
     two_cycle_instance,
 )
 
@@ -306,3 +309,100 @@ def test_anchored_antiderivatives_on_one_point_sets():
         m = MultiMapping(c.domain, c.codomain, ((0, 0),))
         (r,) = anchored_antiderivatives(m, c, [0], EPS)
         assert_same_floats(r.values, anchored_per_cell(m, c, [0], EPS)[0])
+
+
+# ----------------------------------------------------------- potential route
+# chain_suprema reads max_s [shift(s) + R_s] from seeded label-correcting
+# passes when the potential decided the verdict, and from the closure
+# table otherwise.  The closure route (anchored_antiderivatives, or the
+# per-cell reader above) is its oracle.
+
+def closure_suprema(m, c, sites, shifts):
+    """max over the sites, in order, of shift(s) + R_s on the closure
+    table, read per cell."""
+    rows = anchored_per_cell(m, c, sites, EPS)
+    return tuple(max(row[x] + f for row, f in zip(rows, shifts))
+                 for x in range(c.domain.size))
+
+
+def test_chain_suprema_lie_within_the_stated_bound_of_the_closure_route(rng):
+    draws = mixed_mappings(rng, 150)
+    for trial in range(90):
+        n = rng.randint(1, 7)
+        c = kernel_coupling(rng, n, n, ties=TIE_KINDS[trial % 3])
+        draws.append((random_cyclically_monotone_mapping(rng, c), c))
+    potential = 0
+    for m, c in draws:
+        gg = build_gain_graph(m, c)
+        verdict, walks = _cyclic_verdict(gg, EPS)
+        if not verdict:
+            with pytest.raises(NotCyclicallyMonotoneError) as err:
+                chain_suprema(m, c, m.dom, [0.0] * len(m.dom), EPS)
+            assert err.value.witness == verdict.witness
+            continue
+        potential += walks is None
+        sites = [s for s in m.dom if rng.random() < 0.5] or [m.dom[0]]
+        shifts = [rng.uniform(-10.0, 10.0) for _ in sites]
+        got = chain_suprema(m, c, sites, shifts, EPS).values
+        want = closure_suprema(m, c, sites, shifts)
+        bound = route_bound(gg, shifts)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= bound
+        for s in sites:
+            r = rockafellar(m, c, s, EPS)
+            want = closure_suprema(m, c, [s], [0.0])
+            assert max(abs(a - b) for a, b in zip(r.values, want)) <= \
+                route_bound(gg, [0.0])
+    assert potential >= 100
+
+
+def sum_separable_instances(rng, count):
+    """Mappings on c(x, y) = a_x + b_y, rounded: every cycle gains 0 up to
+    rounding, some a few ulps over it, so the passes from zero labels
+    never settle while the closure passes M."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 8)
+        a = [rng.uniform(-10, 10) for _ in range(n)]
+        b = [rng.uniform(-10, 10) for _ in range(n)]
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        c = coupling_from_rows(x, x, [[a[i] + b[j] for j in range(n)]
+                                      for i in range(n)])
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+        m = MultiMapping(x, x, tuple(pairs))
+        gg = build_gain_graph(m, c)
+        if _passes([gg.columns[v] for v in gg.nodes],
+                   [0.0] * len(gg.nodes)) is None:
+            out.append((m, c))
+    return out
+
+
+def assert_closure_read(m, c, rng):
+    """rockafellar and chain_suprema equal the closure route bit for bit."""
+    for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)):
+        assert_same_floats(rockafellar(m, c, s, EPS).values, r.values)
+    shifts = [rng.choice((-0.0, 0.0, rng.uniform(-1.0, 1.0))) for _ in m.dom]
+    assert_same_floats(chain_suprema(m, c, m.dom, shifts, EPS).values,
+                       closure_suprema(m, c, m.dom, shifts))
+
+
+def test_unsettled_passes_fall_back_to_the_closure_table(rng):
+    for m, c in sum_separable_instances(rng, 30):
+        gg = build_gain_graph(m, c)
+        verdict, walks = _cyclic_verdict(gg, EPS)
+        assert verdict and walks == _cyclic_walks(gg, EPS)[1]
+        assert_closure_read(m, c, rng)
+
+
+def test_unsettled_seeded_passes_fall_back_to_the_closure_table(rng,
+                                                                monkeypatch):
+    # the verdict's passes settle, the seeded ones are made not to
+    rock = importlib.import_module("abconvex.rockafellar")
+    monkeypatch.setattr(rock, "_passes", lambda cols, labels: None)
+    checked = 0
+    for m, c in mixed_mappings(rng, 60):
+        gg = build_gain_graph(m, c)
+        verdict, walks = _cyclic_verdict(gg, EPS)
+        if verdict and walks is None:
+            assert_closure_read(m, c, rng)
+            checked += 1
+    assert checked >= 20
