@@ -41,11 +41,20 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (a bad or missing command, option or value) as
+    an input error, so it prints the JSON document and exits 2 like every
+    other input error, instead of printing usage to stderr."""
+
+    def error(self, message):
+        raise InstanceError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command's parser, built once per process (parsing never
     changes it)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abconvex",
         description="Finite-instance computations of abstract convex analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,31 +188,29 @@ def _run(args) -> dict:
         return {"command": cmd,
                 "result": function_to_jsonable(fitzpatrick(m, c))}
 
-    if cmd == "verify":
-        m = _mapping(doc, args).require_proper()
-        # one context: each lifted quantity is computed once per request
-        lifted = _Lifted(m, c, eps)
-        report_a = _theorem6A(lifted)
-        out = {"command": cmd,
-               "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
-        if report_a.t_monotone:
-            out["theorem_b"] = asdict(_theorem6B(lifted, seed=args.seed))
-        if doc.metric is not None and doc.negate:
-            try:
-                # c is -d here, the coupling the chain is stated for
-                chain = _inequality_chain(lifted, doc.metric)
-                out["inequality_chain"] = asdict(chain)
-            except AbstractConvexError as exc:
-                out["inequality_chain"] = {"skipped": str(exc)}
-        return out
-
-    raise InstanceError(f"unknown command {cmd!r}")
+    # verify, the last command the parser accepts
+    m = _mapping(doc, args).require_proper()
+    # one context: each lifted quantity is computed once per request
+    lifted = _Lifted(m, c, eps)
+    report_a = _theorem6A(lifted)
+    out = {"command": cmd,
+           "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
+    if report_a.t_monotone:
+        out["theorem_b"] = asdict(_theorem6B(lifted, seed=args.seed))
+    if doc.metric is not None and doc.negate:
+        try:
+            # c is -d here, the coupling the chain is stated for
+            chain = _inequality_chain(lifted, doc.metric)
+            out["inequality_chain"] = asdict(chain)
+        except AbstractConvexError as exc:
+            out["inequality_chain"] = {"skipped": str(exc)}
+    return out
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = None  # a usage error leaves no --output, so it goes to stdout
     try:
+        args = _build_parser().parse_args(argv)
         result = _run(args)
         text = dumps(result)
         status = EXIT_OK

@@ -37,7 +37,7 @@ Every other case (eps < 0, passes that do not settle, which a positive
 cycle or a zero-gain cycle that rounds positive causes, or a refused
 guard) goes to ``_cyclic_walks``, which gives the verdict, its witness and
 a table of best walks inside dom(M), so every verdict and witness is the
-closure route's.  It first computes
+closure route's.  At eps >= 0 it first computes
 one max-plus Floyd-Warshall closure of the restricted gain matrix (O(k^3)
 time, O(k^2) memory).  Each diagonal entry bounds the best simple cycle
 through its node from above, and a closed walk of at most k steps splits
@@ -45,7 +45,9 @@ into at most k simple cycles, so a diagonal no larger than eps/k proves
 that no such walk gains more than eps, and the closure is the table.  The
 closure stops at the first diagonal entry over eps/k and the exact-length
 route decides instead, supplying the witness cycle on a failure and, on a
-pass, the best of the walk rounds it ran as the table.
+pass, the best of the walk rounds it ran as the table.  Below zero the
+walk rounds alone decide: eps/k > eps there, and at eps = -5e-324 it rounds
+to -0.0, which would pass the 0.0 diagonal of every one-step loop u -> u.
 
 The exact-length route is one generator of walk rounds: round L holds the
 best walk of exactly L steps between every two nodes (O(k^3) per round,
@@ -308,16 +310,17 @@ def _cyclic_walks(gg: GainGraph, eps: float
                   ) -> tuple[MonotonicityResult, Optional[list[list[float]]]]:
     """(verdict, walks) for the gain graph's restricted matrix.
 
-    A closure diagonal no larger than eps/k passes outright, and ``walks``
-    is the closure.  Otherwise the exact-length rounds 1..k decide: the
-    first length whose best closed walk gains over eps fails with that walk
-    as witness (``walks`` is None), and a pass returns the entrywise best of
-    the k rounds run, the best walks of at most k steps.  The closure could
-    pump a cycle gaining up to eps exponentially often, so it is not used.
+    At eps >= 0, a closure diagonal no larger than eps/k passes outright,
+    and ``walks`` is the closure.  Otherwise the exact-length rounds 1..k
+    decide: the first length whose best closed walk gains over eps fails
+    with that walk as witness (``walks`` is None), and a pass returns the
+    entrywise best of the k rounds run, the best walks of at most k steps.
+    The closure could pump a cycle gaining up to eps exponentially often,
+    so it is not used.
     """
     a = gg.restricted()
     k = len(gg.nodes)
-    closure = _max_plus_closure(a, eps / k)
+    closure = _max_plus_closure(a, eps / k) if eps >= 0 else None
     if closure is not None:
         return MonotonicityResult(True), closure
     walks = a

@@ -91,10 +91,9 @@ def random_constraint_problem(rng: random.Random, nx: int, ny: int,
                               full_domain: bool = False,
                               eps: float = 1e-9) -> ConstraintProblem:
     c = random_coupling(rng, nx, ny)
-    m = random_cyclically_monotone_mapping(rng, c)
     anchor = random_c_convex_function(rng, c, inf_prob=0.0)
-    # re-derive M from the anchor's own subdifferential so the anchor is a
-    # genuine antiderivative
+    # M from the anchor's own subdifferential, so the anchor is a genuine
+    # antiderivative
     pool = list(c_subdifferential(anchor, c).graph)
     k = rng.randint(1, len(pool))
     m = MultiMapping(c.domain, c.codomain, tuple(rng.sample(pool, k)))

@@ -12,10 +12,11 @@ from abconvex import (
     MultiMapping,
     coupling_from_rows,
     inject_positive_two_cycle,
-    is_n_monotone,
     random_coupling,
     random_cyclically_monotone_mapping,
 )
+
+from references import random_graph
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -74,23 +75,6 @@ def mixed_mappings(rng, count: int, max_pairs=None):
     return out
 
 
-#: Entry pools for ``kernel_coupling``: uniform reals, then small integers
-#: and signed zeros, then signed zeros alone, where equal gains and -0.0
-#: abound.
-TIE_KINDS = ((), (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0), (-0.0, 0.0))
-
-
-def kernel_coupling(rng, nx: int, ny: int, ties=()) -> Coupling:
-    """An nx x ny coupling of uniform reals or, given ``ties``, of entries
-    drawn from them."""
-    def real():
-        return rng.choice(ties) if ties else rng.uniform(-10.0, 10.0)
-
-    x = GroundSet(tuple(f"x{i}" for i in range(nx)))
-    y = GroundSet(tuple(f"y{j}" for j in range(ny)))
-    return Coupling(x, y, tuple(tuple(real() for _ in range(ny)) for _ in range(nx)))
-
-
 def one_point_couplings() -> tuple[Coupling, ...]:
     """Couplings with a 1-point side or two, with ties and a signed zero."""
     one = GroundSet(("p",))
@@ -100,43 +84,12 @@ def one_point_couplings() -> tuple[Coupling, ...]:
             coupling_from_rows(one, one, [[-0.0]]))
 
 
-def random_graph(rng, c: Coupling, max_pairs: int) -> MultiMapping:
-    """A mapping with 1..max_pairs uniformly drawn graph pairs."""
-    nx, ny = c.domain.size, c.codomain.size
-    pairs = {(rng.randrange(nx), rng.randrange(ny))
-             for _ in range(rng.randint(1, max_pairs))}
-    return MultiMapping(c.domain, c.codomain, tuple(pairs))
-
-
-def grown_mapping(rng, m: MultiMapping, c: Coupling, eps: float,
-                  tries=None) -> MultiMapping:
-    """m extended by each absent pair that keeps it 2-monotone, the pairs
-    tried in random order: all of them, which leaves m finitely maximal, or
-    only the first ``tries``."""
-    pool = [(x, y) for x in range(c.domain.size) for y in range(c.codomain.size)]
-    rng.shuffle(pool)
-    for p in pool[:tries]:
-        if p not in m and is_n_monotone(m.with_pair(*p), c, 2, eps):
-            m = m.with_pair(*p)
-    return m
-
-
 def assert_same_floats(got, want):
     """Bit-identical float sequences: == and also float.hex, which tells
     -0.0 from 0.0."""
     got, want = list(got), list(want)
     assert got == want
     assert list(map(float.hex, got)) == list(map(float.hex, want))
-
-
-def route_bound(gg, shifts) -> float:
-    """The stated bound between a potential-route value of max_s [shift(s)
-    + R_s] and the closure route's: 2**-52 * (k + 2)**2 * M, where
-    M = max |shift| + (k + 1) * max |gain| bounds every partial sum of a
-    walk of at most k + 1 hops from a site."""
-    k = len(gg.nodes)
-    g = max(max(map(abs, row)) for row in gg.gain)
-    return 2.0 ** -52 * (k + 2) ** 2 * (max(map(abs, shifts)) + (k + 1) * g)
 
 
 def two_cycle_instance(gain: float):

@@ -26,13 +26,12 @@ from abconvex import (
     random_coupling,
     random_cyclically_monotone_mapping,
     random_metric,
-    verify_inequality_chain,
     verify_theorem6A,
     verify_theorem6B,
 )
 from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
 from abconvex.instance_io import _num, document_to_jsonable, dumps
-from conftest import grown_mapping
+from references import grown_mapping, public_verify_text, verify_document
 
 
 def run(capsys, *argv):
@@ -510,45 +509,21 @@ def lifted_documents(rng, tmp_path):
     bad, cbad = inject_positive_two_cycle(rng, maximal, c)
     metric = random_metric(rng, 4)
     d = as_coupling(metric)
-    docs = {"maximal": (c, maximal), "non_maximal": (c, small),
-            "non_monotone": (cbad, bad)}
-    metric_maps = {
-        "metric_maximal": grown_mapping(rng, identity_mapping(metric), d,
-                                        DEFAULT_EPS),
-        "metric_non_maximal": MultiMapping(d.domain, d.codomain, ((0, 0),)),
-        "metric_non_monotone": MultiMapping(d.domain, d.codomain,
-                                            ((0, 1), (1, 0))),
+    docs = {
+        "maximal": (maximal, c), "non_maximal": (small, c),
+        "non_monotone": (bad, cbad),
+        "metric_maximal": (grown_mapping(rng, identity_mapping(metric), d,
+                                         DEFAULT_EPS), d, metric),
+        "metric_non_maximal": (MultiMapping(d.domain, d.codomain, ((0, 0),)),
+                               d, metric),
+        "metric_non_monotone": (MultiMapping(d.domain, d.codomain,
+                                             ((0, 1), (1, 0))), d, metric),
     }
     paths = {}
-    for name, (coupling, t) in docs.items():
+    for name, args in docs.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(emit_document(InstanceDocument(
-            "1", {"X": coupling.domain, "Y": coupling.codomain}, coupling,
-            coupling_names=("X", "Y"), mappings={"T": t})))
-    for name, t in metric_maps.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(emit_document(InstanceDocument(
-            "1", {"P": metric.points}, d, metric=metric, negate=True,
-            coupling_names=("P", "P"), mappings={"T": t})))
+        paths[name].write_text(verify_document(*args))
     return paths
-
-
-def public_verify_text(path, seed):
-    """What ``verify`` prints, assembled from the public wrappers alone."""
-    doc = parse_instance(path.read_text())
-    m, c = doc.mapping("T"), doc.coupling
-    report_a = verify_theorem6A(m, c, DEFAULT_EPS)
-    out = {"command": "verify",
-           "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
-    if report_a.t_monotone:
-        out["theorem_b"] = asdict(verify_theorem6B(m, c, DEFAULT_EPS, seed=seed))
-    if doc.metric is not None and doc.negate:
-        try:
-            out["inequality_chain"] = asdict(
-                verify_inequality_chain(m, doc.metric, eps=DEFAULT_EPS))
-        except AbstractConvexError as exc:
-            out["inequality_chain"] = {"skipped": str(exc)}
-    return dumps(out)
 
 
 def test_verify_prints_what_the_public_wrappers_report(capsys, tmp_path):
@@ -559,7 +534,7 @@ def test_verify_prints_what_the_public_wrappers_report(capsys, tmp_path):
                        "--seed", "11"])
         text = capsys.readouterr().out
         assert status == EXIT_OK
-        assert text == public_verify_text(path, 11)
+        assert text == public_verify_text(path.read_text(), 11)
         out = json.loads(text)
         outcomes[name] = (out["theorem_a"]["t_monotone"],
                           out.get("theorem_b", {}).get("maximality_checked"),
@@ -621,9 +596,8 @@ def test_verify_guards_the_lifted_table_before_building_it(capsys, tmp_path,
     monkeypatch.setattr(fitz, "_pairs_side", built)
     c = random_coupling(random.Random(0), 60, 60)
     path = tmp_path / "wide.json"
-    path.write_text(emit_document(InstanceDocument(
-        "1", {"X": c.domain, "Y": c.codomain}, c, coupling_names=("X", "Y"),
-        mappings={"T": MultiMapping(c.domain, c.codomain, ((0, 0),))})))
+    path.write_text(verify_document(
+        MultiMapping(c.domain, c.codomain, ((0, 0),)), c))
     status, out = run(capsys, "verify", "--instance", str(path), "--mapping", "T")
     assert status == EXIT_DOMAIN
     assert out == {"error": "domain", "message":
@@ -787,15 +761,44 @@ def test_non_finite_epsilon_is_an_input_error(capsys, two_point_path, value,
 
 
 def test_negative_epsilon_keeps_its_library_meaning(capsys, two_point_path):
-    # every 1-step loop gains 0 > eps: a domain verdict, not an input error
-    status, out = run(capsys, "check-monotone", "--instance", two_point_path,
-                      "--mapping", "M", "--epsilon=-1e-9")
-    assert status == EXIT_OK
-    assert out["monotone"] is False
-    status, out = run(capsys, "rockafellar", "--instance", two_point_path,
-                      "--mapping", "M", "--subset", "origin", "--epsilon=-1e-9")
-    assert status == EXIT_DOMAIN
-    assert out["error"] == "not-cyclically-monotone"
+    # every 1-step loop gains 0 > eps: a domain verdict, not an input error;
+    # at -5e-324 eps/k rounds to -0.0, where the cyclic check used to print
+    # true while --order 1 printed false
+    for eps in ("--epsilon=-1e-9", "--epsilon=-5e-324"):
+        argv = ("check-monotone", "--instance", two_point_path, "--mapping",
+                "M", eps)
+        status, out = run(capsys, *argv)
+        assert status == EXIT_OK
+        assert out["monotone"] is False
+        assert run(capsys, *argv, "--order", "1") == (EXIT_OK, out)
+        status, out = run(capsys, "rockafellar", "--instance", two_point_path,
+                          "--mapping", "M", "--subset", "origin", eps)
+        assert status == EXIT_DOMAIN
+        assert out["error"] == "not-cyclically-monotone"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-monotone", "--mapping", "M", "--order", "x"],
+     "argument --order: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["check-monotone", "--mapping", "M", "--bogus"],
+     "unrecognized arguments: --bogus"),
+])
+def test_usage_errors_are_input_errors(capsys, tmp_path, two_point_path, argv,
+                                       message):
+    # they used to print usage to stderr and no JSON; the document goes to
+    # stdout even with --output, which parsing has not read yet
+    if argv[:1] == ["check-monotone"]:
+        argv = argv + ["--instance", two_point_path, "--output",
+                       str(tmp_path / "o")]
+    status = main(argv)
+    out, err = capsys.readouterr()
+    assert status == EXIT_INPUT
+    assert err == ""
+    assert not (tmp_path / "o").exists()
+    doc = json.loads(out)
+    assert doc["error"] == "input" and doc["message"].startswith(message)
 
 
 @pytest.mark.parametrize("command", ["alpha", "gamma", "member"])

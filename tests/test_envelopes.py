@@ -25,7 +25,7 @@ from abconvex import (
     sandwich_check,
     sup_distance,
 )
-from conftest import route_bound
+from references import route_bound
 
 EPS = 1e-9
 

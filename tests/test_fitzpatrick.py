@@ -35,11 +35,12 @@ from abconvex.fitzpatrick import (
     graph_anchor,
     swap_to_domain,
 )
-from conftest import (
+from conftest import assert_same_floats, one_point_couplings
+from references import (
     TIE_KINDS,
-    assert_same_floats,
+    fitzpatrick_per_cell,
     kernel_coupling,
-    one_point_couplings,
+    product_rows_per_cell,
     random_graph,
 )
 
@@ -228,18 +229,8 @@ def test_anchor_restricts_coupling_to_graph(two_point):
 
 
 # ---------------------------------------------------------------- row kernels
-# Per-cell references for the lifted product and the Fitzpatrick function,
-# one Python step per cell.  The row kernels must match them bit for bit.
-
-def product_rows_per_cell(c, pc):
-    return tuple(tuple(c(x, t) + c(s, y) for t, s in pc.ts_pairs)
-                 for x, y in pc.xy_pairs)
-
-
-def fitzpatrick_per_cell(t_map, c):
-    return tuple(max(c(x, t) + c(s, y) - c(s, t) for s, t in t_map.graph)
-                 for x in range(c.domain.size) for y in range(c.codomain.size))
-
+# The row kernels must match the per-cell references for the lifted
+# product and the Fitzpatrick function (``references.py``) bit for bit.
 
 def test_lifted_kernels_match_per_cell_form(rng):
     for trial in range(200):

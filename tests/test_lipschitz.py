@@ -33,6 +33,12 @@ from abconvex import (
     sup_distance,
 )
 
+from references import (
+    first_triangle_failure,
+    metric_error,
+    reference_metric_error,
+)
+
 EPS = 1e-9
 
 
@@ -191,27 +197,9 @@ def test_characterize_rejects_infinite_values():
 
 
 # ---------------------------------------------------------------- triangle check
-# Per-triple reference of the triangle check: the loop the row kernel
-# replaced.  The kernel must accept the same matrices and name the same
-# first failing (i, j, k) in loop order.
-
-def first_triangle_failure(d, eps):
-    n = len(d)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][k] > d[i][j] + d[j][k] + eps:
-                    return i, j, k
-    return None
-
-
-def _triangle_verdict(points, d, eps):
-    try:
-        MetricInstance(points, tuple(map(tuple, d)), eps=eps)
-    except MetricError as exc:
-        return str(exc)
-    return None
-
+# ``first_triangle_failure`` (in ``references.py``) is the per-triple loop
+# the row kernel replaced.  The kernel must accept the same matrices and
+# name the same first failing (i, j, k) in loop order.
 
 def test_triangle_check_matches_per_triple_form(rng):
     fails = passes = 0
@@ -229,7 +217,7 @@ def test_triangle_check_matches_per_triple_form(rng):
                     edge = math.nextafter(edge, math.inf)
                 d[i][k] = d[k][i] = edge
         want = first_triangle_failure(d, eps)
-        got = _triangle_verdict(metric.points, d, eps)
+        got = metric_error(d, eps)
         if want is None:
             passes += 1
             assert got is None
@@ -256,40 +244,10 @@ def test_triangle_check_at_exactly_eps_in_a_document(fixture_dir):
 
 # ------------------------------------------- symmetric half scan and axioms
 # An exactly symmetric matrix tests each unordered (i, k) once; one that is
-# symmetric only within eps keeps the full scan.  The axiom loop below is
-# the per-cell form the row kernels replaced; together with
-# ``first_triangle_failure`` it gives the reference message of any matrix.
-
-def axiom_failure(d, eps, pseudometric):
-    n = len(d)
-    for i in range(n):
-        if abs(d[i][i]) > eps:
-            return f"d({i},{i}) != 0"
-        for j in range(n):
-            if not math.isfinite(d[i][j]) or d[i][j] < -eps:
-                return f"d({i},{j}) must be finite and nonnegative"
-            if abs(d[i][j] - d[j][i]) > eps:
-                return f"asymmetry at ({i},{j})"
-            if i != j and not pseudometric and d[i][j] <= eps:
-                return f"zero distance between distinct points ({i},{j})"
-    return None
-
-
-def reference_metric_error(d, eps, pseudometric=False):
-    error = axiom_failure(d, eps, pseudometric)
-    if error is None and (first := first_triangle_failure(d, eps)):
-        error = "triangle inequality fails at ({},{},{})".format(*first)
-    return error
-
-
-def metric_error(d, eps, pseudometric=False):
-    points = GroundSet(tuple(map(str, range(len(d)))))
-    try:
-        MetricInstance(points, tuple(map(tuple, d)), pseudometric, eps)
-    except MetricError as exc:
-        return str(exc)
-    return None
-
+# symmetric only within eps keeps the full scan.  ``axiom_failure`` is
+# the per-cell form the row kernels replaced; with
+# ``first_triangle_failure`` it gives ``reference_metric_error``, the
+# reference message of any matrix.
 
 def test_triangle_check_on_matrices_asymmetric_within_eps(rng):
     # d(i, k) at the eps margin of its least detour or one float past it,

@@ -28,21 +28,24 @@ from abconvex import (
 )
 from abconvex import monotone
 from abconvex.fitzpatrick import delta_mapping, full_diagonal, product_coupling
-from abconvex.monotone import (
-    _chain_gain,
-    _cyclic_walks,
-    _is_maximal,
-    _max_plus_closure,
-)
+from abconvex.monotone import _chain_gain, _cyclic_walks, _max_plus_closure
 from conftest import (
-    TIE_KINDS,
     assert_same_floats,
-    grown_mapping,
-    kernel_coupling,
     mixed_mappings,
     one_point_couplings,
-    random_graph,
     two_cycle_instance,
+)
+from references import (
+    TIE_KINDS,
+    closure_per_cell,
+    gain_graph_per_cell,
+    kernel_coupling,
+    maximal_by_recheck,
+    partly_grown,
+    random_graph,
+    reference_closed_walks,
+    reference_cyclic_verdict,
+    reference_verdict,
 )
 
 EPS = 1e-9
@@ -237,7 +240,7 @@ def test_closure_verdict_matches_exact_length_route(rng):
     failing = 0
     for m, c in mixed_mappings(rng, 240):
         got = is_cyclically_monotone(m, c, EPS)
-        want = _reference_cyclic_verdict(build_gain_graph(m, c), EPS)
+        want = reference_cyclic_verdict(build_gain_graph(m, c), EPS)
         assert (got.holds, got.witness) == want
         if not got:
             failing += 1
@@ -280,7 +283,7 @@ def test_negative_eps_fails_every_mapping(two_point):
     # the one-step walk u -> u gains 0 > eps: the exact route's verdict and witness
     for m in (two_point.m, MultiMapping(two_point.x, two_point.y, ((2, 0),))):
         got = is_cyclically_monotone(m, two_point.c, -EPS)
-        want = _reference_cyclic_verdict(build_gain_graph(m, two_point.c), -EPS)
+        want = reference_cyclic_verdict(build_gain_graph(m, two_point.c), -EPS)
         assert not got and (got.holds, got.witness) == want
 
 
@@ -318,8 +321,8 @@ def assert_order_route(m, c, n, eps):
         assert got.witness == want.witness
         return
     gg = build_gain_graph(m, c)
-    diag_best, cycles = _reference_closed_walks(gg.restricted(), n)
-    assert (got.holds, got.witness) == _reference_verdict(
+    diag_best, cycles = reference_closed_walks(gg.restricted(), n)
+    assert (got.holds, got.witness) == reference_verdict(
         gg, diag_best[-1], cycles[-1], eps)
     if not got:
         assert len(got.witness) == n and set(got.witness) <= set(m.graph)
@@ -356,68 +359,6 @@ def test_enumeration_route_at_exact_gain_thresholds(rng):
                     assert_order_route(m, c, n, eps)
 
 
-def _reference_closed_walks(a, max_len):
-    """Best closed-walk gains by exact length 1..max_len and a node cycle
-    achieving each, from plain relaxation rounds with a predecessor table:
-    the reference for the witnesses of the exact-length route."""
-    k_nodes = len(a)
-    walk = [row[:] for row in a]
-    preds = [[[u for _ in range(k_nodes)] for u in range(k_nodes)]]
-    diag_best, cycles = [], []
-
-    def record():
-        best, where = -INF, 0
-        for u in range(k_nodes):
-            if walk[u][u] > best:
-                best, where = walk[u][u], u
-        diag_best.append(best)
-        path = [where]
-        v = where
-        for k in range(len(preds) - 1, 0, -1):
-            v = preds[k][where][v]
-            path.append(v)
-        path.append(where)
-        path.reverse()
-        cycles.append(path[:-1])
-
-    record()
-    for _ in range(1, max_len):
-        nxt = [[-INF] * k_nodes for _ in range(k_nodes)]
-        pred = [[0] * k_nodes for _ in range(k_nodes)]
-        for u in range(k_nodes):
-            for w in range(k_nodes):
-                base = walk[u][w]
-                if base == -INF:
-                    continue
-                for v in range(k_nodes):
-                    g = base + a[w][v]
-                    if g > nxt[u][v]:
-                        nxt[u][v] = g
-                        pred[u][v] = w
-        walk = nxt
-        preds.append(pred)
-        record()
-    return diag_best, cycles
-
-
-def _reference_verdict(gg, best, cycle, eps):
-    if best <= eps:
-        return True, None
-    n = len(cycle)
-    return False, tuple((gg.nodes[cycle[i]],
-                         gg.witness[cycle[i]][gg.nodes[cycle[(i + 1) % n]]])
-                        for i in range(n))
-
-
-def _reference_cyclic_verdict(gg, eps):
-    """(holds, witness) at the first of the lengths 1..k whose best closed
-    walk gains over eps."""
-    k = len(gg.nodes)
-    diag_best, cycles = _reference_closed_walks(gg.restricted(), k)
-    return next((_reference_verdict(gg, diag_best[i], cycles[i], eps)
-                 for i in range(k) if diag_best[i] > eps), (True, None))
-
-
 def test_walk_rounds_pin_reference_witnesses(rng):
     # the cyclic verdict (first length over eps after all k rounds), the
     # n-monotone route at orders other than 2 (round n) and the witness
@@ -427,8 +368,8 @@ def test_walk_rounds_pin_reference_witnesses(rng):
     for m, c in mixed_mappings(rng, 240):
         gg = build_gain_graph(m, c)
         k = len(gg.nodes)
-        diag_best, cycles = _reference_closed_walks(gg.restricted(), max(k, 3))
-        want = next((_reference_verdict(gg, diag_best[i], cycles[i], EPS)
+        diag_best, cycles = reference_closed_walks(gg.restricted(), max(k, 3))
+        want = next((reference_verdict(gg, diag_best[i], cycles[i], EPS)
                      for i in range(k) if diag_best[i] > EPS), (True, None))
         got = is_cyclically_monotone(m, c, EPS)
         assert (got.holds, got.witness) == want
@@ -439,51 +380,15 @@ def test_walk_rounds_pin_reference_witnesses(rng):
             assert err.value.witness == want[1]
         for n in (1, 3):
             got = is_n_monotone(m, c, n, EPS)
-            assert (got.holds, got.witness) == _reference_verdict(
+            assert (got.holds, got.witness) == reference_verdict(
                 gg, diag_best[n - 1], cycles[n - 1], EPS)
     assert 80 <= failing <= 200
 
 
 # ---------------------------------------------------------------- row kernels
-# Per-cell reference forms of the gain graph and the closure: one Python
-# step per cell, straight from the definitions.  The row kernels must match
-# them bit for bit, witnesses included.
-
-def gain_graph_per_cell(m, c):
-    nodes = tuple(sorted({x for x, _ in m.graph}))
-    gain, witness = [], []
-    for u in nodes:
-        images = [y for x, y in m.graph if x == u]
-        grow, wrow = [], []
-        for v in range(c.domain.size):
-            best, besty = -INF, images[0]
-            for y in images:
-                g = c(v, y) - c(u, y)
-                if g > best:
-                    best, besty = g, y
-            grow.append(best)
-            wrow.append(besty)
-        gain.append(tuple(grow))
-        witness.append(tuple(wrow))
-    return nodes, tuple(gain), tuple(witness)
-
-
-def closure_per_cell(a, limit):
-    k = len(a)
-    d = [row[:] for row in a]
-    if any(d[u][u] > limit for u in range(k)):
-        return None
-    for w in range(k):
-        for u in range(k):
-            if u == w:
-                continue
-            for v in range(k):
-                if v != w:
-                    d[u][v] = max(d[u][v], d[u][w] + d[w][v])
-            if d[u][u] > limit:
-                return None
-    return d
-
+# The per-cell reference forms of the gain graph and the closure live in
+# ``references.py``.  The row kernels must match them bit for bit,
+# witnesses included.
 
 def assert_same_matrix(got, want):
     assert len(got) == len(want)
@@ -563,20 +468,9 @@ def test_closure_keeps_unreachable_entries_at_minus_infinity():
 
 
 # ------------------------------------------------- order-2 maximality kernel
-# The enumeration oracle's recheck of every extension is the reference for
-# the row kernel, which ``is_n_monotone`` at order 2 also runs.
-
-def maximal_by_recheck(m, c, eps, candidates=None):
-    return _is_maximal(lambda t: n_monotone_oracle(t, c, 2, eps), m, candidates)
-
-
-def partly_grown(rng, c, eps):
-    """A 2-monotone mapping grown by a random number of tries, so some draws
-    are maximal and some are a pair or more short."""
-    m = random_cyclically_monotone_mapping(rng, c)
-    tries = rng.randint(0, c.domain.size * c.codomain.size)
-    return grown_mapping(rng, m, c, eps, tries)
-
+# The enumeration oracle's recheck of every extension (``maximal_by_recheck``)
+# is the reference for the row kernel, which ``is_n_monotone`` at order 2
+# also runs.
 
 def best_extension_gains(m, c, x, y):
     """Both orders of every two-pair selection with the candidate (x, y)."""
@@ -844,9 +738,9 @@ def test_negative_eps_is_decided_by_the_walk_rounds_alone(rng, monkeypatch,
         want, table = _cyclic_walks(gg, eps)
         assert (verdict.holds, verdict.witness, walks) == (
             want.holds, want.witness, table)
-        # the 1-step walk u -> u gains 0 > eps; at -5e-324, eps/k rounds to
-        # -0.0 once k >= 2 and the closure passes M, as before
-        assert not verdict or eps == -5e-324
+        # the 1-step walk u -> u gains 0 > eps, even at -5e-324, where
+        # eps/k would round to -0.0 once k >= 2
+        assert not verdict
     assert calls == []
 
 

@@ -27,19 +27,23 @@ from abconvex.monotone import (
     _chain_gain,
     _cyclic_verdict,
     _cyclic_walks,
-    _max_plus_closure,
     _passes,
     build_gain_graph,
 )
 from abconvex.rockafellar import anchored_antiderivatives, chain_suprema
 from conftest import (
-    TIE_KINDS,
     assert_same_floats,
-    kernel_coupling,
     mixed_mappings,
     one_point_couplings,
-    route_bound,
     two_cycle_instance,
+)
+from references import (
+    TIE_KINDS,
+    anchored_per_cell,
+    band_instance,
+    kernel_coupling,
+    route_bound,
+    separable_coupling,
 )
 
 EPS = 1e-9
@@ -215,32 +219,9 @@ def test_near_zero_cycles_are_not_pumped(rng):
     assert checked >= 100
 
 
-def band_instances(rng, count):
-    """Mappings on couplings c(x, y) = a_x + b_y + noise whose best cycle
-    gains between eps/k and eps: the exact-length route passes them and the
-    closure does not."""
-    out = []
-    while len(out) < count:
-        n = rng.randint(3, 5)
-        scale = rng.choice([2e-10, 4e-10, 8e-10])
-        a = [rng.uniform(-10, 10) for _ in range(n)]
-        b = [rng.uniform(-10, 10) for _ in range(n)]
-        x = GroundSet(tuple(f"p{i}" for i in range(n)))
-        c = coupling_from_rows(x, x, [
-            [a[i] + b[j] + rng.uniform(-scale, scale) for j in range(n)]
-            for i in range(n)])
-        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)}
-        m = MultiMapping(x, x, tuple(pairs))
-        closure = _max_plus_closure(build_gain_graph(m, c).restricted(),
-                                    EPS / len(m.dom))
-        if closure is None and is_cyclically_monotone(m, c, EPS):
-            out.append((m, c))
-    return out
-
-
 def test_band_antiderivatives_match_chain_oracle(rng):
     # walks of at most k steps, as the oracle enumerates with max_len = k + 1
-    for m, c in band_instances(rng, 100):
+    for m, c in [band_instance(rng) for _ in range(100)]:
         k = len(m.dom)
         for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)):
             slow = rockafellar_oracle(m, c, s, max_len=k + 1)
@@ -252,7 +233,7 @@ def test_band_call_runs_the_verdict_rounds_once(rng, monkeypatch):
     # the package's ``rockafellar`` attribute is the function, not the module
     mono = importlib.import_module("abconvex.monotone")
     rock = importlib.import_module("abconvex.rockafellar")
-    instances = band_instances(rng, 20)
+    instances = [band_instance(rng) for _ in range(20)]
     real, drawn = mono._walk_rounds, []
 
     def counting(a):
@@ -269,22 +250,9 @@ def test_band_call_runs_the_verdict_rounds_once(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------- row kernel
-# Per-cell reference of R_s on the verdict's table of best walks: one
-# Python step per (x, node) cell.  The column kernel must match it bit for
+# ``anchored_per_cell`` (in ``references.py``) reads R_s per cell from the
+# verdict's table of best walks.  The column kernel must match it bit for
 # bit: the same adds, and the first of equal maxima.
-
-def anchored_per_cell(m, c, anchors, eps):
-    gg = build_gain_graph(m, c)
-    walks = _cyclic_walks(gg, eps)[1]
-    out = []
-    for s in anchors:
-        spos = gg.nodes.index(s)
-        best = walks[spos][:]
-        best[spos] = max(best[spos], 0.0)
-        out.append(tuple(max(b + row[x] for b, row in zip(best, gg.gain))
-                         for x in range(c.domain.size)))
-    return out
-
 
 def test_anchored_antiderivatives_match_per_cell_form(rng):
     draws = mixed_mappings(rng, 150, max_pairs=6)
@@ -292,7 +260,7 @@ def test_anchored_antiderivatives_match_per_cell_form(rng):
         nx = rng.randint(1, 6)
         c = kernel_coupling(rng, nx, rng.randint(1, 6), ties=TIE_KINDS[trial % 3])
         draws.append((random_cyclically_monotone_mapping(rng, c, 6), c))
-    draws += band_instances(rng, 20)
+    draws += [band_instance(rng) for _ in range(20)]
     checked = 0
     for m, c in draws:
         if not is_cyclically_monotone(m, c, EPS):
@@ -315,7 +283,7 @@ def test_anchored_antiderivatives_on_one_point_sets():
 # chain_suprema reads max_s [shift(s) + R_s] from seeded label-correcting
 # passes when the potential decided the verdict, and from the closure
 # table otherwise.  The closure route (anchored_antiderivatives, or the
-# per-cell reader above) is its oracle.
+# per-cell reader ``anchored_per_cell``) is its oracle.
 
 def closure_suprema(m, c, sites, shifts):
     """max over the sites, in order, of shift(s) + R_s on the closure
@@ -362,13 +330,9 @@ def sum_separable_instances(rng, count):
     out = []
     while len(out) < count:
         n = rng.randint(3, 8)
-        a = [rng.uniform(-10, 10) for _ in range(n)]
-        b = [rng.uniform(-10, 10) for _ in range(n)]
-        x = GroundSet(tuple(f"p{i}" for i in range(n)))
-        c = coupling_from_rows(x, x, [[a[i] + b[j] for j in range(n)]
-                                      for i in range(n)])
+        c = separable_coupling(rng, n)
         pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
-        m = MultiMapping(x, x, tuple(pairs))
+        m = MultiMapping(c.domain, c.domain, tuple(pairs))
         gg = build_gain_graph(m, c)
         if _passes([gg.columns[v] for v in gg.nodes],
                    [0.0] * len(gg.nodes)) is None:

@@ -28,7 +28,14 @@ from abconvex import (
     sup_distance,
 )
 
-from conftest import TIE_KINDS, assert_same_floats, grid_function, kernel_coupling
+from conftest import assert_same_floats, grid_function
+from references import (
+    TIE_KINDS,
+    c_subdifferential_per_cell,
+    c_transform_per_cell,
+    c_transform_rev_per_cell,
+    kernel_coupling,
+)
 
 EPS = 1e-9
 
@@ -301,42 +308,9 @@ def test_convex_combination_stays_antiderivative_but_not_convex(two_point):
 
 
 # ---------------------------------------------------------------- row kernels
-# Per-cell reference forms, one Python call per cell straight from the
-# definitions.  The row kernels must match them bit for bit: == and also
-# float.hex, which tells -0.0 from 0.0.
-
-def _transform_per_cell(values, column):
-    best = -INF
-    for i, v in enumerate(values):
-        if v == INF:
-            continue
-        if v == -INF:
-            return INF
-        best = max(best, column(i) - v)
-    return best
-
-
-def c_transform_per_cell(f, c):
-    return tuple(_transform_per_cell(f.values, lambda x: c(x, y))
-                 for y in range(c.codomain.size))
-
-
-def c_transform_rev_per_cell(g, c):
-    return tuple(_transform_per_cell(g.values, lambda y: c(x, y))
-                 for x in range(c.domain.size))
-
-
-def c_subdifferential_per_cell(f, c, eps):
-    fc = c_transform(f, c)
-    pairs = []
-    for x in range(c.domain.size):
-        if not math.isfinite(f(x)):
-            continue
-        for y in range(c.codomain.size):
-            if math.isfinite(fc(y)) and abs(f(x) + fc(y) - c(x, y)) <= eps:
-                pairs.append((x, y))
-    return tuple(pairs)
-
+# The per-cell reference forms live in ``references.py``.  The row kernels
+# must match them bit for bit: == and also float.hex, which tells -0.0
+# from 0.0.
 
 def _kernel_draw(rng, nx, ny, kind):
     """A coupling and a function on each side.  ``kind`` picks the entries:
