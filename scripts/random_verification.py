@@ -11,12 +11,13 @@ Run:  python3 scripts/random_verification.py --seed 0 --trials 50
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from sweep import ROUTES, sweep  # noqa: E402
+from sweep import sweep  # noqa: E402
 
 
 def main():
@@ -25,13 +26,14 @@ def main():
     parser.add_argument("--trials", type=int, default=50)
     args = parser.parse_args()
 
-    failures = 0
-    for name, ok in sweep(args.seed, args.trials):
+    failures, routes = 0, Counter()
+    for name, ok, census in sweep(args.seed, args.trials):
         status = "ok" if ok == args.trials else "FAIL"
         print(f"{name:<36} {ok}/{args.trials} {status}")
         failures += args.trials - ok
+        routes += census
     print("passing potential-route draws decided by the potential: "
-          f"{ROUTES['potential']}, by the closure fallback: {ROUTES['closure']}")
+          f"{routes['potential']}, by the closure fallback: {routes['closure']}")
     return 1 if failures else 0
 
 

@@ -2,7 +2,15 @@
 
 Exit codes: 0 success, 1 domain error (e.g. a mapping that is not
 cyclically monotone), 2 input error (bad document, bad references, bad
-usage).
+usage, an ``--output`` path that cannot be written).
+
+``--output FILE`` receives the bytes stdout would.  An existing file is
+rewritten in place and then cut to the written length, so its inode, mode
+and links survive and closing it starts no writeback, which a truncation
+to zero does on ext4, XFS and btrfs.  The write is not atomic: a crash
+mid-write can leave old and new bytes mixed, where a truncating rewrite
+could leave an empty file.  A path that cannot be written is an input
+error, reported on stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -207,6 +217,16 @@ def _run(args) -> dict:
     return out
 
 
+def _write_in_place(path: str, text: str) -> None:
+    """Write ``text`` over ``path`` from its start, then cut a regular
+    file to the written length (``/dev/null`` refuses the cut, and FIFOs
+    and ttys cannot seek)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def main(argv=None) -> int:
     args = None  # a usage error leaves no --output, so it goes to stdout
     try:
@@ -229,10 +249,14 @@ def main(argv=None) -> int:
         text = dumps({"error": "domain", "message": str(exc)})
         status = EXIT_DOMAIN
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            _write_in_place(args.output, text)
+            return status
+        except OSError as exc:
+            text = dumps({"error": "input",
+                          "message": f"cannot write --output: {exc}"})
+            status = EXIT_INPUT
+    sys.stdout.write(text)
     return status
 
 

@@ -27,7 +27,6 @@ from .core import (
     DEFAULT_EPS,
     Coupling,
     ExtFunction,
-    GroundSet,
     IndexMismatchError,
     MultiMapping,
     sup_distance,

@@ -12,6 +12,7 @@ import io
 import math
 import random
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -85,9 +86,6 @@ from references import (
     separable_coupling,
     verify_document,
 )
-
-#: Which route decided the passing verdicts of the potential check.
-ROUTES = {"potential": 0, "closure": 0}
 
 
 def _bits(rows):
@@ -186,7 +184,8 @@ def check_potential_route(rng):
     (eps < 0 too); on a pass, alpha's max_s [f(s) + R_s] and one R_s within
     the stated bound of the closure route.  The closure itself matches its
     per-cell form bit for bit on these draws, whose signed zeros tell
-    which of two equal sums a max keeps."""
+    which of two equal sums a max keeps.  A passing draw whose mapping
+    passes returns the route that decided it, "potential" or "closure"."""
     m, c = _potential_draw(rng)
     eps = rng.choice((EPS, EPS, EPS, 0.0, -EPS))
     gg = build_gain_graph(m, c)
@@ -206,7 +205,6 @@ def check_potential_route(rng):
         except NotCyclicallyMonotoneError as exc:
             return exc.witness == want.witness
         return False
-    ROUTES["potential" if walks is None else "closure"] += 1
     rows = anchored_antiderivatives(m, c, sites, eps)
     closure = [max(r(x) + f for r, f in zip(rows, shifts))
                for x in range(c.domain.size)]
@@ -215,11 +213,19 @@ def check_potential_route(rng):
     return (max(abs(a - b) for a, b in zip(got, closure))
             <= route_bound(gg, shifts)
             and max(abs(a - b) for a, b in zip(one, rows[0].values))
-            <= route_bound(gg, [0.0]))
+            <= route_bound(gg, [0.0])
+            and ("potential" if walks is None else "closure"))
 
 
 def check_row_kernels(rng):
-    c = random_coupling(rng, rng.randint(1, 9), rng.randint(1, 9))
+    """Each row kernel against its per-cell form, bit for bit, on uniform
+    reals or on ties and signed zeros, which tell which of two equal sums a
+    fold keeps."""
+    nx, ny = rng.randint(1, 9), rng.randint(1, 9)
+    if rng.random() < 0.5:
+        c = random_coupling(rng, nx, ny)
+    else:
+        c = kernel_coupling(rng, nx, ny, rng.choice(TIE_KINDS))
     f = random_proper_function(rng, c.domain)
     g = random_proper_function(rng, c.codomain)
     transforms_ok = (
@@ -383,10 +389,12 @@ CHECKS = [
 
 
 def sweep(seed: int, trials: int):
-    """Yield (name, passing trials) per check, in ``CHECKS`` order, all
-    drawn from one ``random.Random(seed)``; ``ROUTES`` counts this sweep's
-    potential-route census."""
+    """Yield (name, passing trials, census) per check, in ``CHECKS`` order,
+    all drawn from one ``random.Random(seed)``.  A check passes a draw by
+    returning True or the name of the route that decided it; ``census``
+    counts those names for this check in this call alone."""
     rng = random.Random(seed)
-    ROUTES.update(potential=0, closure=0)
     for name, check in CHECKS:
-        yield name, sum(bool(check(rng)) for _ in range(trials))
+        outcomes = [check(rng) for _ in range(trials)]
+        yield name, sum(map(bool, outcomes)), Counter(
+            o for o in outcomes if isinstance(o, str))

@@ -25,7 +25,6 @@ from abconvex import (
     c_transform,
     c_transform_rev,
     convex_combination,
-    coupling_from_rows,
     emit_document,
     extend_max,
     extend_max_closed_form,
@@ -41,7 +40,6 @@ from abconvex import (
     is_antiderivative,
     is_c_convex,
     is_member,
-    lifted_problem,
     lipschitz_characterize,
     mcshane_whitney_max,
     mcshane_whitney_min,

@@ -1,8 +1,10 @@
 import importlib
 import json
 import math
+import os
 import random
 import struct
+import threading
 import time
 from dataclasses import asdict
 
@@ -398,16 +400,61 @@ def test_missing_required_flag_exits_2(capsys, two_point_path):
     assert "--function" in out["message"]
 
 
-def test_output_flag_and_seeded_determinism(tmp_path, line3_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for target in (a, b):
-        status = main(["verify", "--instance", line3_path, "--mapping", "I",
-                       "--seed", "42", "--output", str(target)])
-        assert status == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-    status = main(["verify", "--instance", line3_path, "--mapping", "I",
-                   "--seed", "43", "--output", str(a)])
-    assert status == EXIT_OK  # a different seed still succeeds
+def test_output_flag_and_seeded_determinism(capsys, tmp_path, line3_path):
+    argv = ["verify", "--instance", line3_path, "--mapping", "I", "--seed"]
+    assert main(argv + ["42"]) == EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    # a fresh file, one far longer and one shorter than the result, and a
+    # link to a longer one: each ends holding exactly stdout's bytes, and
+    # the link is still a link
+    a, longer, shorter, linked, link = (tmp_path / name for name in (
+        "a.json", "longer.json", "shorter.json", "linked.json", "link.json"))
+    for path in (longer, linked):
+        path.write_bytes(b"x" * 100_000)
+    shorter.write_bytes(b"{}")
+    link.symlink_to(linked)
+    for target in (a, longer, shorter, link):
+        assert main(argv + ["42", "--output", str(target)]) == EXIT_OK
+        assert target.read_bytes() == stdout
+    assert link.is_symlink() and linked.read_bytes() == stdout
+    assert main(argv + ["43"]) == EXIT_OK  # a different seed still succeeds
+    stdout = capsys.readouterr().out.encode()
+    assert main(argv + ["43", "--output", str(a)]) == EXIT_OK
+    assert a.read_bytes() == stdout
+    assert capsys.readouterr().out == ""
+
+
+def test_output_to_a_device_or_a_fifo(capsys, tmp_path, two_point_path):
+    # neither can be cut to length: /dev/null refuses it, a FIFO cannot seek
+    argv = ["convexify", "--instance", two_point_path, "--function", "f_mix"]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    assert main(argv + ["--output", os.devnull]) == EXIT_OK
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main(argv + ["--output", str(fifo)]) == EXIT_OK
+    reader.join(timeout=10)
+    assert not reader.is_alive() and received == [stdout]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory",
+                                   "under-a-file"])
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, two_point_path,
+                                             where):
+    (tmp_path / "file").write_text("kept")
+    target = {"missing-directory": tmp_path / "missing" / "o.json",
+              "directory": tmp_path,
+              "under-a-file": tmp_path / "file" / "o.json"}[where]
+    status, out = run(capsys, "convexify", "--instance", two_point_path,
+                      "--function", "f_mix", "--output", str(target))
+    assert status == EXIT_INPUT
+    assert out["error"] == "input" and "--output" in out["message"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_huge_integer_literal_exits_2(capsys, tmp_path, fixture_dir):

@@ -1,6 +1,3 @@
-import math
-import random
-
 import pytest
 
 from abconvex import (
@@ -8,7 +5,6 @@ from abconvex import (
     ConstraintProblem,
     ExtFunction,
     IndexSubset,
-    MultiMapping,
     alpha,
     alpha_closed_form,
     build_gain_graph,
