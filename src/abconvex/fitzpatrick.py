@@ -25,6 +25,16 @@ and the closure decides, after k + 1 wasted passes.  6B's ``max_abs_diff`` may m
 its last bits with alpha.
 The public wrappers build their own context, so they report what the
 command prints.  The chain never builds C, so C's guard does not bind it.
+
+On finitely maximal T, 6B samples members of the lifted family on the
+conjugate side.  Two transforms run once per request: low = anchor^C,
+which is gamma^C (gamma is the anchor's convexification, the sites being
+all of dom Delta_T), and high = alpha^C.  Each member is the C-transform
+of a pointwise mix of the two.  Conjugation reverses order and alpha and
+gamma are C-convex, so low <= g <= high gives alpha <= g^C <= gamma; and
+g^C, a C-transform, is C-convex, so it lies in the lifted family by the
+full-domain sandwich criterion.  That is one transform per member, and
+``_family_member`` then tests it with all of its checks.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from .core import (
     MultiMapping,
     sup_distance,
 )
-from .envelopes import ConstraintProblem, gamma
+from .envelopes import ConstraintProblem
 from .lipschitz import MetricInstance, as_coupling, identity_mapping
 from .monotone import (
     _is_maximal,
@@ -59,8 +69,9 @@ from .monotone import (
 )
 from .rockafellar import NotCyclicallyMonotoneError, chain_suprema
 from .transforms import (
-    c_convexify,
     c_subdifferential,
+    c_transform,
+    c_transform_rev,
     is_antiderivative,
     is_c_convex,
 )
@@ -338,14 +349,17 @@ def verify_theorem6B(t_map: MultiMapping, c: Coupling,
                      seed: Optional[int] = None) -> Theorem6BReport:
     """Check that the lifted family's minimal member equals the Fitzpatrick
     function, and (for finitely maximal T) sample members against the
-    Fitzpatrick family.  Sampling can only falsify the inclusion."""
+    Fitzpatrick family.  Each sampled member is the C-transform of a
+    random pointwise mix of gamma^C and alpha^C, which conjugation, being
+    antitone, puts between alpha and gamma (module docstring).  Sampling
+    can only falsify the inclusion."""
     return _theorem6B(_Lifted(t_map, c, eps), seed)
 
 
 def _theorem6B(lifted: _Lifted, seed: Optional[int] = None) -> Theorem6BReport:
     if not lifted.t_monotone:
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
-    problem = lifted.problem
+    lifted.problem  # validates the anchor against Delta_T
     a = lifted.delta_alpha  # alpha(problem)
     if isinstance(a, NotCyclicallyMonotoneError):  # raise a copy, no cycle
         raise NotCyclicallyMonotoneError(a.witness, a.mapping)
@@ -355,19 +369,25 @@ def _theorem6B(lifted: _Lifted, seed: Optional[int] = None) -> Theorem6BReport:
     sampled = THEOREM_6B_SAMPLES if maximal else 0
     falsified = False
     if maximal:
-        rng = random.Random(seed)
-        g = gamma(problem)
-        for _ in range(sampled):
-            mix = ExtFunction(a.index,
-                              tuple(_mix(rng, lo, hi)
-                                    for lo, hi in zip(a.values, g.values)))
-            member = c_convexify(mix, problem.coupling)
-            if not _family_member(member, lifted):
-                falsified = True
+        members = _sampled_members(lifted, a, random.Random(seed), sampled)
+        falsified = not all(_family_member(h, lifted) for h in members)
     return Theorem6BReport(max_abs_diff=diff, equal=diff <= lifted.eps,
                            maximality_checked=maximal,
                            sampled_members=sampled,
                            family_inclusion_falsified=falsified)
+
+
+def _sampled_members(lifted: _Lifted, a: ExtFunction, rng: random.Random,
+                     count: int):
+    """``count`` members of the lifted family between alpha = ``a`` and
+    gamma: the C-transforms of pointwise mixes of low = anchor^C = gamma^C
+    and high = alpha^C (module docstring)."""
+    c = lifted.pc.lifted
+    low = c_transform(lifted.anchor, c)
+    high = c_transform(a, c)
+    for _ in range(count):
+        mix = tuple(_mix(rng, lo, hi) for lo, hi in zip(low.values, high.values))
+        yield c_transform_rev(ExtFunction(low.index, mix), c)
 
 
 def _mix(rng: random.Random, lo: float, hi: float) -> float:

@@ -6,6 +6,14 @@ bounded by walk gains, with equality achieved by the witness choices, so a
 mapping fails cyclic monotonicity exactly when the gain graph restricted to
 dom(M) carries a cycle of strictly positive total gain.
 
+The tolerance model: "cyclically monotone within eps" means that no walk
+of at most k = |dom(M)| steps inside dom(M) gains over eps, so M is
+n-monotone within eps for every n <= k + 1.  That finite reading is the
+definition here, not an approximation of another one: in exact arithmetic
+any simple cycle of positive gain, however small, pumps without bound
+when walked again and again, so no longer walk would give an eps-reading
+of its own.
+
 With k = |dom(M)|, the cyclic verdict is potential first
 (``_cyclic_verdict``; both ``is_cyclically_monotone`` and ``rockafellar``
 call it).  By Rockafellar's theorem a cyclically monotone M has a
@@ -384,6 +392,11 @@ def is_cyclically_monotone(m: MultiMapping, c: Coupling,
     Equivalent to the dom(M)-restricted gain graph having no cycle of gain
     exceeding +eps: any chain sum is bounded by a walk gain and walks
     decompose into simple cycles (length <= |dom(M)|) plus a path.
+
+    Within eps it means that no walk of at most k = |dom(M)| steps gains
+    over eps, so M is n-monotone within eps for every n <= k + 1.  In
+    exact arithmetic a positive simple cycle pumps without bound, so this
+    finite reading is the definition (module docstring).
     """
     m.require_proper()
     return _cyclic_verdict(build_gain_graph(m, c), eps)[0]

@@ -32,8 +32,8 @@ the routes differ by at most 2**-52 * (k + 2)**2 * M at every x.  Each
 route's sum of at most k + 2 terms lies within (k + 1) * 2**-53 * M of
 the exact sum of its walk; the rest allows for the two routes settling on
 different walks whose exact gains differ by cycles the potential bounds.
-``anchored_antiderivatives`` is the closure route for many anchors at
-once, the cross-check of the producer.
+The tests cross-check the producer against the closure route for many
+anchors at once (``anchored_antiderivatives`` in ``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -129,25 +129,6 @@ def chain_suprema(m: MultiMapping, c: Coupling, sites: Sequence[int],
     # equal maxima wins
     return ExtFunction(c.domain, tuple(map(max, zip(*(
         [v + shift for v in row] for row, shift in zip(rows, shifts))))))
-
-
-def anchored_antiderivatives(m: MultiMapping, c: Coupling,
-                             anchors: Sequence[int],
-                             eps: float = DEFAULT_EPS) -> list[ExtFunction]:
-    """The closure route: Rockafellar's antiderivative for each anchor in
-    dom(M), in order, from one gain graph and ``_cyclic_walks``' table of
-    best walks.  The cross-check of ``chain_suprema``'s potential route.
-
-    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
-    not c-cyclically monotone.
-    """
-    _require_anchors(m, anchors)
-    gg = build_gain_graph(m, c)
-    verdict, walks = _cyclic_walks(gg, eps)
-    if not verdict:
-        raise NotCyclicallyMonotoneError(verdict.witness, m)
-    return [ExtFunction(c.domain, tuple(row))
-            for row in _closure_rows(gg, walks, anchors)]
 
 
 def rockafellar(m: MultiMapping, c: Coupling, s: int,

@@ -14,6 +14,7 @@ from abconvex import (
     INF,
     AbstractConvexError,
     Coupling,
+    ExtFunction,
     GroundSet,
     InstanceDocument,
     MetricError,
@@ -33,6 +34,11 @@ from abconvex import (
 )
 from abconvex.instance_io import dumps
 from abconvex.monotone import _cyclic_walks, _is_maximal, _max_plus_closure
+from abconvex.rockafellar import (
+    NotCyclicallyMonotoneError,
+    _closure_rows,
+    _require_anchors,
+)
 
 EPS = 1e-9
 
@@ -164,6 +170,18 @@ def c_subdifferential_per_cell(f, c, eps):
     return tuple(pairs)
 
 
+def is_antiderivative_full(f, m, c, eps):
+    """``is_antiderivative`` with f^c over all of Y, one full transform:
+    the reference for its read of f^c on M's image only."""
+    f.require_proper("antiderivative candidate")
+    m.require_proper()
+    fv, fc = f.values, c_transform(f, c).values
+    return all(x < len(fv) and y < len(fc)
+               and math.isfinite(fv[x]) and math.isfinite(fc[y])
+               and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
+               for x, y in m.graph)
+
+
 def gain_graph_per_cell(m, c):
     """(nodes, gain, witness): the witness is the first best image."""
     nodes = tuple(sorted({x for x, _ in m.graph}))
@@ -200,6 +218,23 @@ def closure_per_cell(a, limit):
             if d[u][u] > limit:
                 return None
     return d
+
+
+def anchored_antiderivatives(m, c, anchors, eps=DEFAULT_EPS):
+    """The closure route: Rockafellar's antiderivative for each anchor in
+    dom(M), in order, from one gain graph and ``_cyclic_walks``' table of
+    best walks.  The cross-check of ``chain_suprema``'s potential route.
+
+    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
+    not c-cyclically monotone.
+    """
+    _require_anchors(m, anchors)
+    gg = build_gain_graph(m, c)
+    verdict, walks = _cyclic_walks(gg, eps)
+    if not verdict:
+        raise NotCyclicallyMonotoneError(verdict.witness, m)
+    return [ExtFunction(c.domain, tuple(row))
+            for row in _closure_rows(gg, walks, anchors)]
 
 
 def anchored_per_cell(m, c, anchors, eps):

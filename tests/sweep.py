@@ -30,6 +30,7 @@ from abconvex import (
     gamma,
     identity_mapping,
     inject_positive_two_cycle,
+    is_antiderivative,
     is_cyclically_monotone,
     is_maximal_n_monotone,
     is_n_monotone,
@@ -55,15 +56,12 @@ from abconvex.monotone import (
     _cyclic_walks,
     _max_plus_closure,
 )
-from abconvex.rockafellar import (
-    NotCyclicallyMonotoneError,
-    anchored_antiderivatives,
-    chain_suprema,
-)
+from abconvex.rockafellar import NotCyclicallyMonotoneError, chain_suprema
 
 from references import (
     EPS,
     TIE_KINDS,
+    anchored_antiderivatives,
     anchored_per_cell,
     band_instance,
     c_subdifferential_per_cell,
@@ -73,6 +71,7 @@ from references import (
     fitzpatrick_per_cell,
     gain_graph_per_cell,
     grown_mapping,
+    is_antiderivative_full,
     kernel_coupling,
     maximal_by_recheck,
     metric_error,
@@ -228,12 +227,20 @@ def check_row_kernels(rng):
         c = kernel_coupling(rng, nx, ny, rng.choice(TIE_KINDS))
     f = random_proper_function(rng, c.domain)
     g = random_proper_function(rng, c.codomain)
+    sub = c_subdifferential(f, c, EPS).graph
     transforms_ok = (
         _bits([c_transform(f, c).values]) == _bits([c_transform_per_cell(f, c)])
         and _bits([c_transform_rev(g, c).values])
         == _bits([c_transform_rev_per_cell(g, c)])
-        and c_subdifferential(f, c, EPS).graph
-        == c_subdifferential_per_cell(f, c, EPS))
+        and sub == c_subdifferential_per_cell(f, c, EPS))
+    # is_antiderivative reads f^c on M's image only: against one full
+    # transform, on pairs of f's subdifferential and a stray pair or not
+    pairs = set(rng.sample(sub, rng.randint(1, len(sub))))
+    if rng.random() < 0.5:
+        pairs.add((rng.randrange(nx), rng.randrange(ny)))
+    held = MultiMapping(c.domain, c.codomain, tuple(pairs))
+    image_ok = (is_antiderivative(f, held, c, EPS)
+                == is_antiderivative_full(f, held, c, EPS))
     m = random_cyclically_monotone_mapping(rng, c, max_pairs=6)
     if rng.random() < 0.5 and min(c.domain.size, c.codomain.size) >= 2:
         m, c = inject_positive_two_cycle(rng, m, c)
@@ -269,7 +276,8 @@ def check_row_kernels(rng):
         order_ok = (not want.holds and len(got.witness) == n
                     and set(got.witness) <= set(m.graph)
                     and _chain_gain(got.witness, c) > EPS)
-    return transforms_ok and gain_ok and lifted_ok and metric_ok and order_ok
+    return (transforms_ok and image_ok and gain_ok and lifted_ok and metric_ok
+            and order_ok)
 
 
 def check_triangle_half_scan(rng):

@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -228,9 +229,9 @@ def test_rockafellar_command(capsys, two_point_path):
 
 def test_rockafellar_non_monotone_exits_1(capsys, tmp_path, fixture_dir):
     path = non_monotone_instance(tmp_path, fixture_dir)
-    raw = json.loads(open(path).read())
+    raw = json.loads(Path(path).read_text())
     raw["subsets"]["p"] = {"parent": "X", "members": ["-2"]}
-    open(path, "w").write(json.dumps(raw))
+    Path(path).write_text(json.dumps(raw))
     status, out = run(capsys, "rockafellar", "--instance", path,
                       "--mapping", "bad", "--subset", "p")
     assert status == EXIT_DOMAIN
@@ -242,9 +243,9 @@ def test_rockafellar_witness_matches_check_monotone(capsys, tmp_path,
                                                    fixture_dir):
     # both come from the exact-length route, and both print label pairs
     path = non_monotone_instance(tmp_path, fixture_dir)
-    raw = json.loads(open(path).read())
+    raw = json.loads(Path(path).read_text())
     raw["subsets"]["p"] = {"parent": "X", "members": ["-2"]}
-    open(path, "w").write(json.dumps(raw))
+    Path(path).write_text(json.dumps(raw))
     status, check = run(capsys, "check-monotone", "--instance", path,
                         "--mapping", "bad")
     assert status == EXIT_OK and check["monotone"] is False

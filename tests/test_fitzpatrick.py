@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -12,11 +13,14 @@ from abconvex import (
     delta_mapping,
     fitzpatrick,
     fitzpatrick_family_member,
+    gamma,
     identity_fitzpatrick,
     identity_mapping,
     is_c_convex,
     is_n_monotone,
     lifted_problem,
+    parse_instance,
+    pointwise_le,
     product_coupling,
     random_coupling,
     random_cyclically_monotone_mapping,
@@ -27,9 +31,14 @@ from abconvex import (
     verify_theorem6A,
     verify_theorem6B,
 )
+from abconvex.cli import main as cli_main
 from abconvex.fitzpatrick import (
     MAX_LIFTED_ENTRIES,
     MAX_LIFTED_SIDE,
+    THEOREM_6B_SAMPLES,
+    _family_member,
+    _Lifted,
+    _sampled_members,
     coupling_as_function,
     full_diagonal,
     graph_anchor,
@@ -39,9 +48,11 @@ from conftest import assert_same_floats, one_point_couplings
 from references import (
     TIE_KINDS,
     fitzpatrick_per_cell,
+    grown_mapping,
     kernel_coupling,
     product_rows_per_cell,
     random_graph,
+    verify_document,
 )
 
 EPS = 1e-9
@@ -255,3 +266,86 @@ def test_lifted_kernels_on_one_point_sets():
                       (x, y) for x in range(c.domain.size)
                       for y in range(c.codomain.size)))):
             assert_same_floats(fitzpatrick(t, c).values, fitzpatrick_per_cell(t, c))
+
+
+# ---------------------------------------------------------- 6B's sampler
+# Members are drawn on the conjugate side: the C-transform of a pointwise
+# mix of gamma^C (the anchor's transform) and alpha^C.
+
+def maximal_documents(rng, count):
+    """(T, c) parsed from seeded ``verify`` documents, coupling documents
+    and -d documents in turn, T grown until finitely maximal."""
+    for i in range(count):
+        metric = random_metric(rng, rng.randint(2, 6)) if i % 2 else None
+        c = (as_coupling(metric) if metric else
+             random_coupling(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        t = grown_mapping(rng, random_monotone_mapping(rng, c), c, EPS)
+        doc = parse_instance(verify_document(t, c, metric))
+        yield doc.mapping("T"), doc.coupling
+
+
+def lifted_contexts(rng, count):
+    """(context, alpha) for the maximal T whose Delta_T has an alpha."""
+    for t, c in maximal_documents(rng, count):
+        lifted = _Lifted(t, c, EPS)
+        assert lifted.t_maximal
+        if isinstance(lifted.delta_alpha, ExtFunction):
+            yield lifted, lifted.delta_alpha
+
+
+def test_sampled_members_lie_between_alpha_and_gamma(rng):
+    drawn = 0
+    for lifted, a in lifted_contexts(rng, 24):
+        g = gamma(lifted.problem)
+        for h in _sampled_members(lifted, a, random.Random(rng.randrange(10 ** 6)),
+                                  THEOREM_6B_SAMPLES):
+            assert pointwise_le(a, h, EPS) and pointwise_le(h, g, EPS)
+            assert _family_member(h, lifted)
+            drawn += 1
+    assert drawn >= 10 * THEOREM_6B_SAMPLES
+
+
+class ConstantDraws:
+    """Stands in for ``random.Random``: every draw is ``lam``."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def random(self):
+        return self.lam
+
+
+def test_sampler_draws_gamma_at_zero_and_alpha_at_one(rng):
+    # the mix runs from gamma^C (lam = 0) to alpha^C (lam = 1), so its
+    # transform runs from gamma to alpha
+    apart = 0
+    for lifted, a in lifted_contexts(rng, 40):
+        g = gamma(lifted.problem)
+        (at_zero,) = _sampled_members(lifted, a, ConstantDraws(0.0), 1)
+        (at_one,) = _sampled_members(lifted, a, ConstantDraws(1.0), 1)
+        assert sup_distance(at_zero, g) <= EPS
+        assert sup_distance(at_one, a) <= EPS
+        apart += sup_distance(a, g) > EPS
+    assert apart >= 5
+
+
+def test_maximal_verify_runs_34_lifted_transforms(tmp_path, monkeypatch, rng):
+    # 6A's anchor reading, the lifted problem's validation, gamma^C and
+    # alpha^C once each, then per member its transform and the two of the
+    # C-convexity test: 34, where convexifying each mix took 44
+    transforms = importlib.import_module("abconvex.transforms")
+    real, sides = transforms._transform, []
+
+    def counting(values, lines):
+        sides.append(len(values))
+        return real(values, lines)
+
+    monkeypatch.setattr(transforms, "_transform", counting)
+    for t, c in maximal_documents(rng, 6):
+        path = tmp_path / "t.json"
+        path.write_text(verify_document(t, c))
+        sides.clear()
+        assert cli_main(["verify", "--instance", str(path), "--mapping", "T",
+                         "--output", str(tmp_path / "out.json")]) == 0
+        lifted = c.domain.size * c.codomain.size
+        assert sides.count(lifted) == 4 + 3 * THEOREM_6B_SAMPLES == 34

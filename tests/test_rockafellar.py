@@ -30,7 +30,7 @@ from abconvex.monotone import (
     _passes,
     build_gain_graph,
 )
-from abconvex.rockafellar import anchored_antiderivatives, chain_suprema
+from abconvex.rockafellar import chain_suprema
 from conftest import (
     assert_same_floats,
     mixed_mappings,
@@ -39,6 +39,7 @@ from conftest import (
 )
 from references import (
     TIE_KINDS,
+    anchored_antiderivatives,
     anchored_per_cell,
     band_instance,
     kernel_coupling,

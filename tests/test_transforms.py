@@ -34,6 +34,7 @@ from references import (
     c_subdifferential_per_cell,
     c_transform_per_cell,
     c_transform_rev_per_cell,
+    is_antiderivative_full,
     kernel_coupling,
 )
 
@@ -426,6 +427,58 @@ def test_antiderivative_of_a_mapping_past_the_coupling_range():
         m = MultiMapping(y, x, pairs)
         assert is_antiderivative(f, m, c) is want
         assert is_antiderivative_via_subdifferential(f, m, c, EPS) is want
+
+
+def _verdict(test, f, m, c, eps):
+    try:
+        return test(f, m, c, eps)
+    except ImproperFunctionError:
+        return "improper"
+
+
+def test_antiderivative_image_read_matches_full_transform(rng):
+    # f^c read on M's image only against one full transform: ties and
+    # signed zeros, +-inf entries, one-point images, eps at a pair's own
+    # margin and the float below it, pairs past the coupling's range
+    verdicts, restricted = set(), 0
+    for trial in range(600):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        ties = TIE_KINDS[trial % 3]
+        c = kernel_coupling(rng, nx, ny, ties)
+        vals = [INF if rng.random() < 0.3 else
+                rng.choice(ties) if ties else rng.uniform(-10.0, 10.0)
+                for _ in range(nx)]
+        if all(v == INF for v in vals):
+            vals[rng.randrange(nx)] = 0.0
+        fin = ExtFunction(c.domain, tuple(vals))
+        if rng.random() < 0.1:
+            vals[rng.randrange(nx)] = -INF
+        f = ExtFunction(c.domain, tuple(vals))
+        sub = c_subdifferential(fin, c, EPS).graph
+        pairs = set(rng.sample(sub, rng.randint(1, len(sub))))
+        if rng.random() < 0.5:
+            pairs.add((rng.randrange(nx), rng.randrange(ny)))
+        if rng.random() < 0.3:  # a one-point image
+            y = rng.choice([y for _, y in pairs])
+            pairs = {(x, y) for x, _ in pairs}
+        source, target = c.domain, c.codomain
+        if rng.random() < 0.2:  # M on larger ground sets, past the range
+            source = GroundSet(tuple(f"s{i}" for i in range(nx + 2)))
+            target = GroundSet(tuple(f"t{j}" for j in range(ny + 2)))
+            pairs.add((rng.randrange(nx + 2), ny + rng.randrange(2)))
+        m = MultiMapping(source, target, tuple(pairs))
+        restricted += len({y for _, y in m.graph if y < ny}) < ny
+        fc = c_transform(fin, c)
+        margins = [abs(f(x) + fc(y) - c(x, y)) for x, y in m.graph
+                   if x < nx and y < ny
+                   and math.isfinite(f(x)) and math.isfinite(fc(y))]
+        for eps in [0.0, EPS] + [e for g in margins[:2]
+                                 for e in (g, math.nextafter(g, -INF))]:
+            got = _verdict(is_antiderivative, f, m, c, eps)
+            assert got == _verdict(is_antiderivative_full, f, m, c, eps)
+            verdicts.add(got)
+    assert verdicts == {True, False, "improper"}
+    assert 100 < restricted < 600
 
 
 def test_antiderivative_keeps_index_mismatch_error(two_point):
