@@ -13,10 +13,9 @@ difference, so it needs no mask.  The subdifferential scans each coupling
 row against the finite entries of f^c; ``is_antiderivative`` makes the same
 test on the pairs of G(M) only, and so reads f^c on M's image alone: the
 kernel runs over those columns, O(|X| |M(dom M)|) in place of
-O(|X| |Y|), and the full transform runs when the image is all of Y.  The
-outputs are bit-identical to a per-cell loop: every cell is the same
-subtraction, and ``max`` keeps the first of equal maxima, as a running
-``best = max(best, ...)`` does.
+O(|X| |Y|).  The outputs are bit-identical to a per-cell loop: every cell
+is the same subtraction, and ``max`` keeps the first of equal maxima, as a
+running ``best = max(best, ...)`` does.
 """
 
 from __future__ import annotations
@@ -139,11 +138,8 @@ def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
     # a pair past the coupling's index range (M on other ground sets) is
     # in no subdifferential of f
     image = [y for y in m.image if y < ny]
-    if len(image) < ny:
-        columns = c.columns
-        fc = dict(zip(image, _transform(fv, [columns[y] for y in image])))
-    else:
-        fc = c_transform(f, c).values
+    columns = c.columns
+    fc = dict(zip(image, _transform(fv, [columns[y] for y in image])))
     return all(x < len(fv) and y < ny
                and math.isfinite(fv[x]) and math.isfinite(fc[y])
                and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
