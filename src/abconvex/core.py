@@ -115,6 +115,24 @@ class Coupling:
         return Coupling(self.codomain, self.domain, self.columns)
 
 
+@dataclass(frozen=True)
+class LiftedCoupling(Coupling):
+    """The lifted coupling C((x,y),(t,s)) = c(x,t) + c(s,y) of ``base`` = c,
+    on X x Y (x-major) by Y x X (t-major).
+
+    ``values`` holds C's table for the readers that need its entries; the
+    transforms read ``base`` alone, since C is sum-separable.
+    """
+
+    base: Coupling
+
+    def __post_init__(self):
+        super().__post_init__()
+        side = self.base.domain.size * self.base.codomain.size
+        if self.domain.size != side or self.codomain.size != side:
+            raise AbstractConvexError("lifted sides != |X| |Y| of the base")
+
+
 def coupling_from_rows(domain: GroundSet, codomain: GroundSet,
                        rows: Iterable[Iterable[float]]) -> Coupling:
     return Coupling(domain, codomain, tuple(tuple(float(v) for v in r) for r in rows))

@@ -6,25 +6,36 @@ sending (x,y) in G(T) to (y,x).  The Fitzpatrick function of T is then the
 minimal C-convex C-antiderivative of the lifted mapping pinned on G(T),
 which this module verifies executably.
 
-Both lifted tables are row kernels.  Row (x, y) of C adds, over the t-major
+C's table and F are row kernels.  Row (x, y) of C adds, over the t-major
 (t, s) order, row x of c with each entry repeated |X| times to column y of
 c tiled |Y| times.  For each x the Fitzpatrick function folds, in G(T)
 order, the rows (c(x, t) + c(s, .)) - c(s, t) with a strict >.  Every cell
 is the same sum as in the per-cell formulas, and the first of equal maxima
-wins as with ``max``, so both are bit-identical to them.
+wins as with ``max``, so both are bit-identical to them.  The table is
+read by Delta_T's gain graph, the order-2 checks and alpha; the lifted
+transforms never read it.  C is sum-separable, so ``product_coupling``
+returns a ``LiftedCoupling`` that carries c, and every C-transform factors
+through c as two max-plus passes (``transforms._lifted_transform``),
+O(n^3) for n = |X| = |Y| in place of the table's O(n^4).  A transformed
+value may move in its last bits from the table's, by at most
+2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|).
 
 A ``verify`` request reads one private context, ``_Lifted`` on (T, c, eps),
 which computes each lifted quantity at most once, on first use: C, Delta_T,
-the anchor c + i_{G(T)}, the lifted family's alpha max_s [c(s) + R_s] from
+the anchor c + i_{G(T)}, whether the anchor is an antiderivative of
+Delta_T (6A's fourth reading, and the one check of the lifted family that
+6B needs: its sites are dom(Delta_T), where the anchor is c, hence
+finite), the lifted family's alpha max_s [c(s) + R_s] from
 one ``chain_suprema`` call on Delta_T, or the error it raised (6A's cyclic
 reading is which of the two it holds, 6B's alpha the value), T's order-2
 verdict and maximality, and F (6B and the -d chain both read it).  The
 cyclic verdict is potential first; on c = -d, Delta_T can carry
 zero-gain cycles that round positive, and there the passes do not settle
-and the closure decides, after k + 1 wasted passes.  6B's ``max_abs_diff`` may move in
-its last bits with alpha.
-The public wrappers build their own context, so they report what the
-command prints.  The chain never builds C, so C's guard does not bind it.
+and the closure decides, after k + 1 wasted passes (such cycles climb too
+little for the passes' early stop).  6B's ``max_abs_diff`` may move in its
+last bits with alpha.  The public wrappers build their own context, so
+they report what the command prints.  The chain never builds C, so C's
+guard does not bind it.
 
 On finitely maximal T, 6B samples members of the lifted family on the
 conjugate side.  Two transforms run once per request: low = anchor^C,
@@ -55,6 +66,7 @@ from .core import (
     ExtFunction,
     GroundSet,
     IndexSubset,
+    LiftedCoupling,
     MultiMapping,
     sup_distance,
 )
@@ -91,7 +103,7 @@ class ProductCoupling:
     """The lifted coupling C, with the index bookkeeping for both sides."""
 
     base: Coupling
-    lifted: Coupling
+    lifted: LiftedCoupling
     xy_pairs: tuple[tuple[int, int], ...]   # lex x-major over X x Y
     ts_pairs: tuple[tuple[int, int], ...]   # lex t-major over Y x X
 
@@ -126,7 +138,8 @@ def product_coupling(c: Coupling) -> ProductCoupling:
     repeated = [[v for v in row for _ in range(nx)] for row in c.values]
     tiled = [col * ny for col in c.columns]
     rows = tuple(tuple(map(add, repeated[x], tiled[y])) for x, y in xy_pairs)
-    return ProductCoupling(c, Coupling(xy_set, ts_set, rows), xy_pairs, ts_pairs)
+    return ProductCoupling(c, LiftedCoupling(xy_set, ts_set, rows, c),
+                           xy_pairs, ts_pairs)
 
 
 def delta_mapping(t_map: MultiMapping, pc: ProductCoupling) -> MultiMapping:
@@ -199,6 +212,14 @@ class _Lifted:
     @cached_property
     def anchor(self) -> ExtFunction:
         return graph_anchor(self.t_map, self.pc)
+
+    @cached_property
+    def anchor_is_antiderivative(self) -> bool:
+        """6A's fourth reading; 6B's only check of the lifted family that
+        its construction does not already make (its sites are dom(Delta_T),
+        where the anchor is c, hence finite)."""
+        return is_antiderivative(self.anchor, self.delta, self.pc.lifted,
+                                 self.eps)
 
     @cached_property
     def delta_alpha(self) -> ExtFunction | NotCyclicallyMonotoneError:
@@ -318,8 +339,7 @@ def _theorem6A(lifted: _Lifted, check_maximality: bool = False) -> Theorem6ARepo
         t_monotone=bool(mono),
         delta_monotone=bool(is_n_monotone(delta, pc.lifted, 2, eps)),
         delta_cyclically_monotone=isinstance(lifted.delta_alpha, ExtFunction),
-        anchor_is_antiderivative=is_antiderivative(lifted.anchor, delta,
-                                                   pc.lifted, eps),
+        anchor_is_antiderivative=lifted.anchor_is_antiderivative,
         violation_identity_value=identity_value,
         t_maximal=t_max,
         delta_maximal_in_diagonal=d_max,
@@ -359,7 +379,8 @@ def verify_theorem6B(t_map: MultiMapping, c: Coupling,
 def _theorem6B(lifted: _Lifted, seed: Optional[int] = None) -> Theorem6BReport:
     if not lifted.t_monotone:
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
-    lifted.problem  # validates the anchor against Delta_T
+    if not lifted.anchor_is_antiderivative:  # ConstraintProblem's message
+        raise AbstractConvexError("anchor is not an antiderivative of the mapping")
     a = lifted.delta_alpha  # alpha(problem)
     if isinstance(a, NotCyclicallyMonotoneError):  # raise a copy, no cycle
         raise NotCyclicallyMonotoneError(a.witness, a.mapping)

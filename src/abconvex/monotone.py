@@ -20,8 +20,12 @@ call it).  By Rockafellar's theorem a cyclically monotone M has a
 potential: labels p with p_u + a[u][v] <= p_v on every arc.
 Label-correcting passes (Bellman 1958, Ford 1956; ``_passes``, O(k^2)
 each) from all-zero labels look for one, and stop at the first pass that
-changes nothing, or give up after k + 1 passes.  A fixed point p is a pass
-only when eps >= 0 and the rounding guard
+changes nothing, or give up after k + 1 passes, or, from halfway on, as
+soon as a label exceeds what a walk of at most k - 1 steps from a seed
+can reach, plus a rounding allowance: a run that settles never gets
+there, so the early stop gives up only where the k + 1 passes would
+(``_passes``).  A fixed point p is a pass only when eps >= 0 and the
+rounding guard
 
     2**-53 * (k + 1) * (P + (k + 1) * G) <= eps,   P = max p, G = max |a|,
 
@@ -346,14 +350,43 @@ def _passes(cols, labels: list[float]) -> Optional[list[float]]:
     A pass sets, for v in order, labels[v] to max_u [labels[u] + a[u][v]]
     when that is strictly larger; later v read the labels the pass already
     raised.  Returns the labels at the first pass that changes nothing, or
-    None after k + 1 passes.
+    None after k + 1 passes, or None at once, from pass (k + 1) // 2 + 1
+    on, when a label would exceed
+
+        S + (k - 1) * G+ + 2**-51 * (k + 1)**2 * (A + (k + 1) * G),
+
+    with S the largest finite seed, A the largest |finite seed|,
+    G+ = max(max a, 0) and G = max |a|.  That stop gives up only where the
+    k + 1 passes would.  A run that settles within them makes at most k**2
+    raises, and each label is the float sum along a walk from a seed, one
+    step per raise, every partial sum at most A + k G in magnitude.  The
+    walk is a path of at most k - 1 arcs, gaining at most (k - 1) * G+,
+    plus cycles; at the fixed point fl(p_u + a[u][v]) <= p_v on every arc,
+    so around a cycle the labels telescope and it gains at most
+    2**-53 (A + k G) per arc exactly, and the float sum errs by at most
+    that much per step.  So no label of a settling run exceeds
+    S + (k - 1) * G+ + 2**-52 * k**2 * (A + k G), up to terms of relative
+    order k**2 * 2**-53, which doubling the last term covers along with
+    the bound's own rounding.  The bound costs two scans of the matrix,
+    most of a pass, and runs that settle mostly do so within a few passes,
+    so it is computed only halfway through.
     """
     labels = list(labels)
-    for _ in range(len(cols) + 1):
+    k = len(cols)
+    seeds = [v for v in labels if v > -INF]
+    bound = INF
+    for p in range(k + 1):
+        if p == (k + 1) // 2 and seeds:
+            top = max(map(max, cols))
+            g = max(top, -min(map(min, cols)))
+            bound = (max(seeds) + (k - 1) * max(top, 0.0) + 2.0 ** -51
+                     * (k + 1) ** 2 * (max(map(abs, seeds)) + (k + 1) * g))
         changed = False
         for v, col in enumerate(cols):
             t = max(map(add, labels, col))
             if t > labels[v]:
+                if t > bound:
+                    return None
                 labels[v] = t
                 changed = True
         if not changed:

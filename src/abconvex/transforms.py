@@ -5,24 +5,35 @@ on its codomain; the reverse transform goes the other way.  The two are kept
 as distinct operations with explicit index typing, so a conjugation-direction
 mistake fails loudly instead of silently transposing.
 
-Both transforms run one row kernel, ``_transform``: it takes
-``max(map(sub, line, values))`` for each output point, where ``line`` is a
-column of the coupling (forward) or a row of it (reverse).  A +inf entry
-(outside dom f) gives line[i] - inf = -inf, which loses to every finite
-difference, so it needs no mask.  The subdifferential scans each coupling
-row against the finite entries of f^c; ``is_antiderivative`` makes the same
-test on the pairs of G(M) only, and so reads f^c on M's image alone: the
-kernel runs over those columns, O(|X| |M(dom M)|) in place of
-O(|X| |Y|).  The outputs are bit-identical to a per-cell loop: every cell
-is the same subtraction, and ``max`` keeps the first of equal maxima, as a
-running ``best = max(best, ...)`` does.
+On a plain coupling both transforms run one row kernel, ``_transform``: it
+takes ``max(map(sub, line, values))`` for each output point, where
+``line`` is a column of the coupling (forward) or a row of it (reverse).
+A +inf entry (outside dom f) gives line[i] - inf = -inf, which loses to
+every finite difference, so it needs no mask.  The outputs are
+bit-identical to a per-cell loop: every cell is the same subtraction, and
+``max`` keeps the first of equal maxima, as a running
+``best = max(best, ...)`` does.
+
+A lifted coupling C((x,y),(t,s)) = c(x,t) + c(s,y) (``LiftedCoupling``)
+is sum-separable, so its transforms factor through c and never read C's
+table: ``_lifted_transform`` runs two max-plus passes over c, O(n^3) for
+n = |X| = |Y| in place of the table's O(n^4).  Each term is summed as
+c(s,y) + (c(x,t) - h(x,y)) where the table sums (c(x,t) + c(s,y)) - h, so
+a lifted value may move in its last bits; the kernel's docstring derives
+the bound 2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|).
+
+The subdifferential scans each coupling row against the finite entries of
+f^c; ``is_antiderivative`` makes the same test on the pairs of G(M) only,
+and so reads f^c on M's image alone: over those columns, O(|X| |M(dom M)|)
+in place of O(|X| |Y|), and on a lifted coupling the kernel's first pass
+runs only for the t of the image points (t, s).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 
 from .core import (
     INF,
@@ -30,6 +41,7 @@ from .core import (
     Coupling,
     ExtFunction,
     IndexMismatchError,
+    LiftedCoupling,
     MultiMapping,
     sup_distance,
 )
@@ -44,17 +56,76 @@ def _transform(values: tuple[float, ...], lines) -> tuple[float, ...]:
     return tuple(max(map(sub, line, values)) for line in lines)
 
 
+def _lifted_transform(values: tuple[float, ...], base: Coupling,
+                      reverse: bool = False, ts=None) -> tuple[float, ...]:
+    """The transform over the lift C((x,y),(t,s)) = c(x,t) + c(s,y) of
+    c = ``base`` as two max-plus passes over c.  ``_transform``'s
+    conventions hold by the arithmetic alone, since c is finite: a -inf
+    value gives a +inf term to each inner max over it, hence +inf at every
+    output, and +inf entries give -inf terms, so an empty domain gives
+    -inf; no inf - inf arises.
+
+    Forward, h on (x, y): B[t][y] = max_x [c(x,t) - h(x,y)] over h's
+    columns, then h^C(t,s) = max_y [c(s,y) + B[t][y]], in t-major order.
+    Given ``ts``, only the rows B[t] for t in ``ts`` are built and the
+    outputs are h^C(t, .) for those t, in that order.  Reverse, g on
+    (t, s): A[y][t] = max_s [c(s,y) - g(t,s)] over g's rows, then
+    g^C(x,y) = max_t [c(x,t) + A[y][t]], in x-major order.
+
+    Rounding.  fl is monotone, so fl(a + max_i w_i) = max_i fl(a + w_i) and
+    each output is the max over its terms fl(c(s,y) + fl(c(x,t) - h))
+    (reverse: fl(c(x,t) + fl(c(s,y) - g))), where the table takes
+    fl(fl(c(x,t) + c(s,y)) - h).  With u = 2**-53, C = max |c| and
+    H = max finite |h| (an infinite h gives the same infinity on both
+    routes), a term with exact value e = a + b - h errs by at most
+    u |a + b| + u |fl(a + b) - h| <= u ((4 + 2u) C + H) on the table route
+    and by u |a - h| + u |b + fl(a - h)| <= u ((3 + u) C + (2 + u) H) on
+    this one, so the routes differ by at most u ((7 + 3u) C + (3 + u) H)
+    <= 2**-51 * (1 + 2**-53) * (2 C + H) per term, and max, being
+    1-Lipschitz, keeps that bound.  Entries within 2**900 cannot overflow.
+    """
+    nx, ny = base.domain.size, base.codomain.size
+    cols, rows = base.columns, base.values
+    if reverse:
+        blocks, lines = [values[t * nx:(t + 1) * nx] for t in range(ny)], cols
+    else:
+        blocks = [values[y::ny] for y in range(ny)]
+        lines = cols if ts is None else [cols[t] for t in ts]
+    inner = [[max(map(sub, line, block)) for block in blocks] for line in lines]
+    if reverse:
+        return tuple([max(map(add, row, a)) for row in rows for a in inner])
+    return tuple([max(map(add, row, b)) for b in inner for row in rows])
+
+
+def _forward(values: tuple[float, ...], c: Coupling, points=None):
+    """f^c at the codomain ``points`` (default: all of them, in order); on
+    a lifted coupling, the kernel builds B[t] only for the t of ``points``."""
+    if not isinstance(c, LiftedCoupling):
+        cols = c.columns
+        return _transform(values, cols if points is None else [cols[y] for y in points])
+    if points is None:
+        return _lifted_transform(values, c.base)
+    nx = c.base.domain.size
+    ts = list(dict.fromkeys(k // nx for k in points))
+    start = {t: i * nx for i, t in enumerate(ts)}
+    out = _lifted_transform(values, c.base, ts=ts)
+    return tuple(out[start[t] + s] for t, s in (divmod(k, nx) for k in points))
+
+
 def c_transform(f: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of f on X: f^c(y) = max_x [c(x, y) - f(x)] on Y."""
     if f.index.labels != c.domain.labels:
         raise IndexMismatchError("function is not indexed by the coupling domain")
-    return ExtFunction(c.codomain, _transform(f.values, c.columns))
+    return ExtFunction(c.codomain, _forward(f.values, c))
 
 
 def c_transform_rev(g: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of g on Y: g^c(x) = max_y [c(x, y) - g(y)] on X."""
     if g.index.labels != c.codomain.labels:
         raise IndexMismatchError("function is not indexed by the coupling codomain")
+    if isinstance(c, LiftedCoupling):
+        return ExtFunction(c.domain, _lifted_transform(g.values, c.base,
+                                                       reverse=True))
     return ExtFunction(c.domain, _transform(g.values, c.values))
 
 
@@ -138,8 +209,7 @@ def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
     # a pair past the coupling's index range (M on other ground sets) is
     # in no subdifferential of f
     image = [y for y in m.image if y < ny]
-    columns = c.columns
-    fc = dict(zip(image, _transform(fv, [columns[y] for y in image])))
+    fc = dict(zip(image, _forward(fv, c, image)))
     return all(x < len(fv) and y < ny
                and math.isfinite(fv[x]) and math.isfinite(fc[y])
                and abs(fv[x] + fc[y] - c.values[x][y]) <= eps

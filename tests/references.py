@@ -8,6 +8,7 @@ so ``scripts/random_verification.py`` runs the sweep without it.
 
 import math
 from dataclasses import asdict
+from operator import add
 
 from abconvex import (
     DEFAULT_EPS,
@@ -22,11 +23,13 @@ from abconvex import (
     MultiMapping,
     build_gain_graph,
     c_transform,
+    c_transform_rev,
     coupling_from_rows,
     emit_document,
     is_n_monotone,
     n_monotone_oracle,
     parse_instance,
+    product_coupling,
     random_cyclically_monotone_mapping,
     verify_inequality_chain,
     verify_theorem6A,
@@ -39,6 +42,7 @@ from abconvex.rockafellar import (
     _closure_rows,
     _require_anchors,
 )
+from abconvex.transforms import _forward, _transform
 
 EPS = 1e-9
 
@@ -180,6 +184,98 @@ def is_antiderivative_full(f, m, c, eps):
                and math.isfinite(fv[x]) and math.isfinite(fc[y])
                and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
                for x, y in m.graph)
+
+
+def lifted_by_table(values, lifted, reverse=False, points=None):
+    """The table route of a lifted transform: ``_transform`` over the lines
+    of a plain ``Coupling`` copy of C's table, at the codomain ``points``
+    (forward; default all) or over the whole domain (reverse)."""
+    table = Coupling(lifted.domain, lifted.codomain, lifted.values)
+    if reverse:
+        return _transform(values, table.values)
+    cols = table.columns
+    return _transform(values, cols if points is None else [cols[y] for y in points])
+
+
+def lifted_route_bound(base, values):
+    """The stated bound between the separable kernel and the table route:
+    2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|)."""
+    c_top = max(max(map(abs, row)) for row in base.values)
+    h_top = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+    return 2.0 ** -51 * (1 + 2.0 ** -53) * (2 * c_top + h_top)
+
+
+#: Entry pools of ``lifted_draw``'s kinds: uniform reals, small integers
+#: (exact arithmetic), and magnitudes up to 2**900.
+LIFTED_KINDS = ("reals", "integers", "one -inf", "all +inf", "one point",
+                "2**900")
+
+
+def lifted_draw(rng, kind=None):
+    """(C, h, g, points, exact): the lift C of a seeded |X| x |Y| coupling
+    (sides drawn apart, so a swapped index order shows), functions h on
+    its domain and g on its codomain with some +inf entries, some codomain
+    points of C, and whether the arithmetic is exact (small integers).
+    ``kind`` indexes ``LIFTED_KINDS``: one -inf entry, all +inf and
+    one-point sets take uniform reals."""
+    kind = LIFTED_KINDS[rng.randrange(len(LIFTED_KINDS))] if kind is None else kind
+    nx, ny = rng.randint(1, 5), rng.randint(1, 5)
+    if kind == "one point":
+        nx, ny = rng.choice(((1, 1), (1, ny), (nx, 1)))
+    big = 2.0 ** 900
+    pools = {"integers": (-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0),
+             "2**900": (big, -big, 0.0, 1.0, -1.0, 2.0 ** 899)}
+    pool = pools.get(kind, ())
+    c = kernel_coupling(rng, nx, ny, pool)
+    lifted = product_coupling(c).lifted
+
+    def side(n):
+        values = [INF if kind == "all +inf" or rng.random() < 0.3
+                  else rng.choice(pool) if pool else rng.uniform(-10.0, 10.0)
+                  for _ in range(n)]
+        if kind == "one -inf":
+            values[rng.randrange(n)] = -INF
+        return tuple(values)
+
+    side_n = nx * ny
+    points = rng.sample(range(side_n), rng.randint(1, side_n))
+    return (lifted, ExtFunction(lifted.domain, side(side_n)),
+            ExtFunction(lifted.codomain, side(side_n)), points,
+            kind == "integers")
+
+
+def lifted_routes_agree(lifted, h, g, points, exact):
+    """The separable kernel against the table route, forward, reverse and
+    at ``points`` (``is_antiderivative``'s read): the same infinities, and
+    finite values equal when ``exact``, else within the stated bound."""
+    routes = ((c_transform(h, lifted).values, lifted_by_table(h.values, lifted), h),
+              (c_transform_rev(g, lifted).values,
+               lifted_by_table(g.values, lifted, reverse=True), g),
+              (_forward(h.values, lifted, points),
+               lifted_by_table(h.values, lifted, points=points), h))
+    for got, want, f in routes:
+        bound = 0.0 if exact else lifted_route_bound(lifted.base, f.values)
+        if len(got) != len(want) or not all(
+                a == b or abs(a - b) <= bound for a, b in zip(got, want)):
+            return False
+    return True
+
+
+def full_passes(cols, labels):
+    """Label-correcting passes without the early stop: (labels, settled),
+    the labels at the first of k + 1 passes that changes nothing, or after
+    the last of them."""
+    labels = list(labels)
+    for _ in range(len(cols) + 1):
+        changed = False
+        for v, col in enumerate(cols):
+            t = max(map(add, labels, col))
+            if t > labels[v]:
+                labels[v] = t
+                changed = True
+        if not changed:
+            return labels, True
+    return labels, False
 
 
 def gain_graph_per_cell(m, c):

@@ -55,6 +55,7 @@ from abconvex.monotone import (
     _cyclic_verdict,
     _cyclic_walks,
     _max_plus_closure,
+    _passes,
 )
 from abconvex.rockafellar import NotCyclicallyMonotoneError, chain_suprema
 
@@ -69,10 +70,13 @@ from references import (
     c_transform_rev_per_cell,
     closure_per_cell,
     fitzpatrick_per_cell,
+    full_passes,
     gain_graph_per_cell,
     grown_mapping,
     is_antiderivative_full,
     kernel_coupling,
+    lifted_draw,
+    lifted_routes_agree,
     maximal_by_recheck,
     metric_error,
     partly_grown,
@@ -379,6 +383,60 @@ def check_verify_context(rng):
     return status == 0 and printed.getvalue() == public_verify_text(text, seed)
 
 
+def check_lifted_transforms(rng):
+    """The separable kernel of the lifted transforms against the table
+    route, forward, reverse and on M's image: |X| != |Y|, +inf entries,
+    one -inf entry, all +inf, one-point sets and entries near 2**900
+    within the stated bound, small integers exactly."""
+    return lifted_routes_agree(*lifted_draw(rng))
+
+
+def _staircase(rng):
+    """M the identity on k points whose gains climb: gain(u, v) = c(v, u)
+    is 1 for v after u in a random order and -k before it, so every cycle
+    loses and the best walk climbs k - 1 steps to (k - 1) * max gain
+    exactly, where the passes settle; or, with the back arc from the top to
+    the bottom raised to -(k - 2), that climb closes a cycle gaining 1 and
+    the labels climb past (k - 1) * max gain, by 1 more each pass."""
+    k = rng.randint(2, 8)
+    order = rng.sample(range(k), k)
+    rank = {p: i for i, p in enumerate(order)}
+    rows = [[0.0 if u == v else 1.0 if rank[v] > rank[u] else -float(k)
+             for u in range(k)] for v in range(k)]
+    if rng.random() < 0.5:
+        rows[order[0]][order[-1]] = -float(k - 2)
+    x = GroundSet(tuple(f"p{i}" for i in range(k)))
+    return (MultiMapping(x, x, tuple((i, i) for i in range(k))),
+            coupling_from_rows(x, x, rows))
+
+
+def check_early_stop(rng):
+    """The label-correcting passes with their early stop against all k + 1
+    passes, bit for bit, from zero labels or from seeds at some nodes, on
+    the potential check's draws and on climbing gains that settle at
+    exactly (k - 1) * max gain or pass it by 1: the stop never fires on a
+    run that settles.  Returns how the full run ended: "settled", "ran
+    out" (k + 1 passes without a fixed point) or "climbed past k - 1
+    steps" (ran out with a label over the largest seed plus k - 1 times
+    the largest gain, where the stop may fire)."""
+    m, c = _staircase(rng) if rng.random() < 0.3 else _potential_draw(rng)
+    gg = build_gain_graph(m, c)
+    cols = [gg.columns[v] for v in gg.nodes]
+    k = len(cols)
+    labels = [0.0] * k
+    if rng.random() < 0.5:
+        labels = [rng.uniform(-10.0, 10.0) if rng.random() < 0.5 else -math.inf
+                  for _ in range(k)]
+        labels[rng.randrange(k)] = rng.uniform(-10.0, 10.0)
+    got = _passes(cols, labels)
+    ended, settled = full_passes(cols, labels)
+    if _bits([got or []]) != _bits([ended if settled else []]):
+        return False
+    short = max(labels) + (k - 1) * max(0.0, max(map(max, cols)))
+    return ("settled" if settled else "climbed past k - 1 steps"
+            if max(ended) > short else "ran out")
+
+
 CHECKS = [
     ("triple transform", check_transform),
     ("chain supremum vs oracle", check_antiderivative),
@@ -393,6 +451,8 @@ CHECKS = [
     ("lifted equivalences", check_lifted),
     ("order-2 maximality vs full recheck", check_order_two_maximality),
     ("verify output vs public wrappers", check_verify_context),
+    ("lifted transforms vs table route", check_lifted_transforms),
+    ("early stop vs all k + 1 passes", check_early_stop),
 ]
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from abconvex import (
     alpha,
     as_coupling,
     c_subdifferential,
+    c_transform,
+    c_transform_rev,
     delta_mapping,
     fitzpatrick,
     fitzpatrick_family_member,
@@ -32,6 +35,7 @@ from abconvex import (
     verify_theorem6B,
 )
 from abconvex.cli import main as cli_main
+from abconvex.core import LiftedCoupling
 from abconvex.fitzpatrick import (
     MAX_LIFTED_ENTRIES,
     MAX_LIFTED_SIDE,
@@ -39,6 +43,7 @@ from abconvex.fitzpatrick import (
     _family_member,
     _Lifted,
     _sampled_members,
+    _theorem6B,
     coupling_as_function,
     full_diagonal,
     graph_anchor,
@@ -46,10 +51,15 @@ from abconvex.fitzpatrick import (
 )
 from conftest import assert_same_floats, one_point_couplings
 from references import (
+    LIFTED_KINDS,
     TIE_KINDS,
     fitzpatrick_per_cell,
     grown_mapping,
     kernel_coupling,
+    lifted_by_table,
+    lifted_draw,
+    lifted_routes_agree,
+    partly_grown,
     product_rows_per_cell,
     random_graph,
     verify_document,
@@ -329,23 +339,117 @@ def test_sampler_draws_gamma_at_zero_and_alpha_at_one(rng):
     assert apart >= 5
 
 
-def test_maximal_verify_runs_34_lifted_transforms(tmp_path, monkeypatch, rng):
-    # 6A's anchor reading, the lifted problem's validation, gamma^C and
-    # alpha^C once each, then per member its transform and the two of the
-    # C-convexity test: 34, where convexifying each mix took 44
+def test_maximal_verify_runs_33_lifted_transforms(tmp_path, monkeypatch, rng):
+    # 6A's anchor reading (6B reuses its verdict), gamma^C and alpha^C once
+    # each, then per member its transform and the two of the C-convexity
+    # test: 33 runs of the separable kernel, where 6B's own anchor check
+    # made 34 and convexifying each mix 44.  verify transforms nothing over
+    # c itself, so the table kernel sees no call, and no lifted-side vector.
     transforms = importlib.import_module("abconvex.transforms")
-    real, sides = transforms._transform, []
+    real_lifted, real_table = transforms._lifted_transform, transforms._transform
+    lifted_sides, table_sides = [], []
 
-    def counting(values, lines):
-        sides.append(len(values))
-        return real(values, lines)
+    def counting_lifted(values, base, *args, **kwargs):
+        lifted_sides.append(len(values))
+        return real_lifted(values, base, *args, **kwargs)
 
-    monkeypatch.setattr(transforms, "_transform", counting)
+    def counting_table(values, lines):
+        table_sides.append(len(values))
+        return real_table(values, lines)
+
+    monkeypatch.setattr(transforms, "_lifted_transform", counting_lifted)
+    monkeypatch.setattr(transforms, "_transform", counting_table)
     for t, c in maximal_documents(rng, 6):
         path = tmp_path / "t.json"
         path.write_text(verify_document(t, c))
-        sides.clear()
+        lifted_sides.clear()
+        table_sides.clear()
         assert cli_main(["verify", "--instance", str(path), "--mapping", "T",
                          "--output", str(tmp_path / "out.json")]) == 0
-        lifted = c.domain.size * c.codomain.size
-        assert sides.count(lifted) == 4 + 3 * THEOREM_6B_SAMPLES == 34
+        side = c.domain.size * c.codomain.size
+        assert lifted_sides == [side] * (3 + 3 * THEOREM_6B_SAMPLES)
+        assert len(lifted_sides) == 33
+        assert table_sides == []
+
+
+# ------------------------------------------- separable lifted transforms
+# Transforms over C((x,y),(t,s)) = c(x,t) + c(s,y) run two max-plus passes
+# over c; the table route, ``_transform`` over a plain copy of C's table,
+# is their reference: equal on small integers, within the stated bound
+# elsewhere.
+
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+def test_separable_kernel_matches_the_table_route(rng, kind):
+    apart = 0
+    for _ in range(60):
+        lifted, h, g, points, exact = lifted_draw(rng, kind)
+        assert lifted_routes_agree(lifted, h, g, points, exact)
+        apart += lifted.base.domain.size != lifted.base.codomain.size
+    assert apart >= 15
+
+
+def test_separable_kernel_conventions_and_orientation():
+    # |X| = 2, |Y| = 3: h^C(t, s) = max_{x,y} c(s,y) + (c(x,t) - h(x,y)) on
+    # the t-major (t, s) order and g^C(x, y) = max_{t,s} c(x,t) + (c(s,y)
+    # - g(t,s)) on the x-major order, each the kernel's own sums
+    c = kernel_coupling(random.Random(3), 2, 3)
+    pc = product_coupling(c)
+    lifted = pc.lifted
+    assert isinstance(lifted, LiftedCoupling) and lifted.base == c
+    h = ExtFunction(lifted.domain, tuple(float(i) for i in range(6)))
+    hc = c_transform(h, lifted)
+    assert hc.values == tuple(
+        max(c(s, y) + (c(x, t) - h(pc.xy_index(x, y))) for x, y in pc.xy_pairs)
+        for t, s in pc.ts_pairs)
+    hcc = c_transform_rev(hc, lifted)
+    assert hcc.values == tuple(
+        max(c(x, t) + (c(s, y) - hc(pc.ts_index(t, s))) for t, s in pc.ts_pairs)
+        for x, y in pc.xy_pairs)
+    inf = float("inf")
+    for f, transform in ((h, c_transform), (hc, c_transform_rev)):
+        outside = ExtFunction(f.index, (inf,) * 6)
+        assert transform(outside, lifted).values == (-inf,) * 6
+        poles = ExtFunction(f.index, (inf,) * 5 + (-inf,))
+        assert transform(poles, lifted).values == (inf,) * 6
+    assert lifted_by_table(poles.values, lifted, reverse=True) == (inf,) * 6
+
+
+def test_lifted_coupling_checks_its_sides():
+    c = kernel_coupling(random.Random(0), 2, 3)
+    lifted = product_coupling(c).lifted
+    with pytest.raises(AbstractConvexError, match="lifted sides"):
+        LiftedCoupling(lifted.domain, lifted.codomain, lifted.values,
+                       kernel_coupling(random.Random(0), 3, 3))
+
+
+# ------------------------------------------ 6B's anchor verdict, held once
+
+def test_lifted_family_needs_only_the_anchor_verdict(rng):
+    # the other checks of ConstraintProblem hold by construction: the sites
+    # are dom(Delta_T) and the anchor, c on G(T), is finite there
+    checked = 0
+    for trial in range(40):
+        c = random_coupling(rng, rng.randint(1, 4), rng.randint(1, 4))
+        t = partly_grown(rng, c, EPS) if trial % 2 else random_graph(rng, c, 5)
+        lifted = _Lifted(t, c, EPS)
+        pc, sites = lifted.pc, lifted.delta.dom
+        assert sites == tuple(sorted(pc.xy_index(x, y) for x, y in t.graph))
+        assert all(math.isfinite(lifted.anchor(s)) for s in sites)
+        if lifted.anchor_is_antiderivative:
+            assert lifted.problem.sites.members == sites
+            checked += 1
+        else:
+            with pytest.raises(AbstractConvexError,
+                               match="anchor is not an antiderivative"):
+                lifted.problem
+    assert checked >= 20
+
+
+def test_theorem_b_raises_the_problem_error_from_the_held_verdict(rng):
+    c = random_coupling(rng, 3, 3)
+    lifted = _Lifted(partly_grown(rng, c, EPS), c, EPS)
+    assert lifted.t_monotone
+    lifted.anchor_is_antiderivative = False  # fills the cached property
+    with pytest.raises(AbstractConvexError,
+                       match="^anchor is not an antiderivative of the mapping$"):
+        _theorem6B(lifted)

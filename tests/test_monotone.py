@@ -38,6 +38,7 @@ from conftest import (
 from references import (
     TIE_KINDS,
     closure_per_cell,
+    full_passes,
     gain_graph_per_cell,
     kernel_coupling,
     maximal_by_recheck,
@@ -689,6 +690,28 @@ def test_passes_settle_on_the_best_walk_into_each_node(two_point):
         0.0, 1.0, 2.0]
     m, c = two_cycle_instance(1.0)
     assert _zero_passes(build_gain_graph(m, c)) is None
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_passes_stop_once_a_label_passes_every_short_walk(monkeypatch, k):
+    # gains climb by 1 along 0 -> 1 -> ... -> k - 1 (every other arc loses
+    # k), so pass 1 reaches k - 1 = (k - 1) * max gain and pass 2 settles
+    # there; a back arc gaining -(k - 2) closes a cycle gaining 1, each
+    # pass from the second then raises the top by 1, and the passes stop in
+    # the pass the stop is armed, (k + 1) // 2 + 1, where all k + 1 passes
+    # would run to the same None.  Each pass adds k columns of k labels.
+    a = [[0.0 if u == v else 1.0 if v == u + 1 else -float(k)
+          for v in range(k)] for u in range(k)]
+    adds = []
+    monkeypatch.setattr(monotone, "add", lambda p, q: adds.append(1) or p + q)
+    assert monotone._passes(list(zip(*a)), [0.0] * k) == list(map(float, range(k)))
+    assert len(adds) == 2 * k * k
+    a[k - 1][0] = -float(k - 2)
+    adds.clear()
+    assert monotone._passes(list(zip(*a)), [0.0] * k) is None
+    armed = (k + 1) // 2
+    assert armed * k * k < len(adds) <= (armed + 1) * k * k
+    assert full_passes(list(zip(*a)), [0.0] * k)[1] is False
 
 
 def test_potential_verdict_is_the_walk_rounds_verdict(rng):
