@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from operator import sub
+from typing import Iterable, Iterator
 
 INF = math.inf
 
@@ -111,26 +113,103 @@ class Coupling:
         return tuple(zip(*self.values))
 
     def transpose(self) -> "Coupling":
-        """The reversed coupling c'(y, x) = c(x, y) on codomain x domain."""
-        return Coupling(self.codomain, self.domain, self.columns)
+        """The reversed coupling c'(y, x) = c(x, y) on codomain x domain (a
+        table, also for a lifted coupling, whose columns it builds)."""
+        return Coupling(self.codomain, self.domain, tuple(self.columns))
+
+
+#: The most lifted entries one ``LiftedCoupling`` builds, rows and columns
+#: together.  Each entry is a float object (24 bytes) in a tuple slot (8
+#: bytes), so the bound holds a request's lifted lines to about 128 MB.
+MAX_LIFTED_ENTRIES = 4 * 10 ** 6
+
+
+class _Budget:
+    """The lifted entries one coupling has built, held apart from it so
+    that its lines and it form no reference cycle."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def afford(self, entries: int) -> int:
+        """The total once ``entries`` more are built; raises
+        ``BudgetExceededError`` if that passes ``MAX_LIFTED_ENTRIES``."""
+        total = self.entries + entries
+        if total > MAX_LIFTED_ENTRIES:
+            raise BudgetExceededError(
+                f"lifted rows and columns of {total} entries exceed the "
+                f"{MAX_LIFTED_ENTRIES}-entry guard")
+        return total
+
+    def spend(self, entries: int) -> None:
+        self.entries = self.afford(entries)
+
+
+class _LiftedLines(Sequence):
+    """The rows or the columns of a ``LiftedCoupling``, each built from c on
+    first read and kept; every build spends its length from the budget."""
+
+    def __init__(self, size: int, build, budget: _Budget):
+        self._size, self._build, self._budget = size, build, budget
+        self._built = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i: int) -> tuple[float, ...]:
+        line = self._built.get(i)
+        if line is None:
+            if not 0 <= i < self._size:
+                raise IndexError(f"lifted line {i} out of range")
+            self._budget.spend(self._size)
+            line = self._built[i] = self._build(i)
+        return line
+
+    @property
+    def built(self) -> frozenset[int]:
+        """The indices of the lines built so far."""
+        return frozenset(self._built)
 
 
 @dataclass(frozen=True)
 class LiftedCoupling(Coupling):
     """The lifted coupling C((x,y),(t,s)) = c(x,t) + c(s,y) of ``base`` = c,
-    on X x Y (x-major) by Y x X (t-major).
+    on X x Y (x-major) by Y x X (t-major), without a table.
 
-    ``values`` holds C's table for the readers that need its entries; the
-    transforms read ``base`` alone, since C is sum-separable.
+    Row (x, y) of ``values`` and column (t, s) of ``columns`` are built
+    from c on first read and kept, each entry the float sum
+    c(x, t) + c(s, y) that a table would hold; the transforms read c alone,
+    since C is sum-separable.  Every line built counts |X| |Y| entries
+    against ``MAX_LIFTED_ENTRIES`` (``afford``).  Equality and hashing go
+    by the sides and ``base``.
     """
 
+    values: Sequence[tuple[float, ...]] = field(init=False, repr=False,
+                                                compare=False)
     base: Coupling
 
     def __post_init__(self):
-        super().__post_init__()
-        side = self.base.domain.size * self.base.codomain.size
-        if self.domain.size != side or self.codomain.size != side:
+        rows, cols = self.base.values, self.base.columns
+        nx, ny = len(cols[0]), len(rows[0])
+        if self.domain.size != nx * ny or self.codomain.size != nx * ny:
             raise AbstractConvexError("lifted sides != |X| |Y| of the base")
+        # every sum c(x, t) + c(s, y) stays finite
+        if not math.isfinite(2.0 * max(max(map(abs, row)) for row in rows)):
+            raise AbstractConvexError("coupling entries must be finite")
+        budget = _Budget()
+        object.__setattr__(self, "_budget", budget)
+        # row (x, y) over the t-major (t, s); column (t, s) over the
+        # x-major (x, y)
+        object.__setattr__(self, "values", _LiftedLines(nx * ny, lambda i: tuple(
+            [a + b for a in rows[i // ny] for b in cols[i % ny]]), budget))
+        object.__setattr__(self, "columns", _LiftedLines(nx * ny, lambda j: tuple(
+            [a + b for a in cols[j // nx] for b in rows[j % nx]]), budget))
+
+    def afford(self, lines: int) -> int:
+        """The entries built once ``lines`` more lines of |X| |Y| are;
+        raises ``BudgetExceededError`` if that passes
+        ``MAX_LIFTED_ENTRIES``."""
+        return self._budget.afford(lines * self.domain.size)
 
 
 def coupling_from_rows(domain: GroundSet, codomain: GroundSet,
@@ -192,9 +271,10 @@ class IndexSubset:
             raise AbstractConvexError("subset must be nonempty")
         if len(set(self.members)) != len(self.members):
             raise AbstractConvexError("subset members must be distinct")
-        for i in self.members:
-            if not 0 <= i < self.parent.size:
-                raise AbstractConvexError(f"subset member {i} out of range")
+        if not 0 <= min(self.members) <= max(self.members) < self.parent.size:
+            for i in self.members:
+                if not 0 <= i < self.parent.size:
+                    raise AbstractConvexError(f"subset member {i} out of range")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     @cached_property
@@ -218,8 +298,12 @@ class MultiMapping:
 
     def __post_init__(self):
         pairs = sorted(set(self.graph))
-        for pair in pairs:
-            self._in_range(pair)
+        ys = [y for _, y in pairs]
+        # sorted pairs run from the least x to the largest
+        if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < self.source.size
+                          and 0 <= min(ys) and max(ys) < self.target.size):
+            for pair in pairs:
+                self._in_range(pair)
         object.__setattr__(self, "graph", tuple(pairs))
 
     def _in_range(self, pair: tuple[int, int]) -> tuple[int, int]:
@@ -319,8 +403,14 @@ def convex_combination(g: ExtFunction, h: ExtFunction, lam: float) -> ExtFunctio
 
 
 def sup_distance(f: ExtFunction, g: ExtFunction) -> float:
-    """Sup-norm distance; +inf entries must match exactly, else distance inf."""
+    """Sup-norm distance; +inf entries must match exactly, else distance inf.
+
+    When both sides are all finite (a finite sum proves it; an overflowing
+    one takes the loop) it is one ``max(map(abs, map(sub, a, b)))``, the
+    loop's values: every |a - b| is at least 0.0, where the loop starts."""
     f.same_index(g)
+    if math.isfinite(sum(f.values) + sum(g.values)):
+        return max(map(abs, map(sub, f.values, g.values)))
     worst = 0.0
     for a, b in zip(f.values, g.values):
         if math.isfinite(a) and math.isfinite(b):

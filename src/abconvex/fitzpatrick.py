@@ -6,19 +6,25 @@ sending (x,y) in G(T) to (y,x).  The Fitzpatrick function of T is then the
 minimal C-convex C-antiderivative of the lifted mapping pinned on G(T),
 which this module verifies executably.
 
-C's table and F are row kernels.  Row (x, y) of C adds, over the t-major
-(t, s) order, row x of c with each entry repeated |X| times to column y of
-c tiled |Y| times.  For each x the Fitzpatrick function folds, in G(T)
-order, the rows (c(x, t) + c(s, .)) - c(s, t) with a strict >.  Every cell
-is the same sum as in the per-cell formulas, and the first of equal maxima
-wins as with ``max``, so both are bit-identical to them.  The table is
-read by Delta_T's gain graph, the order-2 checks and alpha; the lifted
-transforms never read it.  C is sum-separable, so ``product_coupling``
-returns a ``LiftedCoupling`` that carries c, and every C-transform factors
-through c as two max-plus passes (``transforms._lifted_transform``),
-O(n^3) for n = |X| = |Y| in place of the table's O(n^4).  A transformed
-value may move in its last bits from the table's, by at most
-2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|).
+C has no table.  ``product_coupling`` returns a ``LiftedCoupling`` that
+carries c and builds row (x, y) or column (t, s) of C on first read, each
+entry the float sum c(x, t) + c(s, y) a table would hold, and keeps it
+for the request.  Delta_T's gain graph, the order-2 checks, alpha and the
+antiderivative test read only the rows of dom(Delta_T) = G(T) and the
+columns of its image, |G(T)| each, so ``verify`` builds
+2 |G(T)| |X| |Y| entries in place of (|X| |Y|)**2.  ``MAX_LIFTED_ENTRIES``
+bounds the entries one coupling builds, checked in its line cache (6A's
+maximality readings build every diagonal row), and ``_Lifted.delta``
+checks Delta_T's lines against it before any is built.  C is
+sum-separable, so every C-transform factors through c as two max-plus
+passes (``transforms._lifted_transform``), O(n^3) for n = |X| = |Y| in
+place of a table's O(n^4).  A transformed value may move in its last bits
+from a table's, by at most
+2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|).  F is a row kernel:
+for each x it folds, in G(T) order, the rows (c(x, t) + c(s, .)) - c(s, t)
+with a strict >.  Every cell is the same sum as in the per-cell formula,
+and the first of equal maxima wins as with ``max``, so it is bit-identical
+to it.
 
 A ``verify`` request reads one private context, ``_Lifted`` on (T, c, eps),
 which computes each lifted quantity at most once, on first use: C, Delta_T,
@@ -55,7 +61,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from operator import add, gt, le, sub
 from typing import Optional
 
 from .core import (
@@ -90,10 +96,6 @@ from .transforms import (
 
 #: Reject lifted sides larger than this many cells (F has one side).
 MAX_LIFTED_SIDE = 10 ** 4
-#: Reject lifted couplings C with more entries than this (side squared).
-#: Each entry is a float object (24 bytes) in a tuple slot (8 bytes), so
-#: the bound holds C's table to about 128 MB.
-MAX_LIFTED_ENTRIES = 4 * 10 ** 6
 #: Lifted family members that Theorem 6B samples when T is finitely maximal.
 THEOREM_6B_SAMPLES = 10
 
@@ -126,19 +128,11 @@ def _pairs_side(first: GroundSet, second: GroundSet):
 
 
 def product_coupling(c: Coupling) -> ProductCoupling:
-    entries = (c.domain.size * c.codomain.size) ** 2
-    if entries > MAX_LIFTED_ENTRIES:
-        raise AbstractConvexError(
-            f"lifted coupling of {entries} entries exceeds the "
-            f"{MAX_LIFTED_ENTRIES}-entry guard")
+    """C and its index bookkeeping; C's rows and columns are built on
+    first read (``LiftedCoupling``)."""
     xy_pairs, xy_set = _pairs_side(c.domain, c.codomain)
     ts_pairs, ts_set = _pairs_side(c.codomain, c.domain)
-    nx, ny = c.domain.size, c.codomain.size
-    # over the t-major (t, s) order: c(x, t) repeats |X| times, c(., y) tiles
-    repeated = [[v for v in row for _ in range(nx)] for row in c.values]
-    tiled = [col * ny for col in c.columns]
-    rows = tuple(tuple(map(add, repeated[x], tiled[y])) for x, y in xy_pairs)
-    return ProductCoupling(c, LiftedCoupling(xy_set, ts_set, rows, c),
+    return ProductCoupling(c, LiftedCoupling(xy_set, ts_set, c),
                            xy_pairs, ts_pairs)
 
 
@@ -207,6 +201,10 @@ class _Lifted:
 
     @cached_property
     def delta(self) -> MultiMapping:
+        """Delta_T; its readers on C build the |G(T)| rows of its domain and
+        the |G(T)| columns of its image, so a request that cannot afford
+        them fails here, before any is built."""
+        self.pc.lifted.afford(2 * len(self.t_map.graph))
         return delta_mapping(self.t_map, self.pc)
 
     @cached_property
@@ -251,6 +249,13 @@ class _Lifted:
         return coupling_as_function(self.pc).values
 
     @cached_property
+    def graph_points(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The lifted indices of G(T)'s pairs (x, y), and c(x, y) at each."""
+        pc = self.pc
+        return (tuple(pc.xy_index(x, y) for x, y in self.t_map.graph),
+                tuple(pc.base(x, y) for x, y in self.t_map.graph))
+
+    @cached_property
     def problem(self) -> ConstraintProblem:
         """The lifted family: Delta_T, its anchor, sites G(T) = dom(Delta_T)."""
         sites = IndexSubset(self.pc.lifted.domain, self.delta.dom)
@@ -271,10 +276,12 @@ def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
         raise AbstractConvexError("candidate is not indexed by the lifted domain")
     if not is_c_convex(h, pc.lifted, eps):
         return False
-    if any(b > v + eps for b, v in zip(lifted.coupling_values, h.values)):
+    hv, at_graph, on_graph = h.values, *lifted.graph_points
+    # c <= h + eps everywhere, then |h - c| <= eps on G(T)
+    if any(map(gt, lifted.coupling_values, map(add, hv, itertools.repeat(eps)))):
         return False
-    return all(abs(h(pc.xy_index(x, y)) - pc.base(x, y)) <= eps
-               for x, y in lifted.t_map.graph)
+    return all(map(le, map(abs, map(sub, map(hv.__getitem__, at_graph),
+                                    on_graph)), itertools.repeat(eps)))
 
 
 @dataclass(frozen=True)
@@ -407,15 +414,16 @@ def _sampled_members(lifted: _Lifted, a: ExtFunction, rng: random.Random,
     low = c_transform(lifted.anchor, c)
     high = c_transform(a, c)
     for _ in range(count):
-        mix = tuple(_mix(rng, lo, hi) for lo, hi in zip(low.values, high.values))
-        yield c_transform_rev(ExtFunction(low.index, mix), c)
+        yield c_transform_rev(ExtFunction(low.index, _mix(
+            rng, low.values, high.values)), c)
 
 
-def _mix(rng: random.Random, lo: float, hi: float) -> float:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return lo
-    lam = rng.random()
-    return lo + lam * (hi - lo)
+def _mix(rng: random.Random, lows, highs) -> tuple[float, ...]:
+    """lo + lam * (hi - lo) at each point where both are finite, lam drawn
+    from ``rng`` there, in order; lo elsewhere."""
+    return tuple([lo + rng.random() * (hi - lo)
+                  if math.isfinite(lo) and math.isfinite(hi) else lo
+                  for lo, hi in zip(lows, highs)])
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@ label lists.  Parsing either returns a validated document or raises
 ``InstanceError`` with a JSON-path diagnostic.
 
 Numeric rows go through ``_parse_row``: a row of plain JSON ints and floats
-whose ``math.hypot`` after ``float()`` is within ``MAX_MAGNITUDE`` is
-converted in one pass; any other row falls back to ``_parse_value`` per
-cell, which raises at the first bad cell, so every diagnostic names the
-same JSON path.  Both routes apply the same
-``float()`` to each cell, so the parsed values are bit-identical.
+(and strings "inf", which stand aside) whose ``math.hypot`` after
+``float()`` is within ``MAX_MAGNITUDE`` is converted in one pass, and an
+all-float row is kept as it is, since ``float()`` of a float is that
+float; any other row falls back to ``_parse_value`` per cell, which raises
+at the first bad cell, so every diagnostic names the same JSON path.  Both
+routes apply the same ``float()`` to each cell, so the parsed values are
+bit-identical.  Ground-set labels, mapping pairs and subset members are
+resolved in bulk the same way, and anything the bulk pass cannot take
+goes to the per-item loop, which raises the message naming the item.
 """
 
 from __future__ import annotations
@@ -73,23 +77,78 @@ def _parse_value(v, path) -> float:
     return x
 
 
+_FLOATS = frozenset((float,))
 _PLAIN_NUMBERS = frozenset((int, float))
+_NUMBERS_OR_INF = frozenset((int, float, str))
+_STRINGS = frozenset((str,))
+_LISTS = frozenset((list,))
+
+
+def _as_floats(cells, types) -> Optional[tuple[float, ...]]:
+    """``float()`` of each plain number within ``MAX_MAGNITUDE``, or None
+    for the per-cell route to name the cell.  ``float()`` of a float is
+    that float, so an all-float row is kept as it is."""
+    try:
+        values = tuple(cells) if types <= _FLOATS else tuple(map(float, cells))
+    except OverflowError:  # a huge int
+        return None
+    # hypot is at least every |v|, and inf or nan on a non-finite cell
+    return values if math.hypot(*values) <= MAX_MAGNITUDE else None
 
 
 def _parse_row(row: list, path: str) -> tuple[float, ...]:
     """``_parse_value`` over a row; ``path`` names the row, cells are
     ``path[j]``."""
-    if _PLAIN_NUMBERS.issuperset(map(type, row)):
-        try:
-            values = tuple(map(float, row))
-        except OverflowError:
-            pass  # a huge int: the per-cell route names it
-        else:
-            # hypot is at least every |v|, and inf or nan on a non-finite
-            # cell; a row it does not clear takes the exact per-cell check
-            if math.hypot(*values) <= MAX_MAGNITUDE:
-                return values
+    types = set(map(type, row))
+    if types <= _PLAIN_NUMBERS:
+        values = _as_floats(row, types)
+        if values is not None:
+            return values
+    elif types <= _NUMBERS_OR_INF:
+        # "inf" beside plain numbers: every string must be "inf"
+        numbers = [v for v in row if type(v) is not str]
+        if len(numbers) + row.count("inf") == len(row):
+            values = _as_floats(numbers, types - _STRINGS)
+            if values is not None:
+                finite = iter(values)
+                return tuple([math.inf if type(v) is str else next(finite)
+                              for v in row])
     return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
+
+
+def _labels_per_item(labels: list, path: str) -> None:
+    """Raise for the first label that is not a string or repeats one."""
+    seen = set()
+    for i, lab in enumerate(labels):
+        _expect(lab, str, f"{path}[{i}]")
+        if lab in seen:
+            _fail(f"{path}[{i}]", f"duplicate label {lab!r}")
+        seen.add(lab)
+
+
+def _pairs_per_item(raw: list, source: GroundSet, target: GroundSet,
+                    path: str) -> list[tuple[int, int]]:
+    """The index pairs of ``raw``, one at a time, raising for the first
+    that is not a [source, target] list of known labels."""
+    pairs = []
+    for i, pair in enumerate(raw):
+        pair = _expect(pair, list, f"{path}[{i}]")
+        if len(pair) != 2:
+            _fail(f"{path}[{i}]", "expected a [source, target] pair")
+        try:
+            pairs.append((source.index(pair[0]), target.index(pair[1])))
+        except AbstractConvexError as exc:
+            _fail(f"{path}[{i}]", str(exc))
+    return pairs
+
+
+def _members_per_item(members: list, parent: GroundSet,
+                      path: str) -> tuple[int, ...]:
+    """The indices of ``members``, raising at the first unknown label."""
+    try:
+        return tuple(parent.index(lab) for lab in members)
+    except AbstractConvexError as exc:
+        _fail(path, str(exc))
 
 
 @dataclass
@@ -136,12 +195,9 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
     for name, labels in gs_raw.items():
         path = f"$.ground_sets.{name}"
         labels = _expect(labels, list, path)
-        seen = set()
-        for i, lab in enumerate(labels):
-            _expect(lab, str, f"{path}[{i}]")
-            if lab in seen:
-                _fail(f"{path}[{i}]", f"duplicate label {lab!r}")
-            seen.add(lab)
+        if not (set(map(type, labels)) <= _STRINGS
+                and len(set(labels)) == len(labels)):
+            _labels_per_item(labels, path)
         if not labels:
             _fail(path, "ground set must be nonempty")
         ground_sets[name] = GroundSet(tuple(labels))
@@ -214,15 +270,18 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
         mspec = _expect(mspec, dict, path)
         source = resolve(mspec.get("source"), f"{path}.source")
         target = resolve(mspec.get("target"), f"{path}.target")
-        pairs = []
-        for i, pair in enumerate(_expect(mspec.get("pairs"), list, f"{path}.pairs")):
-            pair = _expect(pair, list, f"{path}.pairs[{i}]")
-            if len(pair) != 2:
-                _fail(f"{path}.pairs[{i}]", "expected a [source, target] pair")
+        raw_pairs = _expect(mspec.get("pairs"), list, f"{path}.pairs")
+        # lists only, so a 2-character string is not read as a pair; a bad
+        # pair takes the per-item route, which names it
+        pairs = None
+        if set(map(type, raw_pairs)) <= _LISTS:
+            at_x, at_y = source._positions, target._positions
             try:
-                pairs.append((source.index(pair[0]), target.index(pair[1])))
-            except AbstractConvexError as exc:
-                _fail(f"{path}.pairs[{i}]", str(exc))
+                pairs = [(at_x[a], at_y[b]) for a, b in raw_pairs]
+            except (KeyError, TypeError, ValueError):
+                pass  # an unknown or unhashable label, or not two of them
+        if pairs is None:
+            pairs = _pairs_per_item(raw_pairs, source, target, f"{path}.pairs")
         doc.mappings[name] = MultiMapping(source, target, tuple(pairs))
 
     for name, sspec in _expect(raw.get("subsets", {}), dict, "$.subsets").items():
@@ -233,9 +292,9 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
         if not members:
             _fail(f"{path}.members", "subset must be nonempty")
         try:
-            idx = tuple(parent.index(lab) for lab in members)
-        except AbstractConvexError as exc:
-            _fail(f"{path}.members", str(exc))
+            idx = tuple(map(parent._positions.__getitem__, members))
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            idx = _members_per_item(members, parent, f"{path}.members")
         if len(set(idx)) != len(idx):
             i = next(i for i, j in enumerate(idx) if j in idx[:i])
             _fail(f"{path}.members[{i}]", f"duplicate label {members[i]!r}")

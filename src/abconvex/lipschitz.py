@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, sub
 from typing import Iterable
 
@@ -113,6 +114,12 @@ class MetricInstance:
     def __call__(self, i: int, j: int) -> float:
         return self.dist[i][j]
 
+    @cached_property
+    def negated(self) -> Coupling:
+        """c = -d, entry-exact (``as_coupling``)."""
+        return Coupling(self.points, self.points,
+                        tuple(tuple(-v for v in row) for row in self.dist))
+
     def rescaled(self, k: float, exponent: float = 1.0) -> "MetricInstance":
         """K * d^a for K > 0 and 0 < a <= 1; still a metric."""
         if k <= 0 or not 0 < exponent <= 1:
@@ -132,9 +139,10 @@ def metric_from_rows(points: GroundSet, rows: Iterable[Iterable[float]],
 
 
 def as_coupling(metric: MetricInstance) -> Coupling:
-    """The coupling c = -d on points x points (entry-exact negation)."""
-    return Coupling(metric.points, metric.points,
-                    tuple(tuple(-v for v in row) for row in metric.dist))
+    """The coupling c = -d on points x points (entry-exact negation), built
+    once per metric, so a ``lip-extend`` request's parse and its
+    ``ExtensionProblem`` share one."""
+    return metric.negated
 
 
 def identity_mapping(metric: MetricInstance) -> MultiMapping:

@@ -7,33 +7,52 @@ where B_s(i) is the best walk gain from s to nodes[i] inside dom(M), the
 empty walk included at s.  One producer, ``chain_suprema``, gives
 max_s [shift(s) + R_s] over a set of sites: ``rockafellar`` (one site,
 shift -0.0, the exact additive identity of floats), ``alpha`` (shift f(s))
-and Theorem 6B's lifted alpha all call it.  With k = |dom(M)|:
+and Theorem 6B's lifted alpha all call it.  With k = |dom(M)|, it first
+finds labels L_i = max_s [shift(s) + B_s(i)], then reads the value at x
+as max_i [L_i + gain[i][x]], one ``max(map(add, L, column_x))`` per x,
+O(k * |X|) whatever the sites:
 
 * When the potential decided the cyclic verdict
   (``monotone._cyclic_verdict``), one run of label-correcting passes seeded
-  with shift(s) at the sites and -inf elsewhere settles on
-  L_i = max_s [shift(s) + B_s(i)], and the value at x is
-  max_i [L_i + gain[i][x]]: O(k^2) per pass plus O(k * |X|).
+  with shift(s) at the sites and -inf elsewhere settles on L: O(k^2) per
+  pass.
 * Otherwise, or when those passes do not settle within k + 1 (rounding can
   keep raising labels around a zero-gain cycle), the verdict's table of
-  best walks from ``monotone._cyclic_walks`` gives B_s: row s of the max-plus
-  closure D with D[s][s] raised to 0, or, when only the exact-length route
-  passes M (a cycle gains between eps/k and eps), the entrywise best of the
-  k walk rounds the verdict ran, which is what ``rockafellar_oracle`` with
-  max_len = k + 1 enumerates.  R_s is then a column kernel, one
-  ``max(map(add, best, column_x))`` per x, and the sites fold in order with
-  the first of equal maxima winning, bit-identical to per-cell loops.
+  best walks from ``monotone._cyclic_walks`` gives B_s: row s of the
+  max-plus closure D with D[s][s] raised to 0, or, when only the
+  exact-length route passes M (a cycle gains between eps/k and eps), the
+  entrywise best of the k walk rounds the verdict ran, which is what
+  ``rockafellar_oracle`` with max_len = k + 1 enumerates.  The sites fold
+  into L in order with a strict >, so the first of equal maxima wins:
+  O(|S| * k).  The per-site reading, R_s for every site and then the max
+  over s of R_s(x) + shift(s), is O(|S| * k * |X|); it is the tests'
+  oracle (``closure_suprema`` in ``tests/references.py``).
 
-The two routes add the same gains along walks in different orders, so a
-value may move in its last bits from the closure route's.  The stated
-bound: with G the largest |gain| and M = max |shift| + (k + 1) * G, which
-bounds every partial sum of a walk of at most k + 1 hops from a site,
-the routes differ by at most 2**-52 * (k + 2)**2 * M at every x.  Each
-route's sum of at most k + 2 terms lies within (k + 1) * 2**-53 * M of
-the exact sum of its walk; the rest allows for the two routes settling on
-different walks whose exact gains differ by cycles the potential bounds.
-The tests cross-check the producer against the closure route for many
-anchors at once (``anchored_antiderivatives`` in ``tests/references.py``).
+Rounding.  With G the largest |gain| and M = max |shift| + (k + 1) * G,
+which bounds every partial sum of a walk of at most k + 1 hops from a
+site, and u = 2**-53:
+
+* The labels-first reading sums each term as (shift + B) + g, the
+  per-site reading as (B + g) + shift, over the same B, g and shift.  fl
+  is monotone, so fl(a + max_i w_i) = max_i fl(a + w_i), and each reading
+  is the max over the same (s, i) of its own two-rounding term.  Each
+  term lies within u |a + b| + u |fl(a + b) + c| <= u M + u (1 + u) M of
+  the exact sum, so the two differ by at most 2 u (2 + u) M <= 2**-50 * M
+  per term, and max, being 1-Lipschitz, keeps that.  One site with shift
+  -0.0 adds exactly nothing (-0.0 + b == b), so ``rockafellar`` equals
+  the per-site reading bit for bit.
+* The potential route and the table route add the same gains along
+  walks in different orders, so a value may move in its last bits from
+  the table route's.  The stated bound: the routes differ by at most
+  2**-52 * (k + 2)**2 * M at every x.  Each route's sum of at most k + 2
+  terms lies within (k + 1) * 2**-53 * M of the exact sum of its walk;
+  the rest allows for the two routes settling on different walks whose
+  exact gains differ by cycles the potential bounds.  Since
+  (k + 2)**2 >= 9 > 4, the bound also covers the 2**-50 * M above.
+
+The tests cross-check the producer against the per-site reading of the
+closure route for many anchors at once (``anchored_antiderivatives`` in
+``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -73,17 +92,20 @@ class NotCyclicallyMonotoneError(AbstractConvexError):
         self.mapping = mapping
 
 
-def _closure_rows(gg: GainGraph, walks, sites: Sequence[int]) -> list[list[float]]:
-    """R_s for each site, in order, read from a table of best walks: the
-    column kernel over ``gg.columns``."""
-    out = []
-    for s in sites:
+def _site_labels(gg: GainGraph, walks, sites: Sequence[int],
+                 shifts: Sequence[float]) -> list[float]:
+    """L_i = max_s [shift(s) + B_s(i)] from a table of best walks, B_s being
+    row s with B_s(s) raised to 0 (the empty walk); the sites fold in order
+    with a strict >, so the first of equal maxima wins."""
+    labels = None
+    for s, shift in zip(sites, shifts):
         spos = gg.nodes.index(s)
-        # best[i]: best walk gain from s to nodes[i] inside dom(M), any length >= 0
         best = walks[spos][:]
         best[spos] = max(best[spos], 0.0)
-        out.append([max(map(add, best, col)) for col in gg.columns])
-    return out
+        row = [shift + b for b in best]
+        labels = row if labels is None else [
+            t if t > v else v for t, v in zip(row, labels)]
+    return labels
 
 
 def _require_anchors(m: MultiMapping, anchors: Sequence[int]) -> None:
@@ -101,11 +123,11 @@ def chain_suprema(m: MultiMapping, c: Coupling, sites: Sequence[int],
     producer of ``rockafellar`` (one site, shift -0.0, which adds exactly
     nothing), ``alpha`` and Theorem 6B's lifted alpha.
 
-    When the potential decides the verdict, one run of label-correcting
-    passes seeded with shift(s) at the sites gives labels L_i, the best
-    shift(s) plus walk gain from a site to nodes[i], and the value at x is
-    max_i [L_i + gain(i, x)].  Otherwise, or when those passes do not
-    settle, it is read from ``_cyclic_walks``' table (module docstring).
+    The labels L_i, the best shift(s) plus walk gain from a site to
+    nodes[i], come from one run of label-correcting passes seeded with
+    shift(s) at the sites when the potential decides the verdict, and
+    otherwise, or when those passes do not settle, from ``_cyclic_walks``'
+    table (module docstring).  The value at x is max_i [L_i + gain(i, x)].
 
     Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
     not c-cyclically monotone.
@@ -113,22 +135,20 @@ def chain_suprema(m: MultiMapping, c: Coupling, sites: Sequence[int],
     _require_anchors(m, sites)
     gg = build_gain_graph(m, c)
     verdict, walks = _cyclic_verdict(gg, eps)
+    labels = None
     if verdict and walks is None:
         seed = [-INF] * len(gg.nodes)
         for s, shift in zip(sites, shifts):
             seed[gg.nodes.index(s)] = shift
         labels = _passes([gg.columns[v] for v in gg.nodes], seed)
-        if labels is not None:
-            return ExtFunction(c.domain, tuple(
-                max(map(add, labels, col)) for col in gg.columns))
-        verdict, walks = _cyclic_walks(gg, eps)
+        if labels is None:
+            verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
-    rows = _closure_rows(gg, walks, sites)
-    # max over the sites, in order, of R_s(x) + shift(s); the first of
-    # equal maxima wins
-    return ExtFunction(c.domain, tuple(map(max, zip(*(
-        [v + shift for v in row] for row, shift in zip(rows, shifts))))))
+    if labels is None:
+        labels = _site_labels(gg, walks, sites, shifts)
+    return ExtFunction(c.domain, tuple(
+        max(map(add, labels, col)) for col in gg.columns))
 
 
 def rockafellar(m: MultiMapping, c: Coupling, s: int,

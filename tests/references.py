@@ -37,11 +37,7 @@ from abconvex import (
 )
 from abconvex.instance_io import dumps
 from abconvex.monotone import _cyclic_walks, _is_maximal, _max_plus_closure
-from abconvex.rockafellar import (
-    NotCyclicallyMonotoneError,
-    _closure_rows,
-    _require_anchors,
-)
+from abconvex.rockafellar import NotCyclicallyMonotoneError, _require_anchors
 from abconvex.transforms import _forward, _transform
 
 EPS = 1e-9
@@ -244,6 +240,22 @@ def lifted_draw(rng, kind=None):
             kind == "integers")
 
 
+def lifted_lines_agree(rng, lifted):
+    """C's rows, columns and entries, built on first read, against the
+    per-cell table, bit for bit, each line read in a random order (and
+    again, from the cache)."""
+    table = product_rows_per_cell(lifted.base, product_coupling(lifted.base))
+    side = len(table)
+    rows, cols = rng.sample(range(side), side), rng.sample(range(side), side)
+    hexes = lambda line: list(map(float.hex, line))  # noqa: E731
+    return (len(lifted.values) == len(lifted.columns) == side
+            and all(hexes(lifted.values[i]) == hexes(table[i]) for i in rows + rows)
+            and all(hexes(lifted.columns[j]) == hexes([row[j] for row in table])
+                    for j in cols + cols)
+            and all(float.hex(lifted(i, j)) == float.hex(table[i][j])
+                    for i in rows for j in cols))
+
+
 def lifted_routes_agree(lifted, h, g, points, exact):
     """The separable kernel against the table route, forward, reverse and
     at ``points`` (``is_antiderivative``'s read): the same infinities, and
@@ -276,6 +288,41 @@ def full_passes(cols, labels):
         if not changed:
             return labels, True
     return labels, False
+
+
+def sup_distance_loop(f, g):
+    """``sup_distance`` one pair at a time: |a - b| over finite pairs, inf
+    at the first infinite pair that differs."""
+    worst = 0.0
+    for a, b in zip(f.values, g.values):
+        if math.isfinite(a) and math.isfinite(b):
+            worst = max(worst, abs(a - b))
+        elif a != b:
+            return INF
+    return worst
+
+
+def mix_per_point(rng, lows, highs):
+    """6B's mix one point at a time: lo + lam * (hi - lo), one draw per
+    point where both are finite, lo elsewhere."""
+    out = []
+    for lo, hi in zip(lows, highs):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            out.append(lo)
+            continue
+        lam = rng.random()
+        out.append(lo + lam * (hi - lo))
+    return tuple(out)
+
+
+def family_bounds_per_pair(h, lifted):
+    """The last two checks of 6B's ``_family_member``, one pair at a time:
+    c <= h + eps on all of X x Y, and |h - c| <= eps on G(T)."""
+    pc, eps = lifted.pc, lifted.eps
+    if any(pc.base(x, y) > h(pc.xy_index(x, y)) + eps for x, y in pc.xy_pairs):
+        return False
+    return all(abs(h(pc.xy_index(x, y)) - pc.base(x, y)) <= eps
+               for x, y in lifted.t_map.graph)
 
 
 def gain_graph_per_cell(m, c):
@@ -316,10 +363,23 @@ def closure_per_cell(a, limit):
     return d
 
 
+def _closure_rows(gg, walks, sites):
+    """R_s for each site, in order, read from a table of best walks: one
+    ``max(map(add, B_s, column_x))`` per x, B_s being row s with B_s(s)
+    raised to 0."""
+    out = []
+    for s in sites:
+        spos = gg.nodes.index(s)
+        best = walks[spos][:]
+        best[spos] = max(best[spos], 0.0)
+        out.append([max(map(add, best, col)) for col in gg.columns])
+    return out
+
+
 def anchored_antiderivatives(m, c, anchors, eps=DEFAULT_EPS):
-    """The closure route: Rockafellar's antiderivative for each anchor in
-    dom(M), in order, from one gain graph and ``_cyclic_walks``' table of
-    best walks.  The cross-check of ``chain_suprema``'s potential route.
+    """The closure route, per site: Rockafellar's antiderivative for each
+    anchor in dom(M), in order, from one gain graph and ``_cyclic_walks``'
+    table of best walks.  The cross-check of ``chain_suprema``.
 
     Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
     not c-cyclically monotone.
@@ -347,6 +407,40 @@ def anchored_per_cell(m, c, anchors, eps):
         out.append(tuple(max(b + row[x] for b, row in zip(best, gg.gain))
                          for x in range(c.domain.size)))
     return out
+
+
+def closure_suprema(m, c, sites, shifts, eps=EPS):
+    """The per-site oracle of ``chain_suprema``'s table route: max over
+    the sites, in order, of R_s(x) + shift(s), each R_s read per cell from
+    the closure table, the first of equal maxima winning."""
+    rows = anchored_per_cell(m, c, sites, eps)
+    return tuple(max(row[x] + f for row, f in zip(rows, shifts))
+                 for x in range(c.domain.size))
+
+
+def labels_first_per_cell(m, c, sites, shifts, eps=EPS):
+    """``chain_suprema``'s table route per cell: L_i = max_s [shift(s) +
+    B_s(i)], the sites in order and the first of equal maxima winning,
+    then max_i [L_i + gain(i, x)] for each x."""
+    gg = build_gain_graph(m, c)
+    walks = _cyclic_walks(gg, eps)[1]
+    labels = []
+    for i in range(len(gg.nodes)):
+        best = -INF
+        for s, shift in zip(sites, shifts):
+            spos = gg.nodes.index(s)
+            b = max(walks[spos][i], 0.0) if i == spos else walks[spos][i]
+            if shift + b > best:
+                best = shift + b
+        labels.append(best)
+    out = []
+    for x in range(c.domain.size):
+        best = -INF
+        for label, row in zip(labels, gg.gain):
+            if label + row[x] > best:
+                best = label + row[x]
+        out.append(best)
+    return tuple(out)
 
 
 def reference_closed_walks(a, max_len):

@@ -76,6 +76,7 @@ from references import (
     is_antiderivative_full,
     kernel_coupling,
     lifted_draw,
+    lifted_lines_agree,
     lifted_routes_agree,
     maximal_by_recheck,
     metric_error,
@@ -437,6 +438,13 @@ def check_early_stop(rng):
             if max(ended) > short else "ran out")
 
 
+def check_lifted_lines(rng):
+    """C's rows and columns, built from c on first read, against its
+    per-cell table, bit for bit: ``lifted_draw``'s couplings, |X| != |Y|
+    on most draws, with ties, signed zeros and entries near 2**900."""
+    return lifted_lines_agree(rng, lifted_draw(rng)[0])
+
+
 CHECKS = [
     ("triple transform", check_transform),
     ("chain supremum vs oracle", check_antiderivative),
@@ -453,6 +461,7 @@ CHECKS = [
     ("verify output vs public wrappers", check_verify_context),
     ("lifted transforms vs table route", check_lifted_transforms),
     ("early stop vs all k + 1 passes", check_early_stop),
+    ("lifted lines vs per-cell table", check_lifted_lines),
 ]
 
 

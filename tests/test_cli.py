@@ -13,7 +13,6 @@ import pytest
 
 from abconvex import (
     DEFAULT_EPS,
-    AbstractConvexError,
     ExtFunction,
     GroundSet,
     InstanceDocument,
@@ -33,7 +32,15 @@ from abconvex import (
     verify_theorem6B,
 )
 from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
-from abconvex.instance_io import _num, document_to_jsonable, dumps
+from abconvex.instance_io import (
+    _labels_per_item,
+    _members_per_item,
+    _num,
+    _pairs_per_item,
+    _parse_value,
+    document_to_jsonable,
+    dumps,
+)
 from references import grown_mapping, public_verify_text, verify_document
 
 
@@ -511,6 +518,75 @@ def test_parse_diagnostic_names_first_bad_cell(literal, where, path):
     assert str(err.value).startswith(f"{path}[2]: ")
 
 
+def _raised(fn, *args) -> str:
+    with pytest.raises(InstanceError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def _row_per_cell(row, path):
+    return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
+
+
+P = GroundSet(("a", "b", "c", "d", "e"))
+#: (case, where, the JSON at ``where``, the per-item route, the message it
+#: raises): each value defeats the bulk pass, whose fallback must raise
+#: the per-item route's message
+PARSE_FALLBACKS = [
+    ("bool cell", "function", [1.0, True, 0.0, 2, 3.5],
+     lambda v: _row_per_cell(v, "$.functions.f.values"),
+     '$.functions.f.values[1]: expected a number or "inf"'),
+    ("huge int", "coupling", [0.0, 10 ** 400, 1.0, 2.0, 3.0],
+     lambda v: _row_per_cell(v, "$.coupling.values[1]"),
+     "$.coupling.values[1][1]: integer literal too large for a float"),
+    ("inf beside a bool", "function", [1.0, "inf", False, 2, 3.5],
+     lambda v: _row_per_cell(v, "$.functions.f.values"),
+     '$.functions.f.values[2]: expected a number or "inf"'),
+    ("duplicate label", "labels", ["a", "b", "c", "b", "e"],
+     lambda v: _labels_per_item(v, "$.ground_sets.P"),
+     "$.ground_sets.P[3]: duplicate label 'b'"),
+    ("unknown label", "pairs", [["a", "b"], ["c", "z"]],
+     lambda v: _pairs_per_item(v, P, P, "$.mappings.M.pairs"),
+     "$.mappings.M.pairs[1]: unknown label 'z'"),
+    ("non-list pair", "pairs", [["a", "b"], "cd"],
+     lambda v: _pairs_per_item(v, P, P, "$.mappings.M.pairs"),
+     "$.mappings.M.pairs[1]: expected list, got str"),
+    ("3-element pair", "pairs", [["a", "b", "c"]],
+     lambda v: _pairs_per_item(v, P, P, "$.mappings.M.pairs"),
+     "$.mappings.M.pairs[0]: expected a [source, target] pair"),
+    ("unhashable label", "pairs", [["a", "b"], ["c", ["d"]]],
+     lambda v: _pairs_per_item(v, P, P, "$.mappings.M.pairs"),
+     "$.mappings.M.pairs[1]: unknown label ['d']"),
+    ("unknown member", "members", ["a", "z"],
+     lambda v: _members_per_item(v, P, "$.subsets.S.members"),
+     "$.subsets.S.members: unknown label 'z'"),
+    ("unhashable member", "members", ["a", {"c": 1}],
+     lambda v: _members_per_item(v, P, "$.subsets.S.members"),
+     "$.subsets.S.members: unknown label {'c': 1}"),
+]
+
+
+@pytest.mark.parametrize("case,where,value,per_item,message", PARSE_FALLBACKS,
+                         ids=[case[0] for case in PARSE_FALLBACKS])
+def test_bulk_parse_falls_back_to_the_per_item_message(case, where, value,
+                                                       per_item, message):
+    doc = _document_with_row("function", [1.0, "inf", 0.0, 2, 3.5])
+    doc["mappings"] = {"M": {"source": "P", "target": "P",
+                             "pairs": [["a", "b"], ["c", "d"]]}}
+    doc["subsets"] = {"S": {"parent": "P", "members": ["a", "c"]}}
+    parsed = parse_instance(json.dumps(doc))  # the bulk pass takes these
+    assert parsed.function("f").values == (1.0, math.inf, 0.0, 2.0, 3.5)
+    assert parsed.mapping("M").graph == ((0, 1), (2, 3))
+    target = {"function": (doc["functions"]["f"], "values"),
+              "coupling": (doc["coupling"]["values"], 1),
+              "labels": (doc["ground_sets"], "P"),
+              "pairs": (doc["mappings"]["M"], "pairs"),
+              "members": (doc["subsets"]["S"], "members")}[where]
+    target[0][target[1]] = value
+    assert _raised(parse_instance, json.dumps(doc)) == message
+    assert _raised(per_item, value) == message
+
+
 def test_reused_parser_gives_the_bytes_of_fresh_calls(tmp_path, fixture_dir):
     two_point = str(fixture_dir / "two_point.json")
     line3 = str(fixture_dir / "line3.json")
@@ -633,24 +709,44 @@ def test_verify_computes_each_lifted_quantity_once(capsys, tmp_path, monkeypatch
                      "fitzpatrick": 1, "is_n_monotone": 2}
 
 
-def test_verify_guards_the_lifted_table_before_building_it(capsys, tmp_path,
+def test_verify_guards_the_lifted_lines_before_building_them(capsys, tmp_path,
                                                            monkeypatch):
-    # 60 x 60 gives a 3600-point lifted side and 3600^2 ~ 1.3e7 entries
-    fitz = importlib.import_module("abconvex.fitzpatrick")
+    # 100 x 100 gives a 10^4-point lifted side; Delta_T of 201 pairs would
+    # build 201 rows and 201 columns, 4.02e6 entries in all
+    core = importlib.import_module("abconvex.core")
 
     def built(*args):
-        raise AbstractConvexError("a lifted side was built")
+        raise AssertionError("a lifted line was built")
 
-    monkeypatch.setattr(fitz, "_pairs_side", built)
-    c = random_coupling(random.Random(0), 60, 60)
+    monkeypatch.setattr(core._LiftedLines, "__getitem__", built)
+    rng = random.Random(0)
+    c = random_coupling(rng, 100, 100)
+    pairs = set()
+    while len(pairs) < 201:
+        pairs.add((rng.randrange(100), rng.randrange(100)))
     path = tmp_path / "wide.json"
     path.write_text(verify_document(
-        MultiMapping(c.domain, c.codomain, ((0, 0),)), c))
+        MultiMapping(c.domain, c.codomain, tuple(pairs)), c))
     status, out = run(capsys, "verify", "--instance", str(path), "--mapping", "T")
     assert status == EXIT_DOMAIN
     assert out == {"error": "domain", "message":
-                   f"lifted coupling of {3600 ** 2} entries exceeds the "
-                   f"{fitz.MAX_LIFTED_ENTRIES}-entry guard"}
+                   f"lifted rows and columns of {402 * 10 ** 4} entries "
+                   f"exceed the {core.MAX_LIFTED_ENTRIES}-entry guard"}
+
+
+def test_verify_past_the_old_table_guard(capsys, tmp_path):
+    # 64 x 64: a table of C would hold 4096^2 ~ 1.7e7 entries, over the
+    # guard; verify builds only Delta_T's lines and prints what the public
+    # wrappers report
+    rng = random.Random(5)
+    c = random_coupling(rng, 64, 64)
+    t = random_cyclically_monotone_mapping(rng, c, max_pairs=12)
+    text = verify_document(t, c)
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    status = main(["verify", "--instance", str(path), "--mapping", "T"])
+    assert status == EXIT_OK
+    assert capsys.readouterr().out == public_verify_text(text, 0)
 
 
 # -------------------------------------------- adversarial documents, pinned

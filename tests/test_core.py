@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -18,9 +19,11 @@ from abconvex import (
     ext_add,
     indicator,
     restrict_sum,
+    sup_distance,
 )
 
-from conftest import grid_labels
+from conftest import assert_same_floats, grid_labels
+from references import sup_distance_loop
 
 
 def test_ground_set_rejects_duplicates():
@@ -182,3 +185,27 @@ def test_membership_of_subsets_and_mappings():
     m = MultiMapping(x, x, ((1, 2), (0, 0), (1, 2)))
     assert (1, 2) in m and (0, 0) in m and (2, 1) not in m
     assert (2, 1) in m.with_pair(2, 1) and (2, 1) not in m
+
+
+def test_sup_distance_kernel_matches_the_loop():
+    # all-finite sides take one kernel, any infinity the loop; the pools
+    # hold +-inf, signed zeros, equal values and sums that overflow
+    rng = random.Random(0)
+    big = 1.5e308
+    pools = ((-0.0, 0.0, 1.0, -1.0), (-0.0, 0.0, 2.0, INF, -INF),
+             (big, -big, 0.0, 1.0), (1.0, 2.0, INF))
+    finite = 0
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        pool = pools[trial % len(pools)]
+
+        def draw():
+            return rng.choice(pool) if rng.random() < 0.8 else rng.uniform(-5, 5)
+
+        a = [draw() for _ in range(n)]
+        b = [v if rng.random() < 0.3 else draw() for v in a]
+        f, g = ExtFunction(x, tuple(a)), ExtFunction(x, tuple(b))
+        assert_same_floats([sup_distance(f, g)], [sup_distance_loop(f, g)])
+        finite += all(map(math.isfinite, a + b))
+    assert finite >= 200

@@ -35,13 +35,13 @@ from abconvex import (
     verify_theorem6B,
 )
 from abconvex.cli import main as cli_main
-from abconvex.core import LiftedCoupling
+from abconvex.core import MAX_LIFTED_ENTRIES, BudgetExceededError, LiftedCoupling
 from abconvex.fitzpatrick import (
-    MAX_LIFTED_ENTRIES,
     MAX_LIFTED_SIDE,
     THEOREM_6B_SAMPLES,
     _family_member,
     _Lifted,
+    _mix,
     _sampled_members,
     _theorem6B,
     coupling_as_function,
@@ -53,12 +53,15 @@ from conftest import assert_same_floats, one_point_couplings
 from references import (
     LIFTED_KINDS,
     TIE_KINDS,
+    family_bounds_per_pair,
     fitzpatrick_per_cell,
     grown_mapping,
     kernel_coupling,
     lifted_by_table,
     lifted_draw,
+    lifted_lines_agree,
     lifted_routes_agree,
+    mix_per_point,
     partly_grown,
     product_rows_per_cell,
     random_graph,
@@ -226,15 +229,52 @@ def test_lifted_side_guard():
         fitzpatrick(t, c)
 
 
-def test_lifted_entry_guard_bounds_the_table_not_f():
-    # 60 x 60: C would hold 3600^2 entries, F only 3600 values
+def test_lifted_entry_guard_bounds_the_entries_built_not_f(monkeypatch):
+    # 60 x 60: a table of C would hold 3600^2 entries, F only 3600 values;
+    # product_coupling builds no line of C
     c = random_coupling(random.Random(0), 60, 60)
-    with pytest.raises(AbstractConvexError, match="entry guard"):
-        product_coupling(c)
+    lifted = product_coupling(c).lifted
     t = MultiMapping(c.domain, c.codomain, ((0, 0), (5, 7)))
     assert fitzpatrick(t, c).values == fitzpatrick_per_cell(t, c)
-    side = int(MAX_LIFTED_ENTRIES ** 0.5)
-    assert 3600 ** 2 > MAX_LIFTED_ENTRIES and side < MAX_LIFTED_SIDE
+    assert 3600 ** 2 > MAX_LIFTED_ENTRIES and 3600 < MAX_LIFTED_SIDE
+    assert lifted.values.built == lifted.columns.built == frozenset()
+    # each line built spends 3600 entries, a line read again none; the line
+    # that would pass the guard raises and is not built
+    core = importlib.import_module("abconvex.core")
+    monkeypatch.setattr(core, "MAX_LIFTED_ENTRIES", 3 * 3600)
+    for read in (lifted.values, lifted.columns, lifted.values, lifted.values):
+        read[0]
+    lifted.values[2]
+    with pytest.raises(BudgetExceededError, match=(
+            f"^lifted rows and columns of {4 * 3600} entries exceed the "
+            f"{3 * 3600}-entry guard$")):
+        lifted.columns[1]
+    assert lifted.values.built == {0, 2} and lifted.columns.built == {0}
+
+
+def test_lifted_entry_guard_holds_inside_the_line_cache(monkeypatch):
+    # verify reads the |G(T)| rows and columns of Delta_T; on a finitely
+    # maximal T the maximality readings of 6A read every diagonal row, 36
+    # lines of 36 entries, which the guard stops inside the cache, since no
+    # up-front count foresees them
+    core = importlib.import_module("abconvex.core")
+    c = random_coupling(random.Random(1), 6, 6)
+    t = grown_mapping(random.Random(1), MultiMapping(c.domain, c.codomain,
+                                                     ((2, 3),)), c, EPS)
+    lines = 2 * len(t.graph)
+    assert lines + 1 < 36
+    monkeypatch.setattr(core, "MAX_LIFTED_ENTRIES", (lines + 1) * 36)
+    assert verify_theorem6A(t, c).agree
+    with pytest.raises(BudgetExceededError, match=(
+            f"^lifted rows and columns of {(lines + 2) * 36} entries exceed "
+            f"the {(lines + 1) * 36}-entry guard$")):
+        verify_theorem6A(t, c, check_maximality=True)
+    # and the up-front count refuses a Delta_T whose lines would pass it
+    monkeypatch.setattr(core, "MAX_LIFTED_ENTRIES", (lines - 1) * 36)
+    with pytest.raises(BudgetExceededError, match=(
+            f"^lifted rows and columns of {lines * 36} entries exceed the "
+            f"{(lines - 1) * 36}-entry guard$")):
+        verify_theorem6A(t, c)
 
 
 def test_anchor_restricts_coupling_to_graph(two_point):
@@ -339,6 +379,49 @@ def test_sampler_draws_gamma_at_zero_and_alpha_at_one(rng):
     assert apart >= 5
 
 
+def test_mix_kernel_draws_as_the_per_point_mix():
+    # the same draws in the same order and the same bits: +-inf, signed
+    # zeros and equal ends
+    rng = random.Random(0)
+    inf = float("inf")
+    pool = (-0.0, 0.0, 1.0, -2.0, inf, -inf)
+    for trial in range(400):
+        n = rng.randint(1, 8)
+        lows = [rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-9, 9)
+                for _ in range(n)]
+        highs = [lo if rng.random() < 0.3 else rng.choice(pool)
+                 if rng.random() < 0.5 else rng.uniform(-9, 9) for lo in lows]
+        seed = rng.randrange(10 ** 6)
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        assert_same_floats(_mix(got_rng, lows, highs),
+                           mix_per_point(want_rng, lows, highs))
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_family_bounds_kernel_matches_the_per_pair_checks(rng, monkeypatch):
+    # C-convexity passed as given, the kernel's c <= h + eps and h = c on
+    # G(T) against the per-pair loops: h at c, c +- eps and one float past,
+    # +inf, and signed zeros, on ties-heavy couplings
+    fitz = importlib.import_module("abconvex.fitzpatrick")
+    monkeypatch.setattr(fitz, "is_c_convex", lambda h, c, eps: True)
+    inf, seen = float("inf"), set()
+    for trial in range(300):
+        c = kernel_coupling(rng, rng.randint(1, 4), rng.randint(1, 4),
+                            ties=TIE_KINDS[trial % 3])
+        lifted = _Lifted(random_graph(rng, c, 5), c, EPS)
+        values = [rng.choice((b, b, -b, b + EPS, b - EPS, inf, 0.0, -0.0,
+                              math.nextafter(b - EPS, -inf),
+                              math.nextafter(b + EPS, inf)))
+                  for b in lifted.coupling_values]
+        if all(v == inf for v in values):
+            values[0] = 0.0
+        h = ExtFunction(lifted.pc.lifted.domain, tuple(values))
+        want = family_bounds_per_pair(h, lifted)
+        assert _family_member(h, lifted) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_maximal_verify_runs_33_lifted_transforms(tmp_path, monkeypatch, rng):
     # 6A's anchor reading (6B reuses its verdict), gamma^C and alpha^C once
     # each, then per member its transform and the two of the C-convexity
@@ -388,6 +471,46 @@ def test_separable_kernel_matches_the_table_route(rng, kind):
     assert apart >= 15
 
 
+def test_lifted_lines_match_the_per_cell_table(rng):
+    # C builds row (x, y) and column (t, s) from c on first read; each is
+    # the table's float sums c(x, t) + c(s, y), bit for bit
+    apart = 0
+    for kind in LIFTED_KINDS:
+        for _ in range(25):
+            lifted = lifted_draw(rng, kind)[0]
+            assert lifted.values.built == lifted.columns.built == frozenset()
+            assert lifted_lines_agree(rng, lifted)
+            apart += lifted.base.domain.size != lifted.base.codomain.size
+    assert apart >= 50
+
+
+def test_verify_builds_only_the_lines_of_delta_t(tmp_path, monkeypatch, rng):
+    # one verify request builds the rows of dom(Delta_T) = G(T) and the
+    # columns of its image, |G(T)| each, and no other line of C
+    fitz = importlib.import_module("abconvex.fitzpatrick")
+    real, built = fitz.product_coupling, []
+
+    def recording(c):
+        built.append(real(c))
+        return built[-1]
+
+    monkeypatch.setattr(fitz, "product_coupling", recording)
+    for i, (t, c) in enumerate(maximal_documents(rng, 12)):
+        if i % 3 == 0:  # a pair short of maximal, or not monotone at all
+            t = random_graph(rng, c, 4)
+        path = tmp_path / "doc.json"
+        path.write_text(verify_document(t, c))
+        built.clear()
+        # exit 1 when Delta_T of a monotone T is not cyclically monotone
+        assert cli_main(["verify", "--instance", str(path), "--mapping", "T",
+                         "--output", str(tmp_path / "out.json")]) in (0, 1)
+        (pc,) = built
+        delta = delta_mapping(t, pc)
+        assert pc.lifted.values.built == set(delta.dom)
+        assert pc.lifted.columns.built == set(delta.image)
+        assert len(delta.dom) == len(delta.image) == len(t.graph)
+
+
 def test_separable_kernel_conventions_and_orientation():
     # |X| = 2, |Y| = 3: h^C(t, s) = max_{x,y} c(s,y) + (c(x,t) - h(x,y)) on
     # the t-major (t, s) order and g^C(x, y) = max_{t,s} c(x,t) + (c(s,y)
@@ -417,8 +540,14 @@ def test_separable_kernel_conventions_and_orientation():
 def test_lifted_coupling_checks_its_sides():
     c = kernel_coupling(random.Random(0), 2, 3)
     lifted = product_coupling(c).lifted
+    # equal and hashed by the sides and c, whatever lines were built
+    lifted.values[4]
+    again = product_coupling(c).lifted
+    assert lifted == again and hash(lifted) == hash(again)
+    other = kernel_coupling(random.Random(1), 2, 3)
+    assert lifted != product_coupling(other).lifted
     with pytest.raises(AbstractConvexError, match="lifted sides"):
-        LiftedCoupling(lifted.domain, lifted.codomain, lifted.values,
+        LiftedCoupling(lifted.domain, lifted.codomain,
                        kernel_coupling(random.Random(0), 3, 3))
 
 
