@@ -79,7 +79,6 @@ from .lipschitz import (
     metric_from_rows,
 )
 from .fitzpatrick import (
-    ProductCoupling,
     Theorem6AReport,
     Theorem6BReport,
     delta_mapping,

@@ -174,7 +174,8 @@ class _LiftedLines(Sequence):
 @dataclass(frozen=True)
 class LiftedCoupling(Coupling):
     """The lifted coupling C((x,y),(t,s)) = c(x,t) + c(s,y) of ``base`` = c,
-    on X x Y (x-major) by Y x X (t-major), without a table.
+    on X x Y (x-major: (x, y) at ``xy_index(x, y)``, ``xy_pairs`` by
+    index) by Y x X (t-major: ``ts_index``, ``ts_pairs``), without a table.
 
     Row (x, y) of ``values`` and column (t, s) of ``columns`` are built
     from c on first read and kept, each entry the float sum
@@ -204,6 +205,24 @@ class LiftedCoupling(Coupling):
             [a + b for a in rows[i // ny] for b in cols[i % ny]]), budget))
         object.__setattr__(self, "columns", _LiftedLines(nx * ny, lambda j: tuple(
             [a + b for a in cols[j // nx] for b in rows[j % nx]]), budget))
+
+    def xy_index(self, x: int, y: int) -> int:
+        return x * self.base.codomain.size + y
+
+    def ts_index(self, t: int, s: int) -> int:
+        return t * self.base.domain.size + s
+
+    @cached_property
+    def xy_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (x, y) at each domain index, x-major."""
+        return tuple(itertools.product(range(self.base.domain.size),
+                                       range(self.base.codomain.size)))
+
+    @cached_property
+    def ts_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (t, s) at each codomain index, t-major."""
+        return tuple(itertools.product(range(self.base.codomain.size),
+                                       range(self.base.domain.size)))
 
     def afford(self, lines: int) -> int:
         """The entries built once ``lines`` more lines of |X| |Y| are;

@@ -7,9 +7,10 @@ consists of every c-convex antiderivative of M that agrees with f on S; it
 always contains its lower envelope (``alpha``) and upper envelope
 (``gamma``).
 
-``alpha`` is max_s [f(s) + R_s], one ``rockafellar.chain_suprema`` call:
-label-correcting passes seeded with f at the sites when the potential
-decides the cyclic verdict (O(k^2) per pass for k = |dom(M)|), the
+``alpha`` is max_s [f(s) + R_s], one ``rockafellar.chain_suprema`` call,
+which runs ``monotone._cyclic_verdict`` once from f at the sites: its
+label-correcting passes when they settle on labels p that the rounding
+guard accepts at P = max |p| (O(k^2) per pass for k = |dom(M)|), the
 closure route's table of best walks otherwise.  The passes add in another
 order than the table, so alpha (and ``gamma``'s dual route and the minimal
 Lipschitz extension, which read it) may move in the last bits, within the

@@ -7,15 +7,17 @@ minimal C-convex C-antiderivative of the lifted mapping pinned on G(T),
 which this module verifies executably.
 
 C has no table.  ``product_coupling`` returns a ``LiftedCoupling`` that
-carries c and builds row (x, y) or column (t, s) of C on first read, each
-entry the float sum c(x, t) + c(s, y) a table would hold, and keeps it
-for the request.  Delta_T's gain graph, the order-2 checks, alpha and the
-antiderivative test read only the rows of dom(Delta_T) = G(T) and the
-columns of its image, |G(T)| each, so ``verify`` builds
-2 |G(T)| |X| |Y| entries in place of (|X| |Y|)**2.  ``MAX_LIFTED_ENTRIES``
-bounds the entries one coupling builds, checked in its line cache (6A's
-maximality readings build every diagonal row), and ``_Lifted.delta``
-checks Delta_T's lines against it before any is built.  C is
+carries c and its index layout (``xy_index``, ``ts_index``, ``xy_pairs``
+and ``ts_pairs``), and builds row (x, y) or column (t, s) of C on first
+read, each entry the float sum c(x, t) + c(s, y) a table would hold, and
+keeps it for the request.  Delta_T's gain graph, the order-2 checks,
+alpha and the antiderivative test read only the rows of
+dom(Delta_T) = G(T) and the columns of its image, |G(T)| each, so
+``verify`` builds 2 |G(T)| |X| |Y| entries in place of (|X| |Y|)**2.
+``MAX_LIFTED_ENTRIES`` bounds the entries one coupling builds, checked in
+its line cache (6A's maximality readings build every diagonal row), and
+``_Lifted.delta`` checks Delta_T's lines against it before any is built.
+C is
 sum-separable, so every C-transform factors through c as two max-plus
 passes (``transforms._lifted_transform``), O(n^3) for n = |X| = |Y| in
 place of a table's O(n^4).  A transformed value may move in its last bits
@@ -34,11 +36,13 @@ Delta_T (6A's fourth reading, and the one check of the lifted family that
 finite), the lifted family's alpha max_s [c(s) + R_s] from
 one ``chain_suprema`` call on Delta_T, or the error it raised (6A's cyclic
 reading is which of the two it holds, 6B's alpha the value), T's order-2
-verdict and maximality, and F (6B and the -d chain both read it).  The
-cyclic verdict is potential first; on c = -d, Delta_T can carry
-zero-gain cycles that round positive, and there the passes do not settle
-and the closure decides, after k + 1 wasted passes (such cycles climb too
-little for the passes' early stop).  6B's ``max_abs_diff`` may move in its
+verdict and maximality, and F (6B and the -d chain both read it).  That
+call runs the passes once, seeded with c at the sites, and a fixed point
+p gives both the cyclic verdict and alpha when the rounding guard
+accepts it at P = max |p|; on c = -d, Delta_T can carry zero-gain cycles
+that round positive, and there the passes do not settle and the closure
+decides, after k + 1 wasted passes (such cycles climb too little for the
+passes' early stop).  6B's ``max_abs_diff`` may move in its
 last bits with alpha.  The public wrappers build their own context, so
 they report what the command prints.  The chain never builds C, so C's
 guard does not bind it.
@@ -100,74 +104,55 @@ MAX_LIFTED_SIDE = 10 ** 4
 THEOREM_6B_SAMPLES = 10
 
 
-@dataclass(frozen=True)
-class ProductCoupling:
-    """The lifted coupling C, with the index bookkeeping for both sides."""
-
-    base: Coupling
-    lifted: LiftedCoupling
-    xy_pairs: tuple[tuple[int, int], ...]   # lex x-major over X x Y
-    ts_pairs: tuple[tuple[int, int], ...]   # lex t-major over Y x X
-
-    def xy_index(self, x: int, y: int) -> int:
-        return x * self.base.codomain.size + y
-
-    def ts_index(self, t: int, s: int) -> int:
-        return t * self.base.domain.size + s
-
-
-def _pairs_side(first: GroundSet, second: GroundSet):
-    """The lex first-major pairs of first x second and their ground set."""
+def _pairs_side(first: GroundSet, second: GroundSet) -> GroundSet:
+    """The labels of first x second, lex first-major."""
     side = first.size * second.size
     if side > MAX_LIFTED_SIDE:
         raise AbstractConvexError(
             f"lifted side {side} exceeds the {MAX_LIFTED_SIDE}-cell guard")
-    pairs = tuple((a, b) for a in range(first.size) for b in range(second.size))
-    labels = tuple(f"({first.labels[a]},{second.labels[b]})" for a, b in pairs)
-    return pairs, GroundSet(labels)
+    return GroundSet(tuple(f"({a},{b})" for a in first.labels
+                           for b in second.labels))
 
 
-def product_coupling(c: Coupling) -> ProductCoupling:
-    """C and its index bookkeeping; C's rows and columns are built on
+def product_coupling(c: Coupling) -> LiftedCoupling:
+    """C with its index bookkeeping; its rows and columns are built on
     first read (``LiftedCoupling``)."""
-    xy_pairs, xy_set = _pairs_side(c.domain, c.codomain)
-    ts_pairs, ts_set = _pairs_side(c.codomain, c.domain)
-    return ProductCoupling(c, LiftedCoupling(xy_set, ts_set, c),
-                           xy_pairs, ts_pairs)
+    return LiftedCoupling(_pairs_side(c.domain, c.codomain),
+                          _pairs_side(c.codomain, c.domain), c)
 
 
-def delta_mapping(t_map: MultiMapping, pc: ProductCoupling) -> MultiMapping:
+def delta_mapping(t_map: MultiMapping, pc: LiftedCoupling) -> MultiMapping:
     """The lifted mapping with graph {((x,y),(y,x)) : (x,y) in G(T)}."""
     pairs = tuple((pc.xy_index(x, y), pc.ts_index(y, x))
                   for x, y in t_map.graph)
-    return MultiMapping(pc.lifted.domain, pc.lifted.codomain, pairs)
+    return MultiMapping(pc.domain, pc.codomain, pairs)
 
 
-def full_diagonal(pc: ProductCoupling) -> tuple[tuple[int, int], ...]:
+def full_diagonal(pc: LiftedCoupling) -> tuple[tuple[int, int], ...]:
     """All lifted index pairs ((x,y),(y,x)); the candidate pool for the
     maximal-within-the-diagonal checks."""
     return tuple((pc.xy_index(x, y), pc.ts_index(y, x)) for x, y in pc.xy_pairs)
 
 
-def coupling_as_function(pc: ProductCoupling) -> ExtFunction:
+def coupling_as_function(pc: LiftedCoupling) -> ExtFunction:
     """c viewed as a function on the lifted domain X x Y."""
-    return ExtFunction(pc.lifted.domain,
+    return ExtFunction(pc.domain,
                        tuple(pc.base(x, y) for x, y in pc.xy_pairs))
 
 
-def graph_anchor(t_map: MultiMapping, pc: ProductCoupling) -> ExtFunction:
+def graph_anchor(t_map: MultiMapping, pc: LiftedCoupling) -> ExtFunction:
     """c + indicator(G(T)) on the lifted domain."""
     return ExtFunction(
-        pc.lifted.domain,
+        pc.domain,
         tuple(pc.base(x, y) if (x, y) in t_map else INF
               for x, y in pc.xy_pairs))
 
 
-def swap_to_domain(g: ExtFunction, pc: ProductCoupling) -> ExtFunction:
+def swap_to_domain(g: ExtFunction, pc: LiftedCoupling) -> ExtFunction:
     """Reindex a function on Y x X as a function on X x Y via (x,y)->(y,x)."""
-    if g.index.labels != pc.lifted.codomain.labels:
+    if g.index.labels != pc.codomain.labels:
         raise AbstractConvexError("function is not indexed by the lifted codomain")
-    return ExtFunction(pc.lifted.domain,
+    return ExtFunction(pc.domain,
                        tuple(g(pc.ts_index(y, x)) for x, y in pc.xy_pairs))
 
 
@@ -175,7 +160,7 @@ def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     """F(x,y) = max over (s,t) in G(T) of c(x,t) + c(s,y) - c(s,t),
     as a function on the lifted domain X x Y."""
     t_map.require_proper()
-    _, xy_set = _pairs_side(c.domain, c.codomain)
+    xy_set = _pairs_side(c.domain, c.codomain)
     values = []
     for row_x in c.values:
         # fold over G(T), in order, the rows (c(x,t) + c(s,.)) - c(s,t)
@@ -196,7 +181,7 @@ class _Lifted:
         self.t_map, self.c, self.eps = t_map, c, eps
 
     @cached_property
-    def pc(self) -> ProductCoupling:
+    def pc(self) -> LiftedCoupling:
         return product_coupling(self.c)
 
     @cached_property
@@ -204,7 +189,7 @@ class _Lifted:
         """Delta_T; its readers on C build the |G(T)| rows of its domain and
         the |G(T)| columns of its image, so a request that cannot afford
         them fails here, before any is built."""
-        self.pc.lifted.afford(2 * len(self.t_map.graph))
+        self.pc.afford(2 * len(self.t_map.graph))
         return delta_mapping(self.t_map, self.pc)
 
     @cached_property
@@ -216,7 +201,7 @@ class _Lifted:
         """6A's fourth reading; 6B's only check of the lifted family that
         its construction does not already make (its sites are dom(Delta_T),
         where the anchor is c, hence finite)."""
-        return is_antiderivative(self.anchor, self.delta, self.pc.lifted,
+        return is_antiderivative(self.anchor, self.delta, self.pc,
                                  self.eps)
 
     @cached_property
@@ -226,7 +211,7 @@ class _Lifted:
         monotone."""
         sites = self.delta.dom
         try:
-            return chain_suprema(self.delta, self.pc.lifted, sites,
+            return chain_suprema(self.delta, self.pc, sites,
                                  [self.anchor(s) for s in sites], self.eps)
         except NotCyclicallyMonotoneError as exc:
             return exc.with_traceback(None)  # its frames would hold self
@@ -258,8 +243,8 @@ class _Lifted:
     @cached_property
     def problem(self) -> ConstraintProblem:
         """The lifted family: Delta_T, its anchor, sites G(T) = dom(Delta_T)."""
-        sites = IndexSubset(self.pc.lifted.domain, self.delta.dom)
-        return ConstraintProblem(self.pc.lifted, self.delta, self.anchor,
+        sites = IndexSubset(self.pc.domain, self.delta.dom)
+        return ConstraintProblem(self.pc, self.delta, self.anchor,
                                  sites, self.eps)
 
 
@@ -272,9 +257,9 @@ def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
 def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
     pc, eps = lifted.pc, lifted.eps
     h.require_proper("family candidate")
-    if h.index.labels != pc.lifted.domain.labels:
+    if h.index.labels != pc.domain.labels:
         raise AbstractConvexError("candidate is not indexed by the lifted domain")
-    if not is_c_convex(h, pc.lifted, eps):
+    if not is_c_convex(h, pc, eps):
         return False
     hv, at_graph, on_graph = h.values, *lifted.graph_points
     # c <= h + eps everywhere, then |h - c| <= eps on G(T)
@@ -334,17 +319,17 @@ def _theorem6A(lifted: _Lifted, check_maximality: bool = False) -> Theorem6ARepo
     if check_maximality:
         diagonal = full_diagonal(pc)
         t_max = lifted.t_maximal
-        d_max = is_maximal_n_monotone(delta, pc.lifted, 2, eps,
+        d_max = is_maximal_n_monotone(delta, pc, 2, eps,
                                       candidates=diagonal)
         d_cyc_max = is_maximal_cyclically_monotone(
-            delta, pc.lifted, eps, candidates=diagonal)
+            delta, pc, eps, candidates=diagonal)
         # 4': no single-point graph extension of T keeps the anchor property
         a_max = _is_maximal(lambda t: is_antiderivative(
-            graph_anchor(t, pc), delta_mapping(t, pc), pc.lifted, eps), t_map)
+            graph_anchor(t, pc), delta_mapping(t, pc), pc, eps), t_map)
 
     return Theorem6AReport(
         t_monotone=bool(mono),
-        delta_monotone=bool(is_n_monotone(delta, pc.lifted, 2, eps)),
+        delta_monotone=bool(is_n_monotone(delta, pc, 2, eps)),
         delta_cyclically_monotone=isinstance(lifted.delta_alpha, ExtFunction),
         anchor_is_antiderivative=lifted.anchor_is_antiderivative,
         violation_identity_value=identity_value,
@@ -410,7 +395,7 @@ def _sampled_members(lifted: _Lifted, a: ExtFunction, rng: random.Random,
     """``count`` members of the lifted family between alpha = ``a`` and
     gamma: the C-transforms of pointwise mixes of low = anchor^C = gamma^C
     and high = alpha^C (module docstring)."""
-    c = lifted.pc.lifted
+    c = lifted.pc
     low = c_transform(lifted.anchor, c)
     high = c_transform(a, c)
     for _ in range(count):

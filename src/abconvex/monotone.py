@@ -14,12 +14,15 @@ any simple cycle of positive gain, however small, pumps without bound
 when walked again and again, so no longer walk would give an eps-reading
 of its own.
 
-With k = |dom(M)|, the cyclic verdict is potential first
-(``_cyclic_verdict``; both ``is_cyclically_monotone`` and ``rockafellar``
-call it).  By Rockafellar's theorem a cyclically monotone M has a
-potential: labels p with p_u + a[u][v] <= p_v on every arc.
-Label-correcting passes (Bellman 1958, Ford 1956; ``_passes``, O(k^2)
-each) from all-zero labels look for one, and stop at the first pass that
+With k = |dom(M)|, one routine, ``_cyclic_verdict``, owns the cyclic
+verdict and its route, potential first, and returns labels with it:
+``is_cyclically_monotone`` calls it from all-zero labels and
+``rockafellar.chain_suprema`` from shift(s) at its sites and -inf
+elsewhere, whose labels are then the best shift(s) plus walk gain into
+each node.  By Rockafellar's theorem a cyclically monotone M has a
+potential: labels p with p_u + a[u][v] <= p_v on every arc.  One run of
+label-correcting passes (Bellman 1958, Ford 1956; ``_passes``, O(k^2)
+each) from the seed looks for one, and stops at the first pass that
 changes nothing, or give up after k + 1 passes, or, from halfway on, as
 soon as a label exceeds what a walk of at most k - 1 steps from a seed
 can reach, plus a rounding allowance: a run that settles never gets
@@ -27,7 +30,7 @@ there, so the early stop gives up only where the k + 1 passes would
 (``_passes``).  A fixed point p is a pass only when eps >= 0 and the
 rounding guard
 
-    2**-53 * (k + 1) * (P + (k + 1) * G) <= eps,   P = max p, G = max |a|,
+    2**-53 * (k + 1) * (P + (k + 1) * G) <= eps,   P = max |p|, G = max |a|,
 
 holds (its left side is never negative, so eps < 0 never passes).  Its
 derivation, with u = 2**-53 the unit roundoff: at the fixed
@@ -41,25 +44,32 @@ k + 1 in place of k covers both the O(k u) term and the guard's own
 rounding, so no round can sum over eps and ``_cyclic_walks`` would pass M
 too.  Without the guard, a fixed point among entries of 2**900 (where
 small gains are lost in the labels' sums) would pass a mapping whose walk
-rounds fail.  The guard is first read at P = 0, its least value, so a
-refusal that G and k alone force (entries near 2**900, k past about 650
-for gains of 20 at eps = 1e-9, or eps < 0) runs no pass.
+rounds fail.  The guard is first read at P = max(0, largest seed), 0
+for zero labels: labels only rise, so that is a lower bound of max |p|,
+and a refusal that it already forces (entries near 2**900, k past about
+650 for gains of 20 at eps = 1e-9, a seed too large, or eps < 0) runs no
+pass.
 
 Every other case (eps < 0, passes that do not settle, which a positive
-cycle or a zero-gain cycle that rounds positive causes, or a refused
-guard) goes to ``_cyclic_walks``, which gives the verdict, its witness and
-a table of best walks inside dom(M), so every verdict and witness is the
-closure route's.  At eps >= 0 it first computes
-one max-plus Floyd-Warshall closure of the restricted gain matrix (O(k^3)
-time, O(k^2) memory).  Each diagonal entry bounds the best simple cycle
-through its node from above, and a closed walk of at most k steps splits
-into at most k simple cycles, so a diagonal no larger than eps/k proves
-that no such walk gains more than eps, and the closure is the table.  The
-closure stops at the first diagonal entry over eps/k and the exact-length
-route decides instead, supplying the witness cycle on a failure and, on a
-pass, the best of the walk rounds it ran as the table.  Below zero the
-walk rounds alone decide: eps/k > eps there, and at eps = -5e-324 it rounds
-to -0.0, which would pass the 0.0 diagonal of every one-step loop u -> u.
+cycle or a zero-gain cycle that rounds positive causes, or a refused guard)
+goes to ``_cyclic_walks``, which gives the verdict, its witness and a table
+B of best walks inside dom(M), so every verdict and witness is the closure
+route's.  On a pass the labels are then one relaxation step from the seed
+over B: labels[i] = max_u [seed[u] + B[u][i]], O(k^2), the first of equal
+maxima winning.  B[u][u] stands in for the empty walk at u as it is: the
+one-step walk u -> u gains c(u, y) - c(u, y) = 0.0 for y in M(u), and the
+closure and the rounds only raise an entry, so B[u][u] >= 0.0.  At eps >= 0
+``_cyclic_walks`` first computes one max-plus Floyd-Warshall closure of the
+restricted gain matrix (O(k^3) time, O(k^2) memory).  Each diagonal entry
+bounds the best simple cycle through its node from above, and a closed walk
+of at most k steps splits into at most k simple cycles, so a diagonal no
+larger than eps/k proves that no such walk gains more than eps, and the
+closure is the table.  The closure stops at the first diagonal entry over
+eps/k and the exact-length route decides instead, supplying the witness
+cycle on a failure and, on a pass, the best of the walk rounds it ran as
+the table.  Below zero the walk rounds alone decide: eps/k > eps there, and
+at eps = -5e-324 it rounds to -0.0, which would pass the 0.0 diagonal of
+every one-step loop u -> u.
 
 The exact-length route is one generator of walk rounds: round L holds the
 best walk of exactly L steps between every two nodes (O(k^3) per round,
@@ -394,28 +404,36 @@ def _passes(cols, labels: list[float]) -> Optional[list[float]]:
     return None
 
 
-def _cyclic_verdict(gg: GainGraph, eps: float
-                    ) -> tuple[MonotonicityResult, Optional[list[list[float]]]]:
-    """(verdict, walks), potential first: the passes from all-zero labels
-    (a virtual source), and a fixed point p that the rounding guard accepts
-    is a pass with ``walks`` None.  Every other case is ``_cyclic_walks``'
-    (module docstring).  The guard: with k nodes, G = max |a[u][v]| and
-    P = max p >= 0, 2**-53 * (k + 1) * (P + (k + 1) * G) <= eps.  Its left
-    side is at least 0 and grows with P, so it refuses every eps < 0, and
-    its value at P = 0 decides, before any pass, whether one is worth
-    running.
+def _cyclic_verdict(gg: GainGraph, eps: float, seed=None
+                    ) -> tuple[MonotonicityResult, Optional[list[float]]]:
+    """(verdict, labels), potential first: one run of the passes from
+    ``seed`` (default all zeros, a virtual source; -inf: no walk yet), and
+    a fixed point p that the rounding guard accepts is a pass with labels
+    p.  Every other case is ``_cyclic_walks``' verdict, and on a pass the
+    labels are one relaxation step from the seed over its table B of best
+    walks, whose diagonal is at least 0.0 (the empty walk): labels[i] =
+    max_u [seed[u] + B[u][i]], the first of equal maxima winning (module
+    docstring).  The guard: with k nodes, G = max |a[u][v]| and
+    P = max |p|, 2**-53 * (k + 1) * (P + (k + 1) * G) <= eps.  Its left
+    side is at least 0 and grows with P, so it refuses every eps < 0.
+    Labels only rise, so max(0, largest seed) <= P, and the guard read
+    there decides, before any pass, whether one is worth running.
     """
     cols = [gg.columns[v] for v in gg.nodes]
     k, g = len(cols), max(max(map(abs, col)) for col in cols)
+    seed = [0.0] * k if seed is None else seed
 
     def guard(top: float) -> bool:
         return 2.0 ** -53 * (k + 1) * (top + (k + 1) * g) <= eps
 
-    if guard(0.0):
-        p = _passes(cols, [0.0] * k)
-        if p is not None and guard(max(p)):
-            return MonotonicityResult(True), None
-    return _cyclic_walks(gg, eps)
+    if guard(max(0.0, *seed)):
+        p = _passes(cols, seed)
+        if p is not None and guard(max(map(abs, p))):
+            return MonotonicityResult(True), p
+    verdict, walks = _cyclic_walks(gg, eps)
+    if not verdict:
+        return verdict, None
+    return verdict, [max(map(add, seed, col)) for col in zip(*walks)]
 
 
 def is_cyclically_monotone(m: MultiMapping, c: Coupling,
@@ -431,7 +449,6 @@ def is_cyclically_monotone(m: MultiMapping, c: Coupling,
     exact arithmetic a positive simple cycle pumps without bound, so this
     finite reading is the definition (module docstring).
     """
-    m.require_proper()
     return _cyclic_verdict(build_gain_graph(m, c), eps)[0]
 
 

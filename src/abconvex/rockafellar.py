@@ -7,26 +7,32 @@ where B_s(i) is the best walk gain from s to nodes[i] inside dom(M), the
 empty walk included at s.  One producer, ``chain_suprema``, gives
 max_s [shift(s) + R_s] over a set of sites: ``rockafellar`` (one site,
 shift -0.0, the exact additive identity of floats), ``alpha`` (shift f(s))
-and Theorem 6B's lifted alpha all call it.  With k = |dom(M)|, it first
-finds labels L_i = max_s [shift(s) + B_s(i)], then reads the value at x
-as max_i [L_i + gain[i][x]], one ``max(map(add, L, column_x))`` per x,
-O(k * |X|) whatever the sites:
+and Theorem 6B's lifted alpha all call it.  With k = |dom(M)|, it builds
+one seed, shift(s) at each site (the largest of a repeated site's shifts)
+and -inf elsewhere, and makes one ``monotone._cyclic_verdict`` call from
+it, which owns the route and returns the verdict with labels
+L_i = max_s [shift(s) + B_s(i)].  It reads the value at x as
+max_i [L_i + gain[i][x]], one ``max(map(add, L, column_x))`` per x,
+O(k * |X|) whatever the sites.  That call's route:
 
-* When the potential decided the cyclic verdict
-  (``monotone._cyclic_verdict``), one run of label-correcting passes seeded
-  with shift(s) at the sites and -inf elsewhere settles on L: O(k^2) per
-  pass.
-* Otherwise, or when those passes do not settle within k + 1 (rounding can
-  keep raising labels around a zero-gain cycle), the verdict's table of
-  best walks from ``monotone._cyclic_walks`` gives B_s: row s of the
-  max-plus closure D with D[s][s] raised to 0, or, when only the
+* When one run of label-correcting passes from the seed settles on
+  labels the rounding guard accepts (P = max |p|), they are L and decide
+  the verdict: O(k^2) per pass.
+* Otherwise the verdict's table of best walks from
+  ``monotone._cyclic_walks`` gives B_s: row s of the max-plus closure D,
+  whose D[s][s] >= 0.0 covers the empty walk, or, when only the
   exact-length route passes M (a cycle gains between eps/k and eps), the
   entrywise best of the k walk rounds the verdict ran, which is what
-  ``rockafellar_oracle`` with max_len = k + 1 enumerates.  The sites fold
-  into L in order with a strict >, so the first of equal maxima wins:
-  O(|S| * k).  The per-site reading, R_s for every site and then the max
-  over s of R_s(x) + shift(s), is O(|S| * k * |X|); it is the tests'
-  oracle (``closure_suprema`` in ``tests/references.py``).
+  ``rockafellar_oracle`` with max_len = k + 1 enumerates.  L is one
+  relaxation step from the seed over it, the first of equal maxima
+  winning, so sorted sites fold in order with a strict >: O(k^2).  The
+  per-site reading, R_s for every site and then the max over s of
+  R_s(x) + shift(s), is O(|S| * k * |X|); it is the tests' oracle
+  (``closure_suprema`` in ``tests/references.py``).
+
+The route depends on the seed: on c(x, y) = a_x + b_y, passes from zero
+labels may never settle while those from one site do, so R_s(s) reads
+0.0 where the closure reads an ulp over it.
 
 Rounding.  With G the largest |gain| and M = max |shift| + (k + 1) * G,
 which bounds every partial sum of a walk of at most k + 1 hops from a
@@ -70,14 +76,7 @@ from .core import (
     ExtFunction,
     MultiMapping,
 )
-from .monotone import (
-    ENUMERATION_BUDGET,
-    GainGraph,
-    _cyclic_verdict,
-    _cyclic_walks,
-    _passes,
-    build_gain_graph,
-)
+from .monotone import ENUMERATION_BUDGET, _cyclic_verdict, build_gain_graph
 
 
 class NotCyclicallyMonotoneError(AbstractConvexError):
@@ -92,30 +91,6 @@ class NotCyclicallyMonotoneError(AbstractConvexError):
         self.mapping = mapping
 
 
-def _site_labels(gg: GainGraph, walks, sites: Sequence[int],
-                 shifts: Sequence[float]) -> list[float]:
-    """L_i = max_s [shift(s) + B_s(i)] from a table of best walks, B_s being
-    row s with B_s(s) raised to 0 (the empty walk); the sites fold in order
-    with a strict >, so the first of equal maxima wins."""
-    labels = None
-    for s, shift in zip(sites, shifts):
-        spos = gg.nodes.index(s)
-        best = walks[spos][:]
-        best[spos] = max(best[spos], 0.0)
-        row = [shift + b for b in best]
-        labels = row if labels is None else [
-            t if t > v else v for t, v in zip(row, labels)]
-    return labels
-
-
-def _require_anchors(m: MultiMapping, anchors: Sequence[int]) -> None:
-    m.require_proper()
-    nodes = m.dom
-    for s in anchors:
-        if s not in nodes:
-            raise AbstractConvexError(f"anchor {s} is not in dom(M)")
-
-
 def chain_suprema(m: MultiMapping, c: Coupling, sites: Sequence[int],
                   shifts: Sequence[float],
                   eps: float = DEFAULT_EPS) -> ExtFunction:
@@ -124,29 +99,31 @@ def chain_suprema(m: MultiMapping, c: Coupling, sites: Sequence[int],
     nothing), ``alpha`` and Theorem 6B's lifted alpha.
 
     The labels L_i, the best shift(s) plus walk gain from a site to
-    nodes[i], come from one run of label-correcting passes seeded with
-    shift(s) at the sites when the potential decides the verdict, and
-    otherwise, or when those passes do not settle, from ``_cyclic_walks``'
-    table (module docstring).  The value at x is max_i [L_i + gain(i, x)].
+    nodes[i], come from one ``monotone._cyclic_verdict`` call seeded with
+    shift(s) at the sites (the largest of a repeated site's shifts) and
+    -inf elsewhere (module docstring).  The value at x is
+    max_i [L_i + gain(i, x)].
 
-    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
-    not c-cyclically monotone.
+    Raises ``AbstractConvexError`` when the sites are empty, outside
+    dom(M) or not matched one to one by the shifts, and
+    ``NotCyclicallyMonotoneError`` with the witness cycle when M is not
+    c-cyclically monotone.
     """
-    _require_anchors(m, sites)
     gg = build_gain_graph(m, c)
-    verdict, walks = _cyclic_verdict(gg, eps)
-    labels = None
-    if verdict and walks is None:
-        seed = [-INF] * len(gg.nodes)
-        for s, shift in zip(sites, shifts):
-            seed[gg.nodes.index(s)] = shift
-        labels = _passes([gg.columns[v] for v in gg.nodes], seed)
-        if labels is None:
-            verdict, walks = _cyclic_walks(gg, eps)
+    if not sites or len(sites) != len(shifts):
+        raise AbstractConvexError(
+            f"{len(sites)} sites and {len(shifts)} shifts: need one shift "
+            "per site, and at least one site")
+    where = {u: i for i, u in enumerate(gg.nodes)}
+    seed = [-INF] * len(where)
+    for s, shift in zip(sites, shifts):
+        if s not in where:
+            raise AbstractConvexError(f"anchor {s} is not in dom(M)")
+        if shift > seed[where[s]]:
+            seed[where[s]] = shift
+    verdict, labels = _cyclic_verdict(gg, eps, seed)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
-    if labels is None:
-        labels = _site_labels(gg, walks, sites, shifts)
     return ExtFunction(c.domain, tuple(
         max(map(add, labels, col)) for col in gg.columns))
 

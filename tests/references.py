@@ -35,9 +35,10 @@ from abconvex import (
     verify_theorem6A,
     verify_theorem6B,
 )
+from abconvex import monotone
 from abconvex.instance_io import dumps
 from abconvex.monotone import _cyclic_walks, _is_maximal, _max_plus_closure
-from abconvex.rockafellar import NotCyclicallyMonotoneError, _require_anchors
+from abconvex.rockafellar import NotCyclicallyMonotoneError
 from abconvex.transforms import _forward, _transform
 
 EPS = 1e-9
@@ -125,6 +126,35 @@ def verify_document(t: MultiMapping, c: Coupling, metric=None) -> str:
                                negate=True, coupling_names=("P", "P"),
                                mappings={"T": t})
     return emit_document(doc)
+
+
+def site_seed(gg, sites, shifts):
+    """``chain_suprema``'s seed: at each node, the largest shift of a site
+    there (the first of equal ones), -inf at the other nodes."""
+    seed = [-INF] * len(gg.nodes)
+    for s, shift in zip(sites, shifts):
+        i = gg.nodes.index(s)
+        if shift > seed[i]:
+            seed[i] = shift
+    return seed
+
+
+def guard_value(gg, p) -> float:
+    """The rounding guard's left side at labels p:
+    2**-53 * (k + 1) * (max |p| + (k + 1) * max |gain|) over dom(M)."""
+    cols = [gg.columns[v] for v in gg.nodes]
+    k, g = len(cols), max(max(map(abs, col)) for col in cols)
+    return 2.0 ** -53 * (k + 1) * (max(map(abs, p)) + (k + 1) * g)
+
+
+def seeded_route(gg, eps, seed=None):
+    """Which route ``_cyclic_verdict`` takes from ``seed`` (default all
+    zeros), found by running the passes on it (``monotone._passes``, read
+    when called, so a patched one counts): "potential" when they settle on
+    labels the guard accepts, "closure" otherwise."""
+    seed = [0.0] * len(gg.nodes) if seed is None else seed
+    p = monotone._passes([gg.columns[v] for v in gg.nodes], seed)
+    return "potential" if p is not None and guard_value(gg, p) <= eps else "closure"
 
 
 def route_bound(gg, shifts) -> float:
@@ -223,7 +253,7 @@ def lifted_draw(rng, kind=None):
              "2**900": (big, -big, 0.0, 1.0, -1.0, 2.0 ** 899)}
     pool = pools.get(kind, ())
     c = kernel_coupling(rng, nx, ny, pool)
-    lifted = product_coupling(c).lifted
+    lifted = product_coupling(c)
 
     def side(n):
         values = [INF if kind == "all +inf" or rng.random() < 0.3
@@ -384,8 +414,10 @@ def anchored_antiderivatives(m, c, anchors, eps=DEFAULT_EPS):
     Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
     not c-cyclically monotone.
     """
-    _require_anchors(m, anchors)
     gg = build_gain_graph(m, c)
+    for s in anchors:
+        if s not in gg.nodes:
+            raise AbstractConvexError(f"anchor {s} is not in dom(M)")
     verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
@@ -418,21 +450,31 @@ def closure_suprema(m, c, sites, shifts, eps=EPS):
                  for x in range(c.domain.size))
 
 
-def labels_first_per_cell(m, c, sites, shifts, eps=EPS):
-    """``chain_suprema``'s table route per cell: L_i = max_s [shift(s) +
-    B_s(i)], the sites in order and the first of equal maxima winning,
-    then max_i [L_i + gain(i, x)] for each x."""
-    gg = build_gain_graph(m, c)
+def table_labels_per_cell(gg, eps, seed=None):
+    """The table route's labels per cell: for each node i, the best
+    seed[u] + B[u][i] over the nodes u in order, B being ``_cyclic_walks``'
+    table of best walks with B[i][i] raised to 0 (the empty walk), the
+    first of equal sums winning; the seed defaults to all zeros."""
+    seed = [0.0] * len(gg.nodes) if seed is None else seed
     walks = _cyclic_walks(gg, eps)[1]
     labels = []
     for i in range(len(gg.nodes)):
         best = -INF
-        for s, shift in zip(sites, shifts):
-            spos = gg.nodes.index(s)
-            b = max(walks[spos][i], 0.0) if i == spos else walks[spos][i]
+        for u, shift in enumerate(seed):
+            b = max(walks[u][i], 0.0) if u == i else walks[u][i]
             if shift + b > best:
                 best = shift + b
         labels.append(best)
+    return labels
+
+
+def labels_first_per_cell(m, c, sites, shifts, eps=EPS):
+    """``chain_suprema``'s table route per cell: the labels
+    ``table_labels_per_cell`` from the sites' seed, then
+    max_i [L_i + gain(i, x)] for each x, the first of equal maxima
+    winning."""
+    gg = build_gain_graph(m, c)
+    labels = table_labels_per_cell(gg, eps, site_seed(gg, sites, shifts))
     out = []
     for x in range(c.domain.size):
         best = -INF

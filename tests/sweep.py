@@ -87,7 +87,9 @@ from references import (
     reference_cyclic_verdict,
     reference_metric_error,
     route_bound,
+    seeded_route,
     separable_coupling,
+    site_seed,
     verify_document,
 )
 
@@ -166,7 +168,7 @@ def _potential_draw(rng):
         m = MultiMapping(c.domain, c.codomain, tuple(
             {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}))
         pc = product_coupling(c)
-        return delta_mapping(m, pc), pc.lifted
+        return delta_mapping(m, pc), pc
     if kind == 5:
         n = rng.randint(3, 8)
         c = separable_coupling(rng, n)
@@ -184,16 +186,20 @@ def _potential_draw(rng):
 
 
 def check_potential_route(rng):
-    """The potential-first verdict and witness against ``_cyclic_walks``
-    (eps < 0 too); on a pass, alpha's max_s [f(s) + R_s] and one R_s within
-    the stated bound of the closure route.  The closure itself matches its
-    per-cell form bit for bit on these draws, whose signed zeros tell
-    which of two equal sums a max keeps.  A passing draw whose mapping
-    passes returns the route that decided it, "potential" or "closure"."""
+    """The potential-first verdict and witness from ``chain_suprema``'s
+    seed, shift(s) at some sites, against ``_cyclic_walks`` (eps < 0 too);
+    on a pass, alpha's max_s [f(s) + R_s] and one R_s within the stated
+    bound of the closure route.  The closure itself matches its per-cell
+    form bit for bit on these draws, whose signed zeros tell which of two
+    equal sums a max keeps.  A passing draw whose mapping passes returns
+    the route the seeded run took, "potential" or "closure"."""
     m, c = _potential_draw(rng)
     eps = rng.choice((EPS, EPS, EPS, 0.0, -EPS))
     gg = build_gain_graph(m, c)
-    verdict, walks = _cyclic_verdict(gg, eps)
+    sites = [s for s in m.dom if rng.random() < 0.5] or [m.dom[0]]
+    shifts = [rng.uniform(-10.0, 10.0) for _ in sites]
+    seed = site_seed(gg, sites, shifts)
+    verdict, _ = _cyclic_verdict(gg, eps, seed)
     want, _ = _cyclic_walks(gg, eps)
     gains = gg.restricted()
     if ((verdict.holds, verdict.witness) != (want.holds, want.witness)
@@ -201,8 +207,6 @@ def check_potential_route(rng):
             or _bits(_max_plus_closure(gains, math.inf))
             != _bits(closure_per_cell(gains, math.inf))):
         return False
-    sites = [s for s in m.dom if rng.random() < 0.5] or [m.dom[0]]
-    shifts = [rng.uniform(-10.0, 10.0) for _ in sites]
     if not verdict:
         try:
             chain_suprema(m, c, sites, shifts, eps)
@@ -218,7 +222,7 @@ def check_potential_route(rng):
             <= route_bound(gg, shifts)
             and max(abs(a - b) for a, b in zip(one, rows[0].values))
             <= route_bound(gg, [0.0])
-            and ("potential" if walks is None else "closure"))
+            and seeded_route(gg, eps, seed))
 
 
 def check_row_kernels(rng):
@@ -263,7 +267,7 @@ def check_row_kernels(rng):
             r.values for r in anchored_antiderivatives(m, c, m.dom, EPS)) == _bits(
             anchored_per_cell(m, c, m.dom, EPS))
     pc = product_coupling(c)
-    lifted_ok = (_bits(pc.lifted.values) == _bits(product_rows_per_cell(c, pc))
+    lifted_ok = (_bits(pc.values) == _bits(product_rows_per_cell(c, pc))
                  and _bits([fitzpatrick(m, c).values])
                  == _bits([fitzpatrick_per_cell(m, c)]))
     # a metric with one edge stretched to exactly eps past a triangle, or
@@ -354,8 +358,8 @@ def check_order_two_maximality(rng):
         # the lifted diagonal pool of Theorem 6A's primed readings
         pc = product_coupling(c)
         delta, pool = delta_mapping(t, pc), full_diagonal(pc)
-        ok = ok and is_maximal_n_monotone(delta, pc.lifted, 2, EPS, pool) == \
-            maximal_by_recheck(delta, pc.lifted, EPS, pool)
+        ok = ok and is_maximal_n_monotone(delta, pc, 2, EPS, pool) == \
+            maximal_by_recheck(delta, pc, EPS, pool)
     return ok
 
 

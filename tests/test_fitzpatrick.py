@@ -81,16 +81,22 @@ def random_arbitrary_mapping(rng, c):
 
 def test_product_coupling_structure(two_point):
     pc = product_coupling(two_point.c)
-    assert pc.lifted.domain.size == 10
-    assert pc.lifted.codomain.size == 10
+    assert pc.domain.size == 10
+    assert pc.codomain.size == 10
     # C((x,y),(t,s)) = c(x,t) + c(s,y), spot-checked
     c = two_point.c
     for x, y in [(0, 0), (3, 1), (4, 0)]:
         for t, s in [(0, 0), (1, 2), (0, 4)]:
-            got = pc.lifted(pc.xy_index(x, y), pc.ts_index(t, s))
+            got = pc(pc.xy_index(x, y), pc.ts_index(t, s))
             assert got == c(x, t) + c(s, y)
-    assert pc.lifted.domain.labels[pc.xy_index(0, 1)] == "(-2,b)"
-    assert pc.lifted.codomain.labels[pc.ts_index(1, 0)] == "(b,-2)"
+    assert pc.domain.labels[pc.xy_index(0, 1)] == "(-2,b)"
+    assert pc.codomain.labels[pc.ts_index(1, 0)] == "(b,-2)"
+    # the coupling carries its own index layout, x-major and t-major
+    assert isinstance(pc, LiftedCoupling) and pc.base is c
+    assert [pc.xy_index(x, y) for x, y in pc.xy_pairs] == list(range(10))
+    assert [pc.ts_index(t, s) for t, s in pc.ts_pairs] == list(range(10))
+    assert pc.xy_pairs[pc.xy_index(3, 1)] == (3, 1)
+    assert pc.ts_pairs[pc.ts_index(1, 3)] == (1, 3)
 
 
 def test_delta_mapping_graph(two_point):
@@ -103,7 +109,7 @@ def test_delta_mapping_graph(two_point):
 
 def test_swap_reindexing_roundtrip(two_point):
     pc = product_coupling(two_point.c)
-    g = ExtFunction(pc.lifted.codomain,
+    g = ExtFunction(pc.codomain,
                     tuple(float(i) for i in range(10)))
     swapped = swap_to_domain(g, pc)
     for x, y in pc.xy_pairs:
@@ -233,7 +239,7 @@ def test_lifted_entry_guard_bounds_the_entries_built_not_f(monkeypatch):
     # 60 x 60: a table of C would hold 3600^2 entries, F only 3600 values;
     # product_coupling builds no line of C
     c = random_coupling(random.Random(0), 60, 60)
-    lifted = product_coupling(c).lifted
+    lifted = product_coupling(c)
     t = MultiMapping(c.domain, c.codomain, ((0, 0), (5, 7)))
     assert fitzpatrick(t, c).values == fitzpatrick_per_cell(t, c)
     assert 3600 ** 2 > MAX_LIFTED_ENTRIES and 3600 < MAX_LIFTED_SIDE
@@ -299,8 +305,8 @@ def test_lifted_kernels_match_per_cell_form(rng):
         c = kernel_coupling(rng, nx, ny, ties=TIE_KINDS[trial % 3])
         pc = product_coupling(c)
         want = product_rows_per_cell(c, pc)
-        assert len(pc.lifted.values) == len(want)
-        for got_row, want_row in zip(pc.lifted.values, want):
+        assert len(pc.values) == len(want)
+        for got_row, want_row in zip(pc.values, want):
             assert_same_floats(got_row, want_row)
         t = random_graph(rng, c, 8)
         assert_same_floats(fitzpatrick(t, c).values, fitzpatrick_per_cell(t, c))
@@ -309,7 +315,7 @@ def test_lifted_kernels_match_per_cell_form(rng):
 def test_lifted_kernels_on_one_point_sets():
     for c in one_point_couplings():
         pc = product_coupling(c)
-        for got_row, want_row in zip(pc.lifted.values, product_rows_per_cell(c, pc)):
+        for got_row, want_row in zip(pc.values, product_rows_per_cell(c, pc)):
             assert_same_floats(got_row, want_row)
         for t in (MultiMapping(c.domain, c.codomain, ((0, 0),)),
                   MultiMapping(c.domain, c.codomain, tuple(
@@ -415,7 +421,7 @@ def test_family_bounds_kernel_matches_the_per_pair_checks(rng, monkeypatch):
                   for b in lifted.coupling_values]
         if all(v == inf for v in values):
             values[0] = 0.0
-        h = ExtFunction(lifted.pc.lifted.domain, tuple(values))
+        h = ExtFunction(lifted.pc.domain, tuple(values))
         want = family_bounds_per_pair(h, lifted)
         assert _family_member(h, lifted) == want
         seen.add(want)
@@ -506,8 +512,8 @@ def test_verify_builds_only_the_lines_of_delta_t(tmp_path, monkeypatch, rng):
                          "--output", str(tmp_path / "out.json")]) in (0, 1)
         (pc,) = built
         delta = delta_mapping(t, pc)
-        assert pc.lifted.values.built == set(delta.dom)
-        assert pc.lifted.columns.built == set(delta.image)
+        assert pc.values.built == set(delta.dom)
+        assert pc.columns.built == set(delta.image)
         assert len(delta.dom) == len(delta.image) == len(t.graph)
 
 
@@ -517,7 +523,7 @@ def test_separable_kernel_conventions_and_orientation():
     # - g(t,s)) on the x-major order, each the kernel's own sums
     c = kernel_coupling(random.Random(3), 2, 3)
     pc = product_coupling(c)
-    lifted = pc.lifted
+    lifted = pc
     assert isinstance(lifted, LiftedCoupling) and lifted.base == c
     h = ExtFunction(lifted.domain, tuple(float(i) for i in range(6)))
     hc = c_transform(h, lifted)
@@ -539,13 +545,13 @@ def test_separable_kernel_conventions_and_orientation():
 
 def test_lifted_coupling_checks_its_sides():
     c = kernel_coupling(random.Random(0), 2, 3)
-    lifted = product_coupling(c).lifted
+    lifted = product_coupling(c)
     # equal and hashed by the sides and c, whatever lines were built
     lifted.values[4]
-    again = product_coupling(c).lifted
+    again = product_coupling(c)
     assert lifted == again and hash(lifted) == hash(again)
     other = kernel_coupling(random.Random(1), 2, 3)
-    assert lifted != product_coupling(other).lifted
+    assert lifted != product_coupling(other)
     with pytest.raises(AbstractConvexError, match="lifted sides"):
         LiftedCoupling(lifted.domain, lifted.codomain,
                        kernel_coupling(random.Random(0), 3, 3))

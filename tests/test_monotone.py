@@ -37,9 +37,11 @@ from conftest import (
 )
 from references import (
     TIE_KINDS,
+    band_instance,
     closure_per_cell,
     full_passes,
     gain_graph_per_cell,
+    guard_value,
     kernel_coupling,
     maximal_by_recheck,
     partly_grown,
@@ -47,6 +49,8 @@ from references import (
     reference_closed_walks,
     reference_cyclic_verdict,
     reference_verdict,
+    seeded_route,
+    table_labels_per_cell,
 )
 
 EPS = 1e-9
@@ -535,8 +539,8 @@ def test_order_two_kernel_on_the_lifted_diagonal(rng):
         pc = product_coupling(c)
         t = partly_grown(rng, c, EPS) if trial % 2 else random_graph(rng, c, 4)
         delta, diagonal = delta_mapping(t, pc), full_diagonal(pc)
-        want = maximal_by_recheck(delta, pc.lifted, EPS, diagonal)
-        assert is_maximal_n_monotone(delta, pc.lifted, 2, EPS,
+        want = maximal_by_recheck(delta, pc, EPS, diagonal)
+        assert is_maximal_n_monotone(delta, pc, 2, EPS,
                                      candidates=diagonal) is want
 
 
@@ -653,9 +657,10 @@ def test_order_two_gains_past_the_float_range(rng):
 
 
 # ------------------------------------------------ potential-first verdict
-# Label-correcting passes from zero labels find a potential p; a fixed
-# point that the rounding guard accepts passes M, and every other case is
-# _cyclic_walks' verdict.
+# One run of label-correcting passes from a seed (zero labels by default)
+# finds a potential p; a fixed point that the rounding guard accepts passes
+# M with labels p, and every other case is _cyclic_walks' verdict, with
+# labels one relaxation step from the seed over its table.
 
 def _node_columns(gg):
     return [gg.columns[v] for v in gg.nodes]
@@ -663,13 +668,6 @@ def _node_columns(gg):
 
 def _zero_passes(gg):
     return monotone._passes(_node_columns(gg), [0.0] * len(gg.nodes))
-
-
-def _guard(gg, p):
-    """The guard's left side, 2**-53 * (k + 1) * (P + (k + 1) * G)."""
-    cols = _node_columns(gg)
-    k, g = len(cols), max(max(map(abs, col)) for col in cols)
-    return 2.0 ** -53 * (k + 1) * (max(p) + (k + 1) * g)
 
 
 def _potential_draws(rng):
@@ -714,19 +712,46 @@ def test_passes_stop_once_a_label_passes_every_short_walk(monkeypatch, k):
     assert full_passes(list(zip(*a)), [0.0] * k)[1] is False
 
 
+def assert_route_labels(gg, eps, labels, seed=None):
+    """The labels of a passing verdict: the passes' fixed point on the
+    potential route, else the table route's relaxation step, bit for bit."""
+    if seeded_route(gg, eps, seed) == "potential":
+        seed = [0.0] * len(gg.nodes) if seed is None else seed
+        assert labels == monotone._passes(_node_columns(gg), seed)
+    else:
+        assert_same_floats(labels, table_labels_per_cell(gg, eps, seed))
+
+
 def test_potential_verdict_is_the_walk_rounds_verdict(rng):
     decided = 0
     for m, c in _potential_draws(rng):
         gg = build_gain_graph(m, c)
-        verdict, walks = monotone._cyclic_verdict(gg, EPS)
-        want, table = _cyclic_walks(gg, EPS)
+        verdict, labels = monotone._cyclic_verdict(gg, EPS)
+        want, _ = _cyclic_walks(gg, EPS)
         assert (verdict.holds, verdict.witness) == (want.holds, want.witness)
-        if verdict and walks is None:
-            decided += 1
+        if verdict:
+            assert_route_labels(gg, EPS, labels)
+            decided += seeded_route(gg, EPS) == "potential"
         else:
-            assert walks == table
+            assert labels is None
         assert is_cyclically_monotone(m, c, EPS) == verdict
     assert decided >= 60
+
+
+def test_walk_tables_cover_the_empty_walk(rng):
+    # the table route reads B[u][u] as the empty walk at u unraised: the
+    # one-step walk u -> u gains +0.0 and no entry ever falls
+    checked = 0
+    for m, c in _potential_draws(rng) + [band_instance(rng) for _ in range(20)]:
+        gg = build_gain_graph(m, c)
+        for eps in (EPS, 0.0):
+            verdict, walks = _cyclic_walks(gg, eps)
+            if verdict:
+                diag = [row[u] for u, row in enumerate(walks)]
+                assert all(d >= 0.0 and math.copysign(1.0, d) == 1.0
+                           for d in diag)
+                checked += 1
+    assert checked >= 100
 
 
 def test_guard_accepts_at_its_bound_and_falls_back_one_float_below(rng):
@@ -736,15 +761,16 @@ def test_guard_accepts_at_its_bound_and_falls_back_one_float_below(rng):
         p = _zero_passes(gg)
         if p is None:
             continue
-        bound = _guard(gg, p)
-        verdict, walks = monotone._cyclic_verdict(gg, bound)
-        assert verdict and walks is None
+        bound = guard_value(gg, p)
+        verdict, labels = monotone._cyclic_verdict(gg, bound)
+        assert verdict and labels == p
         assert _cyclic_walks(gg, bound)[0]  # what the guard promises
         below = math.nextafter(bound, -INF)
-        verdict, walks = monotone._cyclic_verdict(gg, below)
-        want, table = _cyclic_walks(gg, below)
-        assert (verdict.holds, verdict.witness, walks) == (
-            want.holds, want.witness, table)
+        verdict, labels = monotone._cyclic_verdict(gg, below)
+        want, _ = _cyclic_walks(gg, below)
+        assert (verdict.holds, verdict.witness) == (want.holds, want.witness)
+        if verdict:
+            assert_same_floats(labels, table_labels_per_cell(gg, below))
         checked += 1
     assert checked >= 60
 
@@ -757,13 +783,12 @@ def test_negative_eps_is_decided_by_the_walk_rounds_alone(rng, monkeypatch,
                         lambda *args: calls.append(1) or real(*args))
     for m, c in mixed_mappings(rng, 30):
         gg = build_gain_graph(m, c)
-        verdict, walks = monotone._cyclic_verdict(gg, eps)
-        want, table = _cyclic_walks(gg, eps)
-        assert (verdict.holds, verdict.witness, walks) == (
-            want.holds, want.witness, table)
+        verdict, labels = monotone._cyclic_verdict(gg, eps)
+        want, _ = _cyclic_walks(gg, eps)
+        assert (verdict.holds, verdict.witness) == (want.holds, want.witness)
         # the 1-step walk u -> u gains 0 > eps, even at -5e-324, where
         # eps/k would round to -0.0 once k >= 2
-        assert not verdict
+        assert not verdict and labels is None
     assert calls == []
 
 
@@ -776,7 +801,7 @@ def test_guard_refuses_the_fixed_point_of_a_magnitude_bound_coupling():
                                   [1e-9, -1, 1e-9]])
     t = MultiMapping(x, y, ((0, 0), (1, 2), (2, 0), (2, 2)))
     pc = product_coupling(c)
-    gg = build_gain_graph(delta_mapping(t, pc), pc.lifted)
+    gg = build_gain_graph(delta_mapping(t, pc), pc)
     assert _zero_passes(gg) is not None
-    verdict = is_cyclically_monotone(delta_mapping(t, pc), pc.lifted, EPS)
+    verdict = is_cyclically_monotone(delta_mapping(t, pc), pc, EPS)
     assert not verdict and verdict.witness == _cyclic_walks(gg, EPS)[0].witness

@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -23,10 +24,10 @@ from abconvex import (
     rockafellar_oracle,
     sup_distance,
 )
+from abconvex import monotone
 from abconvex.monotone import (
     _chain_gain,
     _cyclic_verdict,
-    _cyclic_walks,
     _passes,
     build_gain_graph,
 )
@@ -46,7 +47,9 @@ from references import (
     kernel_coupling,
     labels_first_per_cell,
     route_bound,
+    seeded_route,
     separable_coupling,
+    site_seed,
 )
 
 EPS = 1e-9
@@ -283,11 +286,20 @@ def test_anchored_antiderivatives_on_one_point_sets():
 
 
 # ----------------------------------------------------------- potential route
-# chain_suprema reads max_s [shift(s) + R_s] from seeded label-correcting
-# passes when the potential decided the verdict, and from the closure
-# table otherwise, labels first.  The per-site reading of the closure
-# table (``closure_suprema``, or ``anchored_antiderivatives`` for one site
-# each) is its oracle.
+# chain_suprema reads max_s [shift(s) + R_s] from one run of the passes
+# seeded with shift(s) at the sites when they settle under the guard, and
+# from the closure table otherwise, labels first.  The per-site reading
+# of the closure table (``closure_suprema``, or ``anchored_antiderivatives``
+# for one site each) is its oracle.  ``seeded_route`` tells the routes
+# apart by running the passes on the same seed.
+
+@pytest.fixture(params=["potential", "table"])
+def route(request, monkeypatch):
+    """Force the table route when ``request.param`` says so, by making the
+    passes never settle."""
+    if request.param == "table":
+        monkeypatch.setattr(monotone, "_passes", lambda cols, labels: None)
+
 
 def test_chain_suprema_lie_within_the_stated_bound_of_the_closure_route(rng):
     draws = mixed_mappings(rng, 150)
@@ -298,15 +310,16 @@ def test_chain_suprema_lie_within_the_stated_bound_of_the_closure_route(rng):
     potential = 0
     for m, c in draws:
         gg = build_gain_graph(m, c)
-        verdict, walks = _cyclic_verdict(gg, EPS)
+        verdict = _cyclic_verdict(gg, EPS)[0]
         if not verdict:
             with pytest.raises(NotCyclicallyMonotoneError) as err:
                 chain_suprema(m, c, m.dom, [0.0] * len(m.dom), EPS)
             assert err.value.witness == verdict.witness
             continue
-        potential += walks is None
         sites = [s for s in m.dom if rng.random() < 0.5] or [m.dom[0]]
         shifts = [rng.uniform(-10.0, 10.0) for _ in sites]
+        potential += seeded_route(gg, EPS, site_seed(gg, sites, shifts)) == \
+            "potential"
         got = chain_suprema(m, c, sites, shifts, EPS).values
         want = closure_suprema(m, c, sites, shifts)
         bound = route_bound(gg, shifts)
@@ -317,6 +330,78 @@ def test_chain_suprema_lie_within_the_stated_bound_of_the_closure_route(rng):
             assert max(abs(a - b) for a, b in zip(r.values, want)) <= \
                 route_bound(gg, [0.0])
     assert potential >= 100
+
+
+def test_potential_route_runs_the_passes_once(rng, monkeypatch):
+    # the verdict's run from the sites' seed gives the labels too
+    rock = importlib.import_module("abconvex.rockafellar")
+    real, runs = monotone._passes, []
+
+    def counting(cols, labels):
+        runs.append(1)
+        return real(cols, labels)
+
+    draws = [(m, c) for m, c in mixed_mappings(rng, 120)
+             if is_cyclically_monotone(m, c, EPS)]
+    monkeypatch.setattr(monotone, "_passes", counting)
+    monkeypatch.setattr(rock, "_passes", counting, raising=False)
+    checked = 0
+    for m, c in draws:
+        gg = build_gain_graph(m, c)
+        shifts = [rng.uniform(-10.0, 10.0) for _ in m.dom]
+        seed = site_seed(gg, m.dom, shifts)
+        if seeded_route(gg, EPS, seed) != "potential":
+            continue
+        runs.clear()
+        chain_suprema(m, c, m.dom, shifts, EPS)
+        assert len(runs) == 1
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("shift", [-1e12, 1e12])
+def test_seed_past_the_guard_takes_the_table_route(rng, shift):
+    # a shift of 1e12 makes max |p| large enough that the guard refuses
+    # the seeded labels (a positive one before any pass), while the zero
+    # seed still decides the verdict on the potential route
+    checked = 0
+    for m, c in mixed_mappings(rng, 120):
+        gg = build_gain_graph(m, c)
+        if seeded_route(gg, EPS) != "potential":
+            continue
+        sites, shifts = [m.dom[-1]], [shift]
+        assert seeded_route(gg, EPS, site_seed(gg, sites, shifts)) == "closure"
+        got = chain_suprema(m, c, sites, shifts, EPS).values
+        assert_same_floats(got, labels_first_per_cell(m, c, sites, shifts))
+        want = closure_suprema(m, c, sites, shifts)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= route_bound(
+            gg, shifts)
+        assert is_cyclically_monotone(m, c, EPS)
+        assert seeded_route(gg, EPS) == "potential"
+        checked += 1
+    assert checked >= 40
+
+
+def test_repeated_site_keeps_its_largest_shift(rng, route):
+    for m, c in mixed_mappings(rng, 60):
+        if not is_cyclically_monotone(m, c, EPS):
+            continue
+        s = m.dom[0]
+        want = chain_suprema(m, c, [s], [2.0], EPS).values
+        for shifts in ([2.0, 1.0], [1.0, 2.0]):
+            assert_same_floats(
+                chain_suprema(m, c, [s, s], shifts, EPS).values, want)
+
+
+@pytest.mark.parametrize("sites, shifts", [([], []), ([0], []),
+                                           ([0, 0], [1.0]), ([], [1.0])])
+def test_sites_without_one_shift_each_are_domain_errors(route, sites, shifts):
+    x = GroundSet(("0", "1"))
+    c = coupling_from_rows(x, x, [[0.0, 1.0], [2.0, 0.5]])
+    m = MultiMapping(x, x, ((0, 0), (1, 1)))
+    with pytest.raises(AbstractConvexError) as err:
+        chain_suprema(m, c, sites, shifts, EPS)
+    assert "shift" in str(err.value)
 
 
 def sum_separable_instances(rng, count):
@@ -337,33 +422,46 @@ def sum_separable_instances(rng, count):
 
 
 def assert_closure_read(m, c, rng):
-    """rockafellar equals the per-site closure route bit for bit, and
-    chain_suprema the labels-first reading per cell, within the stated
-    bound of the per-site reading."""
+    """Each call on the table route reads the closure table bit for bit:
+    rockafellar as the per-site closure route, chain_suprema as the
+    labels-first reading per cell; on either route within the stated bound
+    of the per-site reading.  Returns the routes the calls took."""
+    gg = build_gain_graph(m, c)
+    routes = []
     for s, r in zip(m.dom, anchored_antiderivatives(m, c, m.dom, EPS)):
-        assert_same_floats(rockafellar(m, c, s, EPS).values, r.values)
+        got = rockafellar(m, c, s, EPS).values
+        routes.append(seeded_route(gg, EPS, site_seed(gg, [s], [-0.0])))
+        if routes[-1] == "closure":
+            assert_same_floats(got, r.values)
+        assert max(abs(a - b) for a, b in zip(got, r.values)) <= route_bound(
+            gg, [0.0])
     shifts = [rng.choice((-0.0, 0.0, rng.uniform(-1.0, 1.0))) for _ in m.dom]
     got = chain_suprema(m, c, m.dom, shifts, EPS).values
-    assert_same_floats(got, labels_first_per_cell(m, c, m.dom, shifts))
+    routes.append(seeded_route(gg, EPS, site_seed(gg, m.dom, shifts)))
+    if routes[-1] == "closure":
+        assert_same_floats(got, labels_first_per_cell(m, c, m.dom, shifts))
     want = closure_suprema(m, c, m.dom, shifts)
-    assert max(abs(a - b) for a, b in zip(got, want)) <= route_bound(
-        build_gain_graph(m, c), shifts)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= route_bound(gg, shifts)
+    return routes
 
 
 def test_unsettled_passes_fall_back_to_the_closure_table(rng):
+    # the zero seed never settles; seeds at one or all sites may, as on
+    # sum-separable c R_s(s) can read 0.0 where the closure reads an ulp
+    routes = Counter()
     for m, c in sum_separable_instances(rng, 30):
         gg = build_gain_graph(m, c)
-        verdict, walks = _cyclic_verdict(gg, EPS)
-        assert verdict and walks == _cyclic_walks(gg, EPS)[1]
-        assert_closure_read(m, c, rng)
+        assert seeded_route(gg, EPS) == "closure"
+        assert is_cyclically_monotone(m, c, EPS)
+        routes.update(assert_closure_read(m, c, rng))
+    assert set(routes) == {"potential", "closure"}
 
 
 def test_unsettled_seeded_passes_fall_back_to_the_closure_table(rng,
                                                                 monkeypatch):
-    # the verdict's passes settle, the seeded ones are made not to; the
-    # ties and signed zeros tell which of two equal labels the fold keeps
-    rock = importlib.import_module("abconvex.rockafellar")
-    monkeypatch.setattr(rock, "_passes", lambda cols, labels: None)
+    # the passes are made never to settle; the ties and signed zeros tell
+    # which of two equal labels the relaxation step keeps
+    monkeypatch.setattr(monotone, "_passes", lambda cols, labels: None)
     draws = mixed_mappings(rng, 60)
     for trial in range(60):
         n = rng.randint(1, 6)
@@ -371,19 +469,16 @@ def test_unsettled_seeded_passes_fall_back_to_the_closure_table(rng,
         draws.append((random_cyclically_monotone_mapping(rng, c, 6), c))
     checked = 0
     for m, c in draws:
-        gg = build_gain_graph(m, c)
-        verdict, walks = _cyclic_verdict(gg, EPS)
-        if verdict and walks is None:
-            assert_closure_read(m, c, rng)
+        if is_cyclically_monotone(m, c, EPS):
+            assert set(assert_closure_read(m, c, rng)) == {"closure"}
             checked += 1
     assert checked >= 60
 
 
 def test_site_fold_keeps_the_first_of_equal_labels(rng, monkeypatch):
     # on signed zeros, two sites can tie at a node as 0.0 and -0.0, and a
-    # gain of -0.0 out of it tells which one the fold kept
-    rock = importlib.import_module("abconvex.rockafellar")
-    monkeypatch.setattr(rock, "_passes", lambda cols, labels: None)
+    # gain of -0.0 out of it tells which one the relaxation step kept
+    monkeypatch.setattr(monotone, "_passes", lambda cols, labels: None)
     for _ in range(600):
         n = rng.randint(1, 5)
         c = kernel_coupling(rng, n, n, ties=TIE_KINDS[2])
