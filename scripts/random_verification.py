@@ -3,9 +3,8 @@
 Runs every check of ``tests/sweep.py`` (the list and what each one draws
 are described there) for ``--trials`` seeded draws from one
 ``random.Random(--seed)``, prints one pass-count line per check with the
-census of the checks that keep one (which route decided each passing
-potential-route draw, how each full run of label-correcting passes
-ended), and exits 1 on any failing draw.  The tier-1
+census of the check that keeps one (which route decided each passing
+potential-route draw), and exits 1 on any failing draw.  The tier-1
 suite runs the same sweep at seed 0 with 50 trials.
 
 Run:  python3 scripts/random_verification.py --seed 0 --trials 50

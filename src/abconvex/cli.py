@@ -67,23 +67,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="abconvex",
         description="Finite-instance computations of abstract convex analysis.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = ["transform", "convexify", "subdiff", "check-monotone",
-                "rockafellar", "alpha", "gamma", "member", "lip-extend",
-                "fitzpatrick", "verify"]
-    for name in commands:
-        p = sub.add_parser(name)
-        p.add_argument("--instance", required=True)
-        p.add_argument("--function", default=None)
-        p.add_argument("--mapping", default=None)
-        p.add_argument("--subset", default=None)
-        p.add_argument("--site-function", dest="site_function", default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--min", action="store_true")
-        p.add_argument("--max", action="store_true")
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None)
+    parser.add_argument("command", choices=[
+        "transform", "convexify", "subdiff", "check-monotone", "rockafellar",
+        "alpha", "gamma", "member", "lip-extend", "fitzpatrick", "verify"])
+    parser.add_argument("--instance", required=True)
+    parser.add_argument("--function", default=None)
+    parser.add_argument("--mapping", default=None)
+    parser.add_argument("--subset", default=None)
+    parser.add_argument("--site-function", dest="site_function", default=None)
+    parser.add_argument("--order", type=int, default=None)
+    parser.add_argument("--min", action="store_true")
+    parser.add_argument("--max", action="store_true")
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--output", default=None)
     return parser
 
 

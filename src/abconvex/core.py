@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import sub
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 INF = math.inf
@@ -440,10 +440,11 @@ def sup_distance(f: ExtFunction, g: ExtFunction) -> float:
 
 
 def pointwise_le(f: ExtFunction, g: ExtFunction, eps: float = 0.0) -> bool:
-    """Whether f <= g + eps pointwise under the extended-real order."""
+    """Whether f <= g + eps pointwise under the extended-real order, for a
+    finite eps: there +-inf + eps is +-inf, so one float comparison per
+    point decides (a finite g + eps past the float range reads +inf)."""
     f.same_index(g)
-    return all(a <= b + eps if math.isfinite(a) and math.isfinite(b) else a <= b
-               for a, b in zip(f.values, g.values))
+    return all(map(le, f.values, map(add, g.values, itertools.repeat(eps))))
 
 
 def pointwise_max(fs: Sequence[ExtFunction]) -> ExtFunction:

@@ -41,8 +41,7 @@ call runs the passes once, seeded with c at the sites, and a fixed point
 p gives both the cyclic verdict and alpha when the rounding guard
 accepts it at P = max |p|; on c = -d, Delta_T can carry zero-gain cycles
 that round positive, and there the passes do not settle and the closure
-decides, after k + 1 wasted passes (such cycles climb too little for the
-passes' early stop).  6B's ``max_abs_diff`` may move in its
+decides, after k + 1 wasted passes.  6B's ``max_abs_diff`` may move in its
 last bits with alpha.  The public wrappers build their own context, so
 they report what the command prints.  The chain never builds C, so C's
 guard does not bind it.
@@ -65,7 +64,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, gt, le, sub
+from operator import add, le, sub
 from typing import Optional
 
 from .core import (
@@ -78,6 +77,7 @@ from .core import (
     IndexSubset,
     LiftedCoupling,
     MultiMapping,
+    pointwise_le,
     sup_distance,
 )
 from .envelopes import ConstraintProblem
@@ -230,8 +230,8 @@ class _Lifted:
         return fitzpatrick(self.t_map, self.c)
 
     @cached_property
-    def coupling_values(self) -> tuple[float, ...]:
-        return coupling_as_function(self.pc).values
+    def coupling_function(self) -> ExtFunction:
+        return coupling_as_function(self.pc)
 
     @cached_property
     def graph_points(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -263,10 +263,9 @@ def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
         return False
     hv, at_graph, on_graph = h.values, *lifted.graph_points
     # c <= h + eps everywhere, then |h - c| <= eps on G(T)
-    if any(map(gt, lifted.coupling_values, map(add, hv, itertools.repeat(eps)))):
-        return False
-    return all(map(le, map(abs, map(sub, map(hv.__getitem__, at_graph),
-                                    on_graph)), itertools.repeat(eps)))
+    return pointwise_le(lifted.coupling_function, h, eps) and all(map(
+        le, map(abs, map(sub, map(hv.__getitem__, at_graph), on_graph)),
+        itertools.repeat(eps)))
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,8 @@ each node.  By Rockafellar's theorem a cyclically monotone M has a
 potential: labels p with p_u + a[u][v] <= p_v on every arc.  One run of
 label-correcting passes (Bellman 1958, Ford 1956; ``_passes``, O(k^2)
 each) from the seed looks for one, and stops at the first pass that
-changes nothing, or give up after k + 1 passes, or, from halfway on, as
-soon as a label exceeds what a walk of at most k - 1 steps from a seed
-can reach, plus a rounding allowance: a run that settles never gets
-there, so the early stop gives up only where the k + 1 passes would
-(``_passes``).  A fixed point p is a pass only when eps >= 0 and the
-rounding guard
+changes nothing, or gives up after k + 1 passes.  A fixed point p is a
+pass only when eps >= 0 and the rounding guard
 
     2**-53 * (k + 1) * (P + (k + 1) * G) <= eps,   P = max |p|, G = max |a|,
 
@@ -73,18 +69,24 @@ every one-step loop u -> u.
 
 The exact-length route is one generator of walk rounds: round L holds the
 best walk of exactly L steps between every two nodes (O(k^3) per round,
-O(L * k^2) predecessors) and the best closed walk with its cycle.  The
-cyclic verdict stops at the first length L whose best closed walk gains
-over eps, so a rejected mapping costs O(L * k^3) and a passed one O(k^4).
+keeping only the round before it) and the first node of largest
+closed-walk gain.  The cyclic verdict stops at the first length L whose
+best closed walk gains over eps, so a rejected mapping costs O(L * k^3)
+and a passed one O(k^4).  Only a failing verdict rebuilds its cycle
+(``_failure``): row u of a round depends only on row u of the round
+before, so it recomputes that node's row for L - 1 rounds and steps back
+from the node, taking at each step the first node of largest gain, the
+one the rounds' ``max`` keeps (O(L * k^2) time, O(L * k) memory).
 
 ``is_n_monotone`` has one route per order.  Order n != 2 reads walk round
-n, whose witness starts at the first node of largest closed-walk gain; its
-(n - 1) * k^2 predecessors are checked against ``ENUMERATION_BUDGET``
-before any round runs.  Order 2 is one row kernel over G(M): p = (x, y)
-and q = (u, v) gain a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)),
-which is ``_chain_gain((p, q))`` up to the sign of a zero (that sums
-0.0 + a + b).  Scanning each p in graph order for its first q over eps
-finds the first selection in ``itertools.product`` order, so verdicts and
+n, whose witness starts at the first node of largest closed-walk gain; the
+(n - 1) * k^2 walk entries its rounds compute are checked against
+``ENUMERATION_BUDGET`` before any round runs.  Order 2 is one row kernel
+over G(M): p = (x, y) and q = (u, v) gain
+a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)), which is
+``_chain_gain((p, q))`` up to the sign of a zero (that sums 0.0 + a + b).
+Scanning each p in graph order for its first q over eps finds the first
+selection in ``itertools.product`` order, so verdicts and
 witnesses are those of ``n_monotone_oracle``.  The scan tests each
 unordered pair once: p at graph position i meets only the q at positions
 >= i.  The gain of (q, p) sums b + a, equal to a + b bit for bit (nan
@@ -105,7 +107,9 @@ the full check per single-pair extension.
 The gain graph and the closure are row kernels in pure Python (numpy's
 import alone would cost more than an envelope request).  The gain graph
 takes one row c(., y) - c(u, y) per image y, and folds the rows with a
-strict >, so the witness is the smallest y of equal gains.  The closure
+strict >; the witness image of an arc is found only for a failing cycle,
+by the same subtraction under ``max``, which keeps the smallest y of
+equal gains as the fold does.  The closure
 updates row u for pivot w with one comprehension, ``t if t > x else x``
 with t = D[u][w] + D[w][v], which is ``max(x, t)``.  Each cell sees the
 same float operations in the same order as a per-cell loop, and ties
@@ -129,23 +133,25 @@ from .core import (
     MultiMapping,
 )
 
-#: Cap on the (n - 1) * k^2 predecessor entries that ``is_n_monotone`` keeps
-#: to read walk round n, and on the tuples the enumeration oracles try.
+#: Cap on the (n - 1) * k^2 walk entries that ``is_n_monotone``'s rounds
+#: compute to read walk round n, and on the tuples the enumeration oracles
+#: try.
 ENUMERATION_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
 class GainGraph:
-    """Weighted digraph encoding the one-step chain gains of a mapping.
+    """Weighted digraph encoding the one-step chain gains of ``mapping``
+    under ``coupling``.
 
     ``gain[i][v]`` is the best gain of a hop from ``nodes[i]`` to the
-    (arbitrary) ground-set point ``v``; ``witness[i][v]`` is the smallest
-    y index achieving it.
+    (arbitrary) ground-set point ``v``.
     """
 
     nodes: tuple[int, ...]          # dom(M), sorted
     gain: tuple[tuple[float, ...], ...]      # |dom(M)| x |X|
-    witness: tuple[tuple[int, ...], ...]
+    mapping: MultiMapping
+    coupling: Coupling
 
     def restricted(self) -> list[list[float]]:
         """Gain matrix restricted to dom(M) columns (|dom| x |dom|)."""
@@ -156,28 +162,27 @@ class GainGraph:
         """The gain matrix by columns: ``columns[v][i]`` is ``gain[i][v]``."""
         return list(zip(*self.gain))
 
+    def witness(self, u: int, v: int) -> int:
+        """The smallest y in M(u) whose hop from u to v gains gain(u, v)."""
+        c = self.coupling
+        return max(self.mapping(u), key=lambda y: c(v, y) - c(u, y))
+
 
 def build_gain_graph(m: MultiMapping, c: Coupling) -> GainGraph:
     m.require_proper()
-    nodes = m.dom
-    cols, n = c.columns, c.domain.size
+    cols = c.columns
     gain_rows = []
-    wit_rows = []
-    for u in nodes:
+    for u in m.dom:
         images = m(u)
         row_u = c.values[u]
-        # one row per image y: c(v, y) - c(u, y) for every v; the strict >
-        # fold keeps the first (smallest) y of equal gains
+        # one row per image y: c(v, y) - c(u, y) for every v
         y = images[0]
         best = list(map(sub, cols[y], itertools.repeat(row_u[y])))
-        wit = [y] * n
         for y in images[1:]:
-            gains = list(map(sub, cols[y], itertools.repeat(row_u[y])))
-            wit = [y if g > b else w for g, b, w in zip(gains, best, wit)]
+            gains = map(sub, cols[y], itertools.repeat(row_u[y]))
             best = [g if g > b else b for g, b in zip(gains, best)]
         gain_rows.append(tuple(best))
-        wit_rows.append(tuple(wit))
-    return GainGraph(nodes, tuple(gain_rows), tuple(wit_rows))
+    return GainGraph(m.dom, tuple(gain_rows), m, c)
 
 
 @dataclass(frozen=True)
@@ -201,42 +206,44 @@ def _chain_gain(pairs, c: Coupling) -> float:
     return total
 
 
-def _cycle_to_pairs(gg: GainGraph, cycle: list[int]) -> tuple[tuple[int, int], ...]:
-    """Turn a cycle of node positions into the witness pair selection
-    achieving its gain."""
-    return tuple((gg.nodes[i], gg.witness[i][gg.nodes[j]])
-                 for i, j in zip(cycle, cycle[1:] + cycle[:1]))
+def _step(a: list[list[float]], row: list[float]) -> list[float]:
+    """Walks one step longer: entry v is max_w [row[w] + a[w][v]]."""
+    return list(map(max, zip(*[[b + g for g in a_w]
+                               for b, a_w in zip(row, a)])))
 
 
 def _walk_rounds(a: list[list[float]]):
     """Exact-length walk rounds over a square gain matrix, without end.
 
-    Round L = 1, 2, ... yields (best, cycle, walk): ``walk[u][v]`` is the
+    Round L = 1, 2, ... yields (best, where, walk): ``walk[u][v]`` is the
     best gain of a walk of exactly L steps from u to v, ``best`` the largest
-    diagonal entry of ``walk`` (the first on ties) and ``cycle`` the node
-    positions of a closed walk achieving it, starting at its node.  A round
-    costs O(k^3) and depends only on the rounds before it.
+    diagonal entry of ``walk`` and ``where`` its first node.  A round costs
+    O(k^3) and depends only on the round before it.
     """
     walk = a
-    # preds[L - 2][u][v]: the node before v on the best L-step walk from u
-    preds = []
     while True:
         diag = [row[u] for u, row in enumerate(walk)]
         best = max(diag)
-        where = diag.index(best)
-        back = [where]
-        for pred in reversed(preds):
-            back.append(pred[where][back[-1]])
-        yield best, [where] + back[:0:-1], walk
-        nxt, pred = [], []
-        for row in walk:
-            # cols[v][w]: the best walk from u to w, then the step w -> v
-            cols = list(zip(*[[b + g for g in a_w] for b, a_w in zip(row, a)]))
-            top = list(map(max, cols))
-            nxt.append(top)
-            pred.append(list(map(tuple.index, cols, top)))
-        walk = nxt
-        preds.append(pred)
+        yield best, diag.index(best), walk
+        walk = [_step(a, row) for row in walk]
+
+
+def _failure(gg: GainGraph, a: list[list[float]], u: int,
+             length: int) -> MonotonicityResult:
+    """The failing verdict whose witness is the best closed walk of
+    ``length`` steps from node u, as the rounds rank it: row u of rounds
+    1..length - 1 again, then back from u, at each step the first w of
+    largest row[w] + a[w][v], the node the rounds' ``max`` keeps."""
+    rows = [a[u]]
+    for _ in range(length - 2):
+        rows.append(_step(a, rows[-1]))
+    back = [u]
+    for row in reversed(rows[:length - 1]):
+        col = [b + a_w[back[-1]] for b, a_w in zip(row, a)]
+        back.append(col.index(max(col)))
+    cycle = [gg.nodes[i] for i in [u] + back[:0:-1]]
+    return MonotonicityResult(False, tuple(
+        (x, gg.witness(x, v)) for x, v in zip(cycle, cycle[1:] + cycle[:1])))
 
 
 def _gather(indices):
@@ -290,13 +297,13 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
     k = len(m.dom)
     if (n - 1) * k * k > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"order {n} on {k} points needs {n - 1} x {k}^2 walk predecessors, "
+            f"order {n} on {k} points needs {n - 1} x {k}^2 walk entries, "
             f"over the budget of {ENUMERATION_BUDGET}")
     gg = build_gain_graph(m, c)
-    rounds = _walk_rounds(gg.restricted())
-    best, cycle, _ = next(itertools.islice(rounds, n - 1, None))
+    a = gg.restricted()
+    best, where, _ = next(itertools.islice(_walk_rounds(a), n - 1, None))
     if best > eps:
-        return MonotonicityResult(False, _cycle_to_pairs(gg, cycle))
+        return _failure(gg, a, where, n)
     return MonotonicityResult(True)
 
 
@@ -346,9 +353,10 @@ def _cyclic_walks(gg: GainGraph, eps: float
     if closure is not None:
         return MonotonicityResult(True), closure
     walks = a
-    for best, cycle, walk in itertools.islice(_walk_rounds(a), k):
+    for length, (best, where, walk) in enumerate(
+            itertools.islice(_walk_rounds(a), k), 1):
         if best > eps:
-            return MonotonicityResult(False, _cycle_to_pairs(gg, cycle)), None
+            return _failure(gg, a, where, length), None
         walks = [list(map(max, b, w)) for b, w in zip(walks, walk)]
     return MonotonicityResult(True), walks
 
@@ -360,43 +368,14 @@ def _passes(cols, labels: list[float]) -> Optional[list[float]]:
     A pass sets, for v in order, labels[v] to max_u [labels[u] + a[u][v]]
     when that is strictly larger; later v read the labels the pass already
     raised.  Returns the labels at the first pass that changes nothing, or
-    None after k + 1 passes, or None at once, from pass (k + 1) // 2 + 1
-    on, when a label would exceed
-
-        S + (k - 1) * G+ + 2**-51 * (k + 1)**2 * (A + (k + 1) * G),
-
-    with S the largest finite seed, A the largest |finite seed|,
-    G+ = max(max a, 0) and G = max |a|.  That stop gives up only where the
-    k + 1 passes would.  A run that settles within them makes at most k**2
-    raises, and each label is the float sum along a walk from a seed, one
-    step per raise, every partial sum at most A + k G in magnitude.  The
-    walk is a path of at most k - 1 arcs, gaining at most (k - 1) * G+,
-    plus cycles; at the fixed point fl(p_u + a[u][v]) <= p_v on every arc,
-    so around a cycle the labels telescope and it gains at most
-    2**-53 (A + k G) per arc exactly, and the float sum errs by at most
-    that much per step.  So no label of a settling run exceeds
-    S + (k - 1) * G+ + 2**-52 * k**2 * (A + k G), up to terms of relative
-    order k**2 * 2**-53, which doubling the last term covers along with
-    the bound's own rounding.  The bound costs two scans of the matrix,
-    most of a pass, and runs that settle mostly do so within a few passes,
-    so it is computed only halfway through.
+    None after k + 1 passes.
     """
     labels = list(labels)
-    k = len(cols)
-    seeds = [v for v in labels if v > -INF]
-    bound = INF
-    for p in range(k + 1):
-        if p == (k + 1) // 2 and seeds:
-            top = max(map(max, cols))
-            g = max(top, -min(map(min, cols)))
-            bound = (max(seeds) + (k - 1) * max(top, 0.0) + 2.0 ** -51
-                     * (k + 1) ** 2 * (max(map(abs, seeds)) + (k + 1) * g))
+    for _ in range(len(cols) + 1):
         changed = False
         for v, col in enumerate(cols):
             t = max(map(add, labels, col))
             if t > labels[v]:
-                if t > bound:
-                    return None
                 labels[v] = t
                 changed = True
         if not changed:

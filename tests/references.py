@@ -303,23 +303,6 @@ def lifted_routes_agree(lifted, h, g, points, exact):
     return True
 
 
-def full_passes(cols, labels):
-    """Label-correcting passes without the early stop: (labels, settled),
-    the labels at the first of k + 1 passes that changes nothing, or after
-    the last of them."""
-    labels = list(labels)
-    for _ in range(len(cols) + 1):
-        changed = False
-        for v, col in enumerate(cols):
-            t = max(map(add, labels, col))
-            if t > labels[v]:
-                labels[v] = t
-                changed = True
-        if not changed:
-            return labels, True
-    return labels, False
-
-
 def sup_distance_loop(f, g):
     """``sup_distance`` one pair at a time: |a - b| over finite pairs, inf
     at the first infinite pair that differs."""
@@ -330,6 +313,13 @@ def sup_distance_loop(f, g):
         elif a != b:
             return INF
     return worst
+
+
+def pointwise_le_per_pair(f, g, eps):
+    """``pointwise_le`` one pair at a time by the extended-real rule:
+    a <= b + eps where both are finite, a <= b where either is not."""
+    return all(a <= b + eps if math.isfinite(a) and math.isfinite(b) else a <= b
+               for a, b in zip(f.values, g.values))
 
 
 def mix_per_point(rng, lows, highs):
@@ -529,12 +519,22 @@ def reference_closed_walks(a, max_len):
     return diag_best, cycles
 
 
+def witness_table(gg):
+    """``gg.witness(u, v)`` at every node u and ground-set point v, laid out
+    as ``gain_graph_per_cell``'s witness table."""
+    points = range(gg.coupling.domain.size)
+    return tuple(tuple(gg.witness(u, v) for v in points) for u in gg.nodes)
+
+
 def reference_verdict(gg, best, cycle, eps):
+    """(holds, witness) for a closed walk of gain ``best`` along the node
+    positions ``cycle``, its images read from the per-cell witness table."""
     if best <= eps:
         return True, None
+    witness = gain_graph_per_cell(gg.mapping, gg.coupling)[2]
     n = len(cycle)
     return False, tuple((gg.nodes[cycle[i]],
-                         gg.witness[cycle[i]][gg.nodes[cycle[(i + 1) % n]]])
+                         witness[cycle[i]][gg.nodes[cycle[(i + 1) % n]]])
                         for i in range(n))
 
 

@@ -55,7 +55,6 @@ from abconvex.monotone import (
     _cyclic_verdict,
     _cyclic_walks,
     _max_plus_closure,
-    _passes,
 )
 from abconvex.rockafellar import NotCyclicallyMonotoneError, chain_suprema
 
@@ -70,7 +69,6 @@ from references import (
     c_transform_rev_per_cell,
     closure_per_cell,
     fitzpatrick_per_cell,
-    full_passes,
     gain_graph_per_cell,
     grown_mapping,
     is_antiderivative_full,
@@ -84,13 +82,16 @@ from references import (
     product_rows_per_cell,
     public_verify_text,
     random_graph,
+    reference_closed_walks,
     reference_cyclic_verdict,
     reference_metric_error,
+    reference_verdict,
     route_bound,
     seeded_route,
     separable_coupling,
     site_seed,
     verify_document,
+    witness_table,
 )
 
 
@@ -117,6 +118,9 @@ def check_antiderivative(rng):
 
 
 def check_closure_route(rng):
+    """The cyclic verdict and witness against the reference walk rounds,
+    and ``is_n_monotone`` at every order 1..k + 1 against them (against
+    the oracle at order 2)."""
     n = rng.randint(2, 12)
     c = random_coupling(rng, n, n)
     m = random_cyclically_monotone_mapping(rng, c)
@@ -125,9 +129,21 @@ def check_closure_route(rng):
         m = random_graph(rng, c, 2 * n)
     elif kind == 2:
         m, c = inject_positive_two_cycle(rng, m, c)
+    gg = build_gain_graph(m, c)
     got = is_cyclically_monotone(m, c, EPS)
-    return (got.holds, got.witness) == reference_cyclic_verdict(
-        build_gain_graph(m, c), EPS)
+    k = len(gg.nodes)
+    diag_best, cycles = reference_closed_walks(gg.restricted(), k + 1)
+
+    def order_ok(order):
+        res = is_n_monotone(m, c, order, EPS)
+        if order == 2:
+            want = n_monotone_oracle(m, c, 2, EPS)
+            return (res.holds, res.witness) == (want.holds, want.witness)
+        return (res.holds, res.witness) == reference_verdict(
+            gg, diag_best[order - 1], cycles[order - 1], EPS)
+
+    return ((got.holds, got.witness) == reference_cyclic_verdict(gg, EPS)
+            and all(map(order_ok, range(1, k + 2))))
 
 
 def check_band_antiderivative(rng):
@@ -259,9 +275,10 @@ def check_row_kernels(rng):
     gg = build_gain_graph(m, c)
     _, gain, witness = gain_graph_per_cell(m, c)
     a = gg.restricted()
-    gain_ok = _bits(gg.gain) == _bits(gain) and gg.witness == witness and all(
-        _bits(_max_plus_closure(a, limit)) == _bits(closure_per_cell(a, limit))
-        for limit in (math.inf, EPS / len(a), -EPS))
+    gain_ok = (_bits(gg.gain) == _bits(gain) and witness_table(gg) == witness
+               and all(_bits(_max_plus_closure(a, limit))
+                       == _bits(closure_per_cell(a, limit))
+                       for limit in (math.inf, EPS / len(a), -EPS)))
     if _cyclic_walks(gg, EPS)[0]:
         gain_ok = gain_ok and _bits(
             r.values for r in anchored_antiderivatives(m, c, m.dom, EPS)) == _bits(
@@ -396,52 +413,6 @@ def check_lifted_transforms(rng):
     return lifted_routes_agree(*lifted_draw(rng))
 
 
-def _staircase(rng):
-    """M the identity on k points whose gains climb: gain(u, v) = c(v, u)
-    is 1 for v after u in a random order and -k before it, so every cycle
-    loses and the best walk climbs k - 1 steps to (k - 1) * max gain
-    exactly, where the passes settle; or, with the back arc from the top to
-    the bottom raised to -(k - 2), that climb closes a cycle gaining 1 and
-    the labels climb past (k - 1) * max gain, by 1 more each pass."""
-    k = rng.randint(2, 8)
-    order = rng.sample(range(k), k)
-    rank = {p: i for i, p in enumerate(order)}
-    rows = [[0.0 if u == v else 1.0 if rank[v] > rank[u] else -float(k)
-             for u in range(k)] for v in range(k)]
-    if rng.random() < 0.5:
-        rows[order[0]][order[-1]] = -float(k - 2)
-    x = GroundSet(tuple(f"p{i}" for i in range(k)))
-    return (MultiMapping(x, x, tuple((i, i) for i in range(k))),
-            coupling_from_rows(x, x, rows))
-
-
-def check_early_stop(rng):
-    """The label-correcting passes with their early stop against all k + 1
-    passes, bit for bit, from zero labels or from seeds at some nodes, on
-    the potential check's draws and on climbing gains that settle at
-    exactly (k - 1) * max gain or pass it by 1: the stop never fires on a
-    run that settles.  Returns how the full run ended: "settled", "ran
-    out" (k + 1 passes without a fixed point) or "climbed past k - 1
-    steps" (ran out with a label over the largest seed plus k - 1 times
-    the largest gain, where the stop may fire)."""
-    m, c = _staircase(rng) if rng.random() < 0.3 else _potential_draw(rng)
-    gg = build_gain_graph(m, c)
-    cols = [gg.columns[v] for v in gg.nodes]
-    k = len(cols)
-    labels = [0.0] * k
-    if rng.random() < 0.5:
-        labels = [rng.uniform(-10.0, 10.0) if rng.random() < 0.5 else -math.inf
-                  for _ in range(k)]
-        labels[rng.randrange(k)] = rng.uniform(-10.0, 10.0)
-    got = _passes(cols, labels)
-    ended, settled = full_passes(cols, labels)
-    if _bits([got or []]) != _bits([ended if settled else []]):
-        return False
-    short = max(labels) + (k - 1) * max(0.0, max(map(max, cols)))
-    return ("settled" if settled else "climbed past k - 1 steps"
-            if max(ended) > short else "ran out")
-
-
 def check_lifted_lines(rng):
     """C's rows and columns, built from c on first read, against its
     per-cell table, bit for bit: ``lifted_draw``'s couplings, |X| != |Y|
@@ -464,7 +435,6 @@ CHECKS = [
     ("order-2 maximality vs full recheck", check_order_two_maximality),
     ("verify output vs public wrappers", check_verify_context),
     ("lifted transforms vs table route", check_lifted_transforms),
-    ("early stop vs all k + 1 passes", check_early_stop),
     ("lifted lines vs per-cell table", check_lifted_lines),
 ]
 

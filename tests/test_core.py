@@ -18,12 +18,13 @@ from abconvex import (
     coupling_from_rows,
     ext_add,
     indicator,
+    pointwise_le,
     restrict_sum,
     sup_distance,
 )
 
 from conftest import assert_same_floats, grid_labels
-from references import sup_distance_loop
+from references import pointwise_le_per_pair, sup_distance_loop
 
 
 def test_ground_set_rejects_duplicates():
@@ -209,3 +210,24 @@ def test_sup_distance_kernel_matches_the_loop():
         assert_same_floats([sup_distance(f, g)], [sup_distance_loop(f, g)])
         finite += all(map(math.isfinite, a + b))
     assert finite >= 200
+
+
+def test_pointwise_le_matches_the_per_pair_rule():
+    # +-inf on either side against finite values, equal values, signed
+    # zeros and the values one float either side of g + eps
+    rng = random.Random(0)
+    seen = set()
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        x = GroundSet(tuple(f"p{i}" for i in range(n)))
+        eps = rng.choice((0.0, -0.0, 1e-9, -1e-9, 1.0))
+        b = [rng.choice((INF, -INF, 0.0, -0.0, 1.0, rng.uniform(-5, 5)))
+             for _ in range(n)]
+        a = [rng.choice((INF, -INF, v, v + eps, math.nextafter(v + eps, INF),
+                         math.nextafter(v + eps, -INF)))
+             for v in b]
+        f, g = ExtFunction(x, tuple(a)), ExtFunction(x, tuple(b))
+        want = pointwise_le_per_pair(f, g, eps)
+        assert pointwise_le(f, g, eps) == want
+        seen.add((want, all(map(math.isfinite, a + b))))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

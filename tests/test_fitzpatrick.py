@@ -418,7 +418,7 @@ def test_family_bounds_kernel_matches_the_per_pair_checks(rng, monkeypatch):
         values = [rng.choice((b, b, -b, b + EPS, b - EPS, inf, 0.0, -0.0,
                               math.nextafter(b - EPS, -inf),
                               math.nextafter(b + EPS, inf)))
-                  for b in lifted.coupling_values]
+                  for b in lifted.coupling_function.values]
         if all(v == inf for v in values):
             values[0] = 0.0
         h = ExtFunction(lifted.pc.domain, tuple(values))

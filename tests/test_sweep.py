@@ -15,10 +15,6 @@ def test_every_sweep_check_passes_every_trial():
     # both routes of the potential check decide some passing draws
     routes = censuses.pop("potential route vs closure route")
     assert set(routes) == {"potential", "closure"}
-    # the early stop check meets runs that settle, run out, and climb past
-    # every walk of k - 1 steps, where the stop may fire
-    endings = censuses.pop("early stop vs all k + 1 passes")
-    assert set(endings) == {"settled", "ran out", "climbed past k - 1 steps"}
     assert not any(censuses.values())
 
 
