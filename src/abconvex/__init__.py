@@ -33,7 +33,6 @@ from .transforms import (
     SubdiffGraph,
     c_convexify,
     c_subdifferential,
-    c_subdifferential_quantified,
     c_transform,
     c_transform_rev,
     is_antiderivative,
@@ -48,9 +47,8 @@ from .monotone import (
     is_maximal_n_monotone,
     is_monotone,
     is_n_monotone,
-    n_monotone_oracle,
 )
-from .rockafellar import NotCyclicallyMonotoneError, rockafellar, rockafellar_oracle
+from .rockafellar import NotCyclicallyMonotoneError, rockafellar
 from .envelopes import (
     ConstraintProblem,
     alpha,
@@ -83,7 +81,6 @@ from .fitzpatrick import (
     Theorem6BReport,
     delta_mapping,
     fitzpatrick,
-    fitzpatrick_family_member,
     graph_anchor,
     identity_fitzpatrick,
     lifted_problem,
@@ -95,7 +92,6 @@ from .fitzpatrick import (
 from .sampling import (
     inject_positive_two_cycle,
     random_c_convex_function,
-    random_constraint_problem,
     random_coupling,
     random_cyclically_monotone_mapping,
     random_lipschitz_function,

@@ -148,14 +148,6 @@ def graph_anchor(t_map: MultiMapping, pc: LiftedCoupling) -> ExtFunction:
               for x, y in pc.xy_pairs))
 
 
-def swap_to_domain(g: ExtFunction, pc: LiftedCoupling) -> ExtFunction:
-    """Reindex a function on Y x X as a function on X x Y via (x,y)->(y,x)."""
-    if g.index.labels != pc.codomain.labels:
-        raise AbstractConvexError("function is not indexed by the lifted codomain")
-    return ExtFunction(pc.domain,
-                       tuple(g(pc.ts_index(y, x)) for x, y in pc.xy_pairs))
-
-
 def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     """F(x,y) = max over (s,t) in G(T) of c(x,t) + c(s,y) - c(s,t),
     as a function on the lifted domain X x Y."""
@@ -246,12 +238,6 @@ class _Lifted:
         sites = IndexSubset(self.pc.domain, self.delta.dom)
         return ConstraintProblem(self.pc, self.delta, self.anchor,
                                  sites, self.eps)
-
-
-def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
-                              eps: float = DEFAULT_EPS) -> bool:
-    """C-convex, majorizes c everywhere, equals c on G(T)."""
-    return _family_member(h, _Lifted(t_map, c, eps))
 
 
 def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:

@@ -83,11 +83,12 @@ n, whose witness starts at the first node of largest closed-walk gain; the
 (n - 1) * k^2 walk entries its rounds compute are checked against
 ``ENUMERATION_BUDGET`` before any round runs.  Order 2 is one row kernel
 over G(M): p = (x, y) and q = (u, v) gain
-a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)), which is
-``_chain_gain((p, q))`` up to the sign of a zero (that sums 0.0 + a + b).
-Scanning each p in graph order for its first q over eps finds the first
-selection in ``itertools.product`` order, so verdicts and
-witnesses are those of ``n_monotone_oracle``.  The scan tests each
+a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)), which is the chain
+sum of the selection (p, q) up to the sign of a zero (summed from 0.0,
+it reads 0.0 + a + b).  Scanning each p in graph order for its first q
+over eps finds the first selection in ``itertools.product`` order, so
+verdicts and witnesses are those of the enumeration of all |G(M)|**2
+selections, the tests' oracle.  The scan tests each
 unordered pair once: p at graph position i meets only the q at positions
 >= i.  The gain of (q, p) sums b + a, equal to a + b bit for bit (nan
 included), so a partner of p before position i would be a partner of that
@@ -134,8 +135,8 @@ from .core import (
 )
 
 #: Cap on the (n - 1) * k^2 walk entries that ``is_n_monotone``'s rounds
-#: compute to read walk round n, and on the tuples the enumeration oracles
-#: try.
+#: compute to read walk round n; the tests' enumeration oracles cap the
+#: tuples they try by it too.
 ENUMERATION_BUDGET = 10 ** 6
 
 
@@ -193,17 +194,6 @@ class MonotonicityResult:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _chain_gain(pairs, c: Coupling) -> float:
-    """Sum of c(x_{i+1}, y_i) - c(x_i, y_i) over the cyclic selection."""
-    n = len(pairs)
-    total = 0.0
-    for i in range(n):
-        x, y = pairs[i]
-        xn = pairs[(i + 1) % n][0]
-        total += c(xn, y) - c(x, y)
-    return total
 
 
 def _step(a: list[list[float]], row: list[float]) -> list[float]:
@@ -470,17 +460,3 @@ def is_maximal_cyclically_monotone(m: MultiMapping, c: Coupling,
                                    eps: float = DEFAULT_EPS,
                                    candidates=None) -> bool:
     return _is_maximal(lambda t: is_cyclically_monotone(t, c, eps), m, candidates)
-
-
-def n_monotone_oracle(m: MultiMapping, c: Coupling, n: int,
-                      eps: float = DEFAULT_EPS) -> MonotonicityResult:
-    """Pure exhaustive enumeration of the |G(M)|^n selections.  Test
-    oracle."""
-    m.require_proper()
-    if len(m.graph) ** n > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"{len(m.graph)}^{n} tuples exceed the enumeration budget")
-    for sel in itertools.product(m.graph, repeat=n):
-        if _chain_gain(sel, c) > eps:
-            return MonotonicityResult(False, sel)
-    return MonotonicityResult(True)

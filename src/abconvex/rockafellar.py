@@ -23,10 +23,10 @@ O(k * |X|) whatever the sites.  That call's route:
   whose D[s][s] >= 0.0 covers the empty walk, or, when only the
   exact-length route passes M (a cycle gains between eps/k and eps), the
   entrywise best of the k walk rounds the verdict ran, which is what
-  ``rockafellar_oracle`` with max_len = k + 1 enumerates.  L is one
-  relaxation step from the seed over it, the first of equal maxima
-  winning, so sorted sites fold in order with a strict >: O(k^2).  The
-  per-site reading, R_s for every site and then the max over s of
+  the tests' exhaustive chain oracle enumerates with max_len = k + 1.
+  L is one relaxation step from the seed over it, the first of equal
+  maxima winning, so sorted sites fold in order with a strict >: O(k^2).
+  The per-site reading, R_s for every site and then the max over s of
   R_s(x) + shift(s), is O(|S| * k * |X|); it is the tests' oracle
   (``closure_suprema`` in ``tests/references.py``).
 
@@ -63,7 +63,6 @@ closure route for many anchors at once (``anchored_antiderivatives`` in
 
 from __future__ import annotations
 
-import itertools
 from operator import add
 from typing import Sequence
 
@@ -71,12 +70,11 @@ from .core import (
     DEFAULT_EPS,
     INF,
     AbstractConvexError,
-    BudgetExceededError,
     Coupling,
     ExtFunction,
     MultiMapping,
 )
-from .monotone import ENUMERATION_BUDGET, _cyclic_verdict, build_gain_graph
+from .monotone import _cyclic_verdict, build_gain_graph
 
 
 class NotCyclicallyMonotoneError(AbstractConvexError):
@@ -137,33 +135,3 @@ def rockafellar(m: MultiMapping, c: Coupling, s: int,
     ``NotCyclicallyMonotoneError`` with the witness cycle.
     """
     return chain_suprema(m, c, [s], [-0.0], eps)
-
-
-def rockafellar_oracle(m: MultiMapping, c: Coupling, s: int,
-                       max_len: int) -> ExtFunction:
-    """Exhaustive maximum over all chains of at most max_len pairs.  Test
-    oracle; equals ``rockafellar`` for max_len = |dom(M)| + 1 (walks of at
-    most |dom(M)| steps inside dom(M), then the final hop) when M is
-    cyclically monotone."""
-    m.require_proper()
-    if len(m.graph) ** max_len > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"{len(m.graph)}^{max_len} chains exceed the enumeration budget")
-    values = [-INF] * c.domain.size
-    starters = [p for p in m.graph if p[0] == s]
-    if not starters:
-        raise AbstractConvexError(f"anchor {s} is not in dom(M)")
-    for n in range(1, max_len + 1):
-        for tail in itertools.product(m.graph, repeat=n - 1):
-            for first in starters:
-                chain = (first,) + tail
-                partial = 0.0
-                for i in range(n - 1):
-                    x, y = chain[i]
-                    partial += c(chain[i + 1][0], y) - c(x, y)
-                xn, yn = chain[-1]
-                for x in range(c.domain.size):
-                    total = partial + c(x, yn) - c(xn, yn)
-                    if total > values[x]:
-                        values[x] = total
-    return ExtFunction(c.domain, tuple(values))

@@ -14,11 +14,9 @@ from .core import (
     Coupling,
     ExtFunction,
     GroundSet,
-    IndexSubset,
     MultiMapping,
     coupling_from_rows,
 )
-from .envelopes import ConstraintProblem
 from .lipschitz import MetricInstance
 from .transforms import c_subdifferential, c_transform_rev
 
@@ -85,25 +83,6 @@ def inject_positive_two_cycle(rng: random.Random, m: MultiMapping,
     rows = [list(row) for row in c.values]
     rows[x1][y2] = c(x2, y2) + c(x1, y1) - c(x2, y1) + rng.uniform(0.5, 2.0)
     return mutated, coupling_from_rows(c.domain, c.codomain, rows)
-
-
-def random_constraint_problem(rng: random.Random, nx: int, ny: int,
-                              full_domain: bool = False,
-                              eps: float = 1e-9) -> ConstraintProblem:
-    c = random_coupling(rng, nx, ny)
-    anchor = random_c_convex_function(rng, c, inf_prob=0.0)
-    # M from the anchor's own subdifferential, so the anchor is a genuine
-    # antiderivative
-    pool = list(c_subdifferential(anchor, c).graph)
-    k = rng.randint(1, len(pool))
-    m = MultiMapping(c.domain, c.codomain, tuple(rng.sample(pool, k)))
-    dom = m.dom
-    if full_domain:
-        sites = IndexSubset(c.domain, dom)
-    else:
-        sites = IndexSubset(c.domain,
-                            tuple(rng.sample(dom, rng.randint(1, len(dom)))))
-    return ConstraintProblem(c, m, anchor, sites, eps)
 
 
 def random_metric(rng: random.Random, n: int,

@@ -160,8 +160,7 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
     """All (x, y) with f(x) + f^c(y) = c(x, y) within eps.
 
     This is the sup-form of the definition, O(|X||Y|) after one transform.
-    ``c_subdifferential_quantified`` is the independent universally-quantified
-    form used as a test oracle.
+    The tests check it against the universally quantified form.
     """
     f.require_proper("subdifferential input")
     if f.index.labels != c.domain.labels:
@@ -172,27 +171,6 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
     for x, (fx, row) in enumerate(zip(f.values, c.values)):
         if math.isfinite(fx):  # f is finite where it is c-subdifferentiable
             pairs.extend((x, y) for y, g in finite if abs(fx + g - row[y]) <= eps)
-    return SubdiffGraph(MultiMapping(c.domain, c.codomain, tuple(pairs)))
-
-
-def c_subdifferential_quantified(f: ExtFunction, c: Coupling,
-                                 eps: float = DEFAULT_EPS) -> SubdiffGraph:
-    """First form of the definition: y is in the subdifferential at x iff
-    f(x) + c(x', y) <= f(x') + c(x, y) for every x'.  O(|X|^2 |Y|) oracle."""
-    f.require_proper("subdifferential input")
-    if f.index.labels != c.domain.labels:
-        raise IndexMismatchError("function is not indexed by the coupling domain")
-    pairs = []
-    for x in range(c.domain.size):
-        if not math.isfinite(f(x)):
-            continue
-        for y in range(c.codomain.size):
-            ok = all(
-                f(xp) == INF or f(x) + c(xp, y) <= f(xp) + c(x, y) + eps
-                for xp in range(c.domain.size)
-            )
-            if ok:
-                pairs.append((x, y))
     return SubdiffGraph(MultiMapping(c.domain, c.codomain, tuple(pairs)))
 
 

@@ -1,43 +1,60 @@
-"""Reference forms and seeded generators shared by the tests and the sweep.
+"""Reference forms, oracles and seeded generators shared by the tests and
+the sweep; none of them ships in the package.
 
 Each reference is written once, straight from a definition (one Python
-step per cell, triple or walk) or from the public wrappers alone.  Per-cell
+step per cell, triple, chain or walk) or from the public wrappers alone.  Per-cell
 forms must match the row kernels bit for bit.  Nothing here imports pytest,
 so ``scripts/random_verification.py`` runs the sweep without it.
 """
 
+import itertools
 import math
+import random
 from dataclasses import asdict
-from operator import add
 
 from abconvex import (
     DEFAULT_EPS,
     INF,
     AbstractConvexError,
+    BudgetExceededError,
+    ConstraintProblem,
     Coupling,
     ExtFunction,
     GroundSet,
+    IndexMismatchError,
+    IndexSubset,
     InstanceDocument,
     MetricError,
     MetricInstance,
+    MonotonicityResult,
     MultiMapping,
+    SubdiffGraph,
     build_gain_graph,
+    c_subdifferential,
     c_transform,
     c_transform_rev,
     coupling_from_rows,
     emit_document,
     is_n_monotone,
-    n_monotone_oracle,
     parse_instance,
     product_coupling,
+    random_c_convex_function,
+    random_coupling,
     random_cyclically_monotone_mapping,
     verify_inequality_chain,
     verify_theorem6A,
     verify_theorem6B,
 )
 from abconvex import monotone
+from abconvex.core import LiftedCoupling
+from abconvex.fitzpatrick import _family_member, _Lifted
 from abconvex.instance_io import dumps
-from abconvex.monotone import _cyclic_walks, _is_maximal, _max_plus_closure
+from abconvex.monotone import (
+    ENUMERATION_BUDGET,
+    _cyclic_walks,
+    _is_maximal,
+    _max_plus_closure,
+)
 from abconvex.rockafellar import NotCyclicallyMonotoneError
 from abconvex.transforms import _forward, _transform
 
@@ -113,6 +130,25 @@ def band_instance(rng) -> tuple[MultiMapping, Coupling]:
         if (_max_plus_closure(gg.restricted(), EPS / len(gg.nodes)) is None
                 and _cyclic_walks(gg, EPS)[0]):
             return m, c
+
+
+def random_constraint_problem(rng: random.Random, nx: int, ny: int,
+                              full_domain: bool = False,
+                              eps: float = 1e-9) -> ConstraintProblem:
+    c = random_coupling(rng, nx, ny)
+    anchor = random_c_convex_function(rng, c, inf_prob=0.0)
+    # M from the anchor's own subdifferential, so the anchor is a genuine
+    # antiderivative
+    pool = list(c_subdifferential(anchor, c).graph)
+    k = rng.randint(1, len(pool))
+    m = MultiMapping(c.domain, c.codomain, tuple(rng.sample(pool, k)))
+    dom = m.dom
+    if full_domain:
+        sites = IndexSubset(c.domain, dom)
+    else:
+        sites = IndexSubset(c.domain,
+                            tuple(rng.sample(dom, rng.randint(1, len(dom)))))
+    return ConstraintProblem(c, m, anchor, sites, eps)
 
 
 def verify_document(t: MultiMapping, c: Coupling, metric=None) -> str:
@@ -198,6 +234,27 @@ def c_subdifferential_per_cell(f, c, eps):
             if math.isfinite(fc(y)) and abs(f(x) + fc(y) - c(x, y)) <= eps:
                 pairs.append((x, y))
     return tuple(pairs)
+
+
+def c_subdifferential_quantified(f: ExtFunction, c: Coupling,
+                                 eps: float = DEFAULT_EPS) -> SubdiffGraph:
+    """First form of the definition: y is in the subdifferential at x iff
+    f(x) + c(x', y) <= f(x') + c(x, y) for every x'.  O(|X|^2 |Y|) oracle."""
+    f.require_proper("subdifferential input")
+    if f.index.labels != c.domain.labels:
+        raise IndexMismatchError("function is not indexed by the coupling domain")
+    pairs = []
+    for x in range(c.domain.size):
+        if not math.isfinite(f(x)):
+            continue
+        for y in range(c.codomain.size):
+            ok = all(
+                f(xp) == INF or f(x) + c(xp, y) <= f(xp) + c(x, y) + eps
+                for xp in range(c.domain.size)
+            )
+            if ok:
+                pairs.append((x, y))
+    return SubdiffGraph(MultiMapping(c.domain, c.codomain, tuple(pairs)))
 
 
 def is_antiderivative_full(f, m, c, eps):
@@ -383,26 +440,17 @@ def closure_per_cell(a, limit):
     return d
 
 
-def _closure_rows(gg, walks, sites):
-    """R_s for each site, in order, read from a table of best walks: one
-    ``max(map(add, B_s, column_x))`` per x, B_s being row s with B_s(s)
-    raised to 0."""
-    out = []
-    for s in sites:
-        spos = gg.nodes.index(s)
-        best = walks[spos][:]
-        best[spos] = max(best[spos], 0.0)
-        out.append([max(map(add, best, col)) for col in gg.columns])
-    return out
-
-
 def anchored_antiderivatives(m, c, anchors, eps=DEFAULT_EPS):
     """The closure route, per site: Rockafellar's antiderivative for each
-    anchor in dom(M), in order, from one gain graph and ``_cyclic_walks``'
-    table of best walks.  The cross-check of ``chain_suprema``.
+    anchor in dom(M), in order, read per (x, node) cell from
+    ``_cyclic_walks``' table B of best walks, as max over the nodes i of
+    B_s(i) + gain(i, x), B_s being row s of B with B_s(s) raised to 0 (the
+    empty walk) and the first of equal maxima winning.  The cross-check of
+    ``chain_suprema``.
 
-    Raises ``NotCyclicallyMonotoneError`` with the witness cycle when M is
-    not c-cyclically monotone.
+    Raises ``AbstractConvexError`` for an anchor outside dom(M) before any
+    cycle check, and ``NotCyclicallyMonotoneError`` with the witness cycle
+    when M is not c-cyclically monotone.
     """
     gg = build_gain_graph(m, c)
     for s in anchors:
@@ -411,23 +459,14 @@ def anchored_antiderivatives(m, c, anchors, eps=DEFAULT_EPS):
     verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         raise NotCyclicallyMonotoneError(verdict.witness, m)
-    return [ExtFunction(c.domain, tuple(row))
-            for row in _closure_rows(gg, walks, anchors)]
-
-
-def anchored_per_cell(m, c, anchors, eps):
-    """R_s per anchor, read per (x, node) cell from the cyclic verdict's
-    table of best walks: the column kernel's adds, the first of equal
-    maxima."""
-    gg = build_gain_graph(m, c)
-    walks = _cyclic_walks(gg, eps)[1]
     out = []
     for s in anchors:
         spos = gg.nodes.index(s)
         best = walks[spos][:]
         best[spos] = max(best[spos], 0.0)
-        out.append(tuple(max(b + row[x] for b, row in zip(best, gg.gain))
-                         for x in range(c.domain.size)))
+        out.append(ExtFunction(c.domain, tuple(
+            max(b + row[x] for b, row in zip(best, gg.gain))
+            for x in range(c.domain.size))))
     return out
 
 
@@ -435,9 +474,39 @@ def closure_suprema(m, c, sites, shifts, eps=EPS):
     """The per-site oracle of ``chain_suprema``'s table route: max over
     the sites, in order, of R_s(x) + shift(s), each R_s read per cell from
     the closure table, the first of equal maxima winning."""
-    rows = anchored_per_cell(m, c, sites, eps)
-    return tuple(max(row[x] + f for row, f in zip(rows, shifts))
+    rows = anchored_antiderivatives(m, c, sites, eps)
+    return tuple(max(row(x) + f for row, f in zip(rows, shifts))
                  for x in range(c.domain.size))
+
+
+def rockafellar_oracle(m: MultiMapping, c: Coupling, s: int,
+                       max_len: int) -> ExtFunction:
+    """Exhaustive maximum over all chains of at most max_len pairs.  Test
+    oracle; equals ``rockafellar`` for max_len = |dom(M)| + 1 (walks of at
+    most |dom(M)| steps inside dom(M), then the final hop) when M is
+    cyclically monotone."""
+    m.require_proper()
+    if len(m.graph) ** max_len > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{len(m.graph)}^{max_len} chains exceed the enumeration budget")
+    values = [-INF] * c.domain.size
+    starters = [p for p in m.graph if p[0] == s]
+    if not starters:
+        raise AbstractConvexError(f"anchor {s} is not in dom(M)")
+    for n in range(1, max_len + 1):
+        for tail in itertools.product(m.graph, repeat=n - 1):
+            for first in starters:
+                chain = (first,) + tail
+                partial = 0.0
+                for i in range(n - 1):
+                    x, y = chain[i]
+                    partial += c(chain[i + 1][0], y) - c(x, y)
+                xn, yn = chain[-1]
+                for x in range(c.domain.size):
+                    total = partial + c(x, yn) - c(xn, yn)
+                    if total > values[x]:
+                        values[x] = total
+    return ExtFunction(c.domain, tuple(values))
 
 
 def table_labels_per_cell(gg, eps, seed=None):
@@ -547,6 +616,31 @@ def reference_cyclic_verdict(gg, eps):
                  for i in range(k) if diag_best[i] > eps), (True, None))
 
 
+def _chain_gain(pairs, c: Coupling) -> float:
+    """Sum of c(x_{i+1}, y_i) - c(x_i, y_i) over the cyclic selection."""
+    n = len(pairs)
+    total = 0.0
+    for i in range(n):
+        x, y = pairs[i]
+        xn = pairs[(i + 1) % n][0]
+        total += c(xn, y) - c(x, y)
+    return total
+
+
+def n_monotone_oracle(m: MultiMapping, c: Coupling, n: int,
+                      eps: float = DEFAULT_EPS) -> MonotonicityResult:
+    """Pure exhaustive enumeration of the |G(M)|^n selections.  Test
+    oracle."""
+    m.require_proper()
+    if len(m.graph) ** n > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{len(m.graph)}^{n} tuples exceed the enumeration budget")
+    for sel in itertools.product(m.graph, repeat=n):
+        if _chain_gain(sel, c) > eps:
+            return MonotonicityResult(False, sel)
+    return MonotonicityResult(True)
+
+
 def maximal_by_recheck(m, c, eps, candidates=None):
     """Order-2 maximality by the enumeration oracle's recheck of every
     extension."""
@@ -561,6 +655,20 @@ def product_rows_per_cell(c, pc):
 def fitzpatrick_per_cell(t_map, c):
     return tuple(max(c(x, t) + c(s, y) - c(s, t) for s, t in t_map.graph)
                  for x in range(c.domain.size) for y in range(c.codomain.size))
+
+
+def swap_to_domain(g: ExtFunction, pc: LiftedCoupling) -> ExtFunction:
+    """Reindex a function on Y x X as a function on X x Y via (x,y)->(y,x)."""
+    if g.index.labels != pc.codomain.labels:
+        raise AbstractConvexError("function is not indexed by the lifted codomain")
+    return ExtFunction(pc.domain,
+                       tuple(g(pc.ts_index(y, x)) for x, y in pc.xy_pairs))
+
+
+def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
+                              eps: float = DEFAULT_EPS) -> bool:
+    """C-convex, majorizes c everywhere, equals c on G(T)."""
+    return _family_member(h, _Lifted(t_map, c, eps))
 
 
 def first_triangle_failure(d, eps):

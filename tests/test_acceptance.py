@@ -49,14 +49,12 @@ from abconvex import (
     pointwise_max,
     product_coupling,
     random_c_convex_function,
-    random_constraint_problem,
     random_coupling,
     random_cyclically_monotone_mapping,
     random_lipschitz_function,
     random_metric,
     random_proper_function,
     rockafellar,
-    rockafellar_oracle,
     sandwich_check,
     sup_distance,
     verify_inequality_chain,
@@ -66,6 +64,7 @@ from abconvex import (
 from abconvex.cli import EXIT_OK, main
 
 from conftest import FIXTURE_DIR, grid_function, two_point_instance
+from references import random_constraint_problem, rockafellar_oracle
 
 TOL = 1e-9
 

@@ -16,12 +16,11 @@ from abconvex import (
     is_member,
     pointwise_le,
     pointwise_max,
-    random_constraint_problem,
     rockafellar,
     sandwich_check,
     sup_distance,
 )
-from references import route_bound
+from references import random_constraint_problem, route_bound
 
 EPS = 1e-9
 

@@ -15,7 +15,6 @@ from abconvex import (
     c_transform_rev,
     delta_mapping,
     fitzpatrick,
-    fitzpatrick_family_member,
     gamma,
     identity_fitzpatrick,
     identity_mapping,
@@ -47,13 +46,13 @@ from abconvex.fitzpatrick import (
     coupling_as_function,
     full_diagonal,
     graph_anchor,
-    swap_to_domain,
 )
 from conftest import assert_same_floats, one_point_couplings
 from references import (
     LIFTED_KINDS,
     TIE_KINDS,
     family_bounds_per_pair,
+    fitzpatrick_family_member,
     fitzpatrick_per_cell,
     grown_mapping,
     kernel_coupling,
@@ -65,6 +64,7 @@ from references import (
     partly_grown,
     product_rows_per_cell,
     random_graph,
+    swap_to_domain,
     verify_document,
 )
 

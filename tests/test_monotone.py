@@ -21,14 +21,13 @@ from abconvex import (
     is_maximal_n_monotone,
     is_monotone,
     is_n_monotone,
-    n_monotone_oracle,
     parse_instance,
     random_coupling,
     random_cyclically_monotone_mapping,
 )
 from abconvex import monotone
 from abconvex.fitzpatrick import delta_mapping, full_diagonal, product_coupling
-from abconvex.monotone import _chain_gain, _cyclic_walks, _max_plus_closure
+from abconvex.monotone import _cyclic_walks, _max_plus_closure
 from conftest import (
     assert_same_floats,
     mixed_mappings,
@@ -37,12 +36,14 @@ from conftest import (
 )
 from references import (
     TIE_KINDS,
+    _chain_gain,
     band_instance,
     closure_per_cell,
     gain_graph_per_cell,
     guard_value,
     kernel_coupling,
     maximal_by_recheck,
+    n_monotone_oracle,
     partly_grown,
     random_graph,
     reference_closed_walks,

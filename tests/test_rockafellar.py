@@ -1,4 +1,4 @@
-import importlib
+import itertools
 import math
 from collections import Counter
 
@@ -21,16 +21,10 @@ from abconvex import (
     random_coupling,
     random_cyclically_monotone_mapping,
     rockafellar,
-    rockafellar_oracle,
     sup_distance,
 )
 from abconvex import monotone
-from abconvex.monotone import (
-    _chain_gain,
-    _cyclic_verdict,
-    _passes,
-    build_gain_graph,
-)
+from abconvex.monotone import _cyclic_verdict, _passes, build_gain_graph
 from abconvex.rockafellar import chain_suprema
 from conftest import (
     assert_same_floats,
@@ -40,12 +34,13 @@ from conftest import (
 )
 from references import (
     TIE_KINDS,
+    _chain_gain,
     anchored_antiderivatives,
-    anchored_per_cell,
     band_instance,
     closure_suprema,
     kernel_coupling,
     labels_first_per_cell,
+    rockafellar_oracle,
     route_bound,
     seeded_route,
     separable_coupling,
@@ -181,10 +176,12 @@ def test_anchor_check_precedes_cycle_check():
     c = coupling_from_rows(x, x, [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3])
     m = MultiMapping(x, x, ((0, 0), (1, 1)))
     with pytest.raises(NotCyclicallyMonotoneError):
-        anchored_antiderivatives(m, c, [0])
-    with pytest.raises(AbstractConvexError) as err:
-        anchored_antiderivatives(m, c, [0, 2])
-    assert not isinstance(err.value, NotCyclicallyMonotoneError)
+        rockafellar(m, c, 0)
+    for call in (lambda: rockafellar(m, c, 2),
+                 lambda: chain_suprema(m, c, [0, 2], [0.0, 0.0])):
+        with pytest.raises(AbstractConvexError) as err:
+            call()
+        assert not isinstance(err.value, NotCyclicallyMonotoneError)
 
 
 @pytest.mark.parametrize("gain", [EPS / 2, 0.8 * EPS, EPS])
@@ -235,54 +232,35 @@ def test_band_antiderivatives_match_chain_oracle(rng):
 
 
 def test_band_call_runs_the_verdict_rounds_once(rng, monkeypatch):
-    # the table of best walks is the verdict's own k rounds, not a rerun
-    # the package's ``rockafellar`` attribute is the function, not the module
-    mono = importlib.import_module("abconvex.monotone")
-    rock = importlib.import_module("abconvex.rockafellar")
+    # every node a site with shift 0 seeds the passes with zero labels,
+    # which never settle on a band instance: the table of best walks is
+    # the verdict's own k rounds, not a rerun
     instances = [band_instance(rng) for _ in range(20)]
-    real, drawn = mono._walk_rounds, []
+    real, drawn = monotone._walk_rounds, []
 
     def counting(a):
         for one in real(a):
             drawn.append(1)
             yield one
 
-    monkeypatch.setattr(mono, "_walk_rounds", counting)
-    monkeypatch.setattr(rock, "_walk_rounds", counting, raising=False)
+    monkeypatch.setattr(monotone, "_walk_rounds", counting)
     for m, c in instances:
         drawn.clear()
-        anchored_antiderivatives(m, c, m.dom, EPS)
+        chain_suprema(m, c, m.dom, [0.0] * len(m.dom), EPS)
         assert len(drawn) == len(m.dom)
 
 
-# ---------------------------------------------------------------- row kernel
-# ``anchored_per_cell`` (in ``references.py``) reads R_s per cell from the
-# verdict's table of best walks.  The column kernel must match it bit for
-# bit: the same adds, and the first of equal maxima.
-
-def test_anchored_antiderivatives_match_per_cell_form(rng):
-    draws = mixed_mappings(rng, 150, max_pairs=6)
-    for trial in range(150):
-        nx = rng.randint(1, 6)
-        c = kernel_coupling(rng, nx, rng.randint(1, 6), ties=TIE_KINDS[trial % 3])
-        draws.append((random_cyclically_monotone_mapping(rng, c, 6), c))
-    draws += [band_instance(rng) for _ in range(20)]
-    checked = 0
-    for m, c in draws:
-        if not is_cyclically_monotone(m, c, EPS):
-            continue
-        got = anchored_antiderivatives(m, c, m.dom, EPS)
-        for r, want in zip(got, anchored_per_cell(m, c, m.dom, EPS)):
-            assert_same_floats(r.values, want)
-        checked += 1
-    assert checked >= 200
-
-
-def test_anchored_antiderivatives_on_one_point_sets():
+def test_rockafellar_on_one_point_sets():
+    # a one-pair mapping {(s, y)}: R_s(x) = c(x, y) - c(s, y) bit for bit,
+    # as the shift -0.0 adds exactly nothing, and the per-site closure
+    # reading agrees
     for c in one_point_couplings():
-        m = MultiMapping(c.domain, c.codomain, ((0, 0),))
-        (r,) = anchored_antiderivatives(m, c, [0], EPS)
-        assert_same_floats(r.values, anchored_per_cell(m, c, [0], EPS)[0])
+        for s, y in itertools.product(range(c.domain.size),
+                                      range(c.codomain.size)):
+            m = MultiMapping(c.domain, c.codomain, ((s, y),))
+            want = tuple(c(x, y) - c(s, y) for x in range(c.domain.size))
+            assert_same_floats(rockafellar(m, c, s, EPS).values, want)
+            assert anchored_antiderivatives(m, c, [s], EPS)[0].values == want
 
 
 # ----------------------------------------------------------- potential route
@@ -334,7 +312,6 @@ def test_chain_suprema_lie_within_the_stated_bound_of_the_closure_route(rng):
 
 def test_potential_route_runs_the_passes_once(rng, monkeypatch):
     # the verdict's run from the sites' seed gives the labels too
-    rock = importlib.import_module("abconvex.rockafellar")
     real, runs = monotone._passes, []
 
     def counting(cols, labels):
@@ -344,7 +321,6 @@ def test_potential_route_runs_the_passes_once(rng, monkeypatch):
     draws = [(m, c) for m, c in mixed_mappings(rng, 120)
              if is_cyclically_monotone(m, c, EPS)]
     monkeypatch.setattr(monotone, "_passes", counting)
-    monkeypatch.setattr(rock, "_passes", counting, raising=False)
     checked = 0
     for m, c in draws:
         gg = build_gain_graph(m, c)

@@ -1,11 +1,15 @@
 """Source hygiene that needs no linter: every name a module imports is
-read, and the package imports nothing outside the standard library.
+read, every package definition is read, and the package imports nothing
+outside the standard library.  Also the scripts: the code-line count and
+the README's worked example.
 
 The package ``__init__.py`` is skipped by the first check, since its
 imports are re-exports.
 """
 
 import ast
+import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,3 +78,74 @@ def test_package_imports_only_the_standard_library():
              for path in sorted((ROOT / "src/abconvex").rglob("*.py"))
              for line, name in foreign_imports(path.read_text())]
     assert found == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """The names and attribute names that ``node`` loads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def unread_definitions(modules: dict[str, str], readers) -> list[str]:
+    """``module.name`` for each module-level function or class of
+    ``modules`` (module name -> source) that nothing reads: no other
+    statement of the modules loads it as a name or attribute, ``__init__``
+    does not re-export it, and no source in ``readers`` loads it."""
+    defined, read = [], set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if module == "__init__" and isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+            own = node.name if isinstance(node, DEFINITIONS) else None
+            if own:
+                defined.append((module, own))
+            read |= names_read(node) - {own}
+    for source in readers:
+        read |= names_read(ast.parse(source))
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_unread_definitions_are_found():
+    modules = {"__init__": "from .a import shown\n",
+               "a": ("def shown(): pass\ndef helper(): pass\n"
+                     "def user(): return helper\n"
+                     "def alone(): return alone()\nclass Unused: pass\n")}
+    assert unread_definitions(modules, ["print(x.user)\n"]) == [
+        "a.alone", "a.Unused"]
+
+
+def test_every_package_definition_is_read():
+    # what no other definition, re-export or benchmark reads serves only
+    # the tests, and belongs with them
+    modules = {p.stem: p.read_text()
+               for p in sorted((ROOT / "src/abconvex").glob("*.py"))}
+    readers = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert unread_definitions(modules, readers) == []
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    code_lines = runpy.run_path(str(ROOT / "scripts/code_lines.py"))["code_lines"]
+    source = ('"""Module\ndocstring."""\n'
+              "\n"
+              "# a comment\n"
+              "def f(a,\n"
+              "      b):\n"
+              '    """One line."""\n'
+              "    return max(a,  # a trailing comment\n"
+              "               b)\n"
+              "\n"
+              "TEXT = '''two\n"
+              "lines'''\n")
+    assert code_lines(source) == 6
+
+
+def test_worked_example_runs():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts/worked_example.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "is_member(x) = True" in lines and "is_member(|x|) = True" in lines

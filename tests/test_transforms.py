@@ -15,7 +15,6 @@ from abconvex import (
     MultiMapping,
     c_convexify,
     c_subdifferential,
-    c_subdifferential_quantified,
     c_transform,
     c_transform_rev,
     convex_combination,
@@ -32,6 +31,7 @@ from conftest import assert_same_floats, grid_function
 from references import (
     TIE_KINDS,
     c_subdifferential_per_cell,
+    c_subdifferential_quantified,
     c_transform_per_cell,
     c_transform_rev_per_cell,
     is_antiderivative_full,
