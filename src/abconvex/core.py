@@ -290,10 +290,9 @@ class IndexSubset:
             raise AbstractConvexError("subset must be nonempty")
         if len(set(self.members)) != len(self.members):
             raise AbstractConvexError("subset members must be distinct")
-        if not 0 <= min(self.members) <= max(self.members) < self.parent.size:
-            for i in self.members:
-                if not 0 <= i < self.parent.size:
-                    raise AbstractConvexError(f"subset member {i} out of range")
+        for i in self.members:
+            if not 0 <= i < self.parent.size:
+                raise AbstractConvexError(f"subset member {i} out of range")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     @cached_property

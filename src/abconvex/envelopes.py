@@ -80,15 +80,22 @@ class ConstraintProblem:
 
     def dual(self) -> "ConstraintProblem":
         """The reversed problem: transposed coupling, inverted mapping,
-        transformed anchor, image sites."""
-        return ConstraintProblem(
+        transformed anchor, image sites.
+
+        Built without the constructor's checks, which follow from the
+        primal's by duality (f^c is finite on M(dom M) and an antiderivative
+        of M^-1).  Rerun in floats, the antiderivative test can reject a
+        valid dual: on c = [[0, 0], [0, 2]] and f = (0, 1e-9), the computed
+        f^cc(x1) = 2 - fl(2 - 1e-9) sits past eps from f(x1)."""
+        dual = object.__new__(ConstraintProblem)
+        dual.__dict__.update(
             coupling=self.coupling.transpose(),
             mapping=self.mapping.inverse(),
             anchor=c_transform(self.anchor, self.coupling),
             sites=IndexSubset(self.coupling.codomain,
                               self.mapping.of_set(self.sites)),
-            eps=self.eps,
-        )
+            eps=self.eps)
+        return dual
 
 
 def alpha(problem: ConstraintProblem) -> ExtFunction:

@@ -343,7 +343,7 @@ def lifted_problem(t_map: MultiMapping, c: Coupling,
 
 def verify_theorem6B(t_map: MultiMapping, c: Coupling,
                      eps: float = DEFAULT_EPS,
-                     seed: Optional[int] = None) -> Theorem6BReport:
+                     seed: int = 0) -> Theorem6BReport:
     """Check that the lifted family's minimal member equals the Fitzpatrick
     function, and (for finitely maximal T) sample members against the
     Fitzpatrick family.  Each sampled member is the C-transform of a
@@ -353,7 +353,7 @@ def verify_theorem6B(t_map: MultiMapping, c: Coupling,
     return _theorem6B(_Lifted(t_map, c, eps), seed)
 
 
-def _theorem6B(lifted: _Lifted, seed: Optional[int] = None) -> Theorem6BReport:
+def _theorem6B(lifted: _Lifted, seed: int = 0) -> Theorem6BReport:
     if not lifted.t_monotone:
         raise AbstractConvexError("theorem B requires a c-monotone mapping")
     if not lifted.anchor_is_antiderivative:  # ConstraintProblem's message

@@ -7,15 +7,15 @@ label lists.  Parsing either returns a validated document or raises
 ``InstanceError`` with a JSON-path diagnostic.
 
 Numeric rows go through ``_parse_row``: a row of plain JSON ints and floats
-(and strings "inf", which stand aside) whose ``math.hypot`` after
-``float()`` is within ``MAX_MAGNITUDE`` is converted in one pass, and an
-all-float row is kept as it is, since ``float()`` of a float is that
-float; any other row falls back to ``_parse_value`` per cell, which raises
-at the first bad cell, so every diagnostic names the same JSON path.  Both
-routes apply the same ``float()`` to each cell, so the parsed values are
-bit-identical.  Ground-set labels, mapping pairs and subset members are
-resolved in bulk the same way, and anything the bulk pass cannot take
-goes to the per-item loop, which raises the message naming the item.
+whose ``math.hypot`` after ``float()`` is within ``MAX_MAGNITUDE`` is
+converted in one pass, and an all-float row is kept as it is, since
+``float()`` of a float is that float; any other row (one holding "inf",
+say) goes to ``_parse_value`` per cell, which raises at the first bad
+cell, so every diagnostic names the same JSON path.  Both routes apply the
+same ``float()`` to each cell, so the parsed values are bit-identical.
+Ground-set labels and mapping pairs are resolved in bulk the same way, and
+anything the bulk pass cannot take goes to the per-item loop, which raises
+the message naming the item; subset members are resolved one at a time.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def _parse_value(v, path) -> float:
 
 _FLOATS = frozenset((float,))
 _PLAIN_NUMBERS = frozenset((int, float))
-_NUMBERS_OR_INF = frozenset((int, float, str))
 _STRINGS = frozenset((str,))
 _LISTS = frozenset((list,))
 
@@ -104,15 +103,6 @@ def _parse_row(row: list, path: str) -> tuple[float, ...]:
         values = _as_floats(row, types)
         if values is not None:
             return values
-    elif types <= _NUMBERS_OR_INF:
-        # "inf" beside plain numbers: every string must be "inf"
-        numbers = [v for v in row if type(v) is not str]
-        if len(numbers) + row.count("inf") == len(row):
-            values = _as_floats(numbers, types - _STRINGS)
-            if values is not None:
-                finite = iter(values)
-                return tuple([math.inf if type(v) is str else next(finite)
-                              for v in row])
     return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
 
 
@@ -291,10 +281,7 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
         members = _expect(sspec.get("members"), list, f"{path}.members")
         if not members:
             _fail(f"{path}.members", "subset must be nonempty")
-        try:
-            idx = tuple(map(parent._positions.__getitem__, members))
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            idx = _members_per_item(members, parent, f"{path}.members")
+        idx = _members_per_item(members, parent, f"{path}.members")
         if len(set(idx)) != len(idx):
             i = next(i for i, j in enumerate(idx) if j in idx[:i])
             _fail(f"{path}.members[{i}]", f"duplicate label {members[i]!r}")

@@ -22,9 +22,8 @@ and its per-triple rerun names the same first (i, j, k).  A matrix that is
 only symmetric within eps scans every column.
 
 The O(n^2) axioms (zero diagonal, finite, nonnegative, symmetric within
-eps, positive off the diagonal) are row kernels too; a row that does not
-clear them makes the per-cell loop run, which raises the message for the
-first failing cell.
+eps, positive off the diagonal) run cell by cell, before the triangle
+check, and raise the message for the first failing cell.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
+from operator import add
 from typing import Iterable
 
 from .core import (
@@ -68,9 +67,8 @@ class MetricInstance:
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
             raise MetricError("distance matrix shape != (|X|, |X|)")
+        self._check_axioms_per_cell()
         columns = tuple(zip(*d))
-        if not self._axioms_hold(columns):
-            self._check_axioms_per_cell()
         # some j fails the triangle iff the least sum does, and on an
         # exactly symmetric d the columns k >= i suffice (module docstring)
         symmetric = columns == tuple(map(tuple, d))
@@ -83,20 +81,6 @@ class MetricInstance:
                         if row[k] > row[j] + d[j][k] + self.eps:
                             raise MetricError(
                                 f"triangle inequality fails at ({i},{j},{k})")
-
-    def _axioms_hold(self, columns) -> bool:
-        """Whether every cell clears ``_check_axioms_per_cell``, one row at a
-        time.  A non-finite cell makes its row sum inf or nan; an all-finite
-        row whose sum overflows fails here too and is left to the loop."""
-        eps = self.eps
-        for i, (row, col) in enumerate(zip(self.dist, columns)):
-            off = row[:i] + row[i + 1:]
-            if not (abs(row[i]) <= eps and math.isfinite(sum(row))
-                    and min(row) >= -eps
-                    and max(map(abs, map(sub, row, col))) <= eps
-                    and (self.pseudometric or not off or min(off) > eps)):
-                return False
-        return True
 
     def _check_axioms_per_cell(self):
         d, n = self.dist, self.points.size

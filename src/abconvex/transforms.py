@@ -24,9 +24,7 @@ the bound 2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|).
 
 The subdifferential scans each coupling row against the finite entries of
 f^c; ``is_antiderivative`` makes the same test on the pairs of G(M) only,
-and so reads f^c on M's image alone: over those columns, O(|X| |M(dom M)|)
-in place of O(|X| |Y|), and on a lifted coupling the kernel's first pass
-runs only for the t of the image points (t, s).
+after the same full transform.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ def _transform(values: tuple[float, ...], lines) -> tuple[float, ...]:
 
 
 def _lifted_transform(values: tuple[float, ...], base: Coupling,
-                      reverse: bool = False, ts=None) -> tuple[float, ...]:
+                      reverse: bool = False) -> tuple[float, ...]:
     """The transform over the lift C((x,y),(t,s)) = c(x,t) + c(s,y) of
     c = ``base`` as two max-plus passes over c.  ``_transform``'s
     conventions hold by the arithmetic alone, since c is finite: a -inf
@@ -67,10 +65,8 @@ def _lifted_transform(values: tuple[float, ...], base: Coupling,
 
     Forward, h on (x, y): B[t][y] = max_x [c(x,t) - h(x,y)] over h's
     columns, then h^C(t,s) = max_y [c(s,y) + B[t][y]], in t-major order.
-    Given ``ts``, only the rows B[t] for t in ``ts`` are built and the
-    outputs are h^C(t, .) for those t, in that order.  Reverse, g on
-    (t, s): A[y][t] = max_s [c(s,y) - g(t,s)] over g's rows, then
-    g^C(x,y) = max_t [c(x,t) + A[y][t]], in x-major order.
+    Reverse, g on (t, s): A[y][t] = max_s [c(s,y) - g(t,s)] over g's rows,
+    then g^C(x,y) = max_t [c(x,t) + A[y][t]], in x-major order.
 
     Rounding.  fl is monotone, so fl(a + max_i w_i) = max_i fl(a + w_i) and
     each output is the max over its terms fl(c(s,y) + fl(c(x,t) - h))
@@ -87,36 +83,22 @@ def _lifted_transform(values: tuple[float, ...], base: Coupling,
     nx, ny = base.domain.size, base.codomain.size
     cols, rows = base.columns, base.values
     if reverse:
-        blocks, lines = [values[t * nx:(t + 1) * nx] for t in range(ny)], cols
+        blocks = [values[t * nx:(t + 1) * nx] for t in range(ny)]
     else:
         blocks = [values[y::ny] for y in range(ny)]
-        lines = cols if ts is None else [cols[t] for t in ts]
-    inner = [[max(map(sub, line, block)) for block in blocks] for line in lines]
+    inner = [[max(map(sub, line, block)) for block in blocks] for line in cols]
     if reverse:
         return tuple([max(map(add, row, a)) for row in rows for a in inner])
     return tuple([max(map(add, row, b)) for b in inner for row in rows])
-
-
-def _forward(values: tuple[float, ...], c: Coupling, points=None):
-    """f^c at the codomain ``points`` (default: all of them, in order); on
-    a lifted coupling, the kernel builds B[t] only for the t of ``points``."""
-    if not isinstance(c, LiftedCoupling):
-        cols = c.columns
-        return _transform(values, cols if points is None else [cols[y] for y in points])
-    if points is None:
-        return _lifted_transform(values, c.base)
-    nx = c.base.domain.size
-    ts = list(dict.fromkeys(k // nx for k in points))
-    start = {t: i * nx for i, t in enumerate(ts)}
-    out = _lifted_transform(values, c.base, ts=ts)
-    return tuple(out[start[t] + s] for t, s in (divmod(k, nx) for k in points))
 
 
 def c_transform(f: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of f on X: f^c(y) = max_x [c(x, y) - f(x)] on Y."""
     if f.index.labels != c.domain.labels:
         raise IndexMismatchError("function is not indexed by the coupling domain")
-    return ExtFunction(c.codomain, _forward(f.values, c))
+    if isinstance(c, LiftedCoupling):
+        return ExtFunction(c.codomain, _lifted_transform(f.values, c.base))
+    return ExtFunction(c.codomain, _transform(f.values, c.columns))
 
 
 def c_transform_rev(g: ExtFunction, c: Coupling) -> ExtFunction:
@@ -177,18 +159,13 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
 def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
                       eps: float = DEFAULT_EPS) -> bool:
     """Whether G(M) is contained in G(subdifferential of f): the
-    subdifferential's test on the pairs of G(M) alone, with f^c read on
-    the columns of M's image only."""
+    subdifferential's test on the pairs of G(M) alone."""
     f.require_proper("antiderivative candidate")
     m.require_proper()
-    if f.index.labels != c.domain.labels:
-        raise IndexMismatchError("function is not indexed by the coupling domain")
-    fv, ny = f.values, c.codomain.size
+    fv, fc = f.values, c_transform(f, c).values
     # a pair past the coupling's index range (M on other ground sets) is
     # in no subdifferential of f
-    image = [y for y in m.image if y < ny]
-    fc = dict(zip(image, _forward(fv, c, image)))
-    return all(x < len(fv) and y < ny
+    return all(x < len(fv) and y < len(fc)
                and math.isfinite(fv[x]) and math.isfinite(fc[y])
                and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
                for x, y in m.graph)

@@ -46,7 +46,6 @@ from abconvex import (
     verify_theorem6B,
 )
 from abconvex import monotone
-from abconvex.core import LiftedCoupling
 from abconvex.fitzpatrick import _family_member, _Lifted
 from abconvex.instance_io import dumps
 from abconvex.monotone import (
@@ -56,7 +55,7 @@ from abconvex.monotone import (
     _max_plus_closure,
 )
 from abconvex.rockafellar import NotCyclicallyMonotoneError
-from abconvex.transforms import _forward, _transform
+from abconvex.transforms import _transform
 
 EPS = 1e-9
 
@@ -257,27 +256,11 @@ def c_subdifferential_quantified(f: ExtFunction, c: Coupling,
     return SubdiffGraph(MultiMapping(c.domain, c.codomain, tuple(pairs)))
 
 
-def is_antiderivative_full(f, m, c, eps):
-    """``is_antiderivative`` with f^c over all of Y, one full transform:
-    the reference for its read of f^c on M's image only."""
-    f.require_proper("antiderivative candidate")
-    m.require_proper()
-    fv, fc = f.values, c_transform(f, c).values
-    return all(x < len(fv) and y < len(fc)
-               and math.isfinite(fv[x]) and math.isfinite(fc[y])
-               and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
-               for x, y in m.graph)
-
-
-def lifted_by_table(values, lifted, reverse=False, points=None):
+def lifted_by_table(values, lifted, reverse=False):
     """The table route of a lifted transform: ``_transform`` over the lines
-    of a plain ``Coupling`` copy of C's table, at the codomain ``points``
-    (forward; default all) or over the whole domain (reverse)."""
+    of a plain ``Coupling`` copy of C's table."""
     table = Coupling(lifted.domain, lifted.codomain, lifted.values)
-    if reverse:
-        return _transform(values, table.values)
-    cols = table.columns
-    return _transform(values, cols if points is None else [cols[y] for y in points])
+    return _transform(values, table.values if reverse else table.columns)
 
 
 def lifted_route_bound(base, values):
@@ -295,10 +278,10 @@ LIFTED_KINDS = ("reals", "integers", "one -inf", "all +inf", "one point",
 
 
 def lifted_draw(rng, kind=None):
-    """(C, h, g, points, exact): the lift C of a seeded |X| x |Y| coupling
-    (sides drawn apart, so a swapped index order shows), functions h on
-    its domain and g on its codomain with some +inf entries, some codomain
-    points of C, and whether the arithmetic is exact (small integers).
+    """(C, h, g, exact): the lift C of a seeded |X| x |Y| coupling (sides
+    drawn apart, so a swapped index order shows), functions h on its
+    domain and g on its codomain with some +inf entries, and whether the
+    arithmetic is exact (small integers).
     ``kind`` indexes ``LIFTED_KINDS``: one -inf entry, all +inf and
     one-point sets take uniform reals."""
     kind = LIFTED_KINDS[rng.randrange(len(LIFTED_KINDS))] if kind is None else kind
@@ -321,10 +304,8 @@ def lifted_draw(rng, kind=None):
         return tuple(values)
 
     side_n = nx * ny
-    points = rng.sample(range(side_n), rng.randint(1, side_n))
     return (lifted, ExtFunction(lifted.domain, side(side_n)),
-            ExtFunction(lifted.codomain, side(side_n)), points,
-            kind == "integers")
+            ExtFunction(lifted.codomain, side(side_n)), kind == "integers")
 
 
 def lifted_lines_agree(rng, lifted):
@@ -343,15 +324,13 @@ def lifted_lines_agree(rng, lifted):
                     for i in rows for j in cols))
 
 
-def lifted_routes_agree(lifted, h, g, points, exact):
-    """The separable kernel against the table route, forward, reverse and
-    at ``points`` (``is_antiderivative``'s read): the same infinities, and
-    finite values equal when ``exact``, else within the stated bound."""
+def lifted_routes_agree(lifted, h, g, exact):
+    """The separable kernel against the table route, forward and reverse:
+    the same infinities, and finite values equal when ``exact``, else
+    within the stated bound."""
     routes = ((c_transform(h, lifted).values, lifted_by_table(h.values, lifted), h),
               (c_transform_rev(g, lifted).values,
-               lifted_by_table(g.values, lifted, reverse=True), g),
-              (_forward(h.values, lifted, points),
-               lifted_by_table(h.values, lifted, points=points), h))
+               lifted_by_table(g.values, lifted, reverse=True), g))
     for got, want, f in routes:
         bound = 0.0 if exact else lifted_route_bound(lifted.base, f.values)
         if len(got) != len(want) or not all(
@@ -657,18 +636,36 @@ def fitzpatrick_per_cell(t_map, c):
                  for x in range(c.domain.size) for y in range(c.codomain.size))
 
 
-def swap_to_domain(g: ExtFunction, pc: LiftedCoupling) -> ExtFunction:
-    """Reindex a function on Y x X as a function on X x Y via (x,y)->(y,x)."""
-    if g.index.labels != pc.codomain.labels:
-        raise AbstractConvexError("function is not indexed by the lifted codomain")
-    return ExtFunction(pc.domain,
-                       tuple(g(pc.ts_index(y, x)) for x, y in pc.xy_pairs))
-
-
 def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
                               eps: float = DEFAULT_EPS) -> bool:
     """C-convex, majorizes c everywhere, equals c on G(T)."""
     return _family_member(h, _Lifted(t_map, c, eps))
+
+
+def random_metric_per_cell(rng, n, edge_prob=0.5):
+    """``random_metric``'s reference: its draws, then min-plus
+    Floyd-Warshall one cell at a time."""
+    weights = [[math.inf] * n for _ in range(n)]
+    for i in range(n):
+        weights[i][i] = 0.0
+    order = list(range(n))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:]):
+        w = rng.uniform(0.5, 3.0)
+        weights[a][b] = weights[b][a] = w
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                w = rng.uniform(0.5, 3.0)
+                if w < weights[i][j]:
+                    weights[i][j] = weights[j][i] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                through = weights[i][k] + weights[k][j]
+                if through < weights[i][j]:
+                    weights[i][j] = through
+    return weights
 
 
 def first_triangle_failure(d, eps):

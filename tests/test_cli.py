@@ -308,6 +308,27 @@ def test_alpha_gamma_commands(capsys, two_point_path):
     assert out["result"]["values"] == [2.0, 1.0, 0.0, 1.0, 2.0]
 
 
+def test_gamma_command_on_a_margin_that_rounds_past_eps(capsys, tmp_path):
+    # M is the subdifferential of f; its pair (x1, y0) sits at a margin of
+    # exactly eps, where the dual anchor f^c reads f^cc(x1) past eps
+    doc = {"schema_version": "1",
+           "ground_sets": {"X": ["x0", "x1"], "Y": ["y0", "y1"]},
+           "coupling": {"domain": "X", "codomain": "Y",
+                        "values": [[0, 0], [0, 2]]},
+           "functions": {"f": {"index": "X", "values": [0, 1e-9]}},
+           "mappings": {"M": {"source": "X", "target": "Y",
+                              "pairs": [["x0", "y0"], ["x1", "y0"],
+                                        ["x1", "y1"]]}},
+           "subsets": {"S": {"parent": "X", "members": ["x0"]}}}
+    path = tmp_path / "margin.json"
+    path.write_text(json.dumps(doc))
+    status, out = run(capsys, "gamma", "--instance", str(path),
+                      "--mapping", "M", "--subset", "S",
+                      "--site-function", "f")
+    assert status == EXIT_OK
+    assert out["result"]["values"] == [0.0, 0.0]
+
+
 def test_member_command(capsys, two_point_path):
     common = ["--instance", two_point_path, "--mapping", "M",
               "--subset", "S", "--site-function", "f_id"]
@@ -530,7 +551,8 @@ def _row_per_cell(row, path):
 
 P = GroundSet(("a", "b", "c", "d", "e"))
 #: (case, where, the JSON at ``where``, the per-item route, the message it
-#: raises): each value defeats the bulk pass, whose fallback must raise
+#: raises): each value defeats the bulk pass, where there is one (rows
+#: holding "inf" and subset members have none), and the parse must raise
 #: the per-item route's message
 PARSE_FALLBACKS = [
     ("bool cell", "function", [1.0, True, 0.0, 2, 3.5],
@@ -574,7 +596,7 @@ def test_bulk_parse_falls_back_to_the_per_item_message(case, where, value,
     doc["mappings"] = {"M": {"source": "P", "target": "P",
                              "pairs": [["a", "b"], ["c", "d"]]}}
     doc["subsets"] = {"S": {"parent": "P", "members": ["a", "c"]}}
-    parsed = parse_instance(json.dumps(doc))  # the bulk pass takes these
+    parsed = parse_instance(json.dumps(doc))
     assert parsed.function("f").values == (1.0, math.inf, 0.0, 2.0, 3.5)
     assert parsed.mapping("M").graph == ((0, 1), (2, 3))
     target = {"function": (doc["functions"]["f"], "values"),

@@ -4,11 +4,14 @@ from abconvex import (
     AbstractConvexError,
     ConstraintProblem,
     ExtFunction,
+    GroundSet,
     IndexSubset,
     alpha,
     alpha_closed_form,
     build_gain_graph,
     c_convexify,
+    c_subdifferential,
+    coupling_from_rows,
     gamma,
     gamma_dual_route,
     is_antiderivative,
@@ -50,6 +53,22 @@ def test_closed_form_agrees_with_chain_route(two_point):
 def test_gamma_routes_agree(two_point):
     p = fixture_problem(two_point)
     assert sup_distance(gamma(p), gamma_dual_route(p)) <= EPS
+
+
+def test_gamma_dual_route_on_a_margin_that_rounds_past_eps():
+    # (x1, y0) lies in the subdifferential of f with a margin of exactly
+    # eps; f^cc(x1) = 2 - fl(2 - 1e-9) reads 1.00000008e-9, so a float
+    # recheck of the dual's anchor would reject this valid problem
+    x, y = GroundSet(("x0", "x1")), GroundSet(("y0", "y1"))
+    c = coupling_from_rows(x, y, [[0, 0], [0, 2]])
+    f = ExtFunction(x, (0.0, 1e-9))
+    m = c_subdifferential(f, c).mapping
+    assert m.graph == ((0, 0), (1, 0), (1, 1))
+    p = ConstraintProblem(c, m, f, IndexSubset(x, (0,)))
+    assert not p.full_domain
+    g = gamma(p)
+    assert g.values == (0.0, 0.0)
+    assert is_member(g, p) and pointwise_le(alpha(p), g, EPS)
 
 
 def test_member_between_envelopes(two_point):

@@ -64,7 +64,6 @@ from references import (
     partly_grown,
     product_rows_per_cell,
     random_graph,
-    swap_to_domain,
     verify_document,
 )
 
@@ -105,15 +104,6 @@ def test_delta_mapping_graph(two_point):
     assert set(delta.graph) == {(pc.xy_index(x, y), pc.ts_index(y, x))
                                 for x, y in two_point.m.graph}
     assert set(delta.graph) <= set(full_diagonal(pc))
-
-
-def test_swap_reindexing_roundtrip(two_point):
-    pc = product_coupling(two_point.c)
-    g = ExtFunction(pc.codomain,
-                    tuple(float(i) for i in range(10)))
-    swapped = swap_to_domain(g, pc)
-    for x, y in pc.xy_pairs:
-        assert swapped(pc.xy_index(x, y)) == g(pc.ts_index(y, x))
 
 
 def test_fitzpatrick_majorizes_coupling_and_touches_graph(two_point):
@@ -361,6 +351,22 @@ def test_sampled_members_lie_between_alpha_and_gamma(rng):
     assert drawn >= 10 * THEOREM_6B_SAMPLES
 
 
+def test_theorem6B_draws_from_seed_0_by_default(rng, monkeypatch):
+    # the CLI's --seed defaults to 0, so the wrapper reports what verify
+    # prints; the draw receives a generator in random.Random(0)'s state
+    fitz = importlib.import_module("abconvex.fitzpatrick")
+    real, states = fitz._sampled_members, []
+
+    def recording(lifted, a, draws, count):
+        states.append(draws.getstate())
+        return real(lifted, a, draws, count)
+
+    monkeypatch.setattr(fitz, "_sampled_members", recording)
+    t, c = next(maximal_documents(rng, 1))
+    assert verify_theorem6B(t, c) == verify_theorem6B(t, c, seed=0)
+    assert states == [random.Random(0).getstate()] * 2
+
+
 class ConstantDraws:
     """Stands in for ``random.Random``: every draw is ``lam``."""
 
@@ -471,8 +477,8 @@ def test_maximal_verify_runs_33_lifted_transforms(tmp_path, monkeypatch, rng):
 def test_separable_kernel_matches_the_table_route(rng, kind):
     apart = 0
     for _ in range(60):
-        lifted, h, g, points, exact = lifted_draw(rng, kind)
-        assert lifted_routes_agree(lifted, h, g, points, exact)
+        lifted, h, g, exact = lifted_draw(rng, kind)
+        assert lifted_routes_agree(lifted, h, g, exact)
         apart += lifted.base.domain.size != lifted.base.codomain.size
     assert apart >= 15
 

@@ -36,6 +36,7 @@ from abconvex import (
 from references import (
     first_triangle_failure,
     metric_error,
+    random_metric_per_cell,
     reference_metric_error,
 )
 
@@ -245,9 +246,9 @@ def test_triangle_check_at_exactly_eps_in_a_document(fixture_dir):
 # ------------------------------------------- symmetric half scan and axioms
 # An exactly symmetric matrix tests each unordered (i, k) once; one that is
 # symmetric only within eps keeps the full scan.  ``axiom_failure`` is
-# the per-cell form the row kernels replaced; with
-# ``first_triangle_failure`` it gives ``reference_metric_error``, the
-# reference message of any matrix.
+# the per-cell axiom check; with ``first_triangle_failure``, the per-triple
+# loop the triangle kernel replaced, it gives ``reference_metric_error``,
+# the reference message of any matrix.
 
 def test_triangle_check_on_matrices_asymmetric_within_eps(rng):
     # d(i, k) at the eps margin of its least detour or one float past it,
@@ -317,7 +318,7 @@ def test_one_point_metrics():
 
 def test_axiom_kernels_match_per_cell_form(rng):
     # one bad cell (or a mirrored pair) of each kind in a valid metric: the
-    # row kernels must send every failing matrix to the per-cell loop
+    # axioms, then the triangle kernel, must raise the reference's message
     seen = set()
     bad = (math.inf, -math.inf, math.nan, -1.0, -0.0, 0.0, EPS, 2 * EPS,
            1.7e308, -1.7e308)
@@ -339,7 +340,8 @@ def test_axiom_kernels_match_per_cell_form(rng):
 
 
 def test_all_finite_rows_whose_sums_overflow_are_accepted():
-    # 1.7e308 + 1.7e308 overflows, so the row kernel defers to the loop
+    # 1.7e308 + 1.7e308 overflows to inf in the triangle kernel, which no
+    # entry exceeds
     big = 1.7e308
     d = [[0.0, big, big], [big, 0.0, big], [big, big, 0.0]]
     assert reference_metric_error(d, EPS) is None
@@ -347,34 +349,11 @@ def test_all_finite_rows_whose_sums_overflow_are_accepted():
 
 
 # ------------------------------------------------------------ random metrics
-def random_metric_per_cell(rng, n, edge_prob=0.5):
-    """``random_metric`` with the per-cell Floyd-Warshall loop it replaced."""
-    weights = [[math.inf] * n for _ in range(n)]
-    for i in range(n):
-        weights[i][i] = 0.0
-    order = list(range(n))
-    rng.shuffle(order)
-    for a, b in zip(order, order[1:]):
-        w = rng.uniform(0.5, 3.0)
-        weights[a][b] = weights[b][a] = w
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                w = rng.uniform(0.5, 3.0)
-                if w < weights[i][j]:
-                    weights[i][j] = weights[j][i] = w
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                through = weights[i][k] + weights[k][j]
-                if through < weights[i][j]:
-                    weights[i][j] = through
-    return weights
-
-
 def test_random_metric_matches_per_cell_floyd_warshall():
-    for seed in range(60):
-        n = 1 + seed % 23
+    # random_metric negates the max-plus closure of -w: the same sums as
+    # min-plus Floyd-Warshall, so the same floats
+    for seed in range(90):
+        n = (1 + seed % 23) if seed < 60 else (24, 40)[seed % 2]
         edge_prob = (0.5, 0.0, 0.1, 1.0)[seed % 4]
         got = random_metric(random.Random(seed), n, edge_prob).dist
         want = random_metric_per_cell(random.Random(seed), n, edge_prob)
