@@ -37,7 +37,6 @@ from .instance_io import (
     InstanceError,
     dumps,
     function_to_jsonable,
-    graph_to_jsonable,
     label_pairs,
     parse_instance,
 )
@@ -130,11 +129,12 @@ def _run(args) -> dict:
     if cmd == "transform":
         f = doc.function(_require(args.function, "--function"))
         if f.index.labels == c.domain.labels:
-            out = c_transform(f, c)
+            transform = c_transform
         elif f.index.labels == c.codomain.labels:
-            out = c_transform_rev(f, c)
+            transform = c_transform_rev
         else:
             raise InstanceError("function is indexed by neither coupling side")
+        out = transform(f.require_proper("transform input"), c)
         return {"command": cmd, "result": function_to_jsonable(out)}
 
     if cmd == "convexify":
@@ -144,8 +144,8 @@ def _run(args) -> dict:
 
     if cmd == "subdiff":
         f = doc.function(_require(args.function, "--function"))
-        sub = c_subdifferential(f, c, eps)
-        return {"command": cmd, "result": graph_to_jsonable(sub.mapping)}
+        m = c_subdifferential(f, c, eps).mapping
+        return {"command": cmd, "result": label_pairs(m, m.graph)}
 
     if cmd == "check-monotone":
         m = _mapping(doc, args)
@@ -236,10 +236,7 @@ def main(argv=None) -> int:
                       "message": str(exc),
                       "witness": label_pairs(exc.mapping, exc.witness)})
         status = EXIT_DOMAIN
-    except InstanceError as exc:
-        text = dumps({"error": "input", "message": str(exc)})
-        status = EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (InstanceError, OSError, ValueError) as exc:
         text = dumps({"error": "input", "message": str(exc)})
         status = EXIT_INPUT
     except AbstractConvexError as exc:

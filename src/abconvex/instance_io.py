@@ -6,6 +6,11 @@ metric block with a negate flag for c = -d), functions (with the string
 label lists.  Parsing either returns a validated document or raises
 ``InstanceError`` with a JSON-path diagnostic.
 
+Each JSON shape has one reader: ``_section`` walks an optional object of
+named entries (ground sets, functions, mappings, subsets), ``_matrix``
+reads the metric's distances and the coupling's values, and ``_flag``
+reads ``pseudometric`` and ``negate``, which must be JSON booleans.
+
 Numeric rows go through ``_parse_row``: a row of plain JSON ints and floats
 whose ``math.hypot`` after ``float()`` is within ``MAX_MAGNITUDE`` is
 converted in one pass, and an all-float row is kept as it is, since
@@ -16,6 +21,10 @@ same ``float()`` to each cell, so the parsed values are bit-identical.
 Ground-set labels and mapping pairs are resolved in bulk the same way, and
 anything the bulk pass cannot take goes to the per-item loop, which raises
 the message naming the item; subset members are resolved one at a time.
+
+``dumps`` writes strict JSON: it raises ``ValueError`` on a non-finite
+float, so +inf reaches it only as the string "inf" that
+``function_to_jsonable`` writes.
 """
 
 from __future__ import annotations
@@ -169,6 +178,38 @@ def _named(table: dict, kind: str, name: str):
     return table[name]
 
 
+def _section(raw: dict, key: str, kind: type):
+    """(name, path, entry) for each entry of the optional object ``key``,
+    each entry checked to be a ``kind``."""
+    for name, entry in _expect(raw.get(key, {}), dict, f"$.{key}").items():
+        path = f"$.{key}.{name}"
+        yield name, path, _expect(entry, kind, path)
+
+
+def _matrix(rows, path: str, shape: tuple[int, int], sides: tuple[str, str],
+            finite: bool = False) -> tuple[tuple[float, ...], ...]:
+    """The ``shape`` rows of numbers at ``path``; ``sides`` names the row
+    and column counts in the messages, and ``finite`` refuses "inf"."""
+    rows = _expect(rows, list, path)
+    if len(rows) != shape[0]:
+        _fail(path, f"row count != |{sides[0]}|")
+    parsed = []
+    for i, row in enumerate(rows):
+        row = _expect(row, list, f"{path}[{i}]")
+        if len(row) != shape[1]:
+            _fail(f"{path}[{i}]", f"column count != |{sides[1]}|")
+        parsed.append(_parse_row(row, f"{path}[{i}]"))
+        if finite and math.inf in parsed[i]:
+            _fail(f"{path}[{i}][{parsed[i].index(math.inf)}]",
+                  "coupling entries must be finite")
+    return tuple(parsed)
+
+
+def _flag(spec: dict, key: str, default: bool, path: str) -> bool:
+    """``spec[key]`` (``default`` when absent), which must be a JSON boolean."""
+    return _expect(spec.get(key, default), bool, f"{path}.{key}")
+
+
 def parse_instance(text: str | bytes) -> InstanceDocument:
     try:
         raw = json.loads(text)
@@ -180,11 +221,8 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
     if version != SCHEMA_VERSION:
         _fail("$.schema_version", f"expected \"{SCHEMA_VERSION}\", got {version!r}")
 
-    gs_raw = _expect(raw.get("ground_sets", {}), dict, "$.ground_sets")
     ground_sets: dict[str, GroundSet] = {}
-    for name, labels in gs_raw.items():
-        path = f"$.ground_sets.{name}"
-        labels = _expect(labels, list, path)
+    for name, path, labels in _section(raw, "ground_sets", list):
         if not (set(map(type, labels)) <= _STRINGS
                 and len(set(labels)) == len(labels)):
             _labels_per_item(labels, path)
@@ -192,10 +230,10 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
             _fail(path, "ground set must be nonempty")
         ground_sets[name] = GroundSet(tuple(labels))
 
-    def resolve(name, path) -> GroundSet:
-        _expect(name, str, path)
+    def resolve(spec: dict, key: str, path: str) -> GroundSet:
+        name = _expect(spec.get(key), str, f"{path}.{key}")
         if name not in ground_sets:
-            _fail(path, f"unresolved ground set {name!r}")
+            _fail(f"{path}.{key}", f"unresolved ground set {name!r}")
         return ground_sets[name]
 
     cspec = _expect(raw.get("coupling"), dict, "$.coupling")
@@ -203,63 +241,42 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
     negate = False
     if "metric" in cspec:
         mspec = _expect(cspec["metric"], dict, "$.coupling.metric")
-        points = resolve(mspec.get("points"), "$.coupling.metric.points")
-        rows = _expect(mspec.get("distances"), list, "$.coupling.metric.distances")
-        if len(rows) != points.size:
-            _fail("$.coupling.metric.distances", "row count != |points|")
-        dist = []
-        for i, row in enumerate(rows):
-            row = _expect(row, list, f"$.coupling.metric.distances[{i}]")
-            if len(row) != points.size:
-                _fail(f"$.coupling.metric.distances[{i}]", "column count != |points|")
-            dist.append(_parse_row(row, f"$.coupling.metric.distances[{i}]"))
-        pseudo = bool(mspec.get("pseudometric", False))
+        points = resolve(mspec, "points", "$.coupling.metric")
+        dist = _matrix(mspec.get("distances"), "$.coupling.metric.distances",
+                       (points.size, points.size), ("points", "points"))
+        pseudo = _flag(mspec, "pseudometric", False, "$.coupling.metric")
         try:
-            metric = MetricInstance(points, tuple(dist), pseudometric=pseudo)
+            metric = MetricInstance(points, dist, pseudometric=pseudo)
         except AbstractConvexError as exc:
             _fail("$.coupling.metric", str(exc))
-        negate = bool(cspec.get("negate", True))
+        negate = _flag(cspec, "negate", True, "$.coupling")
         if negate:
             coupling = as_coupling(metric)
         else:
             coupling = Coupling(points, points, metric.dist)
         names = (mspec["points"], mspec["points"])
     else:
-        domain = resolve(cspec.get("domain"), "$.coupling.domain")
-        codomain = resolve(cspec.get("codomain"), "$.coupling.codomain")
-        rows = _expect(cspec.get("values"), list, "$.coupling.values")
-        if len(rows) != domain.size:
-            _fail("$.coupling.values", "row count != |domain|")
-        vals = []
-        for i, row in enumerate(rows):
-            row = _expect(row, list, f"$.coupling.values[{i}]")
-            if len(row) != codomain.size:
-                _fail(f"$.coupling.values[{i}]", "column count != |codomain|")
-            parsed = _parse_row(row, f"$.coupling.values[{i}]")
-            if math.inf in parsed:
-                _fail(f"$.coupling.values[{i}][{parsed.index(math.inf)}]",
-                      "coupling entries must be finite")
-            vals.append(parsed)
-        coupling = Coupling(domain, codomain, tuple(vals))
+        domain = resolve(cspec, "domain", "$.coupling")
+        codomain = resolve(cspec, "codomain", "$.coupling")
+        vals = _matrix(cspec.get("values"), "$.coupling.values",
+                       (domain.size, codomain.size), ("domain", "codomain"),
+                       finite=True)
+        coupling = Coupling(domain, codomain, vals)
         names = (cspec["domain"], cspec["codomain"])
 
     doc = InstanceDocument(version, ground_sets, coupling,
                            metric=metric, negate=negate, coupling_names=names)
 
-    for name, fspec in _expect(raw.get("functions", {}), dict, "$.functions").items():
-        path = f"$.functions.{name}"
-        fspec = _expect(fspec, dict, path)
-        index = resolve(fspec.get("index"), f"{path}.index")
+    for name, path, fspec in _section(raw, "functions", dict):
+        index = resolve(fspec, "index", path)
         vals = _expect(fspec.get("values"), list, f"{path}.values")
         if len(vals) != index.size:
             _fail(f"{path}.values", "value count != ground set size")
         doc.functions[name] = ExtFunction(index, _parse_row(vals, f"{path}.values"))
 
-    for name, mspec in _expect(raw.get("mappings", {}), dict, "$.mappings").items():
-        path = f"$.mappings.{name}"
-        mspec = _expect(mspec, dict, path)
-        source = resolve(mspec.get("source"), f"{path}.source")
-        target = resolve(mspec.get("target"), f"{path}.target")
+    for name, path, mspec in _section(raw, "mappings", dict):
+        source = resolve(mspec, "source", path)
+        target = resolve(mspec, "target", path)
         raw_pairs = _expect(mspec.get("pairs"), list, f"{path}.pairs")
         # lists only, so a 2-character string is not read as a pair; a bad
         # pair takes the per-item route, which names it
@@ -274,10 +291,8 @@ def parse_instance(text: str | bytes) -> InstanceDocument:
             pairs = _pairs_per_item(raw_pairs, source, target, f"{path}.pairs")
         doc.mappings[name] = MultiMapping(source, target, tuple(pairs))
 
-    for name, sspec in _expect(raw.get("subsets", {}), dict, "$.subsets").items():
-        path = f"$.subsets.{name}"
-        sspec = _expect(sspec, dict, path)
-        parent = resolve(sspec.get("parent"), f"{path}.parent")
+    for name, path, sspec in _section(raw, "subsets", dict):
+        parent = resolve(sspec, "parent", path)
         members = _expect(sspec.get("members"), list, f"{path}.members")
         if not members:
             _fail(f"{path}.members", "subset must be nonempty")
@@ -329,7 +344,7 @@ def document_to_jsonable(doc: InstanceDocument) -> dict:
         out["mappings"] = {
             name: {"source": names[m.source.labels],
                    "target": names[m.target.labels],
-                   "pairs": graph_to_jsonable(m)}
+                   "pairs": label_pairs(m, m.graph)}
             for name, m in doc.mappings.items()}
     if doc.subsets:
         out["subsets"] = {
@@ -344,19 +359,9 @@ def emit_document(doc: InstanceDocument) -> str:
     return json.dumps(document_to_jsonable(doc), indent=2) + "\n"
 
 
-def jsonable(obj):
-    """Recursively normalize floats ("inf" sentinel) and tuples to lists."""
-    if isinstance(obj, float):
-        return _num(obj)
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
-
-
 def dumps(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2) + "\n"
+    """Strict JSON: a non-finite float raises ``ValueError``."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def function_to_jsonable(f: ExtFunction) -> dict:
@@ -367,7 +372,3 @@ def function_to_jsonable(f: ExtFunction) -> dict:
 def label_pairs(m: MultiMapping, pairs) -> list:
     """Index pairs of ``m``'s source and target as label pairs."""
     return [[m.source.labels[x], m.target.labels[y]] for x, y in pairs]
-
-
-def graph_to_jsonable(m: MultiMapping) -> list:
-    return label_pairs(m, m.graph)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .core import (
-    INF,
     DEFAULT_EPS,
     Coupling,
     ExtFunction,
@@ -47,10 +46,9 @@ from .core import (
 
 def _transform(values: tuple[float, ...], lines) -> tuple[float, ...]:
     """max over i of line[i] - values[i] for each line, with the [-inf, inf]
-    conventions: a -inf entry makes every output +inf, and +inf entries
+    conventions by the arithmetic alone, since c is finite: a -inf entry
+    gives a +inf term, hence +inf at every output, and +inf entries
     (outside dom) give -inf terms, so an empty domain gives -inf."""
-    if -INF in values:
-        return (INF,) * len(lines)  # c finite minus -inf
     return tuple(max(map(sub, line, values)) for line in lines)
 
 

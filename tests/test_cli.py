@@ -98,6 +98,26 @@ def test_coupling_rejects_inf_entry(fixture_dir):
         parse_instance(json.dumps(raw))
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+@pytest.mark.parametrize("flag,path", [
+    ("pseudometric", "$.coupling.metric.pseudometric"),
+    ("negate", "$.coupling.negate"),
+])
+def test_metric_flags_must_be_json_booleans(capsys, tmp_path, fixture_dir,
+                                            flag, path, value):
+    # "false" is truthy, so a truthiness read would switch either flag on
+    raw = json.loads((fixture_dir / "line3.json").read_text())
+    block = raw["coupling"]["metric"] if flag == "pseudometric" else raw["coupling"]
+    block[flag] = value
+    p = tmp_path / "flag.json"
+    p.write_text(json.dumps(raw))
+    status, out = run(capsys, "check-monotone", "--instance", str(p),
+                      "--mapping", "I")
+    assert status == EXIT_INPUT
+    assert out == {"error": "input", "message":
+                   f"{path}: expected bool, got {type(value).__name__}"}
+
+
 def test_emit_parse_roundtrip_is_stable(fixture_dir):
     for name in ("two_point.json", "line3.json"):
         text = (fixture_dir / name).read_text()
@@ -129,7 +149,8 @@ def test_num_is_the_seventeen_digit_round_trip():
 
 
 def reference_dumps(obj) -> str:
-    """``dumps`` with every float through ``num_reference``."""
+    """``json.dumps`` at indent 2 with every float through
+    ``num_reference``."""
     def normal(obj):
         if isinstance(obj, float):
             return num_reference(obj)
@@ -155,6 +176,12 @@ def test_emit_document_matches_normalising_twice(fixture_dir):
         assert emit_document(doc) == reference_dumps(document_to_jsonable(doc))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_dumps_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        dumps({"values": [0.0, value]})
+
+
 def test_transform_command(capsys, two_point_path):
     status, out = run(capsys, "transform", "--instance", two_point_path,
                       "--function", "f_id_on_S")
@@ -172,6 +199,22 @@ def test_transform_reverse_direction(capsys, tmp_path, fixture_dir):
     assert status == EXIT_OK
     assert out["result"]["labels"] == ["-2", "-1", "0", "1", "2"]
     assert out["result"]["values"] == [2.0, 1.0, 0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_transform_of_an_improper_function_exits_1(capsys, tmp_path,
+                                                   fixture_dir, side):
+    # its transform is -inf everywhere, which strict JSON cannot carry
+    raw = json.loads((fixture_dir / "two_point.json").read_text())
+    size = len(raw["ground_sets"][side])
+    raw["functions"]["top"] = {"index": side, "values": ["inf"] * size}
+    p = tmp_path / "top.json"
+    p.write_text(json.dumps(raw))
+    status, out = run(capsys, "transform", "--instance", str(p),
+                      "--function", "top")
+    assert status == EXIT_DOMAIN
+    assert out == {"error": "domain",
+                   "message": "transform input must be proper"}
 
 
 def test_convexify_command(capsys, two_point_path):

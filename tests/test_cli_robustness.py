@@ -1,9 +1,10 @@
 """Adversarial documents through every CLI command.
 
 Each request on a document of 1-3 points must end in exit code 0, 1 or 2
-with one JSON object on stdout, never a traceback.  The documents mix
-ties, signed tiny values near the default eps, magnitudes of 2**900 (the
-parser's bound), "inf" function values, metric blocks with
+with one strict JSON object on stdout (no ``Infinity`` or ``NaN``), never a
+traceback.  The documents mix ties, signed tiny values near the default
+eps, magnitudes of 2**900 (the parser's bound), "inf" function values
+(an all-"inf" one among them), metric blocks with
 ``pseudometric`` and ``negate`` toggled, mappings on every pair of sides
 (empty ones too) and subsets that repeat a label.  Requests also carry
 ``--epsilon`` values that are negative, zero or not finite (an input error
@@ -76,6 +77,12 @@ def documents(draw):
     return doc, "XX" if metric else "XY"
 
 
+def strict_constant(name):
+    """``json.loads``'s hook for ``Infinity``, ``-Infinity`` and ``NaN``,
+    which are not JSON."""
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def requests(mapping: str, subset: str, function: str) -> list[list[str]]:
     site = ["--mapping", mapping, "--subset", subset,
             "--site-function", function]
@@ -123,7 +130,7 @@ def test_every_command_ends_in_an_exit_code_and_one_json_object(
         buf = io.StringIO()
         with redirect_stdout(buf):
             status = main(argv)
-        out = json.loads(buf.getvalue())
+        out = json.loads(buf.getvalue(), parse_constant=strict_constant)
         assert isinstance(out, dict), argv
         if eps is not None and not finite:
             assert status == EXIT_INPUT, argv

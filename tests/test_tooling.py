@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: every name a module imports is
-read, every package definition is read, and the package imports nothing
-outside the standard library.  Also the scripts: the code-line count and
-the README's worked example.
+read, every package definition is read, every CLI option is read, and the
+package imports nothing outside the standard library.  Also the scripts:
+the code-line count and the README's worked example.
 
 The package ``__init__.py`` is skipped by the first check, since its
 imports are re-exports.
@@ -125,6 +125,42 @@ def test_every_package_definition_is_read():
                for p in sorted((ROOT / "src/abconvex").glob("*.py"))}
     readers = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
     assert unread_definitions(modules, readers) == []
+
+
+def unread_options(source: str) -> list[str]:
+    """The dest of each ``add_argument`` in ``_build_parser`` of ``source``
+    that ``source`` never loads as ``args.<dest>``."""
+    tree = ast.parse(source)
+    build = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_build_parser")
+    dests = []
+    for node in ast.walk(build):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            dest = [k.value.value for k in node.keywords if k.arg == "dest"]
+            dests += dest or [node.args[0].value.lstrip("-").replace("-", "_")]
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    return [dest for dest in dests if dest not in read]
+
+
+def test_unread_options_are_found():
+    source = ("def _build_parser():\n"
+              "    p.add_argument('command')\n"
+              "    p.add_argument('--site-function', dest='site')\n"
+              "    p.add_argument('--dry-run')\n"
+              "    p.add_argument('--seed')\n"
+              "def run(args):\n"
+              "    args.seed = 0\n"
+              "    return args.command, args.site, 'args.dry_run'\n")
+    assert unread_options(source) == ["dry_run", "seed"]
+
+
+def test_every_cli_option_is_read():
+    source = (ROOT / "src/abconvex/cli.py").read_text()
+    assert unread_options(source) == []
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
