@@ -76,12 +76,6 @@ class GroundSet:
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise AbstractConvexError(f"unknown label {label!r}") from None
 
-    def __iter__(self):
-        return iter(range(len(self.labels)))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -261,10 +255,6 @@ class ExtFunction:
     def proper(self) -> bool:
         return -INF not in self.values and any(map(math.isfinite, self.values))
 
-    @property
-    def dom(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if math.isfinite(v))
-
     def require_proper(self, what: str = "function") -> "ExtFunction":
         if not self.proper:
             raise ImproperFunctionError(f"{what} must be proper")
@@ -294,13 +284,6 @@ class IndexSubset:
             if not 0 <= i < self.parent.size:
                 raise AbstractConvexError(f"subset member {i} out of range")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self._member_set
 
     def __iter__(self):
         return iter(self.members)
@@ -383,9 +366,6 @@ class MultiMapping:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self._pair_set
-
-    def __len__(self) -> int:
-        return len(self.graph)
 
 
 def indicator(subset: IndexSubset) -> ExtFunction:

@@ -37,12 +37,11 @@ finite), the lifted family's alpha max_s [c(s) + R_s] from
 one ``chain_suprema`` call on Delta_T, or the error it raised (6A's cyclic
 reading is which of the two it holds, 6B's alpha the value), T's order-2
 verdict and maximality, and F (6B and the -d chain both read it).  That
-call runs the passes once, seeded with c at the sites, and a fixed point
-p gives both the cyclic verdict and alpha when the rounding guard
-accepts it at P = max |p|; on c = -d, Delta_T can carry zero-gain cycles
-that round positive, and there the passes do not settle and the closure
-decides, after k + 1 wasted passes.  6B's ``max_abs_diff`` may move in its
-last bits with alpha.  The public wrappers build their own context, so
+call is seeded with c at the sites and takes ``monotone``'s route, which
+gives the cyclic verdict and alpha together; on c = -d, Delta_T can carry
+zero-gain cycles that round positive, where the passes do not settle and
+the closure decides.  6B's ``max_abs_diff`` may move in its last bits
+with alpha.  The public wrappers build their own context, so
 they report what the command prints.  The chain never builds C, so C's
 guard does not bind it.
 
@@ -64,7 +63,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, le, sub
+from operator import add, sub
 from typing import Optional
 
 from .core import (
@@ -226,13 +225,6 @@ class _Lifted:
         return coupling_as_function(self.pc)
 
     @cached_property
-    def graph_points(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The lifted indices of G(T)'s pairs (x, y), and c(x, y) at each."""
-        pc = self.pc
-        return (tuple(pc.xy_index(x, y) for x, y in self.t_map.graph),
-                tuple(pc.base(x, y) for x, y in self.t_map.graph))
-
-    @cached_property
     def problem(self) -> ConstraintProblem:
         """The lifted family: Delta_T, its anchor, sites G(T) = dom(Delta_T)."""
         sites = IndexSubset(self.pc.domain, self.delta.dom)
@@ -247,11 +239,10 @@ def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
         raise AbstractConvexError("candidate is not indexed by the lifted domain")
     if not is_c_convex(h, pc, eps):
         return False
-    hv, at_graph, on_graph = h.values, *lifted.graph_points
-    # c <= h + eps everywhere, then |h - c| <= eps on G(T)
-    return pointwise_le(lifted.coupling_function, h, eps) and all(map(
-        le, map(abs, map(sub, map(hv.__getitem__, at_graph), on_graph)),
-        itertools.repeat(eps)))
+    c = lifted.coupling_function
+    # c <= h + eps everywhere, then |h - c| <= eps on G(T) = dom(Delta_T)
+    return pointwise_le(c, h, eps) and all(
+        abs(h(i) - c(i)) <= eps for i in lifted.delta.dom)
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,6 @@ class MetricInstance:
         return Coupling(self.points, self.points,
                         tuple(tuple(-v for v in row) for row in self.dist))
 
-    def rescaled(self, k: float, exponent: float = 1.0) -> "MetricInstance":
-        """K * d^a for K > 0 and 0 < a <= 1; still a metric."""
-        if k <= 0 or not 0 < exponent <= 1:
-            raise AbstractConvexError("need K > 0 and 0 < a <= 1")
-        return MetricInstance(
-            self.points,
-            tuple(tuple(k * v ** exponent for v in row) for row in self.dist),
-            self.pseudometric, self.eps)
-
 
 def metric_from_rows(points: GroundSet, rows: Iterable[Iterable[float]],
                      pseudometric: bool = False,

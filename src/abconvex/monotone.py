@@ -40,11 +40,7 @@ k + 1 in place of k covers both the O(k u) term and the guard's own
 rounding, so no round can sum over eps and ``_cyclic_walks`` would pass M
 too.  Without the guard, a fixed point among entries of 2**900 (where
 small gains are lost in the labels' sums) would pass a mapping whose walk
-rounds fail.  The guard is first read at P = max(0, largest seed), 0
-for zero labels: labels only rise, so that is a lower bound of max |p|,
-and a refusal that it already forces (entries near 2**900, k past about
-650 for gains of 20 at eps = 1e-9, a seed too large, or eps < 0) runs no
-pass.
+rounds fail.
 
 Every other case (eps < 0, passes that do not settle, which a positive
 cycle or a zero-gain cycle that rounds positive causes, or a refused guard)
@@ -386,21 +382,15 @@ def _cyclic_verdict(gg: GainGraph, eps: float, seed=None
     max_u [seed[u] + B[u][i]], the first of equal maxima winning (module
     docstring).  The guard: with k nodes, G = max |a[u][v]| and
     P = max |p|, 2**-53 * (k + 1) * (P + (k + 1) * G) <= eps.  Its left
-    side is at least 0 and grows with P, so it refuses every eps < 0.
-    Labels only rise, so max(0, largest seed) <= P, and the guard read
-    there decides, before any pass, whether one is worth running.
+    side is at least 0, so it refuses every eps < 0.
     """
     cols = [gg.columns[v] for v in gg.nodes]
     k, g = len(cols), max(max(map(abs, col)) for col in cols)
     seed = [0.0] * k if seed is None else seed
-
-    def guard(top: float) -> bool:
-        return 2.0 ** -53 * (k + 1) * (top + (k + 1) * g) <= eps
-
-    if guard(max(0.0, *seed)):
-        p = _passes(cols, seed)
-        if p is not None and guard(max(map(abs, p))):
-            return MonotonicityResult(True), p
+    p = _passes(cols, seed)
+    if p is not None and (
+            2.0 ** -53 * (k + 1) * (max(map(abs, p)) + (k + 1) * g) <= eps):
+        return MonotonicityResult(True), p
     verdict, walks = _cyclic_walks(gg, eps)
     if not verdict:
         return verdict, None

@@ -13,22 +13,16 @@ and -inf elsewhere, and makes one ``monotone._cyclic_verdict`` call from
 it, which owns the route and returns the verdict with labels
 L_i = max_s [shift(s) + B_s(i)].  It reads the value at x as
 max_i [L_i + gain[i][x]], one ``max(map(add, L, column_x))`` per x,
-O(k * |X|) whatever the sites.  That call's route:
-
-* When one run of label-correcting passes from the seed settles on
-  labels the rounding guard accepts (P = max |p|), they are L and decide
-  the verdict: O(k^2) per pass.
-* Otherwise the verdict's table of best walks from
-  ``monotone._cyclic_walks`` gives B_s: row s of the max-plus closure D,
-  whose D[s][s] >= 0.0 covers the empty walk, or, when only the
-  exact-length route passes M (a cycle gains between eps/k and eps), the
-  entrywise best of the k walk rounds the verdict ran, which is what
-  the tests' exhaustive chain oracle enumerates with max_len = k + 1.
-  L is one relaxation step from the seed over it, the first of equal
-  maxima winning, so sorted sites fold in order with a strict >: O(k^2).
-  The per-site reading, R_s for every site and then the max over s of
-  R_s(x) + shift(s), is O(|S| * k * |X|); it is the tests' oracle
-  (``closure_suprema`` in ``tests/references.py``).
+O(k * |X|) whatever the sites.  The route is ``monotone``'s, stated in
+its module docstring: L are the seeded passes' labels when the rounding
+guard accepts them, else one relaxation step from the seed over the
+verdict's table B of best walks.  Row s of B is B_s, its diagonal entry
+(at least 0.0) covering the empty walk; when only the exact-length route
+passes M (a cycle gains between eps/k and eps), B holds the best walks of
+at most k steps, which is what the tests' exhaustive chain oracle
+enumerates with max_len = k + 1.  The per-site reading, R_s for every
+site and then the max over s of R_s(x) + shift(s), is O(|S| * k * |X|);
+it is the tests' oracle (``closure_suprema`` in ``tests/references.py``).
 
 The route depends on the seed: on c(x, y) = a_x + b_y, passes from zero
 labels may never settle while those from one site do, so R_s(s) reads

@@ -223,18 +223,6 @@ def c_transform_rev_per_cell(g, c):
                  for x in range(c.domain.size))
 
 
-def c_subdifferential_per_cell(f, c, eps):
-    fc = c_transform(f, c)
-    pairs = []
-    for x in range(c.domain.size):
-        if not math.isfinite(f(x)):
-            continue
-        for y in range(c.codomain.size):
-            if math.isfinite(fc(y)) and abs(f(x) + fc(y) - c(x, y)) <= eps:
-                pairs.append((x, y))
-    return tuple(pairs)
-
-
 def c_subdifferential_quantified(f: ExtFunction, c: Coupling,
                                  eps: float = DEFAULT_EPS) -> SubdiffGraph:
     """First form of the definition: y is in the subdifferential at x iff
@@ -680,19 +668,25 @@ def first_triangle_failure(d, eps):
 
 
 def axiom_failure(d, eps, pseudometric):
-    """The per-cell loop the metric-axiom kernels replaced."""
+    """The message of the first cell failing a metric axiom, or None.  Each
+    axiom's failing cells are found on their own, keyed by where
+    ``MetricInstance`` meets them: row by row, row i's diagonal before its
+    cells j = 0, 1, ..., and within a cell finiteness and sign, then
+    symmetry, then a positive distance."""
     n = len(d)
-    for i in range(n):
-        if abs(d[i][i]) > eps:
-            return f"d({i},{i}) != 0"
-        for j in range(n):
-            if not math.isfinite(d[i][j]) or d[i][j] < -eps:
-                return f"d({i},{j}) must be finite and nonnegative"
-            if abs(d[i][j] - d[j][i]) > eps:
-                return f"asymmetry at ({i},{j})"
-            if i != j and not pseudometric and d[i][j] <= eps:
-                return f"zero distance between distinct points ({i},{j})"
-    return None
+    cells = list(itertools.product(range(n), repeat=2))
+    failures = [((i, -1, 0), f"d({i},{i}) != 0")
+                for i in range(n) if abs(d[i][i]) > eps]
+    failures += [((i, j, 1), f"d({i},{j}) must be finite and nonnegative")
+                 for i, j in cells
+                 if not math.isfinite(d[i][j]) or d[i][j] < -eps]
+    failures += [((i, j, 2), f"asymmetry at ({i},{j})")
+                 for i, j in cells if abs(d[i][j] - d[j][i]) > eps]
+    if not pseudometric:
+        failures += [((i, j, 3),
+                      f"zero distance between distinct points ({i},{j})")
+                     for i, j in cells if i != j and d[i][j] <= eps]
+    return min(failures)[1] if failures else None
 
 
 def reference_metric_error(d, eps, pseudometric=False):

@@ -181,8 +181,6 @@ def test_ground_set_index_and_unknown_labels():
 
 def test_membership_of_subsets_and_mappings():
     x = GroundSet(("0", "1", "2"))
-    s = IndexSubset(x, (2, 0))
-    assert [i in s for i in range(3)] == [True, False, True]
     m = MultiMapping(x, x, ((1, 2), (0, 0), (1, 2)))
     assert (1, 2) in m and (0, 0) in m and (2, 1) not in m
     assert (2, 1) in m.with_pair(2, 1) and (2, 1) not in m

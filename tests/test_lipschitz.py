@@ -69,17 +69,6 @@ def test_metric_axioms_enforced():
         metric_from_rows(tri, [[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
 
 
-def test_rescaling_stays_a_metric(rng):
-    d = random_metric(rng, 6)
-    for k, a in [(2.0, 1.0), (0.5, 0.5), (3.0, 0.3)]:
-        scaled = d.rescaled(k, a)
-        assert scaled(0, 1) == pytest.approx(k * d(0, 1) ** a)
-    with pytest.raises(AbstractConvexError):
-        d.rescaled(-1.0)
-    with pytest.raises(AbstractConvexError):
-        d.rescaled(1.0, 2.0)
-
-
 def test_line3_extension_endpoints():
     p = line3_problem()
     lo, hi = extend_min(p), extend_max(p)
@@ -245,10 +234,11 @@ def test_triangle_check_at_exactly_eps_in_a_document(fixture_dir):
 
 # ------------------------------------------- symmetric half scan and axioms
 # An exactly symmetric matrix tests each unordered (i, k) once; one that is
-# symmetric only within eps keeps the full scan.  ``axiom_failure`` is
-# the per-cell axiom check; with ``first_triangle_failure``, the per-triple
-# loop the triangle kernel replaced, it gives ``reference_metric_error``,
-# the reference message of any matrix.
+# symmetric only within eps keeps the full scan.  ``axiom_failure`` finds
+# each axiom's failing cells on its own and names the first in the check's
+# order; with ``first_triangle_failure``, the per-triple loop the triangle
+# kernel replaced, it gives ``reference_metric_error``, the reference
+# message of any matrix.
 
 def test_triangle_check_on_matrices_asymmetric_within_eps(rng):
     # d(i, k) at the eps margin of its least detour or one float past it,

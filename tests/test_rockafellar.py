@@ -337,9 +337,9 @@ def test_potential_route_runs_the_passes_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("shift", [-1e12, 1e12])
 def test_seed_past_the_guard_takes_the_table_route(rng, shift):
-    # a shift of 1e12 makes max |p| large enough that the guard refuses
-    # the seeded labels (a positive one before any pass), while the zero
-    # seed still decides the verdict on the potential route
+    # a shift of +-1e12 makes max |p| large enough that the guard refuses
+    # the seeded labels, while the zero seed still decides the verdict on
+    # the potential route
     checked = 0
     for m, c in mixed_mappings(rng, 120):
         gg = build_gain_graph(m, c)

@@ -30,7 +30,6 @@ from abconvex import (
 from conftest import assert_same_floats, grid_function
 from references import (
     TIE_KINDS,
-    c_subdifferential_per_cell,
     c_subdifferential_quantified,
     c_transform_per_cell,
     c_transform_rev_per_cell,
@@ -250,22 +249,10 @@ def test_inverse_rule_for_c_convex(two_point):
     f = two_point.f_abs
     assert is_c_convex(f, two_point.c)
     fc = c_transform(f, two_point.c)
-    sub_fc = c_subdifferential_rev_graph(fc, two_point.c)
+    # the subdifferential of f^c on the codomain, as pairs (y, x)
+    sub_fc = set(c_subdifferential(fc, two_point.c.transpose(), EPS).graph)
     sub_f = set(c_subdifferential(f, two_point.c).graph)
     assert sub_fc == {(y, x) for x, y in sub_f}
-
-
-def c_subdifferential_rev_graph(g, c):
-    """Subdifferential of a function on the codomain, as a set of (y, x)."""
-    gc = c_transform_rev(g, c)
-    out = set()
-    for y in range(c.codomain.size):
-        if not math.isfinite(g(y)):
-            continue
-        for x in range(c.domain.size):
-            if math.isfinite(gc(x)) and abs(g(y) + gc(x) - c(x, y)) <= EPS:
-                out.add((y, x))
-    return out
 
 
 @settings(max_examples=75, deadline=None)
@@ -276,8 +263,30 @@ def test_inverse_rule_inclusion_for_general_proper(data):
     if not fc.proper:
         return
     sub_f = set(c_subdifferential(f, c).graph)
-    sub_fc = c_subdifferential_rev_graph(fc, c)
+    sub_fc = set(c_subdifferential(fc, c.transpose(), EPS).graph)
     assert {(y, x) for x, y in sub_f} <= sub_fc
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "rounding in the float transform: f^c(y1) = fl(2 - 1e-9), so "
+    "f^cc = 2 - fl(2 - 1e-9) = 1.00000008e-9 > eps at the pair's x"))
+def test_inverse_rule_inclusion_on_its_recorded_rounding_examples():
+    # the two examples hypothesis has drawn for the test above: (x, y0) is
+    # in the subdifferential of f with a margin of exactly 1e-9 = eps, but
+    # the reverse test of f^c reads 1.00000008e-9 and leaves (y0, x) out;
+    # in exact arithmetic f^cc(x) = 1e-9 and the inverse rule holds
+    examples = (([[0, 0], [0, 0], [0, 2]], (0.0, INF, 1e-9)),
+                ([[0, 0], [0, 2]], (0.0, 1e-9)))
+    holds = []
+    for rows, values in examples:
+        x = GroundSet(tuple(f"x{i}" for i in range(len(rows))))
+        c = coupling_from_rows(x, GroundSet(("y0", "y1")), rows)
+        f = ExtFunction(x, values)
+        sub_f = set(c_subdifferential(f, c).graph)
+        sub_fc = set(c_subdifferential(c_transform(f, c), c.transpose(),
+                                       EPS).graph)
+        holds.append({(y, x) for x, y in sub_f} <= sub_fc)
+    assert all(holds)
 
 
 def test_upper_envelope_of_c_convex_is_c_convex(two_point):
@@ -356,14 +365,22 @@ def test_transform_kernels_on_one_point_sets():
 
 
 def test_subdifferential_matches_per_cell_form(rng):
+    # the per-cell form is the quantified definition, f(x) + c(x', y) <=
+    # f(x') + c(x, y) + eps at every x'; it agrees with the transform's
+    # form up to rounding, so each lies in the other widened by a slack far
+    # below EPS (as in the hypothesis test of the two forms)
+    slack = EPS * 1e-3
     for trial in range(300):
         nx, ny = rng.randint(1, 7), rng.randint(1, 7)
         c, f, _ = _kernel_draw(rng, nx, ny, trial % 2)
         if not f.proper:
             continue
         for eps in (0.0, EPS, 0.5):
-            assert c_subdifferential(f, c, eps).graph == \
-                c_subdifferential_per_cell(f, c, eps)
+            fast = set(c_subdifferential(f, c, eps).graph)
+            slow = set(c_subdifferential_quantified(f, c, eps).graph)
+            assert fast <= set(
+                c_subdifferential_quantified(f, c, eps + slack).graph)
+            assert slow <= set(c_subdifferential(f, c, eps + slack).graph)
 
 
 def test_transform_kernels_on_functions_without_plus_infinity(rng):
