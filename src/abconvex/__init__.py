@@ -77,17 +77,14 @@ from .lipschitz import (
     metric_from_rows,
 )
 from .fitzpatrick import (
+    Lifted,
     Theorem6AReport,
     Theorem6BReport,
     delta_mapping,
     fitzpatrick,
     graph_anchor,
     identity_fitzpatrick,
-    lifted_problem,
     product_coupling,
-    verify_inequality_chain,
-    verify_theorem6A,
-    verify_theorem6B,
 )
 from .sampling import (
     inject_positive_two_cycle,

@@ -23,13 +23,7 @@ import stat
 import sys
 from dataclasses import asdict
 
-from .fitzpatrick import (
-    _inequality_chain,
-    _Lifted,
-    _theorem6A,
-    _theorem6B,
-    fitzpatrick,
-)
+from .fitzpatrick import Lifted, fitzpatrick
 from .core import AbstractConvexError, DEFAULT_EPS, MultiMapping
 from .envelopes import ConstraintProblem, alpha, gamma, is_member
 from .instance_io import (
@@ -196,19 +190,17 @@ def _run(args) -> dict:
                 "result": function_to_jsonable(fitzpatrick(m, c))}
 
     # verify, the last command the parser accepts
-    m = _mapping(doc, args).require_proper()
     # one context: each lifted quantity is computed once per request
-    lifted = _Lifted(m, c, eps)
-    report_a = _theorem6A(lifted)
+    lifted = Lifted(_mapping(doc, args), c, eps)
+    report_a = lifted.theorem6A()
     out = {"command": cmd,
            "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
     if report_a.t_monotone:
-        out["theorem_b"] = asdict(_theorem6B(lifted, seed=args.seed))
+        out["theorem_b"] = asdict(lifted.theorem6B(seed=args.seed))
     if doc.metric is not None and doc.negate:
         try:
             # c is -d here, the coupling the chain is stated for
-            chain = _inequality_chain(lifted, doc.metric)
-            out["inequality_chain"] = asdict(chain)
+            out["inequality_chain"] = asdict(lifted.inequality_chain())
         except AbstractConvexError as exc:
             out["inequality_chain"] = {"skipped": str(exc)}
     return out

@@ -40,7 +40,8 @@ class UndefinedSumError(AbstractConvexError):
 
 
 class BudgetExceededError(AbstractConvexError):
-    """An enumeration or a table would exceed its size budget."""
+    """The walk entries of ``is_n_monotone`` at an order other than 2, or
+    the lines a lifted coupling builds, would exceed their budget."""
 
 
 def ext_add(a: float, b: float) -> float:

@@ -16,9 +16,8 @@ dom(Delta_T) = G(T) and the columns of its image, |G(T)| each, so
 ``verify`` builds 2 |G(T)| |X| |Y| entries in place of (|X| |Y|)**2.
 ``MAX_LIFTED_ENTRIES`` bounds the entries one coupling builds, checked in
 its line cache (6A's maximality readings build every diagonal row), and
-``_Lifted.delta`` checks Delta_T's lines against it before any is built.
-C is
-sum-separable, so every C-transform factors through c as two max-plus
+``Lifted.delta`` checks Delta_T's lines against it before any is built.
+C is sum-separable, so every C-transform factors through c as two max-plus
 passes (``transforms._lifted_transform``), O(n^3) for n = |X| = |Y| in
 place of a table's O(n^4).  A transformed value may move in its last bits
 from a table's, by at most
@@ -28,8 +27,11 @@ with a strict >.  Every cell is the same sum as in the per-cell formula,
 and the first of equal maxima wins as with ``max``, so it is bit-identical
 to it.
 
-A ``verify`` request reads one private context, ``_Lifted`` on (T, c, eps),
-which computes each lifted quantity at most once, on first use: C, Delta_T,
+Theorems 6A and 6B and the -d chain have one entry point, ``Lifted`` on
+(T, c, eps), whose methods ``theorem6A``, ``theorem6B`` and
+``inequality_chain`` read one context.  It checks once that T is proper
+and runs from c's domain to its codomain, and computes each lifted
+quantity at most once, on first use: C, Delta_T,
 the anchor c + i_{G(T)}, whether the anchor is an antiderivative of
 Delta_T (6A's fourth reading, and the one check of the lifted family that
 6B needs: its sites are dom(Delta_T), where the anchor is c, hence
@@ -41,9 +43,9 @@ call is seeded with c at the sites and takes ``monotone``'s route, which
 gives the cyclic verdict and alpha together; on c = -d, Delta_T can carry
 zero-gain cycles that round positive, where the passes do not settle and
 the closure decides.  6B's ``max_abs_diff`` may move in its last bits
-with alpha.  The public wrappers build their own context, so
-they report what the command prints.  The chain never builds C, so C's
-guard does not bind it.
+with alpha.  ``verify`` runs all three on one context; a fresh context
+per method reports the same.  The chain reads d(x, y) as -c(x, y), which
+is exact, and never builds C, so C's guard does not bind it.
 
 On finitely maximal T, 6B samples members of the lifted family on the
 conjugate side.  Two transforms run once per request: low = anchor^C,
@@ -147,10 +149,19 @@ def graph_anchor(t_map: MultiMapping, pc: LiftedCoupling) -> ExtFunction:
               for x, y in pc.xy_pairs))
 
 
+def _on_sides(t_map: MultiMapping, c: Coupling) -> MultiMapping:
+    """T, proper and running from c's domain to its codomain (by their
+    labels), as every lifted quantity reads it."""
+    if (t_map.source, t_map.target) != (c.domain, c.codomain):
+        raise AbstractConvexError(
+            "mapping does not run from the coupling's domain to its codomain")
+    return t_map.require_proper()
+
+
 def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     """F(x,y) = max over (s,t) in G(T) of c(x,t) + c(s,y) - c(s,t),
     as a function on the lifted domain X x Y."""
-    t_map.require_proper()
+    _on_sides(t_map, c)
     xy_set = _pairs_side(c.domain, c.codomain)
     values = []
     for row_x in c.values:
@@ -164,12 +175,57 @@ def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     return ExtFunction(xy_set, tuple(values))
 
 
-class _Lifted:
-    """The lifted quantities of one request on (T, c, eps), each computed
-    at most once, on first use."""
+@dataclass(frozen=True)
+class Theorem6AReport:
+    t_monotone: bool
+    delta_monotone: bool
+    delta_cyclically_monotone: bool
+    anchor_is_antiderivative: bool
+    #: Value of the doubling identity at the violating pair, when T fails.
+    violation_identity_value: Optional[float] = None
+    t_maximal: Optional[bool] = None
+    delta_maximal_in_diagonal: Optional[bool] = None
+    delta_cyclically_maximal_in_diagonal: Optional[bool] = None
+    anchor_maximal: Optional[bool] = None
 
-    def __init__(self, t_map: MultiMapping, c: Coupling, eps: float):
-        self.t_map, self.c, self.eps = t_map, c, eps
+    @property
+    def agree(self) -> bool:
+        votes = (self.t_monotone, self.delta_monotone,
+                 self.delta_cyclically_monotone, self.anchor_is_antiderivative)
+        return all(votes) or not any(votes)
+
+    @property
+    def primed_agree(self) -> Optional[bool]:
+        votes = (self.t_maximal, self.delta_maximal_in_diagonal,
+                 self.delta_cyclically_maximal_in_diagonal, self.anchor_maximal)
+        if any(v is None for v in votes):
+            return None
+        return all(votes) or not any(votes)
+
+
+@dataclass(frozen=True)
+class Theorem6BReport:
+    max_abs_diff: float
+    equal: bool
+    maximality_checked: bool
+    sampled_members: int
+    family_inclusion_falsified: bool
+
+
+@dataclass(frozen=True)
+class InequalityChainReport:
+    holds: bool
+    max_violation: float
+
+
+class Lifted:
+    """The lifted quantities of one request on (T, c, eps), each computed
+    at most once, on first use, and Theorems 6A and 6B and the -d chain
+    read from them."""
+
+    def __init__(self, t_map: MultiMapping, c: Coupling,
+                 eps: float = DEFAULT_EPS):
+        self.t_map, self.c, self.eps = _on_sides(t_map, c), c, eps
 
     @cached_property
     def pc(self) -> LiftedCoupling:
@@ -226,13 +282,114 @@ class _Lifted:
 
     @cached_property
     def problem(self) -> ConstraintProblem:
-        """The lifted family: Delta_T, its anchor, sites G(T) = dom(Delta_T)."""
+        """The lifted constrained family: mapping Delta_T, anchor
+        c + i_{G(T)}, sites G(T) = dom(Delta_T)."""
         sites = IndexSubset(self.pc.domain, self.delta.dom)
         return ConstraintProblem(self.pc, self.delta, self.anchor,
                                  sites, self.eps)
 
+    def theorem6A(self, check_maximality: bool = False) -> Theorem6AReport:
+        """Independently evaluate the four equivalent monotonicity readings,
+        and with ``check_maximality`` their four maximality readings."""
+        t_map, c, eps = self.t_map, self.c, self.eps
+        pc, delta = self.pc, self.delta
 
-def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
+        mono = self.t_monotone
+        identity_value = None
+        if not mono:
+            (x1, y1), (x2, y2) = mono.witness[0], mono.witness[1]
+            identity_value = 2.0 * (c(x1, y1) - c(x1, y2) - c(x2, y1)
+                                    + c(x2, y2))
+
+        t_max = d_max = d_cyc_max = a_max = None
+        if check_maximality:
+            diagonal = full_diagonal(pc)
+            t_max = self.t_maximal
+            d_max = is_maximal_n_monotone(delta, pc, 2, eps,
+                                          candidates=diagonal)
+            d_cyc_max = is_maximal_cyclically_monotone(
+                delta, pc, eps, candidates=diagonal)
+            # 4': no single-point graph extension of T keeps the anchor property
+            a_max = _is_maximal(lambda t: is_antiderivative(
+                graph_anchor(t, pc), delta_mapping(t, pc), pc, eps), t_map)
+
+        return Theorem6AReport(
+            t_monotone=bool(mono),
+            delta_monotone=bool(is_n_monotone(delta, pc, 2, eps)),
+            delta_cyclically_monotone=isinstance(self.delta_alpha,
+                                                 ExtFunction),
+            anchor_is_antiderivative=self.anchor_is_antiderivative,
+            violation_identity_value=identity_value,
+            t_maximal=t_max,
+            delta_maximal_in_diagonal=d_max,
+            delta_cyclically_maximal_in_diagonal=d_cyc_max,
+            anchor_maximal=a_max,
+        )
+
+    def theorem6B(self, seed: int = 0) -> Theorem6BReport:
+        """Check that the lifted family's minimal member equals the
+        Fitzpatrick function, and (for finitely maximal T) sample members
+        against the Fitzpatrick family.  Each sampled member is the
+        C-transform of a random pointwise mix of gamma^C and alpha^C, which
+        conjugation, being antitone, puts between alpha and gamma (module
+        docstring).  Sampling can only falsify the inclusion."""
+        if not self.t_monotone:
+            raise AbstractConvexError("theorem B requires a c-monotone mapping")
+        if not self.anchor_is_antiderivative:  # ConstraintProblem's message
+            raise AbstractConvexError(
+                "anchor is not an antiderivative of the mapping")
+        a = self.delta_alpha  # alpha(problem)
+        if isinstance(a, NotCyclicallyMonotoneError):  # raise a copy, no cycle
+            raise NotCyclicallyMonotoneError(a.witness, a.mapping)
+        diff = sup_distance(a, self.fitzpatrick)
+
+        maximal = self.t_maximal
+        sampled = THEOREM_6B_SAMPLES if maximal else 0
+        falsified = False
+        if maximal:
+            members = _sampled_members(self, a, random.Random(seed), sampled)
+            falsified = not all(_family_member(h, self) for h in members)
+        return Theorem6BReport(max_abs_diff=diff, equal=diff <= self.eps,
+                               maximality_checked=maximal,
+                               sampled_members=sampled,
+                               family_inclusion_falsified=falsified)
+
+    def inequality_chain(self, lipschitz_witness: Optional[ExtFunction] = None
+                         ) -> InequalityChainReport:
+        """-d(x,y) <= F(x,y) <= -F(y,x) <= d(y,x) for the Fitzpatrick
+        function of a -d-monotone T that is either finitely maximal or the
+        subdifferential of a supplied -d-convex function.  The coupling is
+        c = -d, so d(x,y) is read as -c(x,y), which is exact."""
+        t_map, c, eps = self.t_map, self.c, self.eps
+        if c.domain != c.codomain:
+            raise AbstractConvexError(
+                "the inequality chain needs c = -d on one point set")
+        if not self.t_monotone:
+            raise AbstractConvexError("hypothesis fails: T is not -d-monotone")
+        if lipschitz_witness is not None:
+            if not is_c_convex(lipschitz_witness, c, eps):
+                raise AbstractConvexError("witness function is not -d-convex")
+            sub = c_subdifferential(lipschitz_witness, c, eps)
+            if set(sub.graph) != set(t_map.graph):
+                raise AbstractConvexError("hypothesis fails: T is not the "
+                                          "subdifferential of the witness")
+        elif not self.t_maximal:
+            raise AbstractConvexError(
+                "hypothesis fails: T is neither finitely maximal nor a "
+                "supplied subdifferential")
+        n = c.domain.size
+        f = self.fitzpatrick
+        worst = 0.0
+        for x in range(n):
+            for y in range(n):
+                fxy = f(x * n + y)
+                fyx = f(y * n + x)
+                # -d(x,y) - F(x,y), F(x,y) - (-F(y,x)), -F(y,x) - d(y,x)
+                worst = max(worst, c(x, y) - fxy, fxy + fyx, c(y, x) - fyx)
+        return InequalityChainReport(holds=worst <= eps, max_violation=worst)
+
+
+def _family_member(h: ExtFunction, lifted: Lifted) -> bool:
     pc, eps = lifted.pc, lifted.eps
     h.require_proper("family candidate")
     if h.index.labels != pc.domain.labels:
@@ -245,128 +402,7 @@ def _family_member(h: ExtFunction, lifted: _Lifted) -> bool:
         abs(h(i) - c(i)) <= eps for i in lifted.delta.dom)
 
 
-@dataclass(frozen=True)
-class Theorem6AReport:
-    t_monotone: bool
-    delta_monotone: bool
-    delta_cyclically_monotone: bool
-    anchor_is_antiderivative: bool
-    #: Value of the doubling identity at the violating pair, when T fails.
-    violation_identity_value: Optional[float] = None
-    t_maximal: Optional[bool] = None
-    delta_maximal_in_diagonal: Optional[bool] = None
-    delta_cyclically_maximal_in_diagonal: Optional[bool] = None
-    anchor_maximal: Optional[bool] = None
-
-    @property
-    def agree(self) -> bool:
-        votes = (self.t_monotone, self.delta_monotone,
-                 self.delta_cyclically_monotone, self.anchor_is_antiderivative)
-        return all(votes) or not any(votes)
-
-    @property
-    def primed_agree(self) -> Optional[bool]:
-        votes = (self.t_maximal, self.delta_maximal_in_diagonal,
-                 self.delta_cyclically_maximal_in_diagonal, self.anchor_maximal)
-        if any(v is None for v in votes):
-            return None
-        return all(votes) or not any(votes)
-
-
-def verify_theorem6A(t_map: MultiMapping, c: Coupling,
-                     eps: float = DEFAULT_EPS,
-                     check_maximality: bool = False) -> Theorem6AReport:
-    """Independently evaluate the four equivalent monotonicity readings."""
-    t_map.require_proper()
-    return _theorem6A(_Lifted(t_map, c, eps), check_maximality)
-
-
-def _theorem6A(lifted: _Lifted, check_maximality: bool = False) -> Theorem6AReport:
-    t_map, c, eps = lifted.t_map, lifted.c, lifted.eps
-    pc, delta = lifted.pc, lifted.delta
-
-    mono = lifted.t_monotone
-    identity_value = None
-    if not mono:
-        (x1, y1), (x2, y2) = mono.witness[0], mono.witness[1]
-        identity_value = 2.0 * (c(x1, y1) - c(x1, y2) - c(x2, y1) + c(x2, y2))
-
-    t_max = d_max = d_cyc_max = a_max = None
-    if check_maximality:
-        diagonal = full_diagonal(pc)
-        t_max = lifted.t_maximal
-        d_max = is_maximal_n_monotone(delta, pc, 2, eps,
-                                      candidates=diagonal)
-        d_cyc_max = is_maximal_cyclically_monotone(
-            delta, pc, eps, candidates=diagonal)
-        # 4': no single-point graph extension of T keeps the anchor property
-        a_max = _is_maximal(lambda t: is_antiderivative(
-            graph_anchor(t, pc), delta_mapping(t, pc), pc, eps), t_map)
-
-    return Theorem6AReport(
-        t_monotone=bool(mono),
-        delta_monotone=bool(is_n_monotone(delta, pc, 2, eps)),
-        delta_cyclically_monotone=isinstance(lifted.delta_alpha, ExtFunction),
-        anchor_is_antiderivative=lifted.anchor_is_antiderivative,
-        violation_identity_value=identity_value,
-        t_maximal=t_max,
-        delta_maximal_in_diagonal=d_max,
-        delta_cyclically_maximal_in_diagonal=d_cyc_max,
-        anchor_maximal=a_max,
-    )
-
-
-@dataclass(frozen=True)
-class Theorem6BReport:
-    max_abs_diff: float
-    equal: bool
-    maximality_checked: bool
-    sampled_members: int
-    family_inclusion_falsified: bool
-
-
-def lifted_problem(t_map: MultiMapping, c: Coupling,
-                   eps: float = DEFAULT_EPS) -> ConstraintProblem:
-    """The lifted constrained family: mapping Delta_T, anchor c + i_{G(T)},
-    sites = G(T) = dom(Delta_T)."""
-    return _Lifted(t_map, c, eps).problem
-
-
-def verify_theorem6B(t_map: MultiMapping, c: Coupling,
-                     eps: float = DEFAULT_EPS,
-                     seed: int = 0) -> Theorem6BReport:
-    """Check that the lifted family's minimal member equals the Fitzpatrick
-    function, and (for finitely maximal T) sample members against the
-    Fitzpatrick family.  Each sampled member is the C-transform of a
-    random pointwise mix of gamma^C and alpha^C, which conjugation, being
-    antitone, puts between alpha and gamma (module docstring).  Sampling
-    can only falsify the inclusion."""
-    return _theorem6B(_Lifted(t_map, c, eps), seed)
-
-
-def _theorem6B(lifted: _Lifted, seed: int = 0) -> Theorem6BReport:
-    if not lifted.t_monotone:
-        raise AbstractConvexError("theorem B requires a c-monotone mapping")
-    if not lifted.anchor_is_antiderivative:  # ConstraintProblem's message
-        raise AbstractConvexError("anchor is not an antiderivative of the mapping")
-    a = lifted.delta_alpha  # alpha(problem)
-    if isinstance(a, NotCyclicallyMonotoneError):  # raise a copy, no cycle
-        raise NotCyclicallyMonotoneError(a.witness, a.mapping)
-    diff = sup_distance(a, lifted.fitzpatrick)
-
-    maximal = lifted.t_maximal
-    sampled = THEOREM_6B_SAMPLES if maximal else 0
-    falsified = False
-    if maximal:
-        members = _sampled_members(lifted, a, random.Random(seed), sampled)
-        falsified = not all(_family_member(h, lifted) for h in members)
-    return Theorem6BReport(max_abs_diff=diff, equal=diff <= lifted.eps,
-                           maximality_checked=maximal,
-                           sampled_members=sampled,
-                           family_inclusion_falsified=falsified)
-
-
-def _sampled_members(lifted: _Lifted, a: ExtFunction, rng: random.Random,
+def _sampled_members(lifted: Lifted, a: ExtFunction, rng: random.Random,
                      count: int):
     """``count`` members of the lifted family between alpha = ``a`` and
     gamma: the C-transforms of pointwise mixes of low = anchor^C = gamma^C
@@ -385,52 +421,6 @@ def _mix(rng: random.Random, lows, highs) -> tuple[float, ...]:
     return tuple([lo + rng.random() * (hi - lo)
                   if math.isfinite(lo) and math.isfinite(hi) else lo
                   for lo, hi in zip(lows, highs)])
-
-
-@dataclass(frozen=True)
-class InequalityChainReport:
-    holds: bool
-    max_violation: float
-
-
-def verify_inequality_chain(t_map: MultiMapping, metric: MetricInstance,
-                            lipschitz_witness: Optional[ExtFunction] = None,
-                            eps: float = DEFAULT_EPS) -> InequalityChainReport:
-    """-d(x,y) <= F(x,y) <= -F(y,x) <= d(y,x) for the Fitzpatrick function of
-    a -d-monotone T that is either finitely maximal or the subdifferential of
-    a supplied -d-convex function."""
-    return _inequality_chain(_Lifted(t_map, as_coupling(metric), eps), metric,
-                             lipschitz_witness)
-
-
-def _inequality_chain(lifted: _Lifted, metric: MetricInstance,
-                      lipschitz_witness: Optional[ExtFunction] = None
-                      ) -> InequalityChainReport:
-    """``verify_inequality_chain`` on a context whose coupling is -d."""
-    t_map, c, eps = lifted.t_map, lifted.c, lifted.eps
-    if not lifted.t_monotone:
-        raise AbstractConvexError("hypothesis fails: T is not -d-monotone")
-    if lipschitz_witness is not None:
-        if not is_c_convex(lipschitz_witness, c, eps):
-            raise AbstractConvexError("witness function is not -d-convex")
-        sub = c_subdifferential(lipschitz_witness, c, eps)
-        if set(sub.graph) != set(t_map.graph):
-            raise AbstractConvexError(
-                "hypothesis fails: T is not the subdifferential of the witness")
-    elif not lifted.t_maximal:
-        raise AbstractConvexError(
-            "hypothesis fails: T is neither finitely maximal nor a supplied "
-            "subdifferential")
-    n = metric.points.size
-    f = lifted.fitzpatrick
-    worst = 0.0
-    for x in range(n):
-        for y in range(n):
-            fxy = f(x * n + y)
-            fyx = f(y * n + x)
-            d = metric(x, y)
-            worst = max(worst, -d - fxy, fxy - (-fyx), -fyx - metric(y, x))
-    return InequalityChainReport(holds=worst <= eps, max_violation=worst)
 
 
 def identity_fitzpatrick(metric: MetricInstance) -> ExtFunction:

@@ -2,7 +2,7 @@
 the sweep; none of them ships in the package.
 
 Each reference is written once, straight from a definition (one Python
-step per cell, triple, chain or walk) or from the public wrappers alone.  Per-cell
+step per cell, triple, chain or walk) or from the public API alone.  Per-cell
 forms must match the row kernels bit for bit.  Nothing here imports pytest,
 so ``scripts/random_verification.py`` runs the sweep without it.
 """
@@ -24,29 +24,29 @@ from abconvex import (
     IndexMismatchError,
     IndexSubset,
     InstanceDocument,
+    Lifted,
     MetricError,
     MetricInstance,
     MonotonicityResult,
     MultiMapping,
     SubdiffGraph,
+    as_coupling,
     build_gain_graph,
     c_subdifferential,
     c_transform,
     c_transform_rev,
     coupling_from_rows,
     emit_document,
+    fitzpatrick,
     is_n_monotone,
     parse_instance,
     product_coupling,
     random_c_convex_function,
     random_coupling,
     random_cyclically_monotone_mapping,
-    verify_inequality_chain,
-    verify_theorem6A,
-    verify_theorem6B,
 )
 from abconvex import monotone
-from abconvex.fitzpatrick import _family_member, _Lifted
+from abconvex.fitzpatrick import _family_member
 from abconvex.instance_io import dumps
 from abconvex.monotone import (
     ENUMERATION_BUDGET,
@@ -627,7 +627,22 @@ def fitzpatrick_per_cell(t_map, c):
 def fitzpatrick_family_member(h: ExtFunction, t_map: MultiMapping, c: Coupling,
                               eps: float = DEFAULT_EPS) -> bool:
     """C-convex, majorizes c everywhere, equals c on G(T)."""
-    return _family_member(h, _Lifted(t_map, c, eps))
+    return _family_member(h, Lifted(t_map, c, eps))
+
+
+def inequality_chain_per_cell(t_map, metric, eps):
+    """The chain's worst violation, max over (x, y) of -d(x,y) - F(x,y),
+    F(x,y) - (-F(y,x)) and -F(y,x) - d(y,x), with 0.0 as its floor, read
+    from the metric itself; T's hypotheses go unchecked."""
+    n = metric.points.size
+    f = fitzpatrick(t_map, as_coupling(metric))
+    worst = 0.0
+    for x in range(n):
+        for y in range(n):
+            fxy, fyx = f(x * n + y), f(y * n + x)
+            worst = max(worst, -metric(x, y) - fxy, fxy - (-fyx),
+                        -fyx - metric(y, x))
+    return worst
 
 
 def random_metric_per_cell(rng, n, edge_prob=0.5):
@@ -709,18 +724,17 @@ def metric_error(d, eps, pseudometric=False):
 
 def public_verify_text(doc_text, seed):
     """What ``verify`` prints for mapping T of a document, assembled from
-    the public wrappers alone."""
+    a fresh ``Lifted`` context per theorem, so that no reading is shared."""
     doc = parse_instance(doc_text)
     m, c = doc.mapping("T"), doc.coupling
-    report_a = verify_theorem6A(m, c, DEFAULT_EPS)
+    report_a = Lifted(m, c).theorem6A()
     out = {"command": "verify",
            "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
     if report_a.t_monotone:
-        out["theorem_b"] = asdict(verify_theorem6B(m, c, DEFAULT_EPS, seed=seed))
+        out["theorem_b"] = asdict(Lifted(m, c).theorem6B(seed=seed))
     if doc.metric is not None and doc.negate:
         try:
-            out["inequality_chain"] = asdict(
-                verify_inequality_chain(m, doc.metric, eps=DEFAULT_EPS))
+            out["inequality_chain"] = asdict(Lifted(m, c).inequality_chain())
         except AbstractConvexError as exc:
             out["inequality_chain"] = {"skipped": str(exc)}
     return dumps(out)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from abconvex import (
     GroundSet,
+    Lifted,
     MultiMapping,
     alpha,
     as_coupling,
@@ -43,7 +44,6 @@ from abconvex import (
     random_proper_function,
     rockafellar,
     sup_distance,
-    verify_theorem6A,
 )
 from abconvex.cli import main as cli_main
 from abconvex.fitzpatrick import delta_mapping, full_diagonal
@@ -350,7 +350,7 @@ def check_lifted(rng):
         t = random_cyclically_monotone_mapping(rng, c, max_pairs=4)
     else:
         t = random_graph(rng, c, 4)
-    return verify_theorem6A(t, c).agree
+    return Lifted(t, c).theorem6A().agree
 
 
 def check_order_two_maximality(rng):
@@ -421,7 +421,7 @@ CHECKS = [
     ("lipschitz four-way", check_lipschitz),
     ("lifted equivalences", check_lifted),
     ("order-2 maximality vs full recheck", check_order_two_maximality),
-    ("verify output vs public wrappers", check_verify_context),
+    ("verify output vs fresh contexts", check_verify_context),
     ("lifted transforms vs table route", check_lifted_transforms),
     ("lifted lines vs per-cell table", check_lifted_lines),
 ]

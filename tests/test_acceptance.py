@@ -15,6 +15,7 @@ from abconvex import (
     ExtensionProblem,
     GroundSet,
     IndexSubset,
+    Lifted,
     MultiMapping,
     NotCyclicallyMonotoneError,
     alpha,
@@ -57,9 +58,6 @@ from abconvex import (
     rockafellar,
     sandwich_check,
     sup_distance,
-    verify_inequality_chain,
-    verify_theorem6A,
-    verify_theorem6B,
 )
 from abconvex.cli import EXIT_OK, main
 
@@ -293,10 +291,11 @@ def test_criterion_10_product_space_theorems():
             pairs = {(rng.randrange(nx), rng.randrange(ny))
                      for _ in range(rng.randint(1, 4))}
             t = MultiMapping(c.domain, c.codomain, tuple(pairs))
-        rep = verify_theorem6A(t, c, TOL)
+        lifted = Lifted(t, c, TOL)
+        rep = lifted.theorem6A()
         assert rep.agree
         if rep.t_monotone:
-            rep_b = verify_theorem6B(t, c, TOL, seed=i)
+            rep_b = lifted.theorem6B(seed=i)
             assert rep_b.max_abs_diff <= TOL
             assert not rep_b.family_inclusion_falsified
     for _ in range(20):
@@ -306,12 +305,13 @@ def test_criterion_10_product_space_theorems():
         for x, y in pc.xy_pairs:
             assert f(pc.xy_index(x, y)) == -d(x, y)
         zero = ExtFunction(d.points, (0.0,) * d.points.size)
-        chain = verify_inequality_chain(identity_mapping(d), d,
-                                        lipschitz_witness=zero, eps=TOL)
+        chain = Lifted(identity_mapping(d), as_coupling(d), TOL
+                       ).inequality_chain(lipschitz_witness=zero)
         assert chain.holds
         g = random_lipschitz_function(rng, d)
         t = c_subdifferential(g, as_coupling(d)).mapping
-        chain = verify_inequality_chain(t, d, lipschitz_witness=g, eps=TOL)
+        chain = Lifted(t, as_coupling(d), TOL).inequality_chain(
+            lipschitz_witness=g)
         assert chain.holds
     report(10, "lifted-space equivalences, minimal member = F, identity "
                "F = -d, inequality chain")

@@ -17,6 +17,7 @@ from abconvex import (
     GroundSet,
     InstanceDocument,
     InstanceError,
+    Lifted,
     MultiMapping,
     NotCyclicallyMonotoneError,
     as_coupling,
@@ -28,8 +29,6 @@ from abconvex import (
     random_coupling,
     random_cyclically_monotone_mapping,
     random_metric,
-    verify_theorem6A,
-    verify_theorem6B,
 )
 from abconvex.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, _build_parser, main
 from abconvex.instance_io import (
@@ -420,7 +419,7 @@ def test_verify_command(capsys, line3_path):
 
 
 def test_verify_builds_one_lifted_product(capsys, line3_path, monkeypatch):
-    # both theorems share it, and report what the public entry points do
+    # both theorems share it, and report what fresh contexts do
     fitz = importlib.import_module("abconvex.fitzpatrick")
     real, builds = fitz.product_coupling, []
 
@@ -436,11 +435,11 @@ def test_verify_builds_one_lifted_product(capsys, line3_path, monkeypatch):
     with open(line3_path) as fh:
         doc = parse_instance(fh.read())
     m, c = doc.mapping("I"), doc.coupling
-    report_a = fitz.verify_theorem6A(m, c)
+    report_a = Lifted(m, c).theorem6A()
     assert out["theorem_a"] == json.loads(dumps(
         {**asdict(report_a), "agree": report_a.agree}))
     assert out["theorem_b"] == json.loads(dumps(
-        asdict(fitz.verify_theorem6B(m, c, seed=7))))
+        asdict(Lifted(m, c).theorem6B(seed=7))))
 
 
 def test_verify_of_an_empty_mapping_exits_1(capsys, tmp_path, fixture_dir):
@@ -715,7 +714,7 @@ def lifted_documents(rng, tmp_path):
     return paths
 
 
-def test_verify_prints_what_the_public_wrappers_report(capsys, tmp_path):
+def test_verify_prints_what_fresh_contexts_report(capsys, tmp_path):
     rng = random.Random(7)
     outcomes = {}
     for name, path in lifted_documents(rng, tmp_path).items():
@@ -801,8 +800,8 @@ def test_verify_guards_the_lifted_lines_before_building_them(capsys, tmp_path,
 
 def test_verify_past_the_old_table_guard(capsys, tmp_path):
     # 64 x 64: a table of C would hold 4096^2 ~ 1.7e7 entries, over the
-    # guard; verify builds only Delta_T's lines and prints what the public
-    # wrappers report
+    # guard; verify builds only Delta_T's lines and prints what fresh
+    # contexts report
     rng = random.Random(5)
     c = random_coupling(rng, 64, 64)
     t = random_cyclically_monotone_mapping(rng, c, max_pairs=12)
@@ -858,10 +857,10 @@ def test_verify_at_the_magnitude_bound_prints_the_lifted_witness(capsys,
     assert capsys.readouterr().out == BIG_VERIFY_OUTPUT
     doc = parse_instance(path.read_text())
     t, c = doc.mapping("M"), doc.coupling
-    report = verify_theorem6A(t, c)
+    report = Lifted(t, c).theorem6A()
     assert report.t_monotone and not report.delta_cyclically_monotone
     with pytest.raises(NotCyclicallyMonotoneError):
-        verify_theorem6B(t, c)
+        Lifted(t, c).theorem6B()
 
 
 def _two_sided_document() -> dict:

@@ -7,6 +7,8 @@ import pytest
 from abconvex import (
     AbstractConvexError,
     ExtFunction,
+    GroundSet,
+    Lifted,
     MultiMapping,
     alpha,
     as_coupling,
@@ -20,7 +22,7 @@ from abconvex import (
     identity_mapping,
     is_c_convex,
     is_n_monotone,
-    lifted_problem,
+    metric_from_rows,
     parse_instance,
     pointwise_le,
     product_coupling,
@@ -29,9 +31,6 @@ from abconvex import (
     random_lipschitz_function,
     random_metric,
     sup_distance,
-    verify_inequality_chain,
-    verify_theorem6A,
-    verify_theorem6B,
 )
 from abconvex.cli import main as cli_main
 from abconvex.core import MAX_LIFTED_ENTRIES, BudgetExceededError, LiftedCoupling
@@ -39,10 +38,8 @@ from abconvex.fitzpatrick import (
     MAX_LIFTED_SIDE,
     THEOREM_6B_SAMPLES,
     _family_member,
-    _Lifted,
     _mix,
     _sampled_members,
-    _theorem6B,
     coupling_as_function,
     full_diagonal,
     graph_anchor,
@@ -55,6 +52,7 @@ from references import (
     fitzpatrick_family_member,
     fitzpatrick_per_cell,
     grown_mapping,
+    inequality_chain_per_cell,
     kernel_coupling,
     lifted_by_table,
     lifted_draw,
@@ -126,7 +124,7 @@ def test_fitzpatrick_majorizes_coupling_and_touches_graph(two_point):
 
 def test_fitzpatrick_equals_lifted_minimal_member(two_point):
     f = fitzpatrick(two_point.m, two_point.c)
-    a = alpha(lifted_problem(two_point.m, two_point.c))
+    a = alpha(Lifted(two_point.m, two_point.c).problem)
     assert sup_distance(f, a) <= EPS
 
 
@@ -135,7 +133,7 @@ def test_theorem_votes_agree_on_monotone_and_arbitrary(rng):
         c = random_coupling(rng, 3, 3)
         t = (random_monotone_mapping(rng, c) if rng.random() < 0.5
              else random_arbitrary_mapping(rng, c))
-        rep = verify_theorem6A(t, c)
+        rep = Lifted(t, c).theorem6A()
         assert rep.agree
         if not rep.t_monotone:
             # the doubling identity value at the witness is negative exactly
@@ -149,7 +147,7 @@ def test_maximality_votes_agree_small(rng):
         c = random_coupling(rng, 2, 2)
         t = (random_monotone_mapping(rng, c) if rng.random() < 0.5
              else random_arbitrary_mapping(rng, c))
-        rep = verify_theorem6A(t, c, check_maximality=True)
+        rep = Lifted(t, c).theorem6A(check_maximality=True)
         assert rep.agree
         assert rep.primed_agree
 
@@ -158,7 +156,7 @@ def test_minimal_member_equality_with_member_sampling(rng):
     for _ in range(15):
         c = random_coupling(rng, 3, 3)
         t = random_monotone_mapping(rng, c)
-        rep = verify_theorem6B(t, c, seed=rng.randrange(10 ** 6))
+        rep = Lifted(t, c).theorem6B(seed=rng.randrange(10 ** 6))
         assert rep.equal
         assert not rep.family_inclusion_falsified
         if rep.maximality_checked:
@@ -172,7 +170,7 @@ def test_theorem_b_rejects_non_monotone(rng):
         if is_n_monotone(t, c, 2):
             continue
         with pytest.raises(AbstractConvexError):
-            verify_theorem6B(t, c)
+            Lifted(t, c).theorem6B()
         return
     pytest.fail("never drew a non-monotone mapping")
 
@@ -191,8 +189,8 @@ def test_inequality_chain_for_identity(rng):
     for _ in range(10):
         d = random_metric(rng, rng.randint(2, 5))
         zero = ExtFunction(d.points, (0.0,) * d.points.size)
-        rep = verify_inequality_chain(identity_mapping(d), d,
-                                      lipschitz_witness=zero)
+        rep = Lifted(identity_mapping(d), as_coupling(d)).inequality_chain(
+            lipschitz_witness=zero)
         assert rep.holds
         assert rep.max_violation <= EPS
 
@@ -204,7 +202,7 @@ def test_inequality_chain_with_subdifferential_witness(rng):
         c = as_coupling(d)
         assert is_c_convex(g, c)
         t = c_subdifferential(g, c).mapping
-        rep = verify_inequality_chain(t, d, lipschitz_witness=g)
+        rep = Lifted(t, c).inequality_chain(lipschitz_witness=g)
         assert rep.holds
 
 
@@ -214,7 +212,51 @@ def test_inequality_chain_refuses_without_hypotheses(rng):
     # a single identity pair is -d-monotone but not finitely maximal
     t = MultiMapping(c.domain, c.codomain, ((0, 0),))
     with pytest.raises(AbstractConvexError):
-        verify_inequality_chain(t, d)
+        Lifted(t, c).inequality_chain()
+
+
+def test_inequality_chain_reads_d_as_minus_c(rng):
+    # the chain reads d(x, y) as -c(x, y) on c = -d, which is exact, so its
+    # worst violation equals the metric's own reading bit for bit, with and
+    # without a witness; integer path metrics bring ties and signed zeros
+    for trial in range(60):
+        n = rng.randint(2, 6)
+        d = (metric_from_rows(GroundSet(tuple(map(str, range(n)))),
+                              [[abs(i - j) for j in range(n)] for i in range(n)])
+             if trial % 3 == 0 else random_metric(rng, n))
+        c = as_coupling(d)
+        if trial % 2:
+            g = random_lipschitz_function(rng, d)
+            t = c_subdifferential(g, c).mapping
+        else:
+            g, t = None, grown_mapping(rng, identity_mapping(d), c, EPS)
+        rep = Lifted(t, c, EPS).inequality_chain(lipschitz_witness=g)
+        want = inequality_chain_per_cell(t, d, EPS)
+        assert rep.max_violation.hex() == want.hex()
+        assert rep.holds == (want <= EPS)
+
+
+def test_inequality_chain_needs_one_point_set():
+    c = kernel_coupling(random.Random(0), 2, 3)
+    t = MultiMapping(c.domain, c.codomain, ((0, 0),))
+    with pytest.raises(AbstractConvexError,
+                       match="^the inequality chain needs c = -d on one point set$"):
+        Lifted(t, c).inequality_chain()
+
+
+def test_a_mapping_off_the_coupling_sides_is_a_domain_error():
+    # a 3-point T over a 2 x 2 coupling indexed past c, and a 2-point T on
+    # other labels read c silently; both are refused before any reading
+    c = kernel_coupling(random.Random(0), 2, 2)
+    wide = GroundSet(("x0", "x1", "x2")), GroundSet(("y0", "y1", "y2"))
+    others = GroundSet(("p", "q")), GroundSet(("u", "v"))
+    for source, target in (wide, others, (c.codomain, c.domain)):
+        t = MultiMapping(source, target, ((0, 0), (source.size - 1, 1)))
+        for build in (fitzpatrick, Lifted):
+            with pytest.raises(AbstractConvexError, match=(
+                    "^mapping does not run from the coupling's domain to its "
+                    "codomain$")):
+                build(t, c)
 
 
 def test_lifted_side_guard():
@@ -260,17 +302,17 @@ def test_lifted_entry_guard_holds_inside_the_line_cache(monkeypatch):
     lines = 2 * len(t.graph)
     assert lines + 1 < 36
     monkeypatch.setattr(core, "MAX_LIFTED_ENTRIES", (lines + 1) * 36)
-    assert verify_theorem6A(t, c).agree
+    assert Lifted(t, c).theorem6A().agree
     with pytest.raises(BudgetExceededError, match=(
             f"^lifted rows and columns of {(lines + 2) * 36} entries exceed "
             f"the {(lines + 1) * 36}-entry guard$")):
-        verify_theorem6A(t, c, check_maximality=True)
+        Lifted(t, c).theorem6A(check_maximality=True)
     # and the up-front count refuses a Delta_T whose lines would pass it
     monkeypatch.setattr(core, "MAX_LIFTED_ENTRIES", (lines - 1) * 36)
     with pytest.raises(BudgetExceededError, match=(
             f"^lifted rows and columns of {lines * 36} entries exceed the "
             f"{(lines - 1) * 36}-entry guard$")):
-        verify_theorem6A(t, c)
+        Lifted(t, c).theorem6A()
 
 
 def test_anchor_restricts_coupling_to_graph(two_point):
@@ -333,7 +375,7 @@ def maximal_documents(rng, count):
 def lifted_contexts(rng, count):
     """(context, alpha) for the maximal T whose Delta_T has an alpha."""
     for t, c in maximal_documents(rng, count):
-        lifted = _Lifted(t, c, EPS)
+        lifted = Lifted(t, c, EPS)
         assert lifted.t_maximal
         if isinstance(lifted.delta_alpha, ExtFunction):
             yield lifted, lifted.delta_alpha
@@ -352,8 +394,8 @@ def test_sampled_members_lie_between_alpha_and_gamma(rng):
 
 
 def test_theorem6B_draws_from_seed_0_by_default(rng, monkeypatch):
-    # the CLI's --seed defaults to 0, so the wrapper reports what verify
-    # prints; the draw receives a generator in random.Random(0)'s state
+    # the CLI's --seed defaults to 0, so theorem6B's default reports what
+    # verify prints; the draw receives a generator in random.Random(0)'s state
     fitz = importlib.import_module("abconvex.fitzpatrick")
     real, states = fitz._sampled_members, []
 
@@ -363,7 +405,7 @@ def test_theorem6B_draws_from_seed_0_by_default(rng, monkeypatch):
 
     monkeypatch.setattr(fitz, "_sampled_members", recording)
     t, c = next(maximal_documents(rng, 1))
-    assert verify_theorem6B(t, c) == verify_theorem6B(t, c, seed=0)
+    assert Lifted(t, c).theorem6B() == Lifted(t, c).theorem6B(seed=0)
     assert states == [random.Random(0).getstate()] * 2
 
 
@@ -420,7 +462,7 @@ def test_family_bounds_kernel_matches_the_per_pair_checks(rng, monkeypatch):
     for trial in range(300):
         c = kernel_coupling(rng, rng.randint(1, 4), rng.randint(1, 4),
                             ties=TIE_KINDS[trial % 3])
-        lifted = _Lifted(random_graph(rng, c, 5), c, EPS)
+        lifted = Lifted(random_graph(rng, c, 5), c, EPS)
         values = [rng.choice((b, b, -b, b + EPS, b - EPS, inf, 0.0, -0.0,
                               math.nextafter(b - EPS, -inf),
                               math.nextafter(b + EPS, inf)))
@@ -572,7 +614,7 @@ def test_lifted_family_needs_only_the_anchor_verdict(rng):
     for trial in range(40):
         c = random_coupling(rng, rng.randint(1, 4), rng.randint(1, 4))
         t = partly_grown(rng, c, EPS) if trial % 2 else random_graph(rng, c, 5)
-        lifted = _Lifted(t, c, EPS)
+        lifted = Lifted(t, c, EPS)
         pc, sites = lifted.pc, lifted.delta.dom
         assert sites == tuple(sorted(pc.xy_index(x, y) for x, y in t.graph))
         assert all(math.isfinite(lifted.anchor(s)) for s in sites)
@@ -588,9 +630,9 @@ def test_lifted_family_needs_only_the_anchor_verdict(rng):
 
 def test_theorem_b_raises_the_problem_error_from_the_held_verdict(rng):
     c = random_coupling(rng, 3, 3)
-    lifted = _Lifted(partly_grown(rng, c, EPS), c, EPS)
+    lifted = Lifted(partly_grown(rng, c, EPS), c, EPS)
     assert lifted.t_monotone
     lifted.anchor_is_antiderivative = False  # fills the cached property
     with pytest.raises(AbstractConvexError,
                        match="^anchor is not an antiderivative of the mapping$"):
-        _theorem6B(lifted)
+        lifted.theorem6B()

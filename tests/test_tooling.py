@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter: every name a module imports is
-read, every package definition is read, every CLI option is read, and the
-package imports nothing outside the standard library.  Also the scripts:
+read, every package definition is read, every CLI option is read, the
+CLI imports no private package name, and the package imports nothing
+outside the standard library.  Also the scripts:
 the code-line count and the README's worked example.
 
 The package ``__init__.py`` is skipped by the first check, since its
@@ -125,6 +126,34 @@ def test_every_package_definition_is_read():
                for p in sorted((ROOT / "src/abconvex").glob("*.py"))}
     readers = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
     assert unread_definitions(modules, readers) == []
+
+
+def private_package_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each underscore-prefixed name that ``source``
+    imports from the package, by a relative or an ``abconvex`` import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.partition(".")[0] == "abconvex"):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.startswith("_")]
+    return found
+
+
+def test_private_package_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .fitzpatrick import (\n    _Lifted,\n    fitzpatrick,\n)\n"
+              "from abconvex.core import _Budget, INF\n"
+              "from . import _hidden\n")
+    assert private_package_imports(source) == [
+        (3, "_Lifted"), (7, "_Budget"), (8, "_hidden")]
+
+
+def test_the_cli_imports_only_public_package_names():
+    # the command runs on the package's public API, as any caller would
+    source = (ROOT / "src/abconvex/cli.py").read_text()
+    assert private_package_imports(source) == []
 
 
 def unread_options(source: str) -> list[str]:
