@@ -86,8 +86,8 @@ def _require(value, flag: str):
 def _mapping(doc: InstanceDocument, args) -> MultiMapping:
     """``--mapping``, which must run from the coupling's domain to codomain."""
     name = _require(args.mapping, "--mapping")
-    m, c = doc.mapping(name), doc.coupling
-    if (m.source, m.target) != (c.domain, c.codomain):  # by their labels
+    m = doc.mapping(name)
+    if not m.runs_on(doc.coupling):
         raise InstanceError(f"mapping {name!r} does not run from the "
                             "coupling's domain to its codomain")
     return m

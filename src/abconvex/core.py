@@ -28,7 +28,8 @@ class AbstractConvexError(Exception):
 
 
 class IndexMismatchError(AbstractConvexError):
-    """A function or subset is indexed by the wrong ground set."""
+    """A function or subset is indexed by the wrong ground set, or a
+    mapping does not run from a coupling's domain to its codomain."""
 
 
 class ImproperFunctionError(AbstractConvexError):
@@ -322,6 +323,19 @@ class MultiMapping:
         if not self.proper:
             raise ImproperFunctionError(f"{what} must be proper (nonempty graph)")
         return self
+
+    def runs_on(self, c: Coupling) -> bool:
+        """Whether M runs from c's domain to its codomain, by their labels
+        (the same GroundSet objects compare at once)."""
+        return (self.source, self.target) == (c.domain, c.codomain)
+
+    def require_on(self, c: Coupling) -> "MultiMapping":
+        """M, running from c's domain to its codomain and proper, as every
+        reading of (M, c) needs."""
+        if not self.runs_on(c):
+            raise IndexMismatchError(
+                "mapping does not run from the coupling's domain to its codomain")
+        return self.require_proper()
 
     @property
     def dom(self) -> tuple[int, ...]:

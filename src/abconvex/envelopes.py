@@ -55,7 +55,7 @@ class ConstraintProblem:
     eps: float = field(default=DEFAULT_EPS)
 
     def __post_init__(self):
-        self.mapping.require_proper()
+        self.mapping.require_on(self.coupling)
         self.anchor.require_proper("anchor")
         if self.anchor.index.labels != self.coupling.domain.labels:
             raise AbstractConvexError("anchor must be indexed by the coupling domain")

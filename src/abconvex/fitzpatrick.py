@@ -29,8 +29,9 @@ to it.
 
 Theorems 6A and 6B and the -d chain have one entry point, ``Lifted`` on
 (T, c, eps), whose methods ``theorem6A``, ``theorem6B`` and
-``inequality_chain`` read one context.  It checks once that T is proper
-and runs from c's domain to its codomain, and computes each lifted
+``inequality_chain`` read one context.  It checks once, through
+``MultiMapping.require_on``, that T is proper and runs from c's domain to
+its codomain, and computes each lifted
 quantity at most once, on first use: C, Delta_T,
 the anchor c + i_{G(T)}, whether the anchor is an antiderivative of
 Delta_T (6A's fourth reading, and the one check of the lifted family that
@@ -149,19 +150,10 @@ def graph_anchor(t_map: MultiMapping, pc: LiftedCoupling) -> ExtFunction:
               for x, y in pc.xy_pairs))
 
 
-def _on_sides(t_map: MultiMapping, c: Coupling) -> MultiMapping:
-    """T, proper and running from c's domain to its codomain (by their
-    labels), as every lifted quantity reads it."""
-    if (t_map.source, t_map.target) != (c.domain, c.codomain):
-        raise AbstractConvexError(
-            "mapping does not run from the coupling's domain to its codomain")
-    return t_map.require_proper()
-
-
 def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     """F(x,y) = max over (s,t) in G(T) of c(x,t) + c(s,y) - c(s,t),
     as a function on the lifted domain X x Y."""
-    _on_sides(t_map, c)
+    t_map.require_on(c)
     xy_set = _pairs_side(c.domain, c.codomain)
     values = []
     for row_x in c.values:
@@ -225,7 +217,7 @@ class Lifted:
 
     def __init__(self, t_map: MultiMapping, c: Coupling,
                  eps: float = DEFAULT_EPS):
-        self.t_map, self.c, self.eps = _on_sides(t_map, c), c, eps
+        self.t_map, self.c, self.eps = t_map.require_on(c), c, eps
 
     @cached_property
     def pc(self) -> LiftedCoupling:

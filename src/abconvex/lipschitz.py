@@ -181,7 +181,8 @@ class ExtensionProblem:
     _problem: ConstraintProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mapping.require_proper()  # anchor() needs a nonempty dom(M)
+        # anchor() needs a nonempty dom(M) on the metric's points
+        self.mapping.require_on(as_coupling(self.metric))
         if self.values.index.labels != self.metric.points.labels:
             raise AbstractConvexError("values not indexed by the metric points")
         object.__setattr__(self, "_problem", ConstraintProblem(

@@ -167,7 +167,7 @@ class GainGraph:
 
 
 def build_gain_graph(m: MultiMapping, c: Coupling) -> GainGraph:
-    m.require_proper()
+    m.require_on(c)
     cols = c.columns
     gain_rows = []
     for u in m.dom:
@@ -269,7 +269,7 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
                   eps: float = DEFAULT_EPS) -> MonotonicityResult:
     """Whether every cyclic selection of n pairs from G(M) has nonnegative
     defining sum; on failure carries one violating selection."""
-    m.require_proper()
+    m.require_on(c)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 2:

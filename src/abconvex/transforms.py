@@ -143,8 +143,6 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
     The tests check it against the universally quantified form.
     """
     f.require_proper("subdifferential input")
-    if f.index.labels != c.domain.labels:
-        raise IndexMismatchError("function is not indexed by the coupling domain")
     fc = c_transform(f, c)
     finite = [(y, g) for y, g in enumerate(fc.values) if math.isfinite(g)]
     pairs = []
@@ -157,13 +155,11 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
 def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
                       eps: float = DEFAULT_EPS) -> bool:
     """Whether G(M) is contained in G(subdifferential of f): the
-    subdifferential's test on the pairs of G(M) alone."""
+    subdifferential's test on the pairs of G(M) alone.  M must run from
+    c's domain to its codomain (``IndexMismatchError`` otherwise)."""
     f.require_proper("antiderivative candidate")
-    m.require_proper()
+    m.require_on(c)
     fv, fc = f.values, c_transform(f, c).values
-    # a pair past the coupling's index range (M on other ground sets) is
-    # in no subdifferential of f
-    return all(x < len(fv) and y < len(fc)
-               and math.isfinite(fv[x]) and math.isfinite(fc[y])
+    return all(math.isfinite(fv[x]) and math.isfinite(fc[y])
                and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
                for x, y in m.graph)

@@ -131,6 +131,47 @@ def band_instance(rng) -> tuple[MultiMapping, Coupling]:
             return m, c
 
 
+def line_instance(rng, n: int):
+    """(M, c, xs, ys) on the classical line: X and Y are n sorted distinct
+    integers each from [-3n, 3n], c(x, y) = x y (every float sum of its
+    entries is exact), and G(M) a random nonempty subset of a staircase,
+    pairs nondecreasing in both coordinates, hence c-cyclically monotone
+    (Rockafellar 1970, section 24)."""
+    xs = sorted(rng.sample(range(-3 * n, 3 * n + 1), n))
+    ys = sorted(rng.sample(range(-3 * n, 3 * n + 1), n))
+    c = coupling_from_rows(GroundSet(tuple(f"x{v}" for v in xs)),
+                           GroundSet(tuple(f"y{v}" for v in ys)),
+                           [[x * y for y in ys] for x in xs])
+    stairs, (i, j) = [(0, 0)], (0, 0)
+    while (i, j) != (n - 1, n - 1):
+        if j == n - 1 or (i < n - 1 and rng.random() < 0.5):
+            i += 1
+        else:
+            j += 1
+        stairs.append((i, j))
+    pairs = rng.sample(stairs, rng.randint(1, len(stairs)))
+    return MultiMapping(c.domain, c.codomain, tuple(pairs)), c, xs, ys
+
+
+def line_antiderivative(m: MultiMapping, xs, ys, s: int) -> tuple[float, ...]:
+    """Rockafellar's antiderivative of a ``line_instance`` anchored at s in
+    closed form: labels from L_s = -0.0 by one prefix sum over dom(M)
+    sorted, L_{i+1} = L_i + max M(d_i) (d_{i+1} - d_i) rightward and
+    L_{i-1} = L_i + min M(d_i) (d_{i-1} - d_i) leftward; the value at x is
+    max_d [L_d + max_{y in M(d)} (x - d) y], all sums of integers."""
+    dom = m.dom
+    labels, p = [-0.0] * len(dom), dom.index(s)
+    for i in range(p, len(dom) - 1):
+        step = xs[dom[i + 1]] - xs[dom[i]]
+        labels[i + 1] = labels[i] + max(ys[y] for y in m(dom[i])) * step
+    for i in range(p, 0, -1):
+        step = xs[dom[i - 1]] - xs[dom[i]]
+        labels[i - 1] = labels[i] + min(ys[y] for y in m(dom[i])) * step
+    return tuple(max(label + max((x - xs[d]) * ys[y] for y in m(d))
+                     for label, d in zip(labels, dom))
+                 for x in xs)
+
+
 def random_constraint_problem(rng: random.Random, nx: int, ny: int,
                               full_domain: bool = False,
                               eps: float = 1e-9) -> ConstraintProblem:

@@ -17,6 +17,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from abconvex import (
+    DEFAULT_EPS,
     GroundSet,
     Lifted,
     MultiMapping,
@@ -66,6 +67,8 @@ from references import (
     lifted_draw,
     lifted_lines_agree,
     lifted_routes_agree,
+    line_antiderivative,
+    line_instance,
     maximal_by_recheck,
     metric_error,
     n_monotone_oracle,
@@ -408,6 +411,22 @@ def check_lifted_lines(rng):
     return lifted_lines_agree(rng, lifted_draw(rng)[0])
 
 
+def check_line(rng):
+    """The classical line (``line_instance``, n <= 30) at eps 0 and
+    ``DEFAULT_EPS``: M is cyclically monotone, and is not once
+    (x_max, y_min) and (x_min, y_max) join it, and ``rockafellar`` from a
+    random site equals the closed form float for float."""
+    n = rng.randint(1, 30)
+    m, c, xs, ys = line_instance(rng, n)
+    s = rng.choice(m.dom)
+    want = _bits([line_antiderivative(m, xs, ys, s)])
+    crossed = m.with_pair(n - 1, 0).with_pair(0, n - 1)
+    return all(is_cyclically_monotone(m, c, eps)
+               and (n < 2 or not is_cyclically_monotone(crossed, c, eps))
+               and _bits([rockafellar(m, c, s, eps).values]) == want
+               for eps in (0.0, DEFAULT_EPS))
+
+
 CHECKS = [
     ("triple transform", check_transform),
     ("chain supremum vs oracle", check_antiderivative),
@@ -424,6 +443,7 @@ CHECKS = [
     ("verify output vs fresh contexts", check_verify_context),
     ("lifted transforms vs table route", check_lifted_transforms),
     ("lifted lines vs per-cell table", check_lifted_lines),
+    ("line antiderivative vs closed form", check_line),
 ]
 
 

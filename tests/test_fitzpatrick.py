@@ -6,12 +6,17 @@ import pytest
 
 from abconvex import (
     AbstractConvexError,
+    ConstraintProblem,
+    ExtensionProblem,
     ExtFunction,
     GroundSet,
+    IndexMismatchError,
+    IndexSubset,
     Lifted,
     MultiMapping,
     alpha,
     as_coupling,
+    build_gain_graph,
     c_subdifferential,
     c_transform,
     c_transform_rev,
@@ -20,7 +25,11 @@ from abconvex import (
     gamma,
     identity_fitzpatrick,
     identity_mapping,
+    is_antiderivative,
     is_c_convex,
+    is_cyclically_monotone,
+    is_maximal_cyclically_monotone,
+    is_maximal_n_monotone,
     is_n_monotone,
     metric_from_rows,
     parse_instance,
@@ -30,6 +39,7 @@ from abconvex import (
     random_cyclically_monotone_mapping,
     random_lipschitz_function,
     random_metric,
+    rockafellar,
     sup_distance,
 )
 from abconvex.cli import main as cli_main
@@ -44,6 +54,7 @@ from abconvex.fitzpatrick import (
     full_diagonal,
     graph_anchor,
 )
+from abconvex.rockafellar import chain_suprema
 from conftest import assert_same_floats, one_point_couplings
 from references import (
     LIFTED_KINDS,
@@ -245,18 +256,36 @@ def test_inequality_chain_needs_one_point_set():
 
 
 def test_a_mapping_off_the_coupling_sides_is_a_domain_error():
-    # a 3-point T over a 2 x 2 coupling indexed past c, and a 2-point T on
-    # other labels read c silently; both are refused before any reading
+    # a 3-point T over a 2 x 2 coupling indexed past c, a 2-point T on
+    # other labels and T from c's codomain to its domain read c silently
+    # or past its range; every call on (T, c) refuses them before any
+    # reading
+    sides = "^mapping does not run from the coupling's domain to its codomain$"
     c = kernel_coupling(random.Random(0), 2, 2)
+    f, sites = ExtFunction(c.domain, (0.0, 0.0)), IndexSubset(c.domain, (0,))
+    calls = [fitzpatrick, Lifted, build_gain_graph, is_cyclically_monotone,
+             is_maximal_cyclically_monotone,
+             lambda t, c: rockafellar(t, c, 0),
+             lambda t, c: chain_suprema(t, c, [0], [0.0]),
+             lambda t, c: is_antiderivative(f, t, c),
+             lambda t, c: ConstraintProblem(c, t, f, sites)]
+    calls += [lambda t, c, n=n: is_n_monotone(t, c, n) for n in (1, 2, 3)]
+    calls += [lambda t, c, n=n: is_maximal_n_monotone(t, c, n) for n in (2, 3)]
     wide = GroundSet(("x0", "x1", "x2")), GroundSet(("y0", "y1", "y2"))
     others = GroundSet(("p", "q")), GroundSet(("u", "v"))
     for source, target in (wide, others, (c.codomain, c.domain)):
         t = MultiMapping(source, target, ((0, 0), (source.size - 1, 1)))
-        for build in (fitzpatrick, Lifted):
-            with pytest.raises(AbstractConvexError, match=(
-                    "^mapping does not run from the coupling's domain to its "
-                    "codomain$")):
-                build(t, c)
+        for call in calls:
+            with pytest.raises(IndexMismatchError, match=sides):
+                call(t, c)
+    # and ExtensionProblem, with T off the metric's points
+    metric = random_metric(random.Random(0), 2)
+    points = metric.points
+    values, sites = ExtFunction(points, (0.0, 0.0)), IndexSubset(points, (0,))
+    for source, target in (wide, others, (points, others[1])):
+        t = MultiMapping(source, target, ((0, 0), (source.size - 1, 1)))
+        with pytest.raises(IndexMismatchError, match=sides):
+            ExtensionProblem(metric, t, values, sites)
 
 
 def test_lifted_side_guard():

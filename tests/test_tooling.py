@@ -1,7 +1,7 @@
 """Source hygiene that needs no linter: every name a module imports is
 read, every package definition is read, every CLI option is read, the
-CLI imports no private package name, and the package imports nothing
-outside the standard library.  Also the scripts:
+CLI imports no private package name, only ``core`` compares a mapping's
+sides, and the package imports nothing outside the standard library.  Also the scripts:
 the code-line count and the README's worked example.
 
 The package ``__init__.py`` is skipped by the first check, since its
@@ -154,6 +154,40 @@ def test_the_cli_imports_only_public_package_names():
     # the command runs on the package's public API, as any caller would
     source = (ROOT / "src/abconvex/cli.py").read_text()
     assert private_package_imports(source) == []
+
+
+def side_comparisons(source: str) -> list[int]:
+    """The line of each comparison with a ``.source`` or ``.target``
+    attribute among its operands, bare or inside a tuple
+    (``self.source.size`` is a ``.size`` attribute)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            items = [item for operand in (node.left, *node.comparators)
+                     for item in (operand.elts if isinstance(operand, ast.Tuple)
+                                  else [operand])]
+            if any(isinstance(item, ast.Attribute)
+                   and item.attr in ("source", "target") for item in items):
+                found.append(node.lineno)
+    return found
+
+
+def test_side_comparisons_are_found():
+    source = ("if (m.source, m.target) != (c.domain, c.codomain):\n"
+              "    pass\n"
+              "small = self.source.size < 3\n"
+              "stray = c.domain == t.target\n")
+    assert side_comparisons(source) == [1, 4]
+
+
+def test_only_core_compares_a_mapping_with_its_sides():
+    # the rule that a mapping runs from its coupling's domain to its
+    # codomain has one owner, ``MultiMapping.runs_on``
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src/abconvex").glob("*.py"))
+             if path.name != "core.py"
+             for line in side_comparisons(path.read_text())]
+    assert found == []
 
 
 def unread_options(source: str) -> list[str]:

@@ -434,15 +434,17 @@ def test_antiderivative_pair_test_matches_subdifferential_form(rng):
 
 
 def test_antiderivative_of_a_mapping_past_the_coupling_range():
-    # M runs from the 3-point codomain to the 2-point domain; (0, 0) lies in
-    # the subdifferential of f, (2, 1) past the coupling's rows
+    # M runs from the 3-point codomain to the 2-point domain: refused, with
+    # its pairs inside the coupling's index range ((0, 0) lies in the
+    # subdifferential of f) or past its rows ((2, 1))
     x, y = GroundSet(("a", "b")), GroundSet(("p", "q", "r"))
     c = Coupling(x, y, ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0)))
     f = ExtFunction(x, (0.0, 1.0))
-    for pairs, want in ((((0, 0),), True), (((0, 0), (2, 1)), False)):
-        m = MultiMapping(y, x, pairs)
-        assert is_antiderivative(f, m, c) is want
-        assert is_antiderivative_via_subdifferential(f, m, c, EPS) is want
+    for pairs in (((0, 0),), ((0, 0), (2, 1))):
+        with pytest.raises(IndexMismatchError, match=(
+                "^mapping does not run from the coupling's domain to its "
+                "codomain$")):
+            is_antiderivative(f, MultiMapping(y, x, pairs), c)
 
 
 def _verdict(test, f, m, c, eps):
@@ -455,8 +457,8 @@ def _verdict(test, f, m, c, eps):
 def test_antiderivative_matches_subdifferential_with_infs_and_stray_pairs(rng):
     # G(M) inside the subdifferential's graph, a separate scan after the
     # same transform: ties and signed zeros, +-inf entries, one-point
-    # images, eps at a pair's own margin and the float below it, pairs past
-    # the coupling's range
+    # images, eps at a pair's own margin and the float below it; M on
+    # larger ground sets is refused
     verdicts = set()
     for trial in range(600):
         nx, ny = rng.randint(1, 6), rng.randint(1, 6)
@@ -478,26 +480,34 @@ def test_antiderivative_matches_subdifferential_with_infs_and_stray_pairs(rng):
         if rng.random() < 0.3:  # a one-point image
             y = rng.choice([y for _, y in pairs])
             pairs = {(x, y) for x, _ in pairs}
-        source, target = c.domain, c.codomain
         if rng.random() < 0.2:  # M on larger ground sets, past the range
             source = GroundSet(tuple(f"s{i}" for i in range(nx + 2)))
             target = GroundSet(tuple(f"t{j}" for j in range(ny + 2)))
             pairs.add((rng.randrange(nx + 2), ny + rng.randrange(2)))
-        m = MultiMapping(source, target, tuple(pairs))
+            m = MultiMapping(source, target, tuple(pairs))
+            with pytest.raises(IndexMismatchError if f.proper
+                               else ImproperFunctionError):
+                is_antiderivative(f, m, c, EPS)
+            verdicts.add("off the sides")
+            continue
+        m = MultiMapping(c.domain, c.codomain, tuple(pairs))
         fc = c_transform(fin, c)
         margins = [abs(f(x) + fc(y) - c(x, y)) for x, y in m.graph
-                   if x < nx and y < ny
-                   and math.isfinite(f(x)) and math.isfinite(fc(y))]
+                   if math.isfinite(f(x)) and math.isfinite(fc(y))]
         for eps in [0.0, EPS] + [e for g in margins[:2]
                                  for e in (g, math.nextafter(g, -INF))]:
             got = _verdict(is_antiderivative, f, m, c, eps)
             assert got == _verdict(is_antiderivative_via_subdifferential,
                                    f, m, c, eps)
             verdicts.add(got)
-    assert verdicts == {True, False, "improper"}
+    assert verdicts == {True, False, "improper", "off the sides"}
 
 
 def test_antiderivative_keeps_index_mismatch_error(two_point):
+    # f on the codomain: c_transform's check refuses it, for both callers
     f = ExtFunction(two_point.y, (0.0, 1.0))
-    with pytest.raises(IndexMismatchError):
-        is_antiderivative(f, two_point.m, two_point.c)
+    for call in (lambda: is_antiderivative(f, two_point.m, two_point.c),
+                 lambda: c_subdifferential(f, two_point.c)):
+        with pytest.raises(IndexMismatchError, match=(
+                "^function is not indexed by the coupling domain$")):
+            call()
