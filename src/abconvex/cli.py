@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict
 
 from .fitzpatrick import Lifted, fitzpatrick
-from .core import AbstractConvexError, DEFAULT_EPS, MultiMapping
+from .core import AbstractConvexError, DEFAULT_EPS, MultiMapping, indexed_by
 from .envelopes import ConstraintProblem, alpha, gamma, is_member
 from .instance_io import (
     InstanceDocument,
@@ -97,15 +97,15 @@ def _site_args(doc: InstanceDocument, args):
     """(mapping, site function, sites), the order the problem types take;
     all three live on the coupling's domain."""
     m = _mapping(doc, args)
-    domain = doc.coupling.domain.labels
+    domain = doc.coupling.domain
     name = _require(args.subset, "--subset")
     s = doc.subset(name)
-    if s.parent.labels != domain:
+    if not indexed_by(s, domain):
         raise InstanceError(f"subset {name!r} does not lie in the coupling's "
                             "domain")
     name = _require(args.site_function, "--site-function")
     f = doc.function(name)
-    if f.index.labels != domain:
+    if not indexed_by(f, domain):
         raise InstanceError(f"site function {name!r} is not indexed by the "
                             "coupling's domain")
     return m, f, s
@@ -122,9 +122,9 @@ def _run(args) -> dict:
 
     if cmd == "transform":
         f = doc.function(_require(args.function, "--function"))
-        if f.index.labels == c.domain.labels:
+        if indexed_by(f, c.domain):
             transform = c_transform
-        elif f.index.labels == c.codomain.labels:
+        elif indexed_by(f, c.codomain):
             transform = c_transform_rev
         else:
             raise InstanceError("function is indexed by neither coupling side")
@@ -157,7 +157,7 @@ def _run(args) -> dict:
         anchor = doc.subset(_require(args.subset, "--subset"))
         if len(anchor.members) != 1:
             raise InstanceError("--subset must name a single anchor point")
-        if anchor.parent.labels != c.domain.labels:
+        if not indexed_by(anchor, c.domain):
             raise InstanceError("--subset must lie in the coupling's domain")
         r = rockafellar(m, c, anchor.members[0], eps)
         return {"command": cmd, "result": function_to_jsonable(r)}

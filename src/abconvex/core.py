@@ -45,6 +45,13 @@ class BudgetExceededError(AbstractConvexError):
     the lines a lifted coupling builds, would exceed their budget."""
 
 
+def require_eps(eps: float) -> None:
+    """Refuse a NaN ``eps``: every comparison with NaN is false, so a NaN
+    tolerance would turn each failing test into a pass."""
+    if math.isnan(eps):
+        raise ValueError("eps must not be NaN")
+
+
 def ext_add(a: float, b: float) -> float:
     """Extended-real addition; (+inf) + (-inf) is a surfaced error."""
     if (a == INF and b == -INF) or (a == -INF and b == INF):
@@ -262,10 +269,6 @@ class ExtFunction:
             raise ImproperFunctionError(f"{what} must be proper")
         return self
 
-    def same_index(self, other: "ExtFunction") -> None:
-        if self.index.labels != other.index.labels:
-            raise IndexMismatchError("functions indexed by different ground sets")
-
     def shifted(self, constant: float) -> "ExtFunction":
         return ExtFunction(self.index, tuple(ext_add(v, constant) for v in self.values))
 
@@ -383,18 +386,30 @@ class MultiMapping:
         return pair in self._pair_set
 
 
+def indexed_by(item: ExtFunction | IndexSubset, ground: GroundSet) -> bool:
+    """Whether a function or subset is indexed by ``ground``, by labels
+    (the same GroundSet objects compare at once, as in ``runs_on``)."""
+    return (item.parent if isinstance(item, IndexSubset) else item.index,) == (ground,)
+
+
+def require_indexed_by(ground: GroundSet, *items,
+                       where: str = "first function's ground set") -> None:
+    """Refuse any of ``items``, functions or subsets, not indexed by
+    ``ground``, as every library reader does; ``where`` names ``ground``."""
+    for item in items:
+        if not indexed_by(item, ground):
+            kind = "subset" if isinstance(item, IndexSubset) else "function"
+            raise IndexMismatchError(f"{kind} is not indexed by the {where}")
+
+
 def indicator(subset: IndexSubset) -> ExtFunction:
     """The indicator function: 0 on the subset, +inf elsewhere."""
-    members = set(subset.members)
-    return ExtFunction(subset.parent,
-                       tuple(0.0 if i in members else INF
-                             for i in range(subset.parent.size)))
+    return restrict_sum(ExtFunction(subset.parent, (0.0,) * subset.parent.size), subset)
 
 
 def restrict_sum(f: ExtFunction, subset: IndexSubset) -> ExtFunction:
     """Pointwise f + indicator(subset)."""
-    if f.index.labels != subset.parent.labels:
-        raise IndexMismatchError("function and subset indexed by different sets")
+    require_indexed_by(f.index, subset, where="function's ground set")
     members = set(subset.members)
     return ExtFunction(f.index,
                        tuple(v if i in members else INF
@@ -403,7 +418,7 @@ def restrict_sum(f: ExtFunction, subset: IndexSubset) -> ExtFunction:
 
 def convex_combination(g: ExtFunction, h: ExtFunction, lam: float) -> ExtFunction:
     """Pointwise lam*g + (1-lam)*h for lam strictly inside (0, 1)."""
-    g.same_index(h)
+    require_indexed_by(g.index, h)
     if not 0.0 < lam < 1.0:
         raise AbstractConvexError("lambda must lie strictly in (0, 1)")
     vals = []
@@ -421,7 +436,7 @@ def sup_distance(f: ExtFunction, g: ExtFunction) -> float:
     When both sides are all finite (a finite sum proves it; an overflowing
     one takes the loop) it is one ``max(map(abs, map(sub, a, b)))``, the
     loop's values: every |a - b| is at least 0.0, where the loop starts."""
-    f.same_index(g)
+    require_indexed_by(f.index, g)
     if math.isfinite(sum(f.values) + sum(g.values)):
         return max(map(abs, map(sub, f.values, g.values)))
     worst = 0.0
@@ -437,16 +452,12 @@ def pointwise_le(f: ExtFunction, g: ExtFunction, eps: float = 0.0) -> bool:
     """Whether f <= g + eps pointwise under the extended-real order, for a
     finite eps: there +-inf + eps is +-inf, so one float comparison per
     point decides (a finite g + eps past the float range reads +inf)."""
-    f.same_index(g)
+    require_indexed_by(f.index, g)
     return all(map(le, f.values, map(add, g.values, itertools.repeat(eps))))
 
 
 def pointwise_max(fs: Sequence[ExtFunction]) -> ExtFunction:
     if not fs:
         raise AbstractConvexError("pointwise max of an empty family")
-    base = fs[0]
-    for f in fs[1:]:
-        base.same_index(f)
-    return ExtFunction(base.index,
-                       tuple(max(f.values[i] for f in fs)
-                             for i in range(base.index.size)))
+    require_indexed_by(fs[0].index, *fs[1:])
+    return ExtFunction(fs[0].index, tuple(map(max, zip(*[f.values for f in fs]))))

@@ -27,6 +27,7 @@ from .core import (
     IndexSubset,
     MultiMapping,
     pointwise_le,
+    require_indexed_by,
     restrict_sum,
 )
 from .rockafellar import chain_suprema
@@ -45,7 +46,7 @@ class ConstraintProblem:
 
     Construction validates that the anchor really is an antiderivative of the
     mapping (which in particular forces cyclic monotonicity, so site values
-    can never be chain-inconsistent) and that it is finite on the sites.
+    can never be chain-inconsistent), hence finite on the sites.
     """
 
     coupling: Coupling
@@ -57,19 +58,15 @@ class ConstraintProblem:
     def __post_init__(self):
         self.mapping.require_on(self.coupling)
         self.anchor.require_proper("anchor")
-        if self.anchor.index.labels != self.coupling.domain.labels:
-            raise AbstractConvexError("anchor must be indexed by the coupling domain")
-        if self.sites.parent.labels != self.coupling.domain.labels:
-            raise AbstractConvexError("sites must live in the coupling domain")
+        require_indexed_by(self.coupling.domain, self.anchor, self.sites,
+                           where="coupling domain")
         dom = set(self.mapping.dom)
         stray = [s for s in self.sites if s not in dom]
         if stray:
             raise AbstractConvexError(f"sites {stray} are outside dom(M)")
+        # an antiderivative is finite on dom(M), so on the sites
         if not is_antiderivative(self.anchor, self.mapping, self.coupling, self.eps):
             raise AbstractConvexError("anchor is not an antiderivative of the mapping")
-        bad = [s for s in self.sites if not math.isfinite(self.anchor(s))]
-        if bad:
-            raise AbstractConvexError(f"anchor is not finite on sites {bad}")
 
     @property
     def full_domain(self) -> bool:

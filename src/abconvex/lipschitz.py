@@ -42,6 +42,8 @@ from .core import (
     GroundSet,
     IndexSubset,
     MultiMapping,
+    require_eps,
+    require_indexed_by,
     restrict_sum,
     sup_distance,
 )
@@ -63,6 +65,7 @@ class MetricInstance:
     eps: float = field(default=DEFAULT_EPS)
 
     def __post_init__(self):
+        require_eps(self.eps)
         n = self.points.size
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
@@ -149,11 +152,9 @@ def lipschitz_characterize(f: ExtFunction, metric: MetricInstance,
                            eps: float = DEFAULT_EPS) -> LipschitzReport:
     """The four equivalent readings of 1-Lipschitzness, each computed
     independently: the report's ``unanimous`` flag is the executable theorem."""
-    if f.index.labels != metric.points.labels:
-        raise AbstractConvexError("function not indexed by the metric points")
+    lip = is_1_lipschitz(f, metric, eps)  # refuses an f off the points
     if not all(math.isfinite(v) for v in f.values):
         raise AbstractConvexError("characterization requires an everywhere finite f")
-    lip = is_1_lipschitz(f, metric, eps)
     c = as_coupling(metric)
     convex = is_c_convex(f, c, eps)
     neg = ExtFunction(f.index, tuple(-v for v in f.values))
@@ -183,8 +184,7 @@ class ExtensionProblem:
     def __post_init__(self):
         # anchor() needs a nonempty dom(M) on the metric's points
         self.mapping.require_on(as_coupling(self.metric))
-        if self.values.index.labels != self.metric.points.labels:
-            raise AbstractConvexError("values not indexed by the metric points")
+        require_indexed_by(self.metric.points, self.values, where="metric points")
         object.__setattr__(self, "_problem", ConstraintProblem(
             as_coupling(self.metric), self.mapping, self.anchor(), self.sites,
             self.eps))
@@ -235,6 +235,7 @@ def extend_max_closed_form(problem: ExtensionProblem) -> ExtFunction:
 def mcshane_whitney_min(metric: MetricInstance, sites: IndexSubset,
                         f: ExtFunction) -> ExtFunction:
     """max_{s in S} [f(s) - d(x, s)]: the classical minimal extension."""
+    require_indexed_by(metric.points, sites, f, where="metric points")
     values = tuple(max(f(s) - metric(x, s) for s in sites)
                    for x in range(metric.points.size))
     return ExtFunction(metric.points, values)
@@ -243,6 +244,7 @@ def mcshane_whitney_min(metric: MetricInstance, sites: IndexSubset,
 def mcshane_whitney_max(metric: MetricInstance, sites: IndexSubset,
                         f: ExtFunction) -> ExtFunction:
     """min_{s in S} [f(s) + d(x, s)]: the classical maximal extension."""
+    require_indexed_by(metric.points, sites, f, where="metric points")
     values = tuple(min(f(s) + metric(x, s) for s in sites)
                    for x in range(metric.points.size))
     return ExtFunction(metric.points, values)
@@ -250,6 +252,7 @@ def mcshane_whitney_max(metric: MetricInstance, sites: IndexSubset,
 
 def is_1_lipschitz(f: ExtFunction, metric: MetricInstance,
                    eps: float = DEFAULT_EPS) -> bool:
+    require_indexed_by(metric.points, f, where="metric points")
     n = metric.points.size
     return all(abs(f(i) - f(j)) <= metric(i, j) + eps
                for i in range(n) for j in range(n))

@@ -129,6 +129,7 @@ from .core import (
     BudgetExceededError,
     Coupling,
     MultiMapping,
+    require_eps,
 )
 
 #: Cap on the (n - 1) * k^2 walk entries that ``is_n_monotone``'s rounds
@@ -270,6 +271,7 @@ def is_n_monotone(m: MultiMapping, c: Coupling, n: int,
     """Whether every cyclic selection of n pairs from G(M) has nonnegative
     defining sum; on failure carries one violating selection."""
     m.require_on(c)
+    require_eps(eps)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 2:
@@ -384,6 +386,7 @@ def _cyclic_verdict(gg: GainGraph, eps: float, seed=None
     P = max |p|, 2**-53 * (k + 1) * (P + (k + 1) * G) <= eps.  Its left
     side is at least 0, so it refuses every eps < 0.
     """
+    require_eps(eps)
     cols = [gg.columns[v] for v in gg.nodes]
     k, g = len(cols), max(max(map(abs, col)) for col in cols)
     seed = [0.0] * k if seed is None else seed

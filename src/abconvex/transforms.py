@@ -37,9 +37,9 @@ from .core import (
     DEFAULT_EPS,
     Coupling,
     ExtFunction,
-    IndexMismatchError,
     LiftedCoupling,
     MultiMapping,
+    require_indexed_by,
     sup_distance,
 )
 
@@ -92,8 +92,7 @@ def _lifted_transform(values: tuple[float, ...], base: Coupling,
 
 def c_transform(f: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of f on X: f^c(y) = max_x [c(x, y) - f(x)] on Y."""
-    if f.index.labels != c.domain.labels:
-        raise IndexMismatchError("function is not indexed by the coupling domain")
+    require_indexed_by(c.domain, f, where="coupling domain")
     if isinstance(c, LiftedCoupling):
         return ExtFunction(c.codomain, _lifted_transform(f.values, c.base))
     return ExtFunction(c.codomain, _transform(f.values, c.columns))
@@ -101,8 +100,7 @@ def c_transform(f: ExtFunction, c: Coupling) -> ExtFunction:
 
 def c_transform_rev(g: ExtFunction, c: Coupling) -> ExtFunction:
     """The transform of g on Y: g^c(x) = max_y [c(x, y) - g(y)] on X."""
-    if g.index.labels != c.codomain.labels:
-        raise IndexMismatchError("function is not indexed by the coupling codomain")
+    require_indexed_by(c.codomain, g, where="coupling codomain")
     if isinstance(c, LiftedCoupling):
         return ExtFunction(c.domain, _lifted_transform(g.values, c.base,
                                                        reverse=True))

@@ -921,6 +921,20 @@ def test_lip_extend_rejects_a_mapping_off_the_metric_points(capsys, tmp_path,
     assert "mapping 'J' does not run" in out["message"]
 
 
+def test_transform_of_a_function_on_neither_side_is_an_input_error(
+        capsys, tmp_path):
+    raw = _two_sided_document()
+    raw["ground_sets"]["Z"] = ["p", "q", "r"]
+    raw["functions"]["fz"] = {"index": "Z", "values": [0.0, 1.0, 2.0]}
+    path = tmp_path / "sides.json"
+    path.write_text(json.dumps(raw))
+    status, out = run(capsys, "transform", "--instance", str(path),
+                      "--function", "fz")
+    assert (status, out) == (EXIT_INPUT, {
+        "error": "input",
+        "message": "function is indexed by neither coupling side"})
+
+
 def test_rockafellar_anchor_must_lie_in_the_coupling_domain(capsys, tmp_path):
     raw = _two_sided_document()
     raw["subsets"]["T"] = {"parent": "Y", "members": ["a"]}

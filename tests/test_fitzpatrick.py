@@ -20,25 +20,32 @@ from abconvex import (
     c_subdifferential,
     c_transform,
     c_transform_rev,
+    convex_combination,
     delta_mapping,
     fitzpatrick,
     gamma,
     identity_fitzpatrick,
     identity_mapping,
+    is_1_lipschitz,
     is_antiderivative,
     is_c_convex,
     is_cyclically_monotone,
     is_maximal_cyclically_monotone,
     is_maximal_n_monotone,
     is_n_monotone,
+    lipschitz_characterize,
+    mcshane_whitney_max,
+    mcshane_whitney_min,
     metric_from_rows,
     parse_instance,
     pointwise_le,
+    pointwise_max,
     product_coupling,
     random_coupling,
     random_cyclically_monotone_mapping,
     random_lipschitz_function,
     random_metric,
+    restrict_sum,
     rockafellar,
     sup_distance,
 )
@@ -286,6 +293,60 @@ def test_a_mapping_off_the_coupling_sides_is_a_domain_error():
         t = MultiMapping(source, target, ((0, 0), (source.size - 1, 1)))
         with pytest.raises(IndexMismatchError, match=sides):
             ExtensionProblem(metric, t, values, sites)
+
+
+def test_a_function_or_subset_off_its_ground_set_is_a_domain_error():
+    # every reader of a function or subset on a ground set (c's sides, the
+    # lifted domain, the metric's points, the first function's index)
+    # refuses one on other labels of the same size, on the other side or
+    # on a larger ground set, before any reading
+    c = kernel_coupling(random.Random(0), 2, 2)
+    x, y = c.domain, c.codomain
+    t = MultiMapping(x, y, ((0, 0),))
+    f, sites = ExtFunction(x, (0.0, 0.0)), IndexSubset(x, (0,))
+    lifted = Lifted(t, c)
+    metric = random_metric(random.Random(0), 2)
+    points, ident = metric.points, identity_mapping(metric)
+    pf, psites = ExtFunction(points, (0.0, 0.0)), IndexSubset(points, (0,))
+
+    def fn(g):
+        return ExtFunction(g, (0.0,) * g.size)
+
+    def sub(g):
+        return IndexSubset(g, (0,))
+
+    # (ground set, its other side, a call given a ground set g)
+    table = [
+        (x, y, lambda g: c_transform(fn(g), c)),
+        (y, x, lambda g: c_transform_rev(fn(g), c)),
+        (x, y, lambda g: ConstraintProblem(c, t, fn(g), sites)),
+        (x, y, lambda g: ConstraintProblem(c, t, f, sub(g))),
+        (x, y, lambda g: restrict_sum(f, sub(g))),
+        (x, y, lambda g: convex_combination(f, fn(g), 0.5)),
+        (x, y, lambda g: sup_distance(f, fn(g))),
+        (x, y, lambda g: pointwise_le(f, fn(g))),
+        (x, y, lambda g: pointwise_max([f, fn(g)])),
+        (lifted.pc.domain, lifted.pc.codomain,
+         lambda g: _family_member(fn(g), lifted)),
+    ]
+    # a metric's points are both sides of c = -d; the other side is c's X
+    table += [(points, x, call) for call in (
+        lambda g: ExtensionProblem(metric, ident, fn(g), psites),
+        lambda g: ExtensionProblem(metric, ident, pf, sub(g)),
+        lambda g: lipschitz_characterize(fn(g), metric),
+        lambda g: is_1_lipschitz(fn(g), metric),
+        lambda g: mcshane_whitney_min(metric, sub(g), pf),
+        lambda g: mcshane_whitney_min(metric, psites, fn(g)),
+        lambda g: mcshane_whitney_max(metric, sub(g), pf),
+        lambda g: mcshane_whitney_max(metric, psites, fn(g)),
+    )]
+    for ground, other_side, call in table:
+        relabelled = GroundSet(tuple(f"o{i}" for i in range(ground.size)))
+        larger = GroundSet(ground.labels + ("extra",))
+        for g in (relabelled, other_side, larger):
+            with pytest.raises(IndexMismatchError, match=(
+                    "^(function|subset) is not indexed by the ")):
+                call(g)
 
 
 def test_lifted_side_guard():

@@ -9,6 +9,7 @@ from abconvex import (
     ExtFunction,
     ExtensionProblem,
     GroundSet,
+    IndexMismatchError,
     IndexSubset,
     InstanceError,
     MetricError,
@@ -349,3 +350,34 @@ def test_random_metric_matches_per_cell_floyd_warshall():
         want = random_metric_per_cell(random.Random(seed), n, edge_prob)
         assert [list(map(float.hex, row)) for row in got] == [
             list(map(float.hex, row)) for row in want]
+
+
+def test_mcshane_whitney_and_is_1_lipschitz_refuse_data_off_the_points():
+    # sites on 4 points read past a 3-point metric's rows (IndexError),
+    # and a 4-point f was read as if it lay on the 3 points
+    metric = random_metric(random.Random(0), 3)
+    four = GroundSet(("p0", "p1", "p2", "p3"))
+    f, sites = ExtFunction(metric.points, (0.0,) * 3), IndexSubset(four, (3,))
+    f4 = ExtFunction(four, (0.0, 1.0, 2.0, 3.0))
+    on_points = IndexSubset(metric.points, (0,))
+    for extend in (mcshane_whitney_min, mcshane_whitney_max):
+        with pytest.raises(IndexMismatchError, match=(
+                "^subset is not indexed by the metric points$")):
+            extend(metric, sites, f)
+        with pytest.raises(IndexMismatchError, match=(
+                "^function is not indexed by the metric points$")):
+            extend(metric, on_points, f4)
+    with pytest.raises(IndexMismatchError, match=(
+            "^function is not indexed by the metric points$")):
+        is_1_lipschitz(f4, metric)
+
+
+def test_a_nan_eps_is_refused_by_the_metric_axioms():
+    # every axiom compares with eps, and each comparison with nan is false,
+    # so a triangle failure (5 > 1 + 1) passed
+    points = GroundSet(("a", "b", "c"))
+    rows = ((0.0, 1.0, 5.0), (1.0, 0.0, 1.0), (5.0, 1.0, 0.0))
+    with pytest.raises(MetricError, match="triangle"):
+        MetricInstance(points, rows)
+    with pytest.raises(ValueError, match="^eps must not be NaN$"):
+        MetricInstance(points, rows, eps=math.nan)

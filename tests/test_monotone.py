@@ -11,6 +11,7 @@ from abconvex import (
     BudgetExceededError,
     GroundSet,
     ImproperFunctionError,
+    Lifted,
     MultiMapping,
     build_gain_graph,
     c_subdifferential,
@@ -24,10 +25,12 @@ from abconvex import (
     parse_instance,
     random_coupling,
     random_cyclically_monotone_mapping,
+    rockafellar,
 )
 from abconvex import monotone
 from abconvex.fitzpatrick import delta_mapping, full_diagonal, product_coupling
 from abconvex.monotone import _cyclic_walks, _max_plus_closure
+from abconvex.rockafellar import chain_suprema
 from conftest import (
     assert_same_floats,
     mixed_mappings,
@@ -801,3 +804,26 @@ def test_guard_refuses_the_fixed_point_of_a_magnitude_bound_coupling():
     assert _zero_passes(gg) is not None
     verdict = is_cyclically_monotone(delta_mapping(t, pc), pc, EPS)
     assert not verdict and verdict.witness == _cyclic_walks(gg, EPS)[0].witness
+
+
+def test_a_nan_eps_is_refused():
+    # every comparison with nan is false, so a mapping with a positive
+    # 2-cycle passed the cyclic and order-n checks and rockafellar returned
+    # values; each cyclic verdict (chain_suprema, so alpha and Lifted's too)
+    # goes through _cyclic_verdict
+    rng = random.Random(3)
+    c = random_coupling(rng, 3, 3)
+    m, c = inject_positive_two_cycle(
+        rng, random_cyclically_monotone_mapping(rng, c), c)
+    assert not is_cyclically_monotone(m, c)
+    s, nan = m.dom[0], math.nan
+    calls = [lambda: is_cyclically_monotone(m, c, nan),
+             lambda: is_n_monotone(m, c, 2, nan),
+             lambda: is_n_monotone(m, c, 3, nan),
+             lambda: rockafellar(m, c, s, nan),
+             lambda: chain_suprema(m, c, [s], [0.0], nan),
+             lambda: Lifted(m, c, nan).delta_alpha,
+             lambda: Lifted(m, c, nan).t_monotone]
+    for call in calls:
+        with pytest.raises(ValueError, match="^eps must not be NaN$"):
+            call()

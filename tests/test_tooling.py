@@ -156,10 +156,15 @@ def test_the_cli_imports_only_public_package_names():
     assert private_package_imports(source) == []
 
 
+#: The attributes that name a ground set a mapping, function or subset
+#: lies on, and the labels that compare two ground sets.
+SIDE_ATTRIBUTES = ("source", "target", "labels", "index", "parent")
+
+
 def side_comparisons(source: str) -> list[int]:
-    """The line of each comparison with a ``.source`` or ``.target``
-    attribute among its operands, bare or inside a tuple
-    (``self.source.size`` is a ``.size`` attribute)."""
+    """The line of each comparison with a ``SIDE_ATTRIBUTES`` attribute
+    among its operands, bare or inside a tuple (``self.source.size`` is a
+    ``.size`` attribute, ``gs.index(label)`` a call)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
@@ -167,7 +172,7 @@ def side_comparisons(source: str) -> list[int]:
                      for item in (operand.elts if isinstance(operand, ast.Tuple)
                                   else [operand])]
             if any(isinstance(item, ast.Attribute)
-                   and item.attr in ("source", "target") for item in items):
+                   and item.attr in SIDE_ATTRIBUTES for item in items):
                 found.append(node.lineno)
     return found
 
@@ -176,13 +181,19 @@ def test_side_comparisons_are_found():
     source = ("if (m.source, m.target) != (c.domain, c.codomain):\n"
               "    pass\n"
               "small = self.source.size < 3\n"
-              "stray = c.domain == t.target\n")
-    assert side_comparisons(source) == [1, 4]
+              "stray = c.domain == t.target\n"
+              "if f.index.labels != c.domain.labels:\n"
+              "    pass\n"
+              "same = s.parent == f.index\n"
+              "first = row.index(best) == 0\n"
+              "ok = (g.index,) == (ground,)\n")
+    assert side_comparisons(source) == [1, 4, 5, 7, 9]
 
 
 def test_only_core_compares_a_mapping_with_its_sides():
-    # the rule that a mapping runs from its coupling's domain to its
-    # codomain has one owner, ``MultiMapping.runs_on``
+    # the rules that a mapping runs from its coupling's domain to its
+    # codomain and that a function or subset lies on its ground set each
+    # have one owner, ``MultiMapping.runs_on`` and ``core.indexed_by``
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in sorted((ROOT / "src/abconvex").glob("*.py"))
              if path.name != "core.py"
