@@ -41,15 +41,18 @@ class UndefinedSumError(AbstractConvexError):
 
 
 class BudgetExceededError(AbstractConvexError):
-    """The walk entries of ``is_n_monotone`` at an order other than 2, or
-    the lines a lifted coupling builds, would exceed their budget."""
+    """A request would exceed one of three guards: the walk entries of
+    ``is_n_monotone`` at an order other than 2 (``ENUMERATION_BUDGET``),
+    the entries a lifted coupling builds (``MAX_LIFTED_ENTRIES``), or a
+    lifted side's cells (``MAX_LIFTED_SIDE``)."""
 
 
 def require_eps(eps: float) -> None:
-    """Refuse a NaN ``eps``: every comparison with NaN is false, so a NaN
-    tolerance would turn each failing test into a pass."""
-    if math.isnan(eps):
-        raise ValueError("eps must not be NaN")
+    """Refuse a non-finite ``eps``: every comparison with NaN is false, and
+    +-inf accepts or refuses every finite gap, so each would give an
+    answer that no tolerance means."""
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite")
 
 
 def ext_add(a: float, b: float) -> float:
@@ -178,7 +181,7 @@ class _LiftedLines(Sequence):
 class LiftedCoupling(Coupling):
     """The lifted coupling C((x,y),(t,s)) = c(x,t) + c(s,y) of ``base`` = c,
     on X x Y (x-major: (x, y) at ``xy_index(x, y)``, ``xy_pairs`` by
-    index) by Y x X (t-major: ``ts_index``, ``ts_pairs``), without a table.
+    index) by Y x X (t-major: (t, s) at ``ts_index(t, s)``), without a table.
 
     Row (x, y) of ``values`` and column (t, s) of ``columns`` are built
     from c on first read and kept, each entry the float sum
@@ -220,12 +223,6 @@ class LiftedCoupling(Coupling):
         """The (x, y) at each domain index, x-major."""
         return tuple(itertools.product(range(self.base.domain.size),
                                        range(self.base.codomain.size)))
-
-    @cached_property
-    def ts_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The (t, s) at each codomain index, t-major."""
-        return tuple(itertools.product(range(self.base.codomain.size),
-                                       range(self.base.domain.size)))
 
     def afford(self, lines: int) -> int:
         """The entries built once ``lines`` more lines of |X| |Y| are;
@@ -344,10 +341,6 @@ class MultiMapping:
     def dom(self) -> tuple[int, ...]:
         return tuple(self._images)
 
-    @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted({y for _, y in self.graph}))
-
     def __call__(self, x: int) -> tuple[int, ...]:
         return self._images.get(x, ())
 
@@ -452,6 +445,7 @@ def pointwise_le(f: ExtFunction, g: ExtFunction, eps: float = 0.0) -> bool:
     """Whether f <= g + eps pointwise under the extended-real order, for a
     finite eps: there +-inf + eps is +-inf, so one float comparison per
     point decides (a finite g + eps past the float range reads +inf)."""
+    require_eps(eps)
     require_indexed_by(f.index, g)
     return all(map(le, f.values, map(add, g.values, itertools.repeat(eps))))
 

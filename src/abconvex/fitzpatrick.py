@@ -7,8 +7,8 @@ minimal C-convex C-antiderivative of the lifted mapping pinned on G(T),
 which this module verifies executably.
 
 C has no table.  ``product_coupling`` returns a ``LiftedCoupling`` that
-carries c and its index layout (``xy_index``, ``ts_index``, ``xy_pairs``
-and ``ts_pairs``), and builds row (x, y) or column (t, s) of C on first
+carries c and its index layout (``xy_index``, ``ts_index`` and
+``xy_pairs``), and builds row (x, y) or column (t, s) of C on first
 read, each entry the float sum c(x, t) + c(s, y) a table would hold, and
 keeps it for the request.  Delta_T's gain graph, the order-2 checks,
 alpha and the antiderivative test read only the rows of
@@ -73,6 +73,7 @@ from .core import (
     DEFAULT_EPS,
     INF,
     AbstractConvexError,
+    BudgetExceededError,
     Coupling,
     ExtFunction,
     GroundSet,
@@ -80,6 +81,7 @@ from .core import (
     LiftedCoupling,
     MultiMapping,
     pointwise_le,
+    require_eps,
     sup_distance,
 )
 from .envelopes import ConstraintProblem
@@ -110,7 +112,7 @@ def _pairs_side(first: GroundSet, second: GroundSet) -> GroundSet:
     """The labels of first x second, lex first-major."""
     side = first.size * second.size
     if side > MAX_LIFTED_SIDE:
-        raise AbstractConvexError(
+        raise BudgetExceededError(
             f"lifted side {side} exceeds the {MAX_LIFTED_SIDE}-cell guard")
     return GroundSet(tuple(f"({a},{b})" for a in first.labels
                            for b in second.labels))
@@ -134,12 +136,6 @@ def full_diagonal(pc: LiftedCoupling) -> tuple[tuple[int, int], ...]:
     """All lifted index pairs ((x,y),(y,x)); the candidate pool for the
     maximal-within-the-diagonal checks."""
     return tuple((pc.xy_index(x, y), pc.ts_index(y, x)) for x, y in pc.xy_pairs)
-
-
-def coupling_as_function(pc: LiftedCoupling) -> ExtFunction:
-    """c viewed as a function on the lifted domain X x Y."""
-    return ExtFunction(pc.domain,
-                       tuple(pc.base(x, y) for x, y in pc.xy_pairs))
 
 
 def graph_anchor(t_map: MultiMapping, pc: LiftedCoupling) -> ExtFunction:
@@ -217,6 +213,7 @@ class Lifted:
 
     def __init__(self, t_map: MultiMapping, c: Coupling,
                  eps: float = DEFAULT_EPS):
+        require_eps(eps)
         self.t_map, self.c, self.eps = t_map.require_on(c), c, eps
 
     @cached_property
@@ -270,7 +267,10 @@ class Lifted:
 
     @cached_property
     def coupling_function(self) -> ExtFunction:
-        return coupling_as_function(self.pc)
+        """c viewed as a function on the lifted domain X x Y."""
+        pc = self.pc
+        return ExtFunction(pc.domain,
+                           tuple(pc.base(x, y) for x, y in pc.xy_pairs))
 
     @cached_property
     def problem(self) -> ConstraintProblem:

@@ -171,7 +171,8 @@ class ExtensionProblem:
     distance-compatibility hypothesis f(x) - f(x') <= d(x', y) - d(x, y)
     over G(M) x dom(M) says that f, extended by +inf off dom(M), is a
     -d-antiderivative of the mapping; the constructor checks it by building
-    the matching ``ConstraintProblem``, which the extensions then use.
+    the matching ``ConstraintProblem``, ``family``, which the extensions
+    then use.
     """
 
     metric: MetricInstance
@@ -179,43 +180,34 @@ class ExtensionProblem:
     values: ExtFunction
     sites: IndexSubset
     eps: float = field(default=DEFAULT_EPS)
-    _problem: ConstraintProblem = field(init=False, repr=False, compare=False)
+    family: ConstraintProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # anchor() needs a nonempty dom(M) on the metric's points
-        self.mapping.require_on(as_coupling(self.metric))
+        c = as_coupling(self.metric)
+        # the anchor needs a nonempty dom(M) on the metric's points
+        self.mapping.require_on(c)
         require_indexed_by(self.metric.points, self.values, where="metric points")
-        object.__setattr__(self, "_problem", ConstraintProblem(
-            as_coupling(self.metric), self.mapping, self.anchor(), self.sites,
-            self.eps))
-
-    def anchor(self) -> ExtFunction:
-        """f extended by +inf off dom(M); a -d-antiderivative of the mapping."""
-        return restrict_sum(self.values,
-                            IndexSubset(self.metric.points, self.mapping.dom))
-
-    def constraint_problem(self) -> ConstraintProblem:
-        return self._problem
-
-    @property
-    def full_domain(self) -> bool:
-        return self._problem.full_domain
+        # f extended by +inf off dom(M); a -d-antiderivative of the mapping
+        anchor = restrict_sum(self.values,
+                              IndexSubset(self.metric.points, self.mapping.dom))
+        object.__setattr__(self, "family", ConstraintProblem(
+            c, self.mapping, anchor, self.sites, self.eps))
 
 
 def extend_min(problem: ExtensionProblem) -> ExtFunction:
     """Minimal 1-Lipschitz extension of f|_S preserving the constrained
     distances; the general-machinery lower envelope under c = -d."""
-    return alpha(problem.constraint_problem())
+    return alpha(problem.family)
 
 
 def extend_max(problem: ExtensionProblem) -> ExtFunction:
     """Maximal constrained 1-Lipschitz extension; the upper envelope."""
-    return gamma(problem.constraint_problem())
+    return gamma(problem.family)
 
 
 def extend_min_closed_form(problem: ExtensionProblem) -> ExtFunction:
     """Full-domain formula max_{(s,t) in G(M)} [f(s) + d(s,t) - d(x,t)]."""
-    if not problem.full_domain:
+    if not problem.family.full_domain:
         raise AbstractConvexError("closed form requires sites = dom(M)")
     d, f = problem.metric, problem.values
     values = tuple(
@@ -227,7 +219,7 @@ def extend_min_closed_form(problem: ExtensionProblem) -> ExtFunction:
 
 def extend_max_closed_form(problem: ExtensionProblem) -> ExtFunction:
     """Full-domain formula min_{s in dom(M)} [f(s) + d(x, s)]."""
-    if not problem.full_domain:
+    if not problem.family.full_domain:
         raise AbstractConvexError("closed form requires sites = dom(M)")
     return mcshane_whitney_max(problem.metric, problem.sites, problem.values)
 
@@ -252,6 +244,7 @@ def mcshane_whitney_max(metric: MetricInstance, sites: IndexSubset,
 
 def is_1_lipschitz(f: ExtFunction, metric: MetricInstance,
                    eps: float = DEFAULT_EPS) -> bool:
+    require_eps(eps)
     require_indexed_by(metric.points, f, where="metric points")
     n = metric.points.size
     return all(abs(f(i) - f(j)) <= metric(i, j) + eps

@@ -39,6 +39,7 @@ from .core import (
     ExtFunction,
     LiftedCoupling,
     MultiMapping,
+    require_eps,
     require_indexed_by,
     sup_distance,
 )
@@ -115,6 +116,7 @@ def c_convexify(f: ExtFunction, c: Coupling) -> ExtFunction:
 
 def is_c_convex(f: ExtFunction, c: Coupling, eps: float = DEFAULT_EPS) -> bool:
     """Whether f = f^{cc} within eps (+inf entries must match exactly)."""
+    require_eps(eps)
     f.require_proper("c-convexity test input")
     return sup_distance(f, c_convexify(f, c)) <= eps
 
@@ -140,6 +142,7 @@ def c_subdifferential(f: ExtFunction, c: Coupling,
     This is the sup-form of the definition, O(|X||Y|) after one transform.
     The tests check it against the universally quantified form.
     """
+    require_eps(eps)
     f.require_proper("subdifferential input")
     fc = c_transform(f, c)
     finite = [(y, g) for y, g in enumerate(fc.values) if math.isfinite(g)]
@@ -155,6 +158,7 @@ def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
     """Whether G(M) is contained in G(subdifferential of f): the
     subdifferential's test on the pairs of G(M) alone.  M must run from
     c's domain to its codomain (``IndexMismatchError`` otherwise)."""
+    require_eps(eps)
     f.require_proper("antiderivative candidate")
     m.require_on(c)
     fv, fc = f.values, c_transform(f, c).values

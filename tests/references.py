@@ -655,8 +655,14 @@ def maximal_by_recheck(m, c, eps, candidates=None):
     return _is_maximal(lambda t: n_monotone_oracle(t, c, 2, eps), m, candidates)
 
 
+def ts_pairs(pc):
+    """The (t, s) at each codomain index of a lifted coupling, t-major."""
+    return tuple(itertools.product(range(pc.base.codomain.size),
+                                   range(pc.base.domain.size)))
+
+
 def product_rows_per_cell(c, pc):
-    return tuple(tuple(c(x, t) + c(s, y) for t, s in pc.ts_pairs)
+    return tuple(tuple(c(x, t) + c(s, y) for t, s in ts_pairs(pc))
                  for x, y in pc.xy_pairs)
 
 

@@ -265,7 +265,7 @@ def test_criterion_09_constrained_extension():
                     assert g(x) - g(xp) <= d(xp, y) - d(x, y) + TOL
         assert sup_distance(lo, extend_min_closed_form(problem)) <= TOL
         assert sup_distance(hi, extend_max_closed_form(problem)) <= TOL
-        cp = problem.constraint_problem()
+        cp = problem.family
         assert sup_distance(lo, alpha(cp)) <= TOL
         assert sup_distance(hi, gamma(cp)) <= TOL
         for _ in range(5):

@@ -8,20 +8,44 @@ from hypothesis import strategies as st
 from abconvex import (
     INF,
     AbstractConvexError,
+    ConstraintProblem,
+    ExtensionProblem,
     ExtFunction,
     GroundSet,
     IndexMismatchError,
     IndexSubset,
+    Lifted,
+    MetricInstance,
     MultiMapping,
     UndefinedSumError,
+    alpha,
+    c_subdifferential,
     convex_combination,
     coupling_from_rows,
     ext_add,
     indicator,
+    inject_positive_two_cycle,
+    is_1_lipschitz,
+    is_antiderivative,
+    is_c_convex,
+    is_cyclically_monotone,
+    is_maximal_cyclically_monotone,
+    is_maximal_n_monotone,
+    is_member,
+    is_n_monotone,
+    lipschitz_characterize,
     pointwise_le,
+    random_c_convex_function,
+    random_coupling,
+    random_cyclically_monotone_mapping,
+    random_metric,
     restrict_sum,
+    rockafellar,
+    sandwich_check,
     sup_distance,
 )
+from abconvex.lipschitz import identity_on
+from abconvex.rockafellar import chain_suprema
 
 from conftest import assert_same_floats, grid_labels
 from references import pointwise_le_per_pair, sup_distance_loop
@@ -133,10 +157,14 @@ def test_inverse_is_involution(two_point):
     assert m.inverse().inverse().graph == m.graph
 
 
+def image(m):
+    return tuple(sorted({y for _, y in m.graph}))
+
+
 def test_inverse_swaps_domain_and_image(two_point):
     m = two_point.m
-    assert m.inverse().dom == m.image
-    assert m.inverse().image == m.dom
+    assert m.inverse().dom == image(m)
+    assert image(m.inverse()) == m.dom
 
 
 @given(pairs=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=1))
@@ -145,7 +173,7 @@ def test_inverse_involution_random(pairs):
     y = GroundSet(("a", "b"))
     m = MultiMapping(x, y, tuple(pairs))
     assert m.inverse().inverse().graph == m.graph
-    assert m.inverse().dom == m.image
+    assert m.inverse().dom == image(m)
 
 
 def test_subset_rejects_empty():
@@ -229,3 +257,100 @@ def test_pointwise_le_matches_the_per_pair_rule():
         assert pointwise_le(f, g, eps) == want
         seen.add((want, all(map(math.isfinite, a + b))))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def eps_readers():
+    """Each public reader of eps as a call on eps, on fixed draws: a mapping
+    with a positive 2-cycle, a c-convex f with its subdifferential, and a
+    1-Lipschitz function on a metric."""
+    rng = random.Random
+    c = random_coupling(rng(3), 3, 3)
+    m, cm = inject_positive_two_cycle(
+        rng(3), random_cyclically_monotone_mapping(rng(3), c), c)
+    s, zero = m.dom[0], ExtFunction(cm.domain, (0.0,) * 3)
+    c0 = random_coupling(rng(0), 3, 3)
+    f = random_c_convex_function(rng(0), c0)
+    sub = c_subdifferential(f, c0).mapping
+    d = random_metric(rng(0), 3)
+    lip = ExtFunction(d.points, tuple(d(0, x) for x in range(3)))
+    sites = IndexSubset(d.points, (0, 2))
+    triangle_fails = ((0.0, 1.0, 5.0), (1.0, 0.0, 1.0), (5.0, 1.0, 0.0))
+
+    def problem(eps):
+        return ConstraintProblem(c0, sub, f, IndexSubset(c0.domain, sub.dom), eps)
+
+    return {
+        "is_c_convex": lambda e: is_c_convex(f, c0, e),
+        "c_subdifferential": lambda e: len(c_subdifferential(f, c0, e).graph),
+        "is_antiderivative": lambda e: is_antiderivative(f, sub, c0, e),
+        "is_member": lambda e: is_member(f, problem(e)),
+        "sandwich_check": lambda e: sandwich_check(f, problem(e)),
+        "alpha": lambda e: alpha(ConstraintProblem(
+            cm, m, zero, IndexSubset(cm.domain, m.dom), e)),
+        "pointwise_le": lambda e: pointwise_le(f, f, e),
+        "is_n_monotone(2)": lambda e: bool(is_n_monotone(m, cm, 2, e)),
+        "is_n_monotone(3)": lambda e: bool(is_n_monotone(m, cm, 3, e)),
+        "is_cyclically_monotone": lambda e: bool(is_cyclically_monotone(m, cm, e)),
+        "is_maximal_n_monotone": lambda e: is_maximal_n_monotone(m, cm, 2, e),
+        "is_maximal_cyclically_monotone":
+            lambda e: is_maximal_cyclically_monotone(m, cm, e),
+        "rockafellar": lambda e: rockafellar(m, cm, s, e),
+        "chain_suprema": lambda e: chain_suprema(m, cm, [s], [0.0], e),
+        "MetricInstance": lambda e: MetricInstance(d.points, triangle_fails,
+                                                   True, e),
+        "is_1_lipschitz": lambda e: is_1_lipschitz(lip, d, e),
+        "lipschitz_characterize":
+            lambda e: lipschitz_characterize(lip, d, e).is_md_convex,
+        "ExtensionProblem": lambda e: ExtensionProblem(
+            d, identity_on(sites), lip, sites, e).family.full_domain,
+        "Lifted.theorem6A": lambda e: Lifted(m, cm, e).theorem6A().t_monotone,
+        "Lifted.theorem6B": lambda e: Lifted(m, cm, e).theorem6B(),
+    }
+
+
+def outcome(call, eps):
+    """The answer of ``call(eps)``, or the name of the error it raised."""
+    try:
+        return call(eps)
+    except AbstractConvexError as exc:
+        return type(exc).__name__
+
+
+#: Each reader's answers at eps = 0.0, -0.0 and -1e-9.
+FINITE_EPS_ANSWERS = {
+    "is_c_convex": (True, True, False),
+    "c_subdifferential": (4, 4, 0),
+    "is_antiderivative": (True, True, False),
+    "is_member": (True, True, "AbstractConvexError"),
+    "sandwich_check": (True, True, "AbstractConvexError"),
+    "alpha": ("AbstractConvexError",) * 3,
+    "pointwise_le": (True, True, False),
+    "is_n_monotone(2)": (False,) * 3,
+    "is_n_monotone(3)": (False,) * 3,
+    "is_cyclically_monotone": (False,) * 3,
+    "is_maximal_n_monotone": (False,) * 3,
+    "is_maximal_cyclically_monotone": (False,) * 3,
+    "rockafellar": ("NotCyclicallyMonotoneError",) * 3,
+    "chain_suprema": ("NotCyclicallyMonotoneError",) * 3,
+    "MetricInstance": ("MetricError",) * 3,
+    "is_1_lipschitz": (True, True, False),
+    "lipschitz_characterize": (True, True, False),
+    "ExtensionProblem": (True, True, "AbstractConvexError"),
+    "Lifted.theorem6A": (False,) * 3,
+    "Lifted.theorem6B": ("AbstractConvexError",) * 3,
+}
+
+
+def test_every_eps_reader_refuses_a_non_finite_eps():
+    # at eps = inf the 2-cycle passed every monotonicity check, rockafellar
+    # and alpha returned values, 6B reported equal at a distance of 3.75 and
+    # the metric took a failing triangle; at nan the transforms' predicates
+    # read every comparison as a failure
+    readers = eps_readers()
+    assert readers.keys() == FINITE_EPS_ANSWERS.keys()
+    for name, call in readers.items():
+        for eps in (math.nan, INF, -INF):
+            with pytest.raises(ValueError, match="^eps must be finite$"):
+                call(eps)
+        answers = tuple(outcome(call, eps) for eps in (0.0, -0.0, -1e-9))
+        assert answers == FINITE_EPS_ANSWERS[name], name

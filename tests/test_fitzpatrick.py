@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import random
 
@@ -57,7 +58,6 @@ from abconvex.fitzpatrick import (
     _family_member,
     _mix,
     _sampled_members,
-    coupling_as_function,
     full_diagonal,
     graph_anchor,
 )
@@ -80,6 +80,7 @@ from references import (
     partly_grown,
     product_rows_per_cell,
     random_graph,
+    ts_pairs,
     verify_document,
 )
 
@@ -109,9 +110,9 @@ def test_product_coupling_structure(two_point):
     # the coupling carries its own index layout, x-major and t-major
     assert isinstance(pc, LiftedCoupling) and pc.base is c
     assert [pc.xy_index(x, y) for x, y in pc.xy_pairs] == list(range(10))
-    assert [pc.ts_index(t, s) for t, s in pc.ts_pairs] == list(range(10))
+    assert [pc.ts_index(t, s) for t, s in ts_pairs(pc)] == list(range(10))
     assert pc.xy_pairs[pc.xy_index(3, 1)] == (3, 1)
-    assert pc.ts_pairs[pc.ts_index(1, 3)] == (1, 3)
+    assert ts_pairs(pc)[pc.ts_index(1, 3)] == (1, 3)
 
 
 def test_delta_mapping_graph(two_point):
@@ -127,8 +128,8 @@ def test_fitzpatrick_majorizes_coupling_and_touches_graph(two_point):
     # subdifferential of |x| is one
     t = c_subdifferential(two_point.f_abs, two_point.c).mapping
     f = fitzpatrick(t, two_point.c)
-    pc = product_coupling(two_point.c)
-    base = coupling_as_function(pc)
+    lifted = Lifted(t, two_point.c)
+    pc, base = lifted.pc, lifted.coupling_function
     for i in range(10):
         assert f(i) >= base(i) - EPS
     for x, y in t.graph:
@@ -405,6 +406,25 @@ def test_lifted_entry_guard_holds_inside_the_line_cache(monkeypatch):
         Lifted(t, c).theorem6A()
 
 
+def test_the_lifted_side_guard_is_a_budget_error(tmp_path, capsys):
+    # 101 x 100: each lifted side has 10100 cells, one past the guard; the
+    # library calls raise the budget error, and the CLI exits 1 with it
+    c = random_coupling(random.Random(0), 101, 100)
+    t = MultiMapping(c.domain, c.codomain, ((0, 0),))
+    message = f"lifted side 10100 exceeds the {MAX_LIFTED_SIDE}-cell guard"
+    for call in (lambda: product_coupling(c), lambda: fitzpatrick(t, c),
+                 lambda: Lifted(t, c).theorem6A()):
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            call()
+    path = tmp_path / "doc.json"
+    path.write_text(verify_document(t, c))
+    capsys.readouterr()
+    assert cli_main(["fitzpatrick", "--instance", str(path),
+                     "--mapping", "T"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "domain",
+                                                   "message": message}
+
+
 def test_anchor_restricts_coupling_to_graph(two_point):
     pc = product_coupling(two_point.c)
     anchor = graph_anchor(two_point.m, pc)
@@ -651,8 +671,9 @@ def test_verify_builds_only_the_lines_of_delta_t(tmp_path, monkeypatch, rng):
         (pc,) = built
         delta = delta_mapping(t, pc)
         assert pc.values.built == set(delta.dom)
-        assert pc.columns.built == set(delta.image)
-        assert len(delta.dom) == len(delta.image) == len(t.graph)
+        image = delta.inverse().dom
+        assert pc.columns.built == set(image)
+        assert len(delta.dom) == len(image) == len(t.graph)
 
 
 def test_separable_kernel_conventions_and_orientation():
@@ -667,10 +688,10 @@ def test_separable_kernel_conventions_and_orientation():
     hc = c_transform(h, lifted)
     assert hc.values == tuple(
         max(c(s, y) + (c(x, t) - h(pc.xy_index(x, y))) for x, y in pc.xy_pairs)
-        for t, s in pc.ts_pairs)
+        for t, s in ts_pairs(pc))
     hcc = c_transform_rev(hc, lifted)
     assert hcc.values == tuple(
-        max(c(x, t) + (c(s, y) - hc(pc.ts_index(t, s))) for t, s in pc.ts_pairs)
+        max(c(x, t) + (c(s, y) - hc(pc.ts_index(t, s))) for t, s in ts_pairs(pc))
         for x, y in pc.xy_pairs)
     inf = float("inf")
     for f, transform in ((h, c_transform), (hc, c_transform_rev)):

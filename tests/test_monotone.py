@@ -825,5 +825,5 @@ def test_a_nan_eps_is_refused():
              lambda: Lifted(m, c, nan).delta_alpha,
              lambda: Lifted(m, c, nan).t_monotone]
     for call in calls:
-        with pytest.raises(ValueError, match="^eps must not be NaN$"):
+        with pytest.raises(ValueError, match="^eps must be finite$"):
             call()
