@@ -21,7 +21,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 from .fitzpatrick import Lifted, fitzpatrick
 from .core import AbstractConvexError, DEFAULT_EPS, MultiMapping, indexed_by
@@ -111,6 +111,12 @@ def _site_args(doc: InstanceDocument, args):
     return m, f, s
 
 
+def _fields(report) -> dict:
+    """A report's fields by name, in order: ``asdict`` without its deep
+    copy, which a report of bools, floats and None does not need."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 def _run(args) -> dict:
     eps = args.epsilon
     if not math.isfinite(eps):
@@ -194,13 +200,13 @@ def _run(args) -> dict:
     lifted = Lifted(_mapping(doc, args), c, eps)
     report_a = lifted.theorem6A()
     out = {"command": cmd,
-           "theorem_a": {**asdict(report_a), "agree": report_a.agree}}
+           "theorem_a": {**_fields(report_a), "agree": report_a.agree}}
     if report_a.t_monotone:
-        out["theorem_b"] = asdict(lifted.theorem6B(seed=args.seed))
+        out["theorem_b"] = _fields(lifted.theorem6B(seed=args.seed))
     if doc.metric is not None and doc.negate:
         try:
             # c is -d here, the coupling the chain is stated for
-            out["inequality_chain"] = asdict(lifted.inequality_chain())
+            out["inequality_chain"] = _fields(lifted.inequality_chain())
         except AbstractConvexError as exc:
             out["inequality_chain"] = {"skipped": str(exc)}
     return out

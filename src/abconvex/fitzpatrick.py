@@ -22,10 +22,10 @@ passes (``transforms._lifted_transform``), O(n^3) for n = |X| = |Y| in
 place of a table's O(n^4).  A transformed value may move in its last bits
 from a table's, by at most
 2**-51 * (1 + 2**-53) * (2 max |c| + max finite |h|).  F is a row kernel:
-for each x it folds, in G(T) order, the rows (c(x, t) + c(s, .)) - c(s, t)
-with a strict >.  Every cell is the same sum as in the per-cell formula,
-and the first of equal maxima wins as with ``max``, so it is bit-identical
-to it.
+for each x it takes one ``max`` per cell over the rows
+(c(x, t) + c(s, .)) - c(s, t), in G(T) order (a one-pair G(T) is its one
+row).  Every cell is the same sum as in the per-cell formula, and ``max``
+keeps the first of equal maxima as it does, so F is bit-identical to it.
 
 Theorems 6A and 6B and the -d chain have one entry point, ``Lifted`` on
 (T, c, eps), whose methods ``theorem6A``, ``theorem6B`` and
@@ -33,10 +33,10 @@ Theorems 6A and 6B and the -d chain have one entry point, ``Lifted`` on
 ``MultiMapping.require_on``, that T is proper and runs from c's domain to
 its codomain, and computes each lifted
 quantity at most once, on first use: C, Delta_T,
-the anchor c + i_{G(T)}, whether the anchor is an antiderivative of
-Delta_T (6A's fourth reading, and the one check of the lifted family that
-6B needs: its sites are dom(Delta_T), where the anchor is c, hence
-finite), the lifted family's alpha max_s [c(s) + R_s] from
+the anchor c + i_{G(T)} and its transform anchor^C, whether the anchor is
+an antiderivative of Delta_T (6A's fourth reading, and the one check of
+the lifted family that 6B needs: its sites are dom(Delta_T), where the
+anchor is c, hence finite), the lifted family's alpha max_s [c(s) + R_s] from
 one ``chain_suprema`` call on Delta_T, or the error it raised (6A's cyclic
 reading is which of the two it holds, 6B's alpha the value), T's order-2
 verdict and maximality, and F (6B and the -d chain both read it).  That
@@ -49,10 +49,10 @@ per method reports the same.  The chain reads d(x, y) as -c(x, y), which
 is exact, and never builds C, so C's guard does not bind it.
 
 On finitely maximal T, 6B samples members of the lifted family on the
-conjugate side.  Two transforms run once per request: low = anchor^C,
-which is gamma^C (gamma is the anchor's convexification, the sites being
-all of dom Delta_T), and high = alpha^C.  Each member is the C-transform
-of a pointwise mix of the two.  Conjugation reverses order and alpha and
+conjugate side.  It reads low = anchor^C, the transform the antiderivative
+test read, which is gamma^C (gamma is the anchor's convexification, the
+sites being all of dom Delta_T), and runs high = alpha^C once.  Each
+member is the C-transform of a pointwise mix of the two.  Conjugation reverses order and alpha and
 gamma are C-convex, so low <= g <= high gives alpha <= g^C <= gamma; and
 g^C, a C-transform, is C-convex, so it lies in the lifted family by the
 full-domain sandwich criterion.  That is one transform per member, and
@@ -95,6 +95,7 @@ from .monotone import (
 )
 from .rockafellar import NotCyclicallyMonotoneError, chain_suprema
 from .transforms import (
+    _in_subdifferential,
     c_subdifferential,
     c_transform,
     c_transform_rev,
@@ -153,13 +154,11 @@ def fitzpatrick(t_map: MultiMapping, c: Coupling) -> ExtFunction:
     xy_set = _pairs_side(c.domain, c.codomain)
     values = []
     for row_x in c.values:
-        # fold over G(T), in order, the rows (c(x,t) + c(s,.)) - c(s,t)
-        rows = (map(sub, map(add, itertools.repeat(row_x[t]), c.values[s]),
-                    itertools.repeat(c(s, t))) for s, t in t_map.graph)
-        best = list(next(rows))
-        for row in rows:
-            best = [g if g > b else b for b, g in zip(best, row)]
-        values += best
+        # the rows (c(x,t) + c(s,.)) - c(s,t) over G(T), in order, and their
+        # max per cell; max of one float would raise, so one pair is read alone
+        rows = [map(sub, map(add, itertools.repeat(row_x[t]), c.values[s]),
+                    itertools.repeat(c(s, t))) for s, t in t_map.graph]
+        values += map(max, *rows) if len(rows) > 1 else rows[0]
     return ExtFunction(xy_set, tuple(values))
 
 
@@ -233,12 +232,18 @@ class Lifted:
         return graph_anchor(self.t_map, self.pc)
 
     @cached_property
+    def anchor_transform(self) -> ExtFunction:
+        """anchor^C, which the antiderivative test and 6B's sampler (as
+        low = gamma^C) both read."""
+        return c_transform(self.anchor, self.pc)
+
+    @cached_property
     def anchor_is_antiderivative(self) -> bool:
         """6A's fourth reading; 6B's only check of the lifted family that
         its construction does not already make (its sites are dom(Delta_T),
         where the anchor is c, hence finite)."""
-        return is_antiderivative(self.anchor, self.delta, self.pc,
-                                 self.eps)
+        return _in_subdifferential(self.anchor, self.anchor_transform,
+                                   self.delta, self.pc, self.eps)
 
     @cached_property
     def delta_alpha(self) -> ExtFunction | NotCyclicallyMonotoneError:
@@ -398,8 +403,7 @@ def _sampled_members(lifted: Lifted, a: ExtFunction, rng: random.Random,
     """``count`` members of the lifted family between alpha = ``a`` and
     gamma: the C-transforms of pointwise mixes of low = anchor^C = gamma^C
     and high = alpha^C (module docstring)."""
-    c = lifted.pc
-    low = c_transform(lifted.anchor, c)
+    c, low = lifted.pc, lifted.anchor_transform
     high = c_transform(a, c)
     for _ in range(count):
         yield c_transform_rev(ExtFunction(low.index, _mix(

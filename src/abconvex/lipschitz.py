@@ -23,7 +23,9 @@ only symmetric within eps scans every column.
 
 The O(n^2) axioms (zero diagonal, finite, nonnegative, symmetric within
 eps, positive off the diagonal) run cell by cell, before the triangle
-check, and raise the message for the first failing cell.
+check, and raise the message for the first failing cell.  A negative eps
+is refused first, with its own message: the triangle test at j = i reads
+d(i, k) > d(i, k) + eps, so no matrix could pass it (-0.0 is accepted).
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ class MetricInstance:
 
     def __post_init__(self):
         require_eps(self.eps)
+        if self.eps < 0:  # no matrix could pass (module docstring)
+            raise MetricError(
+                f"metric eps must be nonnegative, got {self.eps!r}")
         n = self.points.size
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):

@@ -66,19 +66,22 @@ every one-step loop u -> u.
 The exact-length route is one generator of walk rounds: round L holds the
 best walk of exactly L steps between every two nodes (O(k^3) per round,
 keeping only the round before it) and the first node of largest
-closed-walk gain.  The cyclic verdict stops at the first length L whose
-best closed walk gains over eps, so a rejected mapping costs O(L * k^3)
-and a passed one O(k^4).  Only a failing verdict rebuilds its cycle
-(``_failure``): row u of a round depends only on row u of the round
-before, so it recomputes that node's row for L - 1 rounds and steps back
-from the node, taking at each step the first node of largest gain, the
-one the rounds' ``max`` keeps (O(L * k^2) time, O(L * k) memory).
+closed-walk gain.  Its diagonal is read from round L - 1 in O(k^2), and
+the round itself is built only when a consumer goes on past it.  The
+cyclic verdict stops at the first length L whose best closed walk gains
+over eps, so a rejected mapping costs O((L - 1) * k^3 + k^2) and a passed
+one O(k^4).  Only a failing verdict rebuilds its cycle (``_failure``):
+row u of a round depends only on row u of the round before, so it
+recomputes that node's row for L - 1 rounds and steps back from the node,
+taking at each step the first node of largest gain, the one the rounds'
+``max`` keeps (O(L * k^2) time, O(L * k) memory).
 
 ``is_n_monotone`` has one route per order.  Order n != 2 reads walk round
-n, whose witness starts at the first node of largest closed-walk gain; the
-(n - 1) * k^2 walk entries its rounds compute are checked against
-``ENUMERATION_BUDGET`` before any round runs.  Order 2 is one row kernel
-over G(M): p = (x, y) and q = (u, v) gain
+n's diagonal, whose witness starts at the first node of largest
+closed-walk gain, so it builds rounds 1..n - 1 and never round n; the
+(n - 1) * k^2 walk entries of rounds 1..n, an upper bound on what it
+computes, are checked against ``ENUMERATION_BUDGET`` before any round
+runs.  Order 2 is one row kernel over G(M): p = (x, y) and q = (u, v) gain
 a + b = (c(u, y) - c(x, y)) + (c(x, v) - c(u, v)), which is the chain
 sum of the selection (p, q) up to the sign of a zero (summed from 0.0,
 it reads 0.0 + a + b).  Scanning each p in graph order for its first q
@@ -119,7 +122,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from operator import add, itemgetter, lt, sub
 from typing import Optional
 
@@ -132,9 +135,9 @@ from .core import (
     require_eps,
 )
 
-#: Cap on the (n - 1) * k^2 walk entries that ``is_n_monotone``'s rounds
-#: compute to read walk round n; the tests' enumeration oracles cap the
-#: tuples they try by it too.
+#: Cap on the (n - 1) * k^2 walk entries of rounds 1..n, an upper bound on
+#: what ``is_n_monotone``'s rounds compute to read walk round n's diagonal;
+#: the tests' enumeration oracles cap the tuples they try by it too.
 ENUMERATION_BUDGET = 10 ** 6
 
 
@@ -200,20 +203,31 @@ def _step(a: list[list[float]], row: list[float]) -> list[float]:
                                for b, a_w in zip(row, a)])))
 
 
+def _round(a: list[list[float]], prev: list[list[float]]) -> list[list[float]]:
+    """The walk round after ``prev``: one ``_step`` per row."""
+    return [_step(a, row) for row in prev]
+
+
 def _walk_rounds(a: list[list[float]]):
     """Exact-length walk rounds over a square gain matrix, without end.
 
-    Round L = 1, 2, ... yields (best, where, walk): ``walk[u][v]`` is the
-    best gain of a walk of exactly L steps from u to v, ``best`` the largest
-    diagonal entry of ``walk`` and ``where`` its first node.  A round costs
-    O(k^3) and depends only on the round before it.
+    Round L = 1, 2, ... yields (best, where, walk): ``best`` is the largest
+    gain of a closed walk of exactly L steps, ``where`` its first node, and
+    ``walk()`` the round, ``walk()[u][v]`` the best gain of a walk of
+    exactly L steps from u to v.  Round L's diagonal is read from round
+    L - 1 alone, entry u as max_w [prev[u][w] + a[w][u]], the same sums in
+    the same order as ``_step``'s entry (u, u), in O(k^2).  The round
+    itself costs O(k^3) and is built once, when ``walk`` is called or the
+    rounds go on, so a consumer that stops at round L never builds it.
     """
-    walk = a
+    cols = list(zip(*a))
+    diag, walk = [row[u] for u, row in enumerate(a)], lambda: a
     while True:
-        diag = [row[u] for u, row in enumerate(walk)]
         best = max(diag)
         yield best, diag.index(best), walk
-        walk = [_step(a, row) for row in walk]
+        prev = walk()
+        diag = [max(map(add, row, col)) for row, col in zip(prev, cols)]
+        walk = cache(partial(_round, a, prev))
 
 
 def _failure(gg: GainGraph, a: list[list[float]], u: int,
@@ -347,7 +361,7 @@ def _cyclic_walks(gg: GainGraph, eps: float
             itertools.islice(_walk_rounds(a), k), 1):
         if best > eps:
             return _failure(gg, a, where, length), None
-        walks = [list(map(max, b, w)) for b, w in zip(walks, walk)]
+        walks = [list(map(max, b, w)) for b, w in zip(walks, walk())]
     return MonotonicityResult(True), walks
 
 

@@ -161,7 +161,14 @@ def is_antiderivative(f: ExtFunction, m: MultiMapping, c: Coupling,
     require_eps(eps)
     f.require_proper("antiderivative candidate")
     m.require_on(c)
-    fv, fc = f.values, c_transform(f, c).values
-    return all(math.isfinite(fv[x]) and math.isfinite(fc[y])
-               and abs(fv[x] + fc[y] - c.values[x][y]) <= eps
+    return _in_subdifferential(f, c_transform(f, c), m, c, eps)
+
+
+def _in_subdifferential(f: ExtFunction, fc: ExtFunction, m: MultiMapping,
+                        c: Coupling, eps: float) -> bool:
+    """``is_antiderivative``'s pair test given f's transform ``fc``: each
+    (x, y) of G(M) has f(x) + f^c(y) = c(x, y) within eps, both finite."""
+    fv, gv = f.values, fc.values
+    return all(math.isfinite(fv[x]) and math.isfinite(gv[y])
+               and abs(fv[x] + gv[y] - c.values[x][y]) <= eps
                for x, y in m.graph)

@@ -752,7 +752,10 @@ def axiom_failure(d, eps, pseudometric):
 
 
 def reference_metric_error(d, eps, pseudometric=False):
-    """The message of the first failing cell or triple, or None."""
+    """The message of the first failing cell or triple, or None; a negative
+    eps, which fails the triangle at j = i on every matrix, before any."""
+    if eps < 0:
+        return f"metric eps must be nonnegative, got {eps!r}"
     error = axiom_failure(d, eps, pseudometric)
     if error is None and (first := first_triangle_failure(d, eps)):
         error = "triangle inequality fails at ({},{},{})".format(*first)

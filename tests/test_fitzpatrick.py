@@ -586,12 +586,13 @@ def test_family_bounds_kernel_matches_the_per_pair_checks(rng, monkeypatch):
     assert seen == {True, False}
 
 
-def test_maximal_verify_runs_33_lifted_transforms(tmp_path, monkeypatch, rng):
-    # 6A's anchor reading (6B reuses its verdict), gamma^C and alpha^C once
-    # each, then per member its transform and the two of the C-convexity
-    # test: 33 runs of the separable kernel, where 6B's own anchor check
-    # made 34 and convexifying each mix 44.  verify transforms nothing over
-    # c itself, so the table kernel sees no call, and no lifted-side vector.
+def test_maximal_verify_runs_32_lifted_transforms(tmp_path, monkeypatch, rng):
+    # anchor^C once, read by 6A's anchor reading (6B reuses its verdict) and
+    # by the sampler as gamma^C, alpha^C once, then per member its transform
+    # and the two of the C-convexity test: 32 runs of the separable kernel,
+    # where transforming the anchor twice made 33, 6B's own anchor check 34
+    # and convexifying each mix 44.  verify transforms nothing over c
+    # itself, so the table kernel sees no call, and no lifted-side vector.
     transforms = importlib.import_module("abconvex.transforms")
     real_lifted, real_table = transforms._lifted_transform, transforms._transform
     lifted_sides, table_sides = [], []
@@ -614,8 +615,8 @@ def test_maximal_verify_runs_33_lifted_transforms(tmp_path, monkeypatch, rng):
         assert cli_main(["verify", "--instance", str(path), "--mapping", "T",
                          "--output", str(tmp_path / "out.json")]) == 0
         side = c.domain.size * c.codomain.size
-        assert lifted_sides == [side] * (3 + 3 * THEOREM_6B_SAMPLES)
-        assert len(lifted_sides) == 33
+        assert lifted_sides == [side] * (2 + 3 * THEOREM_6B_SAMPLES)
+        assert len(lifted_sides) == 32
         assert table_sides == []
 
 

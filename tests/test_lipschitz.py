@@ -299,7 +299,8 @@ def test_one_point_metrics():
     for value, eps, want in ((0.0, EPS, None), (-0.0, EPS, None),
                              (EPS, EPS, None), (-EPS, EPS, None),
                              (2 * EPS, EPS, "d(0,0) != 0"),
-                             (0.0, -EPS, "d(0,0) != 0"),
+                             (0.0, -EPS, f"metric eps must be nonnegative, "
+                                         f"got {-EPS!r}"),
                              (math.inf, EPS, "d(0,0) != 0"),
                              (math.nan, EPS, "d(0,0) must be finite and nonnegative")):
         assert reference_metric_error([[value]], eps) == want
@@ -370,6 +371,18 @@ def test_mcshane_whitney_and_is_1_lipschitz_refuse_data_off_the_points():
     with pytest.raises(IndexMismatchError, match=(
             "^function is not indexed by the metric points$")):
         is_1_lipschitz(f4, metric)
+
+
+def test_a_negative_eps_is_refused_by_name():
+    # at eps < 0 the triangle test at j = i reads d(i, k) > d(i, k) + eps,
+    # so no matrix passes; the zero diagonal was refused as "d(0,0) != 0"
+    points = GroundSet(("a", "b"))
+    rows = ((0.0, 1.0), (1.0, 0.0))
+    for eps in (-1e-9, -5e-324, -1.0):
+        with pytest.raises(MetricError, match=(
+                f"^metric eps must be nonnegative, got {eps!r}$")):
+            MetricInstance(points, rows, eps=eps)
+    assert MetricInstance(points, rows, eps=-0.0).eps == 0.0
 
 
 def test_a_nan_eps_is_refused_by_the_metric_axioms():

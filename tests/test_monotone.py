@@ -233,7 +233,7 @@ def test_orders_two_and_three_at_the_largest_document_magnitude(rng):
 
 
 def test_walk_round_predecessors_are_budgeted(two_point, monkeypatch):
-    # k = 3 nodes: order n computes (n - 1) * 9 walk entries
+    # k = 3 nodes: order n is budgeted at (n - 1) * 9 walk entries
     monkeypatch.setattr(monotone, "ENUMERATION_BUDGET", 18)
     assert is_n_monotone(two_point.m, two_point.c, 3)
     with pytest.raises(BudgetExceededError):
@@ -414,6 +414,37 @@ def test_rebuilt_cycles_are_the_reference_cycles_at_every_length(rng):
                 gg, best, cycles[length - 1], -INF)
             lengths += length > 2
     assert lengths >= 150  # walks of three steps and more
+
+
+def test_failing_rounds_build_no_round_past_the_one_they_read(rng,
+                                                              monkeypatch):
+    # round L's diagonal is read from round L - 1, so a verdict that fails
+    # at round L never builds it: order 3 builds round 2 alone (k steps,
+    # round 1 being the gain matrix) and a failing witness rebuilds one row
+    # once more; a cyclic verdict failing at length 2 builds no round
+    real, steps = monotone._step, []
+
+    def counting(a, row):
+        steps.append(1)
+        return real(a, row)
+
+    monkeypatch.setattr(monotone, "_step", counting)
+    third = second = 0
+    for i, (m, c) in enumerate(mixed_mappings(rng, 150)):
+        k = len(m.dom)
+        steps.clear()
+        assert_order_route(m, c, 3, EPS)  # the oracle's verdict and witness
+        failed = not is_n_monotone(m, c, 3, EPS)
+        assert len(steps) == 2 * (k + failed)  # both calls above
+        third += failed
+        if i % 3 == 2:  # an injected positive 2-cycle
+            steps.clear()
+            got = is_cyclically_monotone(m, c, EPS)
+            assert (got.holds, got.witness) == reference_cyclic_verdict(
+                build_gain_graph(m, c), EPS)
+            assert len(got.witness) == 2 and steps == []
+            second += 1
+    assert third >= 40 and second == 50
 
 
 # ---------------------------------------------------------------- row kernels

@@ -9,6 +9,7 @@ imports are re-exports.
 """
 
 import ast
+import re
 import runpy
 import subprocess
 import sys
@@ -259,3 +260,13 @@ def test_worked_example_runs():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "is_member(x) = True" in lines and "is_member(|x|) = True" in lines
+
+
+def test_request_digest_prints_one_digest_per_workload():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts/request_digest.py"),
+                           "--seeds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["envelope", "dense", "lifted"]
+    assert all(re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows)
