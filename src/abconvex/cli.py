@@ -1,8 +1,12 @@
 """Command-line surface: deterministic JSON in, deterministic JSON out.
 
 Exit codes: 0 success, 1 domain error (e.g. a mapping that is not
-cyclically monotone), 2 input error (bad document, bad references, bad
-usage, an ``--output`` path that cannot be written).
+cyclically monotone), 2 input error (bad document, bad references, a
+named item off its side of the coupling, bad usage, an ``--output`` path
+that cannot be written).  Every named item passes one side check
+(``_item``): a mapping runs from the coupling's domain to its codomain,
+and a subset or function lies in its domain; only ``transform`` reads a
+function on either side.
 
 ``--output FILE`` receives the bytes stdout would.  An existing file is
 rewritten in place and then cut to the written length, so its inode, mode
@@ -24,7 +28,7 @@ import sys
 from dataclasses import fields
 
 from .fitzpatrick import Lifted, fitzpatrick
-from .core import AbstractConvexError, DEFAULT_EPS, MultiMapping, indexed_by
+from .core import AbstractConvexError, DEFAULT_EPS, indexed_by
 from .envelopes import ConstraintProblem, alpha, gamma, is_member
 from .instance_io import (
     InstanceDocument,
@@ -83,32 +87,34 @@ def _require(value, flag: str):
     return value
 
 
-def _mapping(doc: InstanceDocument, args) -> MultiMapping:
-    """``--mapping``, which must run from the coupling's domain to codomain."""
-    name = _require(args.mapping, "--mapping")
-    m = doc.mapping(name)
-    if not m.runs_on(doc.coupling):
+def _item(doc: InstanceDocument, value, flag: str):
+    """The document item that option ``flag`` names, on its side of the
+    coupling: a ``--mapping`` runs from its domain to its codomain, and a
+    ``--subset``, ``--site-function`` or ``--function`` lies in its
+    domain.  An item off its side is an input error that names it."""
+    name = _require(value, flag)
+    if flag == "--mapping":
+        item = doc.mapping(name)
+        if item.runs_on(doc.coupling):
+            return item
         raise InstanceError(f"mapping {name!r} does not run from the "
                             "coupling's domain to its codomain")
-    return m
+    if flag == "--subset":
+        item, fault = doc.subset(name), "does not lie in"
+    else:
+        item, fault = doc.function(name), "is not indexed by"
+    if not indexed_by(item, doc.coupling.domain):
+        kind = flag[2:].replace("-", " ")  # subset, function, site function
+        raise InstanceError(f"{kind} {name!r} {fault} the coupling's domain")
+    return item
 
 
 def _site_args(doc: InstanceDocument, args):
-    """(mapping, site function, sites), the order the problem types take;
-    all three live on the coupling's domain."""
-    m = _mapping(doc, args)
-    domain = doc.coupling.domain
-    name = _require(args.subset, "--subset")
-    s = doc.subset(name)
-    if not indexed_by(s, domain):
-        raise InstanceError(f"subset {name!r} does not lie in the coupling's "
-                            "domain")
-    name = _require(args.site_function, "--site-function")
-    f = doc.function(name)
-    if not indexed_by(f, domain):
-        raise InstanceError(f"site function {name!r} is not indexed by the "
-                            "coupling's domain")
-    return m, f, s
+    """(mapping, site function, sites), the order the problem types take,
+    read in the order mapping, sites, site function."""
+    m = _item(doc, args.mapping, "--mapping")
+    s = _item(doc, args.subset, "--subset")
+    return m, _item(doc, args.site_function, "--site-function"), s
 
 
 def _fields(report) -> dict:
@@ -138,17 +144,17 @@ def _run(args) -> dict:
         return {"command": cmd, "result": function_to_jsonable(out)}
 
     if cmd == "convexify":
-        f = doc.function(_require(args.function, "--function"))
+        f = _item(doc, args.function, "--function")
         return {"command": cmd,
                 "result": function_to_jsonable(c_convexify(f, c))}
 
     if cmd == "subdiff":
-        f = doc.function(_require(args.function, "--function"))
+        f = _item(doc, args.function, "--function")
         m = c_subdifferential(f, c, eps).mapping
         return {"command": cmd, "result": label_pairs(m, m.graph)}
 
     if cmd == "check-monotone":
-        m = _mapping(doc, args)
+        m = _item(doc, args.mapping, "--mapping")
         if args.order is not None:
             verdict = is_n_monotone(m, c, args.order, eps)
         else:
@@ -159,12 +165,10 @@ def _run(args) -> dict:
         return out
 
     if cmd == "rockafellar":
-        m = _mapping(doc, args)
-        anchor = doc.subset(_require(args.subset, "--subset"))
+        m = _item(doc, args.mapping, "--mapping")
+        anchor = _item(doc, args.subset, "--subset")
         if len(anchor.members) != 1:
             raise InstanceError("--subset must name a single anchor point")
-        if not indexed_by(anchor, c.domain):
-            raise InstanceError("--subset must lie in the coupling's domain")
         r = rockafellar(m, c, anchor.members[0], eps)
         return {"command": cmd, "result": function_to_jsonable(r)}
 
@@ -176,7 +180,7 @@ def _run(args) -> dict:
 
     if cmd == "member":
         problem = ConstraintProblem(c, *_site_args(doc, args), eps)
-        h = doc.function(_require(args.function, "--function"))
+        h = _item(doc, args.function, "--function")
         return {"command": cmd, "member": is_member(h, problem)}
 
     if cmd == "lip-extend":
@@ -191,13 +195,13 @@ def _run(args) -> dict:
                 "result": function_to_jsonable(out)}
 
     if cmd == "fitzpatrick":
-        m = _mapping(doc, args)
+        m = _item(doc, args.mapping, "--mapping")
         return {"command": cmd,
                 "result": function_to_jsonable(fitzpatrick(m, c))}
 
     # verify, the last command the parser accepts
     # one context: each lifted quantity is computed once per request
-    lifted = Lifted(_mapping(doc, args), c, eps)
+    lifted = Lifted(_item(doc, args.mapping, "--mapping"), c, eps)
     report_a = lifted.theorem6A()
     out = {"command": cmd,
            "theorem_a": {**_fields(report_a), "agree": report_a.agree}}

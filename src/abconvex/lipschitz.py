@@ -49,7 +49,7 @@ from .core import (
     restrict_sum,
     sup_distance,
 )
-from .envelopes import ConstraintProblem, alpha, gamma
+from .envelopes import ConstraintProblem, alpha, alpha_closed_form, gamma
 from .transforms import c_transform, is_antiderivative, is_c_convex
 
 
@@ -211,15 +211,9 @@ def extend_max(problem: ExtensionProblem) -> ExtFunction:
 
 
 def extend_min_closed_form(problem: ExtensionProblem) -> ExtFunction:
-    """Full-domain formula max_{(s,t) in G(M)} [f(s) + d(s,t) - d(x,t)]."""
-    if not problem.family.full_domain:
-        raise AbstractConvexError("closed form requires sites = dom(M)")
-    d, f = problem.metric, problem.values
-    values = tuple(
-        max(f(s) + d(s, t) - d(x, t) for s, t in problem.mapping.graph)
-        for x in range(d.points.size)
-    )
-    return ExtFunction(d.points, values)
+    """Full-domain formula max_{(s,t) in G(M)} [f(s) + d(s,t) - d(x,t)]:
+    alpha's closed form (``alpha_closed_form``) read on c = -d."""
+    return alpha_closed_form(problem.family)
 
 
 def extend_max_closed_form(problem: ExtensionProblem) -> ExtFunction:

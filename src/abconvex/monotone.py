@@ -390,11 +390,12 @@ def _passes(cols, labels: list[float]) -> Optional[list[float]]:
 def _cyclic_verdict(gg: GainGraph, eps: float, seed=None
                     ) -> tuple[MonotonicityResult, Optional[list[float]]]:
     """(verdict, labels), potential first: one run of the passes from
-    ``seed`` (default all zeros, a virtual source; -inf: no walk yet), and
-    a fixed point p that the rounding guard accepts is a pass with labels
-    p.  Every other case is ``_cyclic_walks``' verdict, and on a pass the
-    labels are one relaxation step from the seed over its table B of best
-    walks, whose diagonal is at least 0.0 (the empty walk): labels[i] =
+    ``seed`` (default all zeros in the gains' number type, a virtual
+    source; -inf: no walk yet), and a fixed point p that the rounding
+    guard accepts is a pass with labels p.  Every other case is
+    ``_cyclic_walks``' verdict, and on a pass the labels are one
+    relaxation step from the seed over its table B of best walks, whose
+    diagonal is at least 0.0 (the empty walk): labels[i] =
     max_u [seed[u] + B[u][i]], the first of equal maxima winning (module
     docstring).  The guard: with k nodes, G = max |a[u][v]| and
     P = max |p|, 2**-53 * (k + 1) * (P + (k + 1) * G) <= eps.  Its left
@@ -403,7 +404,8 @@ def _cyclic_verdict(gg: GainGraph, eps: float, seed=None
     require_eps(eps)
     cols = [gg.columns[v] for v in gg.nodes]
     k, g = len(cols), max(max(map(abs, col)) for col in cols)
-    seed = [0.0] * k if seed is None else seed
+    if seed is None:  # an exact zero keeps exact gains' labels exact
+        seed = [type(cols[0][0])(0)] * k
     p = _passes(cols, seed)
     if p is not None and (
             2.0 ** -53 * (k + 1) * (max(map(abs, p)) + (k + 1) * g) <= eps):

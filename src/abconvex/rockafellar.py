@@ -6,11 +6,12 @@ an optimal walk repeats no node, so R_s(x) = max_i [B_s(i) + gain[i][x]],
 where B_s(i) is the best walk gain from s to nodes[i] inside dom(M), the
 empty walk included at s.  One producer, ``chain_suprema``, gives
 max_s [shift(s) + R_s] over a set of sites: ``rockafellar`` (one site,
-shift -0.0, the exact additive identity of floats), ``alpha`` (shift f(s))
-and Theorem 6B's lifted alpha all call it.  With k = |dom(M)|, it builds
-one seed, shift(s) at each site (the largest of a repeated site's shifts)
-and -inf elsewhere, and makes one ``monotone._cyclic_verdict`` call from
-it, which owns the route and returns the verdict with labels
+shift minus zero in the coupling's number type: -0.0, the exact additive
+identity of floats, or an exact zero, which keeps exact data exact),
+``alpha`` (shift f(s)) and Theorem 6B's lifted alpha all call it.  With
+k = |dom(M)|, it builds one seed, shift(s) at each site (the largest of a
+repeated site's shifts) and -inf elsewhere, and makes one
+``monotone._cyclic_verdict`` call from it, which owns the route and returns the verdict with labels
 L_i = max_s [shift(s) + B_s(i)].  It reads the value at x as
 max_i [L_i + gain[i][x]], one ``max(map(add, L, column_x))`` per x,
 O(k * |X|) whatever the sites.  The route is ``monotone``'s, stated in
@@ -128,4 +129,9 @@ def rockafellar(m: MultiMapping, c: Coupling, s: int,
     positive cycle anywhere in the dom(M)-restricted gain graph raises
     ``NotCyclicallyMonotoneError`` with the witness cycle.
     """
-    return chain_suprema(m, c, [s], [-0.0], eps)
+    # an entry on a row of dom(M), which the gain graph reads anyway (a
+    # lifted c builds rows on first read); require_on refuses M first, as
+    # chain_suprema would
+    x, y = m.require_on(c).graph[0]
+    zero = type(c(x, y))(0)  # the entries' type: exact data stays exact
+    return chain_suprema(m, c, [s], [-zero], eps)

@@ -28,20 +28,18 @@ def _labels(prefix: str, n: int) -> GroundSet:
     return GroundSet(tuple(f"{prefix}{i}" for i in range(n)))
 
 
-def random_coupling(rng: random.Random, nx: int, ny: int,
-                    lo: float = -10.0, hi: float = 10.0) -> Coupling:
+def random_coupling(rng: random.Random, nx: int, ny: int) -> Coupling:
     return coupling_from_rows(
         _labels("x", nx), _labels("y", ny),
-        [[rng.uniform(lo, hi) for _ in range(ny)] for _ in range(nx)])
+        [[rng.uniform(-10.0, 10.0) for _ in range(ny)] for _ in range(nx)])
 
 
 def random_proper_function(rng: random.Random, gs: GroundSet,
-                           lo: float = -10.0, hi: float = 10.0,
                            inf_prob: float = 0.2) -> ExtFunction:
-    values = [math.inf if rng.random() < inf_prob else rng.uniform(lo, hi)
+    values = [math.inf if rng.random() < inf_prob else rng.uniform(-10.0, 10.0)
               for _ in range(gs.size)]
     if all(v == math.inf for v in values):
-        values[rng.randrange(gs.size)] = rng.uniform(lo, hi)
+        values[rng.randrange(gs.size)] = rng.uniform(-10.0, 10.0)
     return ExtFunction(gs, tuple(values))
 
 

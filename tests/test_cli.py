@@ -864,8 +864,7 @@ def test_verify_at_the_magnitude_bound_prints_the_lifted_witness(capsys,
 
 
 def _two_sided_document() -> dict:
-    """A 2 x 3 coupling with one mapping on each pair of sides and a metric
-    twin of it (on X) for lip-extend."""
+    """A 2 x 3 coupling with one mapping on each pair of sides."""
     sides = {"X": ["p", "q"], "Y": ["a", "b", "c"]}
     mappings = {a + b: {"source": a, "target": b,
                         "pairs": [[sides[a][0], sides[b][-1]]]}
@@ -943,7 +942,7 @@ def test_rockafellar_anchor_must_lie_in_the_coupling_domain(capsys, tmp_path):
     status, out = run(capsys, "rockafellar", "--instance", str(path),
                       "--mapping", "XY", "--subset", "T")
     assert status == EXIT_INPUT
-    assert out["message"] == "--subset must lie in the coupling's domain"
+    assert out["message"] == "subset 'T' does not lie in the coupling's domain"
 
 
 def test_subset_with_a_repeated_label_is_an_input_error(capsys, tmp_path,
@@ -1060,3 +1059,77 @@ def test_lip_extend_sites_off_the_metric_points_are_input_errors(
     status, out = run(capsys, *lip, "--subset", "S", "--site-function", "fz")
     assert (status, out["message"]) == (
         EXIT_INPUT, "site function 'fz' is not indexed by the coupling's domain")
+
+
+def _side_rule_document(metric: bool) -> dict:
+    """X = {p, q} and Y = {a, b}, with one item per option on the
+    coupling's sides (mapping M, subset S, function f) and one off them
+    (mapping YX, subset T and function g on Y).  Plain, the coupling is 0
+    on X x Y and M = {p -> a}; with ``metric`` it is c = -d on X x X and
+    M = {p -> p}."""
+    target = "X" if metric else "Y"
+    coupling = ({"metric": {"points": "X", "distances": [[0.0, 1.0],
+                                                         [1.0, 0.0]]},
+                 "negate": True} if metric else
+                {"domain": "X", "codomain": "Y",
+                 "values": [[0.0, 0.0], [0.0, 0.0]]})
+    return {"schema_version": "1",
+            "ground_sets": {"X": ["p", "q"], "Y": ["a", "b"]},
+            "coupling": coupling,
+            "functions": {"f": {"index": "X", "values": [0.0, 0.0]},
+                          "g": {"index": "Y", "values": [0.0, 0.0]}},
+            "mappings": {
+                "M": {"source": "X", "target": target,
+                      "pairs": [["p", "p" if metric else "a"]]},
+                "YX": {"source": "Y", "target": "X", "pairs": [["a", "p"]]}},
+            "subsets": {"S": {"parent": "X", "members": ["p"]},
+                        "T": {"parent": "Y", "members": ["a"]}}}
+
+
+#: Each command and the item options it reads; ``transform`` reads a
+#: function on either side, so it has no wrong side here.
+_ITEM_OPTIONS = [
+    ("convexify", ("--function",)),
+    ("subdiff", ("--function",)),
+    ("check-monotone", ("--mapping",)),
+    ("rockafellar", ("--mapping", "--subset")),
+    ("alpha", ("--mapping", "--subset", "--site-function")),
+    ("gamma", ("--mapping", "--subset", "--site-function")),
+    ("member", ("--mapping", "--subset", "--site-function", "--function")),
+    ("lip-extend", ("--mapping", "--subset", "--site-function")),
+    ("fitzpatrick", ("--mapping",)),
+    ("verify", ("--mapping",)),
+]
+_ON_SIDE = {"--mapping": "M", "--subset": "S", "--site-function": "f",
+            "--function": "f"}
+_OFF_SIDE = {
+    "--mapping": ("YX", "mapping 'YX' does not run from the coupling's "
+                        "domain to its codomain"),
+    "--subset": ("T", "subset 'T' does not lie in the coupling's domain"),
+    "--site-function": ("g", "site function 'g' is not indexed by the "
+                             "coupling's domain"),
+    "--function": ("g", "function 'g' is not indexed by the coupling's "
+                        "domain"),
+}
+
+
+@pytest.mark.parametrize("command,options,off", [
+    pytest.param(command, options, off, id=f"{command}{off}")
+    for command, options in _ITEM_OPTIONS for off in options])
+def test_every_item_off_its_side_is_an_input_error(capsys, tmp_path, command,
+                                                   options, off):
+    # convexify, subdiff and member --function used to read a function on
+    # Y and fail in the library, a domain error (exit 1)
+    metric = command == "lip-extend"
+    path = tmp_path / "sides.json"
+    path.write_text(json.dumps(_side_rule_document(metric)))
+
+    def request(items):
+        named = [a for option in options for a in (option, items[option])]
+        return run(capsys, command, "--instance", str(path),
+                   *["--min"] * metric, *named)
+
+    assert request(_ON_SIDE)[0] == EXIT_OK
+    name, message = _OFF_SIDE[off]
+    assert request({**_ON_SIDE, off: name}) == (
+        EXIT_INPUT, {"error": "input", "message": message})

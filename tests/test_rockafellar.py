@@ -1,11 +1,13 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from abconvex import (
     AbstractConvexError,
+    Coupling,
     ExtFunction,
     GroundSet,
     MultiMapping,
@@ -462,3 +464,20 @@ def test_site_fold_keeps_the_first_of_equal_labels(rng, monkeypatch):
         shifts = [rng.choice((-0.0, 0.0)) for _ in m.dom]
         assert_same_floats(chain_suprema(m, c, m.dom, shifts, EPS).values,
                            labels_first_per_cell(m, c, m.dom, shifts))
+
+
+def test_exact_couplings_keep_labels_and_values_exact(rng):
+    # the default seed and rockafellar's shift used to be the floats 0.0
+    # and -0.0, so Fraction gains gave float labels and values
+    def exact(v):
+        return isinstance(v, Fraction) or v in (math.inf, -math.inf)
+
+    for _ in range(200):
+        c = random_coupling(rng, rng.randint(1, 6), rng.randint(1, 6))
+        m = random_cyclically_monotone_mapping(rng, c)
+        c = Coupling(c.domain, c.codomain,
+                     tuple(tuple(map(Fraction, row)) for row in c.values))
+        verdict, labels = _cyclic_verdict(build_gain_graph(m, c), EPS)
+        assert verdict and all(map(exact, labels))
+        r = rockafellar(m, c, rng.choice(m.dom), EPS)
+        assert all(map(exact, r.values))
