@@ -133,13 +133,15 @@ def _run(args) -> dict:
     cmd = args.command
 
     if cmd == "transform":
-        f = doc.function(_require(args.function, "--function"))
+        name = _require(args.function, "--function")
+        f = doc.function(name)
         if indexed_by(f, c.domain):
             transform = c_transform
         elif indexed_by(f, c.codomain):
             transform = c_transform_rev
         else:
-            raise InstanceError("function is indexed by neither coupling side")
+            raise InstanceError(
+                f"function {name!r} is indexed by neither coupling side")
         out = transform(f.require_proper("transform input"), c)
         return {"command": cmd, "result": function_to_jsonable(out)}
 

@@ -7,6 +7,15 @@ consists of every c-convex antiderivative of M that agrees with f on S; it
 always contains its lower envelope (``alpha``) and upper envelope
 (``gamma``).
 
+A family computes its anchor's transform f^c once, ``anchor_transform``:
+its validation (f is an antiderivative of M), ``dual()``, full-domain
+``gamma`` when f is already +inf off the sites, so that f + i_S is f bit
+for bit, and ``is_member`` with h = f (the same object) read it.
+``is_member`` takes one transform of any other h for both of its tests.
+Each reader applies the same kernel to the same values as
+``is_antiderivative``, ``c_transform``, ``c_convexify`` and
+``is_c_convex`` would, so its outputs are theirs bit for bit.
+
 ``alpha`` is max_s [f(s) + R_s], one ``rockafellar.chain_suprema`` call
 seeded with f at the sites, whose route is ``monotone``'s.  The routes add
 in different orders, so alpha (and ``gamma``'s dual route and the minimal
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (
     DEFAULT_EPS,
@@ -27,15 +37,17 @@ from .core import (
     IndexSubset,
     MultiMapping,
     pointwise_le,
+    require_eps,
     require_indexed_by,
     restrict_sum,
 )
 from .rockafellar import chain_suprema
 from .transforms import (
+    _in_subdifferential,
+    _is_reverse_transform_of,
     c_convexify,
     c_transform,
     c_transform_rev,
-    is_antiderivative,
     is_c_convex,
 )
 
@@ -65,8 +77,16 @@ class ConstraintProblem:
         if stray:
             raise AbstractConvexError(f"sites {stray} are outside dom(M)")
         # an antiderivative is finite on dom(M), so on the sites
-        if not is_antiderivative(self.anchor, self.mapping, self.coupling, self.eps):
+        require_eps(self.eps)
+        if not _in_subdifferential(self.anchor, self.anchor_transform,
+                                   self.mapping, self.coupling, self.eps):
             raise AbstractConvexError("anchor is not an antiderivative of the mapping")
+
+    @cached_property
+    def anchor_transform(self) -> ExtFunction:
+        """f^c, computed once: the antiderivative test above, ``dual()``,
+        full-domain ``gamma`` and ``is_member`` with h = f all read it."""
+        return c_transform(self.anchor, self.coupling)
 
     @property
     def full_domain(self) -> bool:
@@ -85,7 +105,7 @@ class ConstraintProblem:
         dual.__dict__.update(
             coupling=self.coupling.transpose(),
             mapping=self.mapping.inverse(),
-            anchor=c_transform(self.anchor, self.coupling),
+            anchor=self.anchor_transform,
             sites=IndexSubset(self.coupling.codomain,
                               self.mapping.of_set(self.sites)),
             eps=self.eps)
@@ -117,13 +137,19 @@ def alpha_closed_form(problem: ConstraintProblem) -> ExtFunction:
 def gamma(problem: ConstraintProblem) -> ExtFunction:
     """The maximal member.
 
-    Full-domain case: the convexification of f + indicator(dom(M)).  General
-    sites: the transform of the dual problem's minimal member (no primal
-    chain formula exists for this case, so none is invented).
+    Full-domain case: the convexification of f + indicator(dom(M)), read
+    from the anchor's transform when f is already +inf off the sites.
+    General sites: the transform of the dual problem's minimal member (no
+    primal chain formula exists for this case, so none is invented).
     """
     if problem.full_domain:
-        return c_convexify(restrict_sum(problem.anchor, problem.sites),
-                           problem.coupling)
+        f, c = problem.anchor, problem.coupling
+        restricted = restrict_sum(f, problem.sites)
+        # restrict_sum keeps f's values on S and puts +inf off it, so == is
+        # bit-identity here: (f + i_S)^c is then f^c itself
+        if restricted.values == f.values:
+            return c_transform_rev(problem.anchor_transform, c)
+        return c_convexify(restricted, c)
     return gamma_dual_route(problem)
 
 
@@ -136,9 +162,12 @@ def is_member(h: ExtFunction, problem: ConstraintProblem) -> bool:
     """Whether h is a c-convex antiderivative of M agreeing with f on S."""
     h.require_proper("membership candidate")
     c, eps = problem.coupling, problem.eps
-    if not is_c_convex(h, c, eps):
+    # one transform for both tests: is_c_convex and is_antiderivative each
+    # take h^c first, and the anchor's is already at hand
+    hc = problem.anchor_transform if h is problem.anchor else c_transform(h, c)
+    if not _is_reverse_transform_of(h, hc, c, eps):
         return False
-    if not is_antiderivative(h, problem.mapping, c, eps):
+    if not _in_subdifferential(h, hc, problem.mapping, c, eps):
         return False
     f = problem.anchor
     return all(math.isfinite(h(s)) and abs(h(s) - f(s)) <= eps

@@ -295,8 +295,8 @@ class Lifted:
         identity_value = None
         if not mono:
             (x1, y1), (x2, y2) = mono.witness[0], mono.witness[1]
-            identity_value = 2.0 * (c(x1, y1) - c(x1, y2) - c(x2, y1)
-                                    + c(x2, y2))
+            identity_value = 2 * (c(x1, y1) - c(x1, y2) - c(x2, y1)
+                                  + c(x2, y2))
 
         t_max = d_max = d_cyc_max = a_max = None
         if check_maximality:

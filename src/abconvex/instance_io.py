@@ -17,7 +17,9 @@ converted in one pass, and an all-float row is kept as it is, since
 ``float()`` of a float is that float; any other row (one holding "inf",
 say) goes to ``_parse_value`` per cell, which raises at the first bad
 cell, so every diagnostic names the same JSON path.  Both routes apply the
-same ``float()`` to each cell, so the parsed values are bit-identical.
+same ``float()`` to each cell, so the parsed values are bit-identical.  A
+bulk row is finite, so only a per-cell coupling row is searched for
+"inf", which coupling entries may not be.
 Ground-set labels and mapping pairs are resolved in bulk the same way, and
 anything the bulk pass cannot take goes to the per-item loop, which raises
 the message naming the item; subset members are resolved one at a time.
@@ -104,15 +106,19 @@ def _as_floats(cells, types) -> Optional[tuple[float, ...]]:
     return values if math.hypot(*values) <= MAX_MAGNITUDE else None
 
 
-def _parse_row(row: list, path: str) -> tuple[float, ...]:
+def _parse_row(row: list, path: str, finite: bool = False) -> tuple[float, ...]:
     """``_parse_value`` over a row; ``path`` names the row, cells are
-    ``path[j]``."""
+    ``path[j]``, and ``finite`` refuses "inf" at its first cell."""
     types = set(map(type, row))
     if types <= _PLAIN_NUMBERS:
         values = _as_floats(row, types)
-        if values is not None:
+        if values is not None:  # within MAX_MAGNITUDE, so finite
             return values
-    return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
+    values = tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
+    if finite and math.inf in values:
+        _fail(f"{path}[{values.index(math.inf)}]",
+              "coupling entries must be finite")
+    return values
 
 
 def _labels_per_item(labels: list, path: str) -> None:
@@ -198,10 +204,7 @@ def _matrix(rows, path: str, shape: tuple[int, int], sides: tuple[str, str],
         row = _expect(row, list, f"{path}[{i}]")
         if len(row) != shape[1]:
             _fail(f"{path}[{i}]", f"column count != |{sides[1]}|")
-        parsed.append(_parse_row(row, f"{path}[{i}]"))
-        if finite and math.inf in parsed[i]:
-            _fail(f"{path}[{i}][{parsed[i].index(math.inf)}]",
-                  "coupling entries must be finite")
+        parsed.append(_parse_row(row, f"{path}[{i}]", finite))
     return tuple(parsed)
 
 

@@ -22,10 +22,19 @@ and its per-triple rerun names the same first (i, j, k).  A matrix that is
 only symmetric within eps scans every column.
 
 The O(n^2) axioms (zero diagonal, finite, nonnegative, symmetric within
-eps, positive off the diagonal) run cell by cell, before the triangle
-check, and raise the message for the first failing cell.  A negative eps
-is refused first, with its own message: the triangle test at j = i reads
-d(i, k) > d(i, k) + eps, so no matrix could pass it (-0.0 is accepted).
+eps, positive off the diagonal) run before the triangle check as row
+kernels: row i passes when math.hypot of its cells is finite (it is inf or
+nan on a non-finite cell, and at least every |d(i, j)|), its least cell is
+at least -eps, |d(i, i)| <= eps, its least off-diagonal cell exceeds eps
+(unless a pseudometric), and, unless d equals its transpose exactly, its
+largest |d(i, j) - d(j, i)| is at most eps.  On finite cells min and max
+are exact and these are the per-cell tests; an exactly symmetric d has
+every difference 0.  Some row fails whenever some cell does, so only
+then does the per-cell loop rerun, and it raises the message for the
+first failing cell; a false alarm (a hypot or a difference past the
+largest float) passes it.  A negative eps is refused first, with its own
+message: the triangle test at j = i reads d(i, k) > d(i, k) + eps, so no
+matrix could pass it (-0.0 is accepted).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
+from operator import add, sub
 from typing import Iterable
 
 from .core import (
@@ -75,11 +84,12 @@ class MetricInstance:
         d = self.dist
         if len(d) != n or any(len(row) != n for row in d):
             raise MetricError("distance matrix shape != (|X|, |X|)")
-        self._check_axioms_per_cell()
         columns = tuple(zip(*d))
+        symmetric = columns == tuple(map(tuple, d))
+        if not self._axioms_hold_by_row(columns, symmetric):
+            self._check_axioms_per_cell()
         # some j fails the triangle iff the least sum does, and on an
         # exactly symmetric d the columns k >= i suffice (module docstring)
-        symmetric = columns == tuple(map(tuple, d))
         for i, row in enumerate(d):
             start = i if symmetric else 0
             least = [min(map(add, row, col)) for col in columns[start:]]
@@ -89,6 +99,20 @@ class MetricInstance:
                         if row[k] > row[j] + d[j][k] + self.eps:
                             raise MetricError(
                                 f"triangle inequality fails at ({i},{j},{k})")
+
+    def _axioms_hold_by_row(self, columns, symmetric: bool) -> bool:
+        """The axioms' row kernels; False whenever a cell fails them, and
+        on a few passing matrices too (module docstring)."""
+        eps, positive = self.eps, not self.pseudometric
+        for i, (row, col) in enumerate(zip(self.dist, columns)):
+            if not (math.hypot(*row) < math.inf and min(row) >= -eps
+                    and abs(row[i]) <= eps):
+                return False
+            if positive and min(row[:i] + row[i + 1:], default=math.inf) <= eps:
+                return False
+            if not symmetric and max(map(abs, map(sub, row, col))) > eps:
+                return False
+        return True
 
     def _check_axioms_per_cell(self):
         d, n = self.dist, self.points.size

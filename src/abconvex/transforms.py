@@ -118,7 +118,14 @@ def is_c_convex(f: ExtFunction, c: Coupling, eps: float = DEFAULT_EPS) -> bool:
     """Whether f = f^{cc} within eps (+inf entries must match exactly)."""
     require_eps(eps)
     f.require_proper("c-convexity test input")
-    return sup_distance(f, c_convexify(f, c)) <= eps
+    return _is_reverse_transform_of(f, c_transform(f, c), c, eps)
+
+
+def _is_reverse_transform_of(f: ExtFunction, fc: ExtFunction,
+                             c: Coupling, eps: float) -> bool:
+    """``is_c_convex``'s test given f's transform ``fc``: f = fc^c within
+    eps, +inf entries matching exactly."""
+    return sup_distance(f, c_transform_rev(fc, c)) <= eps
 
 
 @dataclass(frozen=True)

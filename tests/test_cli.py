@@ -591,6 +591,15 @@ def _row_per_cell(row, path):
     return tuple(_parse_value(v, f"{path}[{j}]") for j, v in enumerate(row))
 
 
+def _coupling_row_per_cell(row, path):
+    """``_row_per_cell``, then the first "inf", which a coupling refuses."""
+    values = _row_per_cell(row, path)
+    for j, v in enumerate(values):
+        if v == math.inf:
+            raise InstanceError(f"{path}[{j}]: coupling entries must be finite")
+    return values
+
+
 P = GroundSet(("a", "b", "c", "d", "e"))
 #: (case, where, the JSON at ``where``, the per-item route, the message it
 #: raises): each value defeats the bulk pass, where there is one (rows
@@ -606,6 +615,14 @@ PARSE_FALLBACKS = [
     ("inf beside a bool", "function", [1.0, "inf", False, 2, 3.5],
      lambda v: _row_per_cell(v, "$.functions.f.values"),
      '$.functions.f.values[2]: expected a number or "inf"'),
+    *[(f"coupling inf at column {j}", "coupling",
+       [*[0.5] * j, "inf", *[2] * (4 - j)],
+       lambda v: _coupling_row_per_cell(v, "$.coupling.values[1]"),
+       f"$.coupling.values[1][{j}]: coupling entries must be finite")
+      for j in (0, 2, 4)],
+    ("coupling inf before a bool", "coupling", ["inf", 1.0, True, 2, 3.5],
+     lambda v: _coupling_row_per_cell(v, "$.coupling.values[1]"),
+     '$.coupling.values[1][2]: expected a number or "inf"'),
     ("duplicate label", "labels", ["a", "b", "c", "b", "e"],
      lambda v: _labels_per_item(v, "$.ground_sets.P"),
      "$.ground_sets.P[3]: duplicate label 'b'"),
@@ -931,7 +948,7 @@ def test_transform_of_a_function_on_neither_side_is_an_input_error(
                       "--function", "fz")
     assert (status, out) == (EXIT_INPUT, {
         "error": "input",
-        "message": "function is indexed by neither coupling side"})
+        "message": "function 'fz' is indexed by neither coupling side"})
 
 
 def test_rockafellar_anchor_must_lie_in_the_coupling_domain(capsys, tmp_path):
@@ -1064,9 +1081,9 @@ def test_lip_extend_sites_off_the_metric_points_are_input_errors(
 def _side_rule_document(metric: bool) -> dict:
     """X = {p, q} and Y = {a, b}, with one item per option on the
     coupling's sides (mapping M, subset S, function f) and one off them
-    (mapping YX, subset T and function g on Y).  Plain, the coupling is 0
-    on X x Y and M = {p -> a}; with ``metric`` it is c = -d on X x X and
-    M = {p -> p}."""
+    (mapping YX, subset T and function g on Y), and a function z on
+    neither side, on Z = {r}.  Plain, the coupling is 0 on X x Y and
+    M = {p -> a}; with ``metric`` it is c = -d on X x X and M = {p -> p}."""
     target = "X" if metric else "Y"
     coupling = ({"metric": {"points": "X", "distances": [[0.0, 1.0],
                                                          [1.0, 0.0]]},
@@ -1074,10 +1091,11 @@ def _side_rule_document(metric: bool) -> dict:
                 {"domain": "X", "codomain": "Y",
                  "values": [[0.0, 0.0], [0.0, 0.0]]})
     return {"schema_version": "1",
-            "ground_sets": {"X": ["p", "q"], "Y": ["a", "b"]},
+            "ground_sets": {"X": ["p", "q"], "Y": ["a", "b"], "Z": ["r"]},
             "coupling": coupling,
             "functions": {"f": {"index": "X", "values": [0.0, 0.0]},
-                          "g": {"index": "Y", "values": [0.0, 0.0]}},
+                          "g": {"index": "Y", "values": [0.0, 0.0]},
+                          "z": {"index": "Z", "values": [0.0]}},
             "mappings": {
                 "M": {"source": "X", "target": target,
                       "pairs": [["p", "p" if metric else "a"]]},
@@ -1087,8 +1105,9 @@ def _side_rule_document(metric: bool) -> dict:
 
 
 #: Each command and the item options it reads; ``transform`` reads a
-#: function on either side, so it has no wrong side here.
+#: function on either side, so its wrong side is neither (``_OFF_BOTH``).
 _ITEM_OPTIONS = [
+    ("transform", ("--function",)),
     ("convexify", ("--function",)),
     ("subdiff", ("--function",)),
     ("check-monotone", ("--mapping",)),
@@ -1111,6 +1130,7 @@ _OFF_SIDE = {
     "--function": ("g", "function 'g' is not indexed by the coupling's "
                         "domain"),
 }
+_OFF_BOTH = ("z", "function 'z' is indexed by neither coupling side")
 
 
 @pytest.mark.parametrize("command,options,off", [
@@ -1130,6 +1150,6 @@ def test_every_item_off_its_side_is_an_input_error(capsys, tmp_path, command,
                    *["--min"] * metric, *named)
 
     assert request(_ON_SIDE)[0] == EXIT_OK
-    name, message = _OFF_SIDE[off]
+    name, message = _OFF_BOTH if command == "transform" else _OFF_SIDE[off]
     assert request({**_ON_SIDE, off: name}) == (
         EXIT_INPUT, {"error": "input", "message": message})

@@ -1,3 +1,7 @@
+import importlib
+import math
+from collections import Counter
+
 import pytest
 
 from abconvex import (
@@ -6,23 +10,37 @@ from abconvex import (
     ExtFunction,
     GroundSet,
     IndexSubset,
+    MultiMapping,
     alpha,
     alpha_closed_form,
     build_gain_graph,
     c_convexify,
     c_subdifferential,
+    c_transform,
+    c_transform_rev,
     coupling_from_rows,
+    emit_document,
     gamma,
     gamma_dual_route,
+    identity_on,
     is_antiderivative,
     is_c_convex,
     is_member,
     pointwise_le,
     pointwise_max,
+    random_c_convex_function,
+    random_coupling,
+    random_lipschitz_function,
+    random_metric,
+    random_proper_function,
+    restrict_sum,
     rockafellar,
     sandwich_check,
     sup_distance,
 )
+from abconvex.cli import main as cli_main
+from abconvex.instance_io import InstanceDocument
+from conftest import assert_same_floats
 from references import random_constraint_problem, route_bound
 
 EPS = 1e-9
@@ -201,3 +219,145 @@ def test_alpha_is_max_of_per_site_chain_suprema(rng):
                             [p.anchor(s) for s in p.sites])
         assert sup_distance(alpha(p), per_site) <= bound
     assert partial >= 50
+
+
+# ------------------------------------------------- the family's anchor f^c
+# A family transforms its anchor once; its validation, dual(), full-domain
+# gamma (f already +inf off S) and member with h = f read that transform,
+# and member transforms any other h once for both of its tests.
+
+def _with_signed_zeros(rng, f: ExtFunction) -> ExtFunction:
+    """f with a random sign on each zero: the same values, other bits."""
+    return ExtFunction(f.index, tuple(rng.choice((0.0, -0.0)) if v == 0 else v
+                                      for v in f.values))
+
+
+def _small_integer_instance(rng, nx: int, ny: int):
+    """A coupling with entries in {-2, ..., 2} and the transform of a
+    function of such values on Y: ties in every max and many zeros."""
+    c = coupling_from_rows(
+        GroundSet(tuple(f"x{i}" for i in range(nx))),
+        GroundSet(tuple(f"y{j}" for j in range(ny))),
+        [[float(rng.randint(-2, 2)) for _ in range(ny)] for _ in range(nx)])
+    g = ExtFunction(c.codomain,
+                    tuple(float(rng.randint(-2, 2)) for _ in range(ny)))
+    return c, c_transform_rev(g, c)
+
+
+def test_anchor_transform_readers_match_their_compositions(rng):
+    # gamma, is_member, dual() and the validation against the compositions
+    # they replace, bit for bit: c_convexify(restrict_sum(f, S)) and the
+    # dual route, is_c_convex with is_antiderivative, c_transform(f); on
+    # anchors finite or +inf off the sites, with zeros of both signs, and
+    # on an h equal to f in value but not the same object
+    seen = Counter()
+    for trial in range(300):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 2:
+            c, f = _small_integer_instance(rng, nx, ny)
+        else:
+            c = random_coupling(rng, nx, ny)
+            f = random_c_convex_function(rng, c, 0.0)
+        f = _with_signed_zeros(rng, f)
+        pool = c_subdifferential(f, c).graph
+        m = MultiMapping(c.domain, c.codomain,
+                         tuple(rng.sample(pool, rng.randint(1, len(pool)))))
+        if trial % 3 == 0:  # +inf off dom(M), still an antiderivative of M
+            f = restrict_sum(f, IndexSubset(c.domain, m.dom))
+        if trial % 7 == 0:  # an anchor that may not be one
+            f = random_proper_function(rng, c.domain, inf_prob=0.0)
+        sites = m.dom if trial % 4 else tuple(
+            sorted(rng.sample(m.dom, rng.randint(1, len(m.dom)))))
+        sites = IndexSubset(c.domain, sites)
+        if not is_antiderivative(f, m, c, EPS):
+            with pytest.raises(AbstractConvexError, match="not an antiderivative"):
+                ConstraintProblem(c, m, f, sites, EPS)
+            seen["refused"] += 1
+            continue
+        p = ConstraintProblem(c, m, f, sites, EPS)
+        dual = p.dual()
+        assert_same_floats(dual.anchor.values, c_transform(f, c).values)
+        if p.full_domain:
+            restricted = restrict_sum(f, sites)
+            want = c_convexify(restricted, c)
+            seen["full, f = f + i_S" if restricted.values == f.values
+                 else "full, f finite off S"] += 1
+        else:
+            want = c_transform_rev(alpha(dual), c)
+            seen["partial"] += 1
+        g = gamma(p)
+        assert_same_floats(g.values, want.values)
+        seen["-0.0"] += any(math.copysign(1.0, v) < 0 for v in f.values
+                            if v == 0)
+        for h in (f, ExtFunction(f.index, f.values),
+                  _with_signed_zeros(rng, f), g, alpha(p),
+                  random_c_convex_function(rng, c), f.shifted(1.0)):
+            member = (is_c_convex(h, c, EPS)
+                      and is_antiderivative(h, m, c, EPS)
+                      and all(math.isfinite(h(s)) and abs(h(s) - f(s)) <= EPS
+                              for s in sites))
+            assert is_member(h, p) is member
+            seen[member] += 1
+    assert min(seen.values()) >= 15, seen
+    assert len(seen) == 7, seen
+
+
+def _count_transforms(monkeypatch) -> list:
+    """The value count of each run of the table kernel, as it runs."""
+    transforms = importlib.import_module("abconvex.transforms")
+    real, sides = transforms._transform, []
+
+    def counting(values, lines):
+        sides.append(len(values))
+        return real(values, lines)
+
+    monkeypatch.setattr(transforms, "_transform", counting)
+    return sides
+
+
+def test_constrained_requests_transform_the_anchor_once(tmp_path, monkeypatch,
+                                                        rng):
+    # f^c once per family (nx values in, the validation's), read by
+    # full-domain gamma and member with h = f; member transforms another
+    # h once for both of its tests.  Composed, alpha took 1, gamma 3,
+    # member 4 and lip-extend --max 3
+    sides = _count_transforms(monkeypatch)
+    for _ in range(8):
+        nx, ny = rng.randint(2, 7), rng.randint(1, 7)
+        c = random_coupling(rng, nx, ny)
+        f = random_c_convex_function(rng, c)  # finite, so dom(M) = X
+        m = c_subdifferential(f, c).mapping
+        part = IndexSubset(c.domain, tuple(sorted(rng.sample(m.dom, nx - 1))))
+        doc = tmp_path / "family.json"
+        doc.write_text(emit_document(InstanceDocument(
+            "1", {"X": c.domain, "Y": c.codomain}, c,
+            coupling_names=("X", "Y"),
+            functions={"f": f, "h": random_c_convex_function(rng, c)},
+            mappings={"M": m},
+            subsets={"D": IndexSubset(c.domain, m.dom), "P": part})))
+        metric = random_metric(rng, rng.randint(2, 7))
+        half = IndexSubset(metric.points, tuple(range(metric.points.size // 2
+                                                      or 1)))
+        lip = tmp_path / "metric.json"
+        lip.write_text(emit_document(InstanceDocument(
+            "1", {"P": metric.points}, metric.negated, metric=metric,
+            negate=True, coupling_names=("P", "P"),
+            functions={"f": random_lipschitz_function(rng, metric)},
+            mappings={"I_S": identity_on(half)}, subsets={"S": half})))
+        family = ("--instance", str(doc), "--mapping", "M",
+                  "--site-function", "f")
+        n = metric.points.size
+        for argv, want in [
+                (("alpha", *family, "--subset", "P"), [nx]),
+                (("gamma", *family, "--subset", "D"), [nx, ny]),
+                (("gamma", *family, "--subset", "P"), [nx, ny]),
+                (("member", *family, "--subset", "D", "--function", "f"),
+                 [nx, ny]),
+                (("member", *family, "--subset", "P", "--function", "h"),
+                 [nx, nx, ny]),
+                (("lip-extend", "--instance", str(lip), "--mapping", "I_S",
+                  "--subset", "S", "--site-function", "f", "--max"),
+                 [n, n])]:
+            sides.clear()
+            assert cli_main([*argv, "--output", str(tmp_path / "out")]) == 0
+            assert sides == want, argv

@@ -331,6 +331,50 @@ def test_axiom_kernels_match_per_cell_form(rng):
     assert seen == set(kinds) | {None}
 
 
+def _corruptions(eps):
+    """The values each axiom is corrupted with, relative to eps:
+    non-finite, signed zeros, and +-eps and one float past each."""
+    return (math.nan, math.inf, -math.inf, -0.0, 0.0, eps, -eps,
+            math.nextafter(eps, math.inf), math.nextafter(-eps, -math.inf))
+
+
+#: Each axiom and the message its own failures raise.
+_AXIOM_MESSAGES = {"diagonal": "!= 0", "sign": "finite and nonnegative",
+                   "symmetry": "asymmetry", "positive": "zero distance"}
+
+
+@pytest.mark.parametrize("pseudo", (False, True), ids=("metric", "pseudo"))
+@pytest.mark.parametrize("where", ("first", "middle", "last"))
+@pytest.mark.parametrize("axiom", _AXIOM_MESSAGES)
+def test_axiom_row_kernels_name_the_reference_cell(rng, axiom, where, pseudo):
+    # one axiom corrupted at the first, a middle or the last cell it reads
+    # (the diagonal, or the off-diagonal cells in row-major order): the
+    # row kernels must send every failure to the per-cell loop, which
+    # raises the reference's message; "sign" and "positive" set both
+    # mirror cells, so d stays exactly symmetric and takes the half scan
+    seen = set()
+    for trial in range(12):
+        n = rng.randint(2, 6)
+        d0 = random_metric(rng, n).dist
+        eps = (EPS, 0.25, 0.0)[trial % 3]
+        cells = ([(i, i) for i in range(n)] if axiom == "diagonal" else
+                 [(i, j) for i in range(n) for j in range(n) if i != j])
+        at = {"first": 0, "middle": len(cells) // 2, "last": -1}[where]
+        i, j = cells[at]
+        for value in _corruptions(eps):
+            d = [list(row) for row in d0]
+            if axiom == "symmetry":
+                d[i][j] = d[j][i] + value
+            else:
+                d[i][j] = d[j][i] = value
+            want = reference_metric_error(d, eps, pseudo)
+            assert metric_error(d, eps, pseudo) == want
+            seen.add(want)
+    assert None in seen
+    if not (pseudo and axiom == "positive"):  # a pseudometric allows it
+        assert any(_AXIOM_MESSAGES[axiom] in (m or "") for m in seen), seen
+
+
 def test_all_finite_rows_whose_sums_overflow_are_accepted():
     # 1.7e308 + 1.7e308 overflows to inf in the triangle kernel, which no
     # entry exceeds

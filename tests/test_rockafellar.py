@@ -10,6 +10,7 @@ from abconvex import (
     Coupling,
     ExtFunction,
     GroundSet,
+    Lifted,
     MultiMapping,
     NotCyclicallyMonotoneError,
     c_convexify,
@@ -19,6 +20,7 @@ from abconvex import (
     is_antiderivative,
     is_c_convex,
     is_cyclically_monotone,
+    is_n_monotone,
     pointwise_le,
     random_coupling,
     random_cyclically_monotone_mapping,
@@ -466,17 +468,30 @@ def test_site_fold_keeps_the_first_of_equal_labels(rng, monkeypatch):
                            labels_first_per_cell(m, c, m.dom, shifts))
 
 
+def _exact(c: Coupling) -> Coupling:
+    return Coupling(c.domain, c.codomain,
+                    tuple(tuple(map(Fraction, row)) for row in c.values))
+
+
 def test_exact_couplings_keep_labels_and_values_exact(rng):
     # the default seed and rockafellar's shift used to be the floats 0.0
-    # and -0.0, so Fraction gains gave float labels and values
+    # and -0.0, and 6A's identity value was 2.0 * (...), so Fraction
+    # entries gave float labels, values and identity values
     def exact(v):
         return isinstance(v, Fraction) or v in (math.inf, -math.inf)
 
     for _ in range(200):
         c = random_coupling(rng, rng.randint(1, 6), rng.randint(1, 6))
         m = random_cyclically_monotone_mapping(rng, c)
-        c = Coupling(c.domain, c.codomain,
-                     tuple(tuple(map(Fraction, row)) for row in c.values))
+        if c.domain.size > 1 and c.codomain.size > 1:
+            bad, cbad = inject_positive_two_cycle(rng, m, c)
+            cbad = _exact(cbad)
+            report = Lifted(bad, cbad).theorem6A()
+            (x1, y1), (x2, y2) = is_n_monotone(bad, cbad, 2, EPS).witness
+            value = report.violation_identity_value
+            assert isinstance(value, Fraction) and value == 2 * (
+                cbad(x1, y1) - cbad(x1, y2) - cbad(x2, y1) + cbad(x2, y2))
+        c = _exact(c)
         verdict, labels = _cyclic_verdict(build_gain_graph(m, c), EPS)
         assert verdict and all(map(exact, labels))
         r = rockafellar(m, c, rng.choice(m.dom), EPS)
